@@ -49,7 +49,6 @@ __all__ = [
 ]
 
 _LOG2_10 = 3.321928094887362  # bits per decimal digit
-_LOG2_2PI = 2.6514961294723187
 
 
 @dataclass(frozen=True)
@@ -394,12 +393,11 @@ def pow_rational(x: Ball, e, ctx: PrecCtx | None = None) -> Ball:
 
 
 # ---------------------------------------------------------------------------
-# pi (Machin's formula on integers), ln 2, e
+# pi (Machin's formula on integers), ln 2
 
 
 _PI_CACHE: dict[int, tuple[int, int]] = {}
 _LN2_CACHE: dict[int, Ball] = {}
-_E_CACHE: dict[int, Ball] = {}
 _GAMMA_CACHE: dict[tuple[Fraction, int], Ball] = {}
 
 
@@ -448,15 +446,6 @@ def const_pi(ctx: PrecCtx) -> Ball:
 def _pi_ball(f: int) -> Ball:
     m, r = _pi_units(f)
     return Ball(m, r, f)
-
-
-def _const_e(f: int) -> Ball:
-    cached = _E_CACHE.get(f)
-    if cached is not None:
-        return cached
-    val = exp(Ball.one(f))
-    _E_CACHE[f] = val
-    return val
 
 
 def _ln2_ball(f: int) -> Ball:
@@ -614,58 +603,96 @@ def agm(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
 
 
 # ---------------------------------------------------------------------------
-# gamma at rational arguments (Spouge's approximation, explicit remainder)
+# gamma at rational arguments: the lower incomplete gamma series, summed
+# exactly by binary splitting, with its truncation bound (the last kept
+# term) and the upper incomplete gamma bound (at most e^-N) in the radius
+
+
+def _gamma_bsplit(n: int, a: int, b: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """(P, Q, T) over the terms k in [lo, hi): P = prod p(k), Q = prod q(k)
+    and T/Q = sum_k prod_{lo <= j <= k} p(j)/q(j), with p(j) = n b and
+    q(j) = a + j b."""
+    if hi - lo == 1:
+        return n * b, a + lo * b, n * b
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _gamma_bsplit(n, a, b, lo, mid)
+    p2, q2, t2 = _gamma_bsplit(n, a, b, mid, hi)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _gamma_series(z: Fraction, n: int, terms: int, f: int) -> Ball:
+    """Gamma(z) for rational 0 < z <= 1 at scale f, from
+
+        Gamma(z) = n^z e^-n sum_{k>=0} n^k / (z)_{k+1} + Gamma(z, n).
+
+    The first `terms` terms t_k = n^k / (z)_{k+1} are summed exactly by
+    binary splitting.  Both remainders go into the radius:
+
+    * truncation: t_k / t_{k-1} = n / (z + k) <= 1/2 for every omitted
+      k >= terms >= 2n, so the omitted terms sum to at most the last kept
+      term t_{terms-1}, which is known exactly;
+    * upper incomplete gamma: 0 <= Gamma(z, n) <= n^(z-1) e^-n <= e^-n for
+      z <= 1 and n >= 1.
+
+    With S the sum of the kept terms, Gamma(z) e^n lies in
+    n^z (S + [0, t_{terms-1}]) + [0, 1]; one division by the enclosure of
+    e^n finishes.
+    """
+    if not (0 < z <= 1 and n >= 1 and terms >= 2 * n):
+        raise ValueError("_gamma_series needs 0 < z <= 1, n >= 1, terms >= 2n")
+    a, b = z.numerator, z.denominator
+    p, q, t = _gamma_bsplit(n, a, b, 0, terms)
+    den = n * q  # t_k = (prod_{j<=k} p(j)/q(j)) / n
+    s, err = _round_div(t << f, den)
+    last = _ceil_div(p << f, den)
+    partial = Ball(s + last // 2, err + (last + 1) // 2, f)
+    big_n = Ball(n << f, 0, f)
+    scaled = pow_rational(big_n, z) * partial + Ball(1 << (f - 1), 1 << (f - 1), f)
+    return scaled / exp(big_n)
+
+
+def _gamma_unit(z: Fraction, f: int) -> Ball:
+    """Cached Gamma(z) for rational 0 < z < 1 at scale f."""
+    key = (z, f)
+    cached = _GAMMA_CACHE.get(key)
+    if cached is not None:
+        return cached
+    fw = f + 32
+    # e^-n <= 2^-fw; the terms are chosen so the last kept one, times
+    # n^z e^-n, falls below 2^-fw too (t_{k-1} <= n^(k-1) / (z (k-1)!))
+    n = math.ceil(fw * math.log(2))
+    terms = 2 * n
+    goal = -fw * math.log(2) + n - float(z) * math.log(n)
+    log_last = (terms - 1) * math.log(n) - math.lgamma(terms) - math.log(z)
+    while log_last > goal:
+        log_last += math.log(n) - math.log(terms)
+        terms += 1
+    g = _gamma_series(z, n, terms, fw).rescale(f)
+    _GAMMA_CACHE[key] = g
+    return g
 
 
 def gamma_rational(p, ctx: PrecCtx) -> Ball:
     """Certified enclosure of Gamma(p) for rational p in (0, 2].
 
-    Spouge's approximation with its explicit remainder: the relative error
-    of the truncated form is below a^{-1/2} (2 pi)^{-(a+1/2)} for real
-    z >= 0, and that bound (inflated fourfold as a safety margin) is added
-    to the radius, so the enclosure is certified rather than heuristic.
-    Arguments below 1 go through Gamma(p) = Gamma(p+1)/p.
+    For 0 < p < 1 the lower incomplete gamma series is summed exactly by
+    binary splitting, and its truncation bound (the last kept term, as
+    the term ratio is at most 1/2) and the upper incomplete gamma bound
+    0 <= Gamma(p, N) <= e^-N are added to the radius (see
+    `_gamma_series`), so the enclosure is certified rather than
+    heuristic.  Arguments in (1, 2) go through Gamma(p) = (p-1) Gamma(p-1),
+    so a value never depends on the order of calls.
     """
     p = Fraction(p)
     if not 0 < p <= 2:
         raise UnsupportedArgument("gamma_rational requires 0 < p <= 2")
     f = ctx.bits
-    key = (p, f)
-    cached = _GAMMA_CACHE.get(key)
-    if cached is not None:
-        return cached
     if p == 1 or p == 2:
         return Ball.one(f)
-    a = int(math.ceil((f + 40) / _LOG2_2PI))
-    # headroom: cancellation inside the coefficient sum (~0.5a bits) plus
-    # the magnitude swing of the e^-(z+a) prefactor (~1.45a bits)
-    fw = f + (a + 1) // 2 + int(1.45 * a) + 64
-    z = p - 1 if p >= 1 else p
-    zb = Ball.from_fraction(z, fw)
-    e1 = _const_e(fw)
-    epow = ipow(e1, a - 1)
-    two_pi = _pi_ball(fw) * 2
-    total = sqrt(two_pi)
-    fact = 1
-    for k in range(1, a):
-        c = (epow * (a - k) ** k) / (sqrt(Ball.from_fraction(a - k, fw)) * fact)
-        term = c / (zb + k)
-        total = total + term if k % 2 == 1 else total - term
-        epow = epow / e1
-        fact *= k
-    za = zb + a
-    prefac = exp(Ball.from_fraction(z + Fraction(1, 2), fw) * log(za) - za)
-    g = prefac * total
-    eps = pow_rational(two_pi, Fraction(-(2 * a + 1), 2)) / sqrt(
-        Ball.from_fraction(a, fw)
-    )
-    rem = _ceil_shift(4 * eps.sup_units() * g.sup_units(), fw) + 1
-    g = Ball(g.m, g.r + rem, g.f)
     if p < 1:
-        g = g / Ball.from_fraction(p, fw)
-    g = g.rescale(f)
-    _GAMMA_CACHE[key] = g
-    return g
+        return _gamma_unit(p, f)
+    z = p - 1
+    return (_gamma_unit(z, f) * z.numerator).div_int(z.denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -203,3 +203,13 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"][0]["status"] == "verified"
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetaval", "eval", "gamma(1/4)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("value  = 3.6256099082219083119")

@@ -21,6 +21,7 @@ from thetaval.errors import (
 from thetaval.precision import (
     Ball,
     PrecCtx,
+    _gamma_series,
     agm,
     agreement_digits,
     ball_arith,
@@ -245,6 +246,55 @@ def test_gamma_against_mpmath():
         val = gamma_rational(p, PrecCtx(320))
         ref = F(str(mp.nstr(mp.gamma(F(p)), 80, strip_zeros=False)))
         assert abs(val.mid - ref) < F(1, 10**75)
+
+
+GAMMA_ARGS = [F(1, 8), F(1, 4), F(1, 2), F(3, 4), F(9, 8), F(5, 4), F(5, 3), F(7, 4)]
+GAMMA_ARGS += [F(1, 10**6), F(999999, 10**6)]
+
+
+def mp_gamma_exact(p, bits):
+    """mpmath's Gamma(p) at `bits` + 64 bits, as an exact Fraction."""
+    import mpmath as mp
+
+    with mp.workprec(bits + 64):
+        ref = mp.gamma(mp.mpf(p.numerator) / p.denominator)
+    return F(int(ref.man)) * F(2) ** int(ref.exp)
+
+
+@pytest.mark.parametrize("bits", [512, 2048, 4096])
+@pytest.mark.parametrize("p", GAMMA_ARGS, ids=str)
+def test_gamma_contains_mpmath_value(p, bits):
+    val = gamma_rational(p, PrecCtx(bits))
+    assert val.contains(mp_gamma_exact(p, bits))
+    assert val.rad <= F(1, 2 ** (bits - 8))
+
+
+# With n = 8 and 16 terms, Gamma(1/4) exceeds the series sum by more than
+# e^-8, so the enclosure reaches it only through the truncation bound; with
+# 64 terms the excess is mostly Gamma(1/4, 8) and exceeds the truncation
+# bound, so it reaches it only through the upper incomplete gamma bound.
+@pytest.mark.parametrize("terms", [16, 64])
+def test_gamma_series_remainder_bounds_are_load_bearing(terms):
+    wide = _gamma_series(F(1, 4), 8, terms, 256)
+    assert wide.contains(mp_gamma_exact(F(1, 4), 256))
+    assert wide.rad > gamma_rational(F(1, 4), CTX).rad
+
+
+def test_gamma_series_refuses_fewer_than_2n_terms():
+    with pytest.raises(ValueError):
+        _gamma_series(F(1, 4), 8, 15, 256)
+
+
+@given(
+    p=st.fractions(min_value=F(1, 50), max_value=F(49, 50), max_denominator=50),
+    bits=st.integers(min_value=64, max_value=600),
+)
+@settings(max_examples=30, deadline=None)
+def test_gamma_reflection_property(p, bits):
+    ctx = PrecCtx(bits)
+    pi = const_pi(ctx)
+    refl = gamma_rational(p, ctx) * gamma_rational(1 - p, ctx)
+    assert refl.overlaps(pi / sin(pi * Ball.from_fraction(p, bits)))
 
 
 def test_gamma_domain():
