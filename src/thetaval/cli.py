@@ -6,6 +6,10 @@ two runs at the same version, precision and inputs are byte-identical.
 Timings are all zero unless --timings is passed, keeping the default
 output deterministic.
 
+`eval` holds no grammar of its own: `exact.parse_expr` reads the text
+into the same tree the catalog uses, and `exact.eval_expr` evaluates it
+(with its doubled-precision retries and exact cospi table).
+
 Exit codes: 0 all checks pass, 1 a mathematical verification failed,
 2 usage, parse or domain error.
 """
@@ -16,7 +20,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,29 +27,11 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import DomainError, ParseError, ThetavalError
-from .exact import build_catalog, render_expr, render_theta, verify_identity
+from .exact import build_catalog, eval_expr, parse_expr, render_expr, render_theta, verify_identity
 from .lostnotebook import complete_evaluation, compute_p, compute_uvw, verify_quartic_relation
-from .modular import (
-    YiQuotient,
-    hyp2f1_half,
-    jims_identity,
-    verify_degree3,
-    verify_degree15,
-    yi_h,
-    yi_product_theorem,
-)
-from .precision import (
-    Ball,
-    PrecCtx,
-    agm,
-    agreement_digits,
-    cos,
-    decimal_str,
-    gamma_rational,
-    rad_exponent,
-)
-from .precision import _log10_floor, _pi_ball
-from .qseries import QPoint, chi, f_neg, phi, psi, theta_f
+from .modular import jims_identity, verify_degree3, verify_degree15, yi_product_theorem
+from .precision import Ball, PrecCtx, agreement_digits, decimal_str, rad_exponent
+from .precision import _log10_floor
 
 BITS_PER_DIGIT = 3.33
 DEFAULT_BITS = 512
@@ -61,290 +46,19 @@ _DEFAULT_GRIDS = {
 
 
 # ---------------------------------------------------------------------------
-# expression grammar
-#
-#   expr   := term (('+' | '-') term)*
-#   term   := unary (('*' | '/') unary)*
-#   unary  := '-' unary | power
-#   power  := atom ('^' unary)?          exponent must fold to a rational
-#   atom   := NUMBER | 'pi' | NAME '(' expr (',' expr)* ')' | '(' expr ')'
-#
-# Functions: phi, psi, fneg, chi, f, gamma, cospi, agm, hyp, h, hprime,
-# classinv; the special form qpoint(sign, r) denotes sign * e^(-pi sqrt r).
-
-_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
-
-_FUNCTIONS = {
-    "phi",
-    "psi",
-    "fneg",
-    "chi",
-    "f",
-    "gamma",
-    "cospi",
-    "agm",
-    "hyp",
-    "h",
-    "hprime",
-    "classinv",
-    "qpoint",
-}
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        num, name, sym = m.groups()
-        tok_pos = m.start(1) if num else m.start(2) if name else m.start(3)
-        if num:
-            tokens.append(("num", num, tok_pos))
-        elif name:
-            tokens.append(("name", name, tok_pos))
-        elif sym.strip():
-            if sym not in "+-*/^(),":
-                raise ParseError(f"unexpected character {sym!r}", tok_pos)
-            tokens.append(("sym", sym, tok_pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, sym: str):
-        kind, val, pos = self.next()
-        if kind != "sym" or val != sym:
-            raise ParseError(f"expected {sym!r}", pos)
-
-    def parse(self):
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", pos)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "sym" and val in "+-":
-                self.next()
-                node = ("bin", val, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "sym" and val in "*/":
-                self.next()
-                node = ("bin", val, node, self.unary())
-            else:
-                return node
-
-    def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "sym" and val == "-":
-            self.next()
-            return ("neg", self.unary())
-        if kind == "sym" and val == "+":
-            self.next()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "sym" and val == "^":
-            self.next()
-            exp_pos = self.peek()[2]
-            exponent = _const_fold(self.unary())
-            if exponent is None:
-                raise ParseError("exponent must be a rational constant", exp_pos)
-            return ("pow", node, exponent)
-        return node
-
-    def atom(self):
-        kind, val, pos = self.next()
-        if kind == "num":
-            return ("num", Fraction(val))
-        if kind == "name":
-            if val == "pi":
-                return ("pi",)
-            if val in _FUNCTIONS:
-                self.expect("(")
-                args = [self.expr()]
-                while True:
-                    k, v, _ = self.peek()
-                    if k == "sym" and v == ",":
-                        self.next()
-                        args.append(self.expr())
-                    else:
-                        break
-                self.expect(")")
-                return ("call", val, tuple(args), pos)
-            raise ParseError(f"unknown name {val!r}", pos)
-        if kind == "sym" and val == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ParseError("expected a value", pos)
-
-
-def _const_fold(node) -> Fraction | None:
-    tag = node[0]
-    if tag == "num":
-        return node[1]
-    if tag == "neg":
-        v = _const_fold(node[1])
-        return None if v is None else -v
-    if tag == "bin":
-        a, b = _const_fold(node[2]), _const_fold(node[3])
-        if a is None or b is None:
-            return None
-        op = node[1]
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        return a / b
-    if tag == "pow":
-        base = _const_fold(node[1])
-        exp = node[2]
-        if base is None or exp.denominator != 1:
-            return None
-        return base**exp.numerator
-    return None
-
-
-def _fold_qpoint(node) -> QPoint:
-    _, _, args, pos = node
-    if len(args) != 2:
-        raise ParseError("qpoint takes (sign, r)", pos)
-    sign = _const_fold(args[0])
-    r = _const_fold(args[1])
-    if sign not in (1, -1):
-        raise ParseError("qpoint sign must be +1 or -1", pos)
-    if r is None or r <= 0:
-        raise ParseError("qpoint r must be a positive rational", pos)
-    return QPoint(int(sign), r)
-
-
-def _eval_node(node, ctx: PrecCtx) -> Ball:
-    tag = node[0]
-    f = ctx.bits
-    if tag == "num":
-        return Ball.from_fraction(node[1], f)
-    if tag == "pi":
-        return _pi_ball(f)
-    if tag == "neg":
-        return -_eval_node(node[1], ctx)
-    if tag == "bin":
-        a = _eval_node(node[2], ctx)
-        b = _eval_node(node[3], ctx)
-        return {"+": a.__add__, "-": a.__sub__, "*": a.__mul__, "/": a.__truediv__}[
-            node[1]
-        ](b)
-    if tag == "pow":
-        from .precision import ipow, pow_rational
-
-        base = _eval_node(node[1], ctx)
-        e = node[2]
-        return ipow(base, e.numerator) if e.denominator == 1 else pow_rational(base, e)
-    if tag == "call":
-        return _eval_call(node, ctx)
-    raise ParseError("malformed expression", 0)
-
-
-def _theta_argument(node, ctx: PrecCtx):
-    """phi/psi/fneg/chi accept a qpoint (kept structured) or any ball expr."""
-    if node[0] == "call" and node[1] == "qpoint":
-        return _fold_qpoint(node)
-    return _eval_node(node, ctx)
-
-
-def _rational_argument(node, name: str, pos: int) -> Fraction:
-    v = _const_fold(node)
-    if v is None:
-        raise ParseError(f"{name} needs a rational argument", pos)
-    return v
-
-
-def _eval_call(node, ctx: PrecCtx) -> Ball:
-    _, name, args, pos = node
-
-    def arity(n: int):
-        if len(args) != n:
-            raise ParseError(f"{name} takes {n} argument(s)", pos)
-
-    if name == "qpoint":
-        return _fold_qpoint(node).to_ball(ctx)
-    if name in ("phi", "psi", "fneg", "chi"):
-        arity(1)
-        fn = {"phi": phi, "psi": psi, "fneg": f_neg, "chi": chi}[name]
-        return fn(_theta_argument(args[0], ctx), ctx)
-    if name == "f":
-        arity(2)
-        return theta_f(_eval_node(args[0], ctx), _eval_node(args[1], ctx), ctx)
-    if name == "gamma":
-        arity(1)
-        return gamma_rational(_rational_argument(args[0], name, pos), ctx)
-    if name == "cospi":
-        arity(1)
-        arg = _rational_argument(args[0], name, pos)
-        return cos(_pi_ball(ctx.bits + 32) * Ball.from_fraction(arg, ctx.bits + 32)).rescale(
-            ctx.bits
-        )
-    if name == "agm":
-        arity(2)
-        return agm(_eval_node(args[0], ctx), _eval_node(args[1], ctx), ctx)
-    if name == "hyp":
-        arity(1)
-        return hyp2f1_half(_eval_node(args[0], ctx), ctx)
-    if name in ("h", "hprime"):
-        arity(2)
-        k = _rational_argument(args[0], name, pos)
-        n = _rational_argument(args[1], name, pos)
-        return yi_h(YiQuotient(k, n, primed=name == "hprime"), ctx)
-    if name == "classinv":
-        arity(1)
-        from .modular import class_invariant
-
-        return class_invariant(_rational_argument(args[0], name, pos), ctx)
-    raise ParseError(f"unknown function {name!r}", pos)
-
-
-# ---------------------------------------------------------------------------
 # report plumbing
 
 
 def _resolve_bits(args) -> int:
-    if getattr(args, "prec", None):
-        return args.prec
-    if getattr(args, "digits", None):
-        return max(64, math.ceil(args.digits * BITS_PER_DIGIT))
-    env = os.environ.get("THETAVAL_PREC_BITS")
-    if env:
-        return int(env)
-    return DEFAULT_BITS
+    if args.prec is not None:
+        bits = args.prec
+    elif args.digits is not None:
+        if args.digits <= 0:
+            raise ValueError("--digits must be positive")
+        bits = max(64, math.ceil(args.digits * BITS_PER_DIGIT))
+    else:
+        bits = int(os.environ.get("THETAVAL_PREC_BITS") or DEFAULT_BITS)
+    return PrecCtx(bits).bits  # fewer than 64 bits is a usage error in every command
 
 
 def _entry(entry_id, status, digits, lhs_ball, runtime_ms, provenance, bits_used):
@@ -421,8 +135,7 @@ def cmd_verify(args) -> int:
 def cmd_eval(args) -> int:
     bits = _resolve_bits(args)
     try:
-        node = _Parser(args.expression).parse()
-        value = _eval_node(node, PrecCtx(bits))
+        value = eval_expr(parse_expr(args.expression), PrecCtx(bits))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

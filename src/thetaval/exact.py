@@ -6,10 +6,17 @@ closed-form right side built from rationals, pi, Gamma at rationals and
 cosines of rational multiples of pi, and a literature provenance string.
 Verification means evaluating both sides to certified balls and checking
 overlap with radii below the digit target.
+
+The trees print in one text grammar (`render_expr`, `render_theta`) and
+`parse_expr` reads that grammar back, so `eval_expr` is the one evaluator
+of both catalog trees and command-line text.  Theta nodes are expressions
+too, so `phi(q) + 1` is a single tree.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,12 +26,14 @@ from .errors import (
     EvaluationError,
     NegativeBaseEvenRoot,
     NegativeEvenRootEnclosure,
+    ParseError,
     ThetavalError,
     UnsupportedGammaArgument,
 )
 from .precision import (
     Ball,
     PrecCtx,
+    agm,
     agreement_digits,
     cos,
     gamma_rational,
@@ -32,7 +41,7 @@ from .precision import (
     pow_rational,
 )
 from .precision import _pi_ball
-from .qseries import QPoint, chi, f_neg, phi, psi
+from .qseries import QPoint, chi, f_neg, phi, psi, theta_f
 from . import modular
 
 __all__ = [
@@ -48,13 +57,18 @@ __all__ = [
     "Div",
     "PowRat",
     "Neg",
+    "Agm",
+    "Hyp",
+    "Nome",
     "eval_expr",
     "render_expr",
+    "parse_expr",
     "ThetaExpr",
     "Phi",
     "Psi",
     "FNeg",
     "Chi",
+    "ThetaF",
     "YiH",
     "ClassInv",
     "Scalar",
@@ -183,6 +197,22 @@ class Neg(Expr):
     arg: Expr
 
 
+@dataclass(frozen=True)
+class Agm(Expr):
+    a: Expr
+    b: Expr
+
+
+@dataclass(frozen=True)
+class Hyp(Expr):
+    x: Expr  # 2F1(1/2, 1/2; 1; x)
+
+
+@dataclass(frozen=True)
+class Nome(Expr):
+    q: QPoint  # the value sign * e^(-pi sqrt r) as a ball
+
+
 _EXACT_COSPI = {
     Fraction(0): Fraction(1),
     Fraction(1): Fraction(-1),
@@ -227,11 +257,19 @@ def _eval_raw(e: Expr, f: int) -> Ball:
         return pow_rational(base, e.exponent)
     if isinstance(e, Neg):
         return -_eval_raw(e.arg, f)
+    if isinstance(e, ThetaExpr):
+        return eval_theta(e, PrecCtx(f))
+    if isinstance(e, Agm):
+        return agm(_eval_raw(e.a, f), _eval_raw(e.b, f), PrecCtx(f))
+    if isinstance(e, Hyp):
+        return modular.hyp2f1_half(_eval_raw(e.x, f), PrecCtx(f))
+    if isinstance(e, Nome):
+        return e.q.to_ball(PrecCtx(f))
     raise TypeError(f"unknown expression node {e!r}")
 
 
 def eval_expr(e: Expr, ctx: PrecCtx) -> Ball:
-    """Certified enclosure of a closed-form tree.
+    """Certified enclosure of an expression tree, theta nodes included.
 
     A divisor or fractional-power base whose enclosure straddles zero is
     retried at doubled precision twice before the error surfaces.
@@ -279,6 +317,14 @@ def render_expr(e: Expr) -> str:
         return f"{base}^({exp})" if exp.denominator != 1 or exp < 0 else f"{base}^{exp}"
     if isinstance(e, Neg):
         return f"(-{render_expr(e.arg)})"
+    if isinstance(e, ThetaExpr):
+        return render_theta(e)
+    if isinstance(e, Agm):
+        return f"agm({render_expr(e.a)}, {render_expr(e.b)})"
+    if isinstance(e, Hyp):
+        return f"hyp({render_expr(e.x)})"
+    if isinstance(e, Nome):
+        return _render_qpoint(e.q)
     raise TypeError(f"unknown expression node {e!r}")
 
 
@@ -325,28 +371,40 @@ def mutate_first_leaf(e: Expr, delta: Fraction = Fraction(1, 10**6)) -> Expr:
 # theta-expression left sides
 
 
-class ThetaExpr:
+class ThetaExpr(Expr):
+    """A theta-function value; legal anywhere in an `Expr`."""
+
     __slots__ = ()
+
+
+# The nome of phi/psi/fneg/chi is a structured QPoint (which the theta
+# cache keys on) or any expression whose ball is the nome.
 
 
 @dataclass(frozen=True)
 class Phi(ThetaExpr):
-    q: QPoint
+    q: QPoint | Expr
 
 
 @dataclass(frozen=True)
 class Psi(ThetaExpr):
-    q: QPoint
+    q: QPoint | Expr
 
 
 @dataclass(frozen=True)
 class FNeg(ThetaExpr):
-    q: QPoint
+    q: QPoint | Expr
 
 
 @dataclass(frozen=True)
 class Chi(ThetaExpr):
-    q: QPoint
+    q: QPoint | Expr
+
+
+@dataclass(frozen=True)
+class ThetaF(ThetaExpr):
+    a: Expr  # Ramanujan's general theta function f(a, b)
+    b: Expr
 
 
 @dataclass(frozen=True)
@@ -384,15 +442,21 @@ class TPow(ThetaExpr):
     exponent: Fraction
 
 
+def _nome(q: QPoint | Expr, ctx: PrecCtx) -> QPoint | Ball:
+    return q if isinstance(q, QPoint) else _eval_raw(q, ctx.bits)
+
+
 def eval_theta(t: ThetaExpr, ctx: PrecCtx) -> Ball:
     if isinstance(t, Phi):
-        return phi(t.q, ctx)
+        return phi(_nome(t.q, ctx), ctx)
     if isinstance(t, Psi):
-        return psi(t.q, ctx)
+        return psi(_nome(t.q, ctx), ctx)
     if isinstance(t, FNeg):
-        return f_neg(t.q, ctx)
+        return f_neg(_nome(t.q, ctx), ctx)
     if isinstance(t, Chi):
-        return chi(t.q, ctx)
+        return chi(_nome(t.q, ctx), ctx)
+    if isinstance(t, ThetaF):
+        return theta_f(_eval_raw(t.a, ctx.bits), _eval_raw(t.b, ctx.bits), ctx)
     if isinstance(t, YiH):
         return modular.yi_h(modular.YiQuotient(t.k, t.n, t.primed), ctx)
     if isinstance(t, ClassInv):
@@ -416,15 +480,17 @@ def _render_qpoint(q: QPoint) -> str:
     return f"qpoint({sign}, {q.r})"
 
 
+_NOME_FUNCTIONS = {"phi": Phi, "psi": Psi, "fneg": FNeg, "chi": Chi}
+_NOME_NAMES = {node: name for name, node in _NOME_FUNCTIONS.items()}
+
+
 def render_theta(t: ThetaExpr) -> str:
-    if isinstance(t, Phi):
-        return f"phi({_render_qpoint(t.q)})"
-    if isinstance(t, Psi):
-        return f"psi({_render_qpoint(t.q)})"
-    if isinstance(t, FNeg):
-        return f"fneg({_render_qpoint(t.q)})"
-    if isinstance(t, Chi):
-        return f"chi({_render_qpoint(t.q)})"
+    name = _NOME_NAMES.get(type(t))
+    if name is not None:
+        q = t.q
+        return f"{name}({_render_qpoint(q) if isinstance(q, QPoint) else render_expr(q)})"
+    if isinstance(t, ThetaF):
+        return f"f({render_expr(t.a)}, {render_expr(t.b)})"
     if isinstance(t, YiH):
         name = "hprime" if t.primed else "h"
         return f"{name}({t.k}, {t.n})"
@@ -441,6 +507,204 @@ def render_theta(t: ThetaExpr) -> str:
         suffix = f"^({exp})" if exp.denominator != 1 or exp < 0 else f"^{exp}"
         return f"({render_theta(t.base)}){suffix}"
     raise TypeError(f"unknown theta node {t!r}")
+
+
+# ---------------------------------------------------------------------------
+# the text grammar, read back into trees
+#
+#   expr   := term (('+' | '-') term)*
+#   term   := unary (('*' | '/') unary)*
+#   unary  := ('-' | '+') unary | power
+#   power  := atom ('^' unary)?          exponent must fold to a rational
+#   atom   := NUMBER | 'pi' | NAME '(' expr (',' expr)* ')' | '(' expr ')'
+#
+# Functions and their arities are the keys of _ARITY; qpoint(sign, r)
+# denotes sign * e^(-pi sqrt r) and stays a structured QPoint inside
+# phi/psi/fneg/chi.  Exponents and the arguments of gamma, cospi, h,
+# hprime, classinv and qpoint fold to exact rationals while parsing.
+
+_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
+
+_ARITY = {
+    "phi": 1,
+    "psi": 1,
+    "fneg": 1,
+    "chi": 1,
+    "f": 2,
+    "gamma": 1,
+    "cospi": 1,
+    "agm": 2,
+    "hyp": 1,
+    "h": 2,
+    "hprime": 2,
+    "classinv": 1,
+    "qpoint": 2,
+}
+
+_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_FOLD = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            break
+        num, name, sym = m.groups()
+        tok_pos = m.start(1) if num else m.start(2) if name else m.start(3)
+        if num:
+            tokens.append(("num", num, tok_pos))
+        elif name:
+            tokens.append(("name", name, tok_pos))
+        elif sym.strip():
+            if sym not in "+-*/^(),":
+                raise ParseError(f"unexpected character {sym!r}", tok_pos)
+            tokens.append(("sym", sym, tok_pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _const_value(e: Expr) -> Fraction | None:
+    """Exact value of a subtree of rationals, or None if it has other leaves."""
+    if isinstance(e, Int):
+        return Fraction(e.value)
+    if isinstance(e, Rat):
+        return e.value
+    if isinstance(e, Neg):
+        v = _const_value(e.arg)
+        return None if v is None else -v
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        a, b = _const_value(e.left), _const_value(e.right)
+        return None if a is None or b is None else _FOLD[type(e)](a, b)
+    if isinstance(e, PowRat) and e.exponent.denominator == 1:
+        base = _const_value(e.base)
+        return None if base is None else base**e.exponent.numerator
+    return None
+
+
+def _fold(e: Expr, pos: int) -> Fraction | None:
+    try:
+        return _const_value(e)
+    except ZeroDivisionError:
+        raise ParseError("division by zero in a constant", pos) from None
+
+
+def _call(name: str, args: list[Expr], pos: int) -> Expr:
+    if len(args) != _ARITY[name]:
+        raise ParseError(f"{name} takes {_ARITY[name]} argument(s)", pos)
+    if name in _NOME_FUNCTIONS:
+        q = args[0]
+        return _NOME_FUNCTIONS[name](q.q if isinstance(q, Nome) else q)
+    if name == "f":
+        return ThetaF(*args)
+    if name == "agm":
+        return Agm(*args)
+    if name == "hyp":
+        return Hyp(*args)
+    values = [_fold(a, pos) for a in args]
+    if name == "qpoint":
+        sign, r = values
+        if sign not in (1, -1):
+            raise ParseError("qpoint sign must be +1 or -1", pos)
+        if r is None or r <= 0:
+            raise ParseError("qpoint r must be a positive rational", pos)
+        return Nome(QPoint(int(sign), r))
+    if None in values:
+        raise ParseError(f"{name} needs a rational argument", pos)
+    if name == "gamma":
+        return GammaRat(*values)
+    if name == "cospi":
+        return CosPiRat(*values)
+    if name == "classinv":
+        return ClassInv(*values)
+    return YiH(*values, primed=name == "hprime")
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, sym: str):
+        kind, val, pos = self.next()
+        if kind != "sym" or val != sym:
+            raise ParseError(f"expected {sym!r}", pos)
+
+    def parse(self) -> Expr:
+        node = self.expr()
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {val!r}", pos)
+        return node
+
+    def expr(self) -> Expr:
+        node = self.term()
+        while self.peek()[:2] in (("sym", "+"), ("sym", "-")):
+            node = _BINARY[self.next()[1]](node, self.term())
+        return node
+
+    def term(self) -> Expr:
+        node = self.unary()
+        while self.peek()[:2] in (("sym", "*"), ("sym", "/")):
+            node = _BINARY[self.next()[1]](node, self.unary())
+        return node
+
+    def unary(self) -> Expr:
+        kind, val, _ = self.peek()
+        if kind == "sym" and val in "+-":
+            self.next()
+            return Neg(self.unary()) if val == "-" else self.unary()
+        return self.power()
+
+    def power(self) -> Expr:
+        node = self.atom()
+        if self.peek()[:2] == ("sym", "^"):
+            self.next()
+            exp_pos = self.peek()[2]
+            exponent = _fold(self.unary(), exp_pos)
+            if exponent is None:
+                raise ParseError("exponent must be a rational constant", exp_pos)
+            return PowRat(node, exponent)
+        return node
+
+    def atom(self) -> Expr:
+        kind, val, pos = self.next()
+        if kind == "num":
+            v = Fraction(val)
+            return Int(v.numerator) if v.denominator == 1 else Rat(v)
+        if kind == "name":
+            if val == "pi":
+                return Pi()
+            if val not in _ARITY:
+                raise ParseError(f"unknown name {val!r}", pos)
+            self.expect("(")
+            args = [self.expr()]
+            while self.peek()[:2] == ("sym", ","):
+                self.next()
+                args.append(self.expr())
+            self.expect(")")
+            return _call(val, args, pos)
+        if kind == "sym" and val == "(":
+            node = self.expr()
+            self.expect(")")
+            return node
+        raise ParseError("expected a value", pos)
+
+
+def parse_expr(text: str) -> Expr:
+    """The tree that a text in the grammar of `render_expr` denotes."""
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------

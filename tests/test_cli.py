@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from thetaval.cli import main
 
 
@@ -66,8 +69,9 @@ class TestVerify:
         assert json.loads(out)["prec_bits"] == 134  # ceil(40 * 3.33)
 
     def test_below_minimum_precision_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "verify", "r3", "--prec", "32")
-        assert code == 2 and "usage error" in err
+        for flag, value in (("--prec", "32"), ("--prec", "0"), ("--digits", "0"), ("--digits", "-5")):
+            code, _, err = run(capsys, "verify", "r3", flag, value)
+            assert code == 2 and "usage error" in err, (flag, value)
 
     def test_bad_env_var_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("THETAVAL_PREC_BITS", "not-a-number")
@@ -121,6 +125,67 @@ class TestEval:
             value = out.splitlines()[0].split("=", 1)[1].strip()
             assert value.startswith(prefix), (expr, value)
 
+    @pytest.mark.parametrize("expr", ["cospi(1/0)", "gamma(1/0)", "2^(1/0)", "qpoint(+1, 1/0)"])
+    def test_constant_division_by_zero_is_parse_error(self, capsys, expr):
+        code, _, err = run(capsys, "eval", expr)
+        assert code == 2 and "parse error" in err and "(at position " in err
+
+    def test_cospi_uses_the_exact_table(self, capsys):
+        code, out, _ = run(capsys, "eval", "cospi(1/2)")
+        assert code == 0 and out.splitlines() == ["value  = 0", "radius <= 0"]
+
+
+# Grammar fuzz.  Every exponent is a single digit and no '^' is nested, so
+# no input folds to an unbounded power such as 9^9^9 (see ROADMAP); theta,
+# f, hyp, h and classinv arguments are small trees, so no nome comes close
+# enough to 1 to make a q-product slow.
+_NUMBERS = ["0", "1", "2", "3", "7", "9", "0.5", ".25", "1.5"]
+_FUNCTIONS = ["phi", "psi", "fneg", "chi", "f", "gamma", "cospi", "agm", "hyp", "h", "hprime", "classinv", "qpoint"]
+_EXPONENTS = ["^2", "^3", "^9", "^0", "^1"]
+_TOKENS = _NUMBERS + _FUNCTIONS + _EXPONENTS + ["pi", "+", "-", "*", "/", "(", ")", ",", "@", "x", "sin", "1e5"]
+
+_leaf = st.sampled_from(_NUMBERS + ["pi"])
+
+
+def _fmt(pattern):
+    return lambda parts: pattern.format(*parts)
+
+
+_small = st.one_of(_leaf, st.tuples(_leaf, st.sampled_from("+-*/"), _leaf).map(_fmt("({} {} {})")))
+
+
+def _calls(inner):
+    nome = st.one_of(_small, st.tuples(st.sampled_from(["+1", "-1"]), _small).map(_fmt("qpoint({}, {})")))
+    return st.one_of(
+        st.tuples(st.sampled_from(["phi", "psi", "fneg", "chi"]), nome).map(_fmt("{}({})")),
+        st.tuples(_small, _small).map(_fmt("f({}, {})")),
+        st.tuples(st.sampled_from(["hyp", "classinv"]), _small).map(_fmt("{}({})")),
+        st.tuples(st.sampled_from(["h", "hprime", "agm"]), _small, _small).map(_fmt("{}({}, {})")),
+        st.tuples(st.sampled_from(["gamma", "cospi"]), inner).map(_fmt("{}({})")),
+    )
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(_fmt("{} {} {}")),
+        inner.map("-({})".format),
+        st.tuples(inner.filter(lambda s: "^" not in s), st.sampled_from("0123456789")).map(_fmt("({})^{}")),
+        _calls(inner),
+        inner.map("({})".format),
+    )
+
+
+_WELL_FORMED = st.recursive(_leaf, _compound, max_leaves=8)
+_SOUP = st.lists(st.sampled_from(_TOKENS), max_size=12).filter(
+    lambda ts: not any(a[0] == b[0] == "^" for a, b in zip(ts, ts[1:]))
+).map(" ".join)
+
+
+@given(text=st.one_of(_WELL_FORMED, _SOUP), bits=st.integers(64, 128))
+@settings(max_examples=150, deadline=None)
+def test_eval_fuzz_exit_codes(text, bits):
+    assert main(["eval", "--prec", str(bits), "--", text]) in (0, 1, 2)
+
 
 class TestSweep:
     def test_deg3_grid(self, capsys):
@@ -160,6 +225,10 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "yi_product", "--prec", "192")
         assert code == 0
         assert len(json.loads(out)["entries"]) == 3
+
+    def test_below_minimum_precision_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "sweep", "deg3", "--grid", "0.1", "--prec", "0")
+        assert code == 2 and "usage error" in err
 
     def test_yi_product_bad_tuple(self, capsys):
         code, _, err = run(capsys, "sweep", "yi_product", "--grid", "2:1:6")

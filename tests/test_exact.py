@@ -137,21 +137,21 @@ class TestCatalog:
             assert e["rhs_text"] and e["lhs_text"]
 
     def test_rendered_rhs_parses_and_evaluates(self):
-        # the export grammar round-trips through the CLI parser
-        from thetaval.cli import _Parser, _eval_node
+        # the export grammar round-trips through the parser
+        from thetaval.exact import parse_expr
 
         for entry in CATALOG.entries:
             text = render_expr(entry.rhs)
-            node = _Parser(text).parse()
-            assert _eval_node(node, CTX).overlaps(eval_expr(entry.rhs, CTX))
+            node = parse_expr(text)
+            assert eval_expr(node, CTX).overlaps(eval_expr(entry.rhs, CTX))
 
     def test_rendered_lhs_parses_and_evaluates(self):
-        from thetaval.cli import _Parser, _eval_node
+        from thetaval.exact import parse_expr
 
         for entry in CATALOG.entries:
             text = render_theta(entry.lhs)
-            node = _Parser(text).parse()
-            assert _eval_node(node, CTX).overlaps(eval_theta(entry.lhs, CTX))
+            node = parse_expr(text)
+            assert eval_expr(node, CTX).overlaps(eval_theta(entry.lhs, CTX))
 
 
 class TestVerify:

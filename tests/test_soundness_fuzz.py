@@ -12,23 +12,37 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from thetaval.errors import ThetavalError
 from thetaval.exact import (
     Add,
+    Agm,
+    Chi,
+    ClassInv,
     CosPiRat,
     Div,
+    FNeg,
     GammaRat,
+    Hyp,
     Int,
     Mul,
     Neg,
+    Nome,
+    Phi,
     Pi,
     PowRat,
+    Psi,
     Rat,
     Sub,
+    ThetaF,
+    YiH,
     eval_expr,
+    parse_expr,
+    render_expr,
 )
 from thetaval.precision import Ball, PrecCtx, _round_div, _round_shift, decimal_str
+from thetaval.qseries import QPoint
 
 
 def test_round_shift_exhaustive():
@@ -108,7 +122,63 @@ def test_rational_trees_contain_exact_value():
         except ThetavalError:
             continue  # division by an enclosure of an exact zero
         assert ball.contains(exact), expr
+        # the printed tree reads back into one whose enclosure holds it too
+        assert eval_expr(parse_expr(render_expr(expr)), PrecCtx(128)).contains(exact), expr
         checked += 1
+
+
+# Mixed trees for the text round trip: closed forms around theta values on
+# structured and ball nomes and the other function leaves.  Every leaf and
+# every inner node is positive, and Sub and Neg appear only at the root, so
+# a division or fractional power fails only when a value is too small for
+# the precision.
+_rat = st.builds(F, st.integers(1, 40), st.integers(1, 12))
+_unit = st.builds(F, st.integers(1, 90), st.just(100))  # in (0, 1)
+_qpoint = st.builds(QPoint, st.sampled_from([1, -1]), _rat)
+_closed = st.one_of(
+    st.builds(Int, st.integers(1, 9)),
+    st.builds(Rat, _rat),
+    st.just(Pi()),
+    st.builds(GammaRat, st.builds(F, st.integers(1, 16), st.just(8))),
+    st.builds(lambda p: Add(CosPiRat(p), Int(2)), st.builds(F, st.integers(-12, 12), st.integers(1, 7))),
+)
+_ball_nome = st.one_of(
+    st.builds(Rat, _unit),
+    st.builds(lambda u: Neg(Rat(u)), _unit),
+    st.builds(lambda u, v: Mul(Rat(u), Rat(v)), _unit, _unit),
+    st.builds(Nome, _qpoint),
+)
+_function_leaf = st.one_of(
+    st.builds(lambda node, q: node(q), st.sampled_from([Phi, Psi, FNeg, Chi]), st.one_of(_qpoint, _ball_nome)),
+    st.builds(lambda a, b: ThetaF(Rat(a), Rat(b)), _unit, _unit),
+    st.builds(Hyp, st.builds(Rat, _unit)),
+    st.builds(lambda r: Nome(QPoint(1, r)), _rat),
+    st.builds(YiH, st.builds(F, st.integers(1, 6)), st.builds(F, st.integers(1, 6)), st.booleans()),
+    st.builds(ClassInv, st.builds(F, st.integers(1, 200))),
+)
+_exponent = st.sampled_from([F(-2), F(-1), F(2), F(3), F(1, 2), F(1, 3), F(-1, 2), F(3, 2)])
+
+
+def _positive_nodes(inner):
+    return st.one_of(
+        st.builds(lambda node, a, b: node(a, b), st.sampled_from([Add, Mul, Div, Agm]), inner, inner),
+        st.builds(PowRat, inner, _exponent),
+    )
+
+
+_positive = st.recursive(st.one_of(_closed, _function_leaf), _positive_nodes, max_leaves=6)
+_mixed = st.one_of(_positive, st.builds(Sub, _positive, _positive), st.builds(Neg, _positive))
+
+
+@given(e=_mixed, bits=st.integers(128, 256))
+@settings(max_examples=40, deadline=None)
+def test_rendered_mixed_trees_parse_to_overlapping_balls(e, bits):
+    ctx = PrecCtx(bits)
+    try:
+        expected = eval_expr(e, ctx)
+    except ThetavalError:
+        assume(False)  # e.g. a tiny nome under a negative power: its ball holds 0
+    assert eval_expr(parse_expr(render_expr(e)), ctx).overlaps(expected), render_expr(e)
 
 
 def _mp_value(e):
