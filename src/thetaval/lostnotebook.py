@@ -39,7 +39,7 @@ from .exact import (
     verify_identity,
 )
 from .precision import Ball, PrecCtx, ipow, pow_rational, sqrt
-from .qseries import QPoint, as_q_ball, phi, phi_series, pochhammer_inf, q_power_ball, theta_f
+from .qseries import QPoint, as_q_ball, chi, phi, phi_series, q_power_ball, theta_f
 
 __all__ = [
     "SepticState",
@@ -134,16 +134,14 @@ def _q_pow(q, k):
 
 
 def compute_p(q, ctx: PrecCtx) -> Ball:
-    """p = uvw via the product formula 8 q^2 (-q; q^2) / (-q^7; q^14)^7."""
+    """p = uvw = 8 q^2 chi(q) / chi(q^7)^7, with chi(q) = (-q; q^2)_inf."""
     _require_positive_nome(q)
     f = ctx.bits
     fw = f + 32
     wctx = PrecCtx(fw)
     qb = as_q_ball(q, fw)
-    q7 = as_q_ball(_q_pow(q, 7), fw)
-    num = pochhammer_inf(-qb, qb * qb, wctx)
-    den = ipow(pochhammer_inf(-q7, q7 * q7, wctx), 7)
-    return ((qb * qb * 8) * num / den).rescale(f)
+    den = ipow(chi(_q_pow(q, 7), wctx), 7)
+    return ((qb * qb * 8) * chi(q, wctx) / den).rescale(f)
 
 
 def ratio4_series_oracle(q, ctx: PrecCtx) -> Ball:

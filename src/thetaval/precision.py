@@ -485,7 +485,9 @@ def exp(x: Ball, ctx: PrecCtx | None = None) -> Ball:
     fw = f + 48
     xw = x.rescale(fw)
     mag = (abs(xw.m) + xw.r) >> fw
-    j = mag.bit_length() + 8
+    # halve into |s| <= 2^-8, then about sqrt(fw) more times: fewer Taylor
+    # terms for more squarings; the scale fw + j adds a guard bit per squaring
+    j = mag.bit_length() + max(8, math.isqrt(fw))
     y = _exp_series(Ball(xw.m, xw.r, fw + j))
     for _ in range(j):
         y = y * y

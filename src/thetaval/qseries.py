@@ -1,11 +1,13 @@
 """Certified evaluation of Ramanujan's theta functions.
 
-Provides f(a,b), phi, psi, f(-q) and chi with two independent routes:
-infinite q-Pochhammer products (the default; geometric convergence) and
-the defining series (kept as a cross-check oracle).  Every truncation is
-covered by an explicit tail bound that is computed rigorously in ball
-arithmetic and folded into the output radius, never assumed from a
-heuristic term count.
+Provides f(a,b), phi, psi, f(-q) and chi.  The production route is the
+defining series: phi, psi and f(-q) sum O(sqrt(f/log(1/|q|))) terms, and
+chi(q) = phi(q)/f(q) with f(q) = f(-(-q)).  The infinite q-Pochhammer
+products (Berndt, Ramanujan's Notebooks III, Ch. 16 Entry 22), which need
+O(f/log(1/|q|)) factors, are kept as the independent oracle for the tests
+and for theta_f's Jacobi triple product.  Every truncation is covered by an
+explicit tail bound that is computed rigorously in ball arithmetic and
+folded into the output radius, never assumed from a heuristic term count.
 """
 
 from __future__ import annotations
@@ -63,21 +65,19 @@ class QPoint:
         return _qpoint_ball(self.sign, self.r, ctx.bits)
 
 
-_QPOINT_CACHE: dict[tuple[int, Fraction, int], Ball] = {}
+_QPOINT_CACHE: dict[tuple[Fraction, int], Ball] = {}
 _THETA_CACHE: dict[tuple, Ball] = {}
 
 
 def _qpoint_ball(sign: int, r: Fraction, f: int) -> Ball:
-    key = (sign, r, f)
+    """exp(-pi sqrt(r)) cached per (r, f); sign -1 negates the cached ball."""
+    key = (r, f)
     cached = _QPOINT_CACHE.get(key)
     if cached is None:
         fw = f + 32
         root = sqrt(Ball.from_fraction(r, fw))
-        cached = exp(-(_pi_ball(fw) * root)).rescale(f)
-        if sign == -1:
-            cached = -cached
-        _QPOINT_CACHE[key] = cached
-    return cached
+        cached = _QPOINT_CACHE[key] = exp(-(_pi_ball(fw) * root)).rescale(f)
+    return -cached if sign == -1 else cached
 
 
 def as_q_ball(q, f: int) -> Ball:
@@ -217,32 +217,20 @@ def theta_f(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
 # special cases: phi, psi, f(-q), chi
 
 
-def _theta_cache_get(kind: str, q, f: int):
-    if isinstance(q, QPoint):
-        return _THETA_CACHE.get((kind, q.sign, q.r, f))
-    return None
-
-
-def _theta_cache_put(kind: str, q, f: int, val: Ball):
-    if isinstance(q, QPoint):
-        _THETA_CACHE[(kind, q.sign, q.r, f)] = val
+def _theta_cached(kind: str, q, ctx: PrecCtx, compute) -> Ball:
+    """compute(q, ctx), cached per (kind, sign, r, bits) for QPoint nomes."""
+    if not isinstance(q, QPoint):
+        return compute(q, ctx)
+    key = (kind, q.sign, q.r, ctx.bits)
+    val = _THETA_CACHE.get(key)
+    if val is None:
+        val = _THETA_CACHE[key] = compute(q, ctx)
+    return val
 
 
 def phi(q, ctx: PrecCtx) -> Ball:
-    """phi(q) = sum q^(n^2) via the product (-q; q^2)^2 (q^2; q^2)."""
-    f = ctx.bits
-    cached = _theta_cache_get("phi", q, f)
-    if cached is not None:
-        return cached
-    fw = f + 32
-    qb = as_q_ball(q, fw)
-    _check_q(qb)
-    q2 = qb * qb
-    p1 = _pochhammer_raw(-qb, q2, fw)
-    p2 = _pochhammer_raw(q2, q2, fw)
-    val = (p1 * p1 * p2).rescale(f)
-    _theta_cache_put("phi", q, f, val)
-    return val
+    """phi(q) = sum q^(n^2) by its series (oracle: (-q; q^2)^2 (q^2; q^2))."""
+    return _theta_cached("phi", q, ctx, phi_series)
 
 
 def phi_series(q, ctx: PrecCtx, min_terms: int = 0, with_tail: bool = False):
@@ -279,20 +267,8 @@ def phi_series(q, ctx: PrecCtx, min_terms: int = 0, with_tail: bool = False):
 
 
 def psi(q, ctx: PrecCtx) -> Ball:
-    """psi(q) = sum_{n>=0} q^(n(n+1)/2) via (q^2; q^2)/(q; q^2)."""
-    f = ctx.bits
-    cached = _theta_cache_get("psi", q, f)
-    if cached is not None:
-        return cached
-    fw = f + 32
-    qb = as_q_ball(q, fw)
-    _check_q(qb)
-    q2 = qb * qb
-    num = _pochhammer_raw(q2, q2, fw)
-    den = _pochhammer_raw(qb, q2, fw)
-    val = (num / den).rescale(f)
-    _theta_cache_put("psi", q, f, val)
-    return val
+    """psi(q) = sum_{n>=0} q^(n(n+1)/2) by its series (oracle: (q^2; q^2)/(q; q^2))."""
+    return _theta_cached("psi", q, ctx, psi_series)
 
 
 def psi_series(q, ctx: PrecCtx, min_terms: int = 0, with_tail: bool = False):
@@ -328,17 +304,8 @@ def psi_series(q, ctx: PrecCtx, min_terms: int = 0, with_tail: bool = False):
 
 
 def f_neg(q, ctx: PrecCtx) -> Ball:
-    """f(-q) = (q; q)_inf."""
-    f = ctx.bits
-    cached = _theta_cache_get("f_neg", q, f)
-    if cached is not None:
-        return cached
-    fw = f + 32
-    qb = as_q_ball(q, fw)
-    _check_q(qb)
-    val = _pochhammer_raw(qb, qb, fw).rescale(f)
-    _theta_cache_put("f_neg", q, f, val)
-    return val
+    """f(-q) by the pentagonal series (oracle: (q; q)_inf)."""
+    return _theta_cached("f_neg", q, ctx, f_neg_series)
 
 
 def f_neg_series(q, ctx: PrecCtx, min_terms: int = 0, with_tail: bool = False):
@@ -380,15 +347,14 @@ def f_neg_series(q, ctx: PrecCtx, min_terms: int = 0, with_tail: bool = False):
     return out
 
 
-def chi(q, ctx: PrecCtx) -> Ball:
-    """chi(q) = (-q; q^2)_inf."""
+def _chi_series(q, ctx: PrecCtx) -> Ball:
+    # phi(q) = (-q; q^2)^2 (q^2; q^2) and f(q) = (-q; -q) = (-q; q^2)(q^2; q^2)
     f = ctx.bits
-    cached = _theta_cache_get("chi", q, f)
-    if cached is not None:
-        return cached
-    fw = f + 32
-    qb = as_q_ball(q, fw)
-    _check_q(qb)
-    val = _pochhammer_raw(-qb, qb * qb, fw).rescale(f)
-    _theta_cache_put("chi", q, f, val)
-    return val
+    wctx = PrecCtx(f + 32)
+    neg = QPoint(-q.sign, q.r) if isinstance(q, QPoint) else -as_q_ball(q, wctx.bits)
+    return (phi_series(q, wctx) / f_neg_series(neg, wctx)).rescale(f)
+
+
+def chi(q, ctx: PrecCtx) -> Ball:
+    """chi(q) = phi(q)/f(q) by the series (oracle: (-q; q^2)_inf)."""
+    return _theta_cached("chi", q, ctx, _chi_series)

@@ -49,6 +49,8 @@ from thetaval.precision import (
 )
 from thetaval.qseries import (
     QPoint,
+    as_q_ball,
+    chi,
     f_neg,
     f_neg_series,
     phi,
@@ -214,6 +216,16 @@ def test_criterion_10_oracle_equivalence(capsys):
         assert phi(q, CTX).overlaps(phi_series(q, CTX)), q
         assert psi(q, CTX).overlaps(psi_series(q, CTX)), q
         assert f_neg(q, CTX).overlaps(f_neg_series(q, CTX)), q
+    # the production route is the series: the products are the oracle
+    for q in points + [QPoint(-1, F(1)), QPoint(1, F(1, 1000)), QPoint(-1, F(7, 3))]:
+        qb = as_q_ball(q, CTX.bits + 32)
+        q2 = qb * qb
+        chi_prod = pochhammer_inf(-qb, q2, CTX)
+        q2q2 = pochhammer_inf(q2, q2, CTX)
+        assert phi(q, CTX).overlaps(chi_prod * chi_prod * q2q2), q
+        assert psi(q, CTX).overlaps(q2q2 / pochhammer_inf(qb, q2, CTX)), q
+        assert f_neg(q, CTX).overlaps(pochhammer_inf(qb, qb, CTX)), q
+        assert chi(q, CTX).overlaps(chi_prod), q
     rng = random.Random(20260809)
     ctx = PrecCtx(192)
     checked = 0

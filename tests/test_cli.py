@@ -1,6 +1,7 @@
 """CLI tests: subcommands, exit codes, report stability, parallel runs."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -130,6 +131,13 @@ class TestEval:
         code, _, err = run(capsys, "eval", expr)
         assert code == 2 and "parse error" in err and "(at position " in err
 
+    def test_phi_near_one(self, capsys):
+        # the q-product route could not certify its tail at q = 0.999
+        code, out, _ = run(capsys, "eval", "phi(0.999)")
+        assert code == 0
+        exponent = re.search(r"^radius <= 1e(-\d+)$", out, re.M).group(1)
+        assert int(exponent) <= -100
+
     def test_cospi_uses_the_exact_table(self, capsys):
         code, out, _ = run(capsys, "eval", "cospi(1/2)")
         assert code == 0 and out.splitlines() == ["value  = 0", "radius <= 0"]
@@ -220,6 +228,15 @@ class TestSweep:
         assert code == 0
         ids = [e["id"] for e in json.loads(out)["entries"]]
         assert ids == ["septic@0.2#p_uvw", "septic@0.2#quotient", "septic@0.2#quartic"]
+
+    def test_septic_near_one(self, capsys):
+        # the q-product route could not certify its tail at q = 0.95
+        code, out, _ = run(capsys, "sweep", "septic", "--grid", "0.95")
+        assert code == 0
+        entries = json.loads(out)["entries"]
+        assert len(entries) == 3
+        assert all(e["status"] == "pass" for e in entries)
+        assert all(e["agreement_digits"] >= 100 for e in entries)
 
     def test_yi_product_default(self, capsys):
         code, out, _ = run(capsys, "sweep", "yi_product", "--prec", "192")

@@ -116,6 +116,31 @@ def test_exp_minus_pi_against_series_oracle():
     assert decimal_str(val, 20).startswith("0.043213918263772249")
 
 
+# exact x, and the nome exponents x = -pi sqrt(r) for r in {1/1000, 7/3, 64}
+EXP_ARGS = [("x", x) for x in (F(1, 2), F(-1), F(5), F(-300), F(1, 10**6), F(-123, 7))]
+EXP_ARGS += [("-pi*sqrt", r) for r in (F(1, 1000), F(7, 3), F(64))]
+
+
+@pytest.mark.parametrize("bits", [64, 512, 2048, 4128, 8192])
+@pytest.mark.parametrize("kind,v", EXP_ARGS, ids=str)
+def test_exp_contains_mpmath_value(kind, v, bits):
+    import mpmath as mp
+
+    g = bits + 64
+    with mp.workprec(g):
+        ref_x = mp.mpf(v.numerator) / v.denominator
+        if kind == "x":
+            x = Ball.from_fraction(v, g)
+        else:
+            x = -(const_pi(PrecCtx(g)) * sqrt(Ball.from_fraction(v, g)))
+            ref_x = -mp.pi * mp.sqrt(ref_x)
+        ref = mp.exp(ref_x)
+    ref = F(int(ref.man)) * F(2) ** int(ref.exp)
+    val = exp(x, PrecCtx(bits))
+    assert val.contains(ref)
+    assert val.rad <= F(2) ** (8 - bits) * max(1, ref)
+
+
 def test_cos_exact_value():
     third = const_pi(CTX).div_int(3)
     assert cos(third).contains(F(1, 2))

@@ -1,7 +1,8 @@
 """Theta-function tests: products vs series, triple product, tail bounds.
 
-Oracles: direct finite products at doubled precision, the defining
-series routes, and exact special-case identities.
+phi, psi, f(-q) and chi are computed by their series, so the independent
+oracles here are the infinite products through pochhammer_inf, direct
+finite products at doubled precision, and exact special-case identities.
 """
 
 from fractions import Fraction as F
@@ -9,12 +10,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thetaval import qseries
 from thetaval.errors import DomainError, NotConvergent
 from thetaval.precision import Ball, PrecCtx, decimal_str, gamma_rational, ipow, pow_rational
 from thetaval.precision import const_pi
 from thetaval.qseries import (
     QPoint,
     SeriesTail,
+    as_q_ball,
     chi,
     f_neg,
     f_neg_series,
@@ -29,10 +32,68 @@ from thetaval.qseries import (
 CTX = PrecCtx(256)
 E_PI = QPoint(1, F(1))
 SAMPLE_QS = [F(1, 20), F(-1, 20), F(3, 10), F(-3, 10), F(3, 5), F(-3, 5), E_PI, QPoint(1, F(7))]
+PRODUCT_QS = SAMPLE_QS + [
+    QPoint(-1, F(1)),
+    QPoint(-1, F(7)),
+    QPoint(1, F(1, 1000)),
+    QPoint(-1, F(1, 1000)),
+    QPoint(-1, F(7, 3)),
+    QPoint(1, F(64)),
+]
 
 
 def bf(x, f=256):
     return Ball.from_fraction(F(x), f)
+
+
+def product_oracles(q, ctx):
+    """phi, psi, f(-q) and chi from the infinite products (Berndt III, Entry 22)."""
+    qb = as_q_ball(q, ctx.bits + 32)
+    q2 = qb * qb
+    chi_prod = pochhammer_inf(-qb, q2, ctx)
+    q2q2 = pochhammer_inf(q2, q2, ctx)
+    return {
+        "phi": chi_prod * chi_prod * q2q2,
+        "psi": q2q2 / pochhammer_inf(qb, q2, ctx),
+        "f_neg": pochhammer_inf(qb, qb, ctx),
+        "chi": chi_prod,
+    }
+
+
+THETAS = {"phi": phi, "psi": psi, "f_neg": f_neg, "chi": chi}
+
+
+@pytest.mark.parametrize("name", sorted(THETAS))
+@pytest.mark.parametrize("q", PRODUCT_QS)
+def test_series_route_agrees_with_product_oracle(q, name):
+    val = THETAS[name](q, CTX)
+    assert val.overlaps(product_oracles(q, CTX)[name])
+    assert val.rad <= F(1, 2**240)
+
+
+@given(
+    sign=st.sampled_from((1, -1)),
+    r=st.fractions(min_value=F(1, 1000), max_value=F(64), max_denominator=1000),
+    bits=st.integers(64, 1024),
+)
+@settings(max_examples=25, deadline=None)
+def test_qpoint_series_match_products_property(sign, r, bits):
+    q, ctx = QPoint(sign, r), PrecCtx(bits)
+    oracles = product_oracles(q, ctx)
+    for name, fn in THETAS.items():
+        assert fn(q, ctx).overlaps(oracles[name]), name
+
+
+@given(
+    q=st.fractions(min_value=F(-19, 20), max_value=F(19, 20), max_denominator=1000),
+    bits=st.integers(64, 1024),
+)
+@settings(max_examples=25, deadline=None)
+def test_ball_nome_series_match_products_property(q, bits):
+    qb, ctx = Ball.from_fraction(q, bits), PrecCtx(bits)
+    oracles = product_oracles(qb, ctx)
+    for name, fn in THETAS.items():
+        assert fn(qb, ctx).overlaps(oracles[name]), name
 
 
 class TestQPoint:
@@ -63,6 +124,25 @@ class TestQPoint:
 
     def test_magnitude_below_one(self):
         assert QPoint(1, F(1, 1000)).to_ball(CTX).mag_lt_one()
+
+    @pytest.mark.parametrize("r", [F(1, 1000), F(7, 3), F(64)])
+    def test_negative_nome_is_the_negated_ball(self, r):
+        neg, pos = QPoint(-1, r).to_ball(CTX), -QPoint(1, r).to_ball(CTX)
+        assert (neg.m, neg.r, neg.f) == (pos.m, pos.r, pos.f)
+
+    def test_both_signs_share_one_exp(self, monkeypatch):
+        calls = []
+        real_exp = qseries.exp
+
+        def counting_exp(*args, **kwargs):
+            calls.append(args)
+            return real_exp(*args, **kwargs)
+
+        monkeypatch.setattr(qseries, "_QPOINT_CACHE", {})
+        monkeypatch.setattr(qseries, "exp", counting_exp)
+        QPoint(1, F(11, 3)).to_ball(CTX)
+        QPoint(-1, F(11, 3)).to_ball(CTX)
+        assert len(calls) == 1
 
 
 class TestPochhammer:
