@@ -17,6 +17,7 @@ Exit codes: 0 all checks pass, 1 a mathematical verification failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -276,6 +277,7 @@ def _add_common(p):
     p.add_argument("--timings", action="store_true", help="record wall times")
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thetaval",
@@ -288,33 +290,30 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("ids", nargs="*", help="catalog entry ids")
     p.add_argument("--all", action="store_true", help="verify every entry")
     _add_common(p)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate an expression to certified digits")
     p.add_argument("expression")
     _add_common(p)
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("sweep", help="verify residual identities over a grid")
     p.add_argument("target", choices=sorted(_DEFAULT_GRIDS))
     p.add_argument("--grid", help="comma-separated points (k:a:b:c:d for yi_product)")
     _add_common(p)
-    p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("complete", help="run the septic completion pipeline")
     _add_common(p)
-    p.set_defaults(fn=cmd_complete)
 
     p = sub.add_parser("catalog", help="list catalog entries as JSON")
     p.add_argument("--out", help="write the JSON to this path")
-    p.set_defaults(fn=cmd_catalog)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
+    # looked up per call, so a cmd_* replaced after the parser was built still runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except ValueError as exc:  # bad precision, malformed numbers, ...
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

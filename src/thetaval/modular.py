@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, PreconditionViolated
+from .errors import DomainError, NotConvergent, PreconditionViolated
 from .precision import Ball, PrecCtx, agm, cos, exp, ipow, pow_rational, sin, sqrt
 from .precision import _ceil_div, _pi_ball
 from .qseries import QPoint, as_q_ball, phi
@@ -400,11 +400,19 @@ def yi_product_theorem(k, a, b, c, d, ctx: PrecCtx) -> Ball:
 # the JIMS series identity
 
 
+def _cmul(a: tuple[Ball, Ball], b: tuple[Ball, Ball]) -> tuple[Ball, Ball]:
+    """Product of two complex balls given as (re, im) pairs."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
 def jims_identity(x, ctx: PrecCtx) -> Ball:
     """Residual of
     1/2 + sum e^(-pi n^2 x) cos(pi n^2 sqrt(1-x^2))
       = (sqrt2 + sqrt(1+x)) / sqrt(1-x) * sum e^(-pi n^2 x) sin(...),
-    for x inside (0, 1); both tails are certified geometrically."""
+    for x inside (0, 1).  The sums are Re and Im of sum_{n>=1} w^(n^2) with
+    the complex nome w = e^(-pi x) (cos t + i sin t), t = pi sqrt(1-x^2),
+    summed by w^(n^2) = w^((n-1)^2) w^(2n-1) from one cos and one sin;
+    both tails are certified geometrically."""
     f = ctx.bits
     x0 = as_q_ball(x, f + 32) if not isinstance(x, Ball) else x
     xf = x0.to_float()
@@ -412,27 +420,26 @@ def jims_identity(x, ctx: PrecCtx) -> Ball:
         raise DomainError("jims_identity requires x inside (0, 1)")
     count = int(math.sqrt((f + 48) * math.log(2) / (math.pi * xf))) + 2
     fw = f + 64 + 2 * count.bit_length() + 4
+    limit = 8 * fw + 64  # the theta series' term limit
+    if count > limit:
+        raise NotConvergent(f"jims series needs {count} terms, more than its limit of {limit}")
     xb = x0.rescale(fw)
     one = _one(fw)
     if not (xb.is_strictly_positive() and (one - xb).is_strictly_positive()):
         raise DomainError("jims_identity requires x inside (0, 1)")
     pi = _pi_ball(fw)
-    y = sqrt(one - xb * xb)
-    decay = exp(-(pi * xb))  # e^(-pi x)
-    angle1 = pi * y  # pi sqrt(1-x^2)
-    sum_cos = Ball(0, 0, fw)
-    sum_sin = Ball(0, 0, fw)
-    t = decay  # e^(-pi x n^2)
-    step = decay  # e^(-pi x (2n-1))
-    d2 = decay * decay
-    for n in range(1, count + 1):
-        angle = angle1 * (n * n)
-        sum_cos = sum_cos + t * cos(angle)
-        sum_sin = sum_sin + t * sin(angle)
-        step = step * d2
-        t = t * step
-    # tail: terms fall by at least e^(-pi x (2N+3)) per step
-    tail_head = t  # e^(-pi x (N+1)^2), as left by the loop
+    decay = exp(-(pi * xb))  # |w| = e^(-pi x)
+    angle = pi * sqrt(one - xb * xb)
+    w = (decay * cos(angle), decay * sin(angle))
+    w2 = _cmul(w, w)
+    z = u = w  # w^(n^2), w^(2n-1)
+    sum_cos, sum_sin = w
+    for _ in range(count - 1):
+        u = _cmul(u, w2)
+        z = _cmul(z, u)
+        sum_cos, sum_sin = sum_cos + z[0], sum_sin + z[1]
+    # tail: |w|^(n^2) from n = N+1 on, falling by at least |w|^(2N+3) per step
+    tail_head = ipow(decay, (count + 1) ** 2)
     ratio = ipow(decay, 2 * count + 3)
     denom = one - ratio
     if not denom.is_strictly_positive():

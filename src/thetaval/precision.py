@@ -526,28 +526,19 @@ def log(x: Ball, ctx: PrecCtx | None = None) -> Ball:
     return (ln_w + _ln2_ball(fw) * e).rescale(f)
 
 
-def _cos_sin_series(s: Ball) -> tuple[Ball, Ball]:
-    """(cos s, sin s) for sup|s| <= 0.9; geometric tail bound."""
+def _trig_series(s: Ball, odd: bool) -> Ball:
+    """sin s if odd else cos s, for sup|s| <= 0.9; geometric tail bound."""
     f = s.f
     s2 = s * s
-    acc = Ball.one(f)
+    acc = s if odd else Ball.one(f)
     t = acc
     for i in range(1, 8 * f + 64):
-        t = (t * s2).div_int(2 * i - 1).div_int(2 * i)
+        t = (t * s2).div_int(2 * i - 1 + odd).div_int(2 * i + odd)
         acc = acc + t if i % 2 == 0 else acc - t
         if abs(t.m) + t.r <= 2:
             break
     # successive term ratio <= 0.81/2 < 1/2: tail <= last term
-    c = Ball(acc.m, acc.r + abs(t.m) + t.r + 1, f)
-    acc = s
-    t = s
-    for i in range(1, 8 * f + 64):
-        t = (t * s2).div_int(2 * i).div_int(2 * i + 1)
-        acc = acc + t if i % 2 == 0 else acc - t
-        if abs(t.m) + t.r <= 2:
-            break
-    sn = Ball(acc.m, acc.r + abs(t.m) + t.r + 1, f)
-    return c, sn
+    return Ball(acc.m, acc.r + abs(t.m) + t.r + 1, f)
 
 
 def _trig_reduce(x: Ball, f: int) -> tuple[int, Ball]:
@@ -572,15 +563,15 @@ def _trig_reduce(x: Ball, f: int) -> tuple[int, Ball]:
 def cos(x: Ball, ctx: PrecCtx | None = None) -> Ball:
     f = ctx.bits if ctx is not None else x.f
     k, s = _trig_reduce(x, f)
-    c, sn = _cos_sin_series(s)
-    return (c, -sn, -c, sn)[k].rescale(f)
+    v = _trig_series(s, odd=k % 2 == 1)  # cos, -sin, -cos, sin
+    return (v if k in (0, 3) else -v).rescale(f)
 
 
 def sin(x: Ball, ctx: PrecCtx | None = None) -> Ball:
     f = ctx.bits if ctx is not None else x.f
     k, s = _trig_reduce(x, f)
-    c, sn = _cos_sin_series(s)
-    return (sn, c, -sn, -c)[k].rescale(f)
+    v = _trig_series(s, odd=k % 2 == 0)  # sin, cos, -sin, -cos
+    return (v if k < 2 else -v).rescale(f)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thetaval import cli
 from thetaval.cli import main
 
 
@@ -251,6 +252,38 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "yi_product", "--grid", "2:1:6")
         assert code == 2
 
+    def test_jims_tiny_grid_point_is_refused(self):
+        # about 1e16 terms: refused before the loop instead of hanging
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetaval", "sweep", "jims", "--grid", "1e-30"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 1
+        assert "jims series needs" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+# Sweep fuzz: decimals in (0, 0.95], tiny points, out-of-domain and malformed
+# tokens and k:a:b:c:d tuples, on every target, with one to three points.
+_SWEEP_TOKENS = st.one_of(
+    st.integers(1, 950).map(lambda k: str(k / 1000)),
+    st.tuples(st.integers(1, 9), st.integers(5, 30)).map(_fmt("{}e-{}")),
+    st.sampled_from(["0", "1", "-0.5", "-1", "1/0", "nan", "inf", "", " ", "x", "0.5.5", "1/3", "1e", "2:"]),
+    st.lists(st.integers(-2, 6), min_size=3, max_size=6).map(lambda ks: ":".join(map(str, ks))),
+)
+
+
+@given(
+    target=st.sampled_from(["deg3", "deg15", "jims", "septic", "yi_product"]),
+    grid=st.lists(_SWEEP_TOKENS, min_size=1, max_size=3).map(",".join),
+    bits=st.integers(64, 128),
+)
+@settings(max_examples=150, deadline=None)
+def test_sweep_fuzz_exit_codes(target, grid, bits):
+    assert main(["sweep", target, f"--grid={grid}", "--prec", str(bits)]) in (0, 1, 2)
+
 
 class TestComplete:
     def test_complete_at_512(self, capsys):
@@ -279,6 +312,44 @@ class TestCatalog:
         entries = json.loads(out)
         assert len(entries) == 19
         assert all(set(e) == {"id", "lhs_text", "rhs_text", "provenance"} for e in entries)
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ["eval", "phi(1/2) + gamma(1/4)", "--prec", "128"],
+        ["sweep", "jims", "--grid", "0.5", "--prec", "128"],
+        ["nosuch"],
+        ["eval", "phi(1/2) + gamma(1/4)", "--prec", "128"],
+    ]
+
+    @staticmethod
+    def _in_process(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_calls_in_one_process_match_separate_processes(self, capsys):
+        cli.build_arg_parser.cache_clear()
+        results = [self._in_process(capsys, argv) for argv in self.SEQUENCE]
+        assert cli.build_arg_parser.cache_info().misses == 1
+        assert [r[0] for r in results] == [0, 0, 2, 0]
+        assert results[3] == results[0]
+        for argv, result in zip(self.SEQUENCE, results):
+            proc = subprocess.run(
+                [sys.executable, "-m", "thetaval", *argv], capture_output=True, text=True
+            )
+            assert (proc.returncode, proc.stdout) == result[:2], argv
+            assert proc.stderr == result[2], argv
+
+    def test_command_is_looked_up_per_call(self, capsys, monkeypatch):
+        main(["catalog"])  # the parser is built before the command is replaced
+        calls = []
+        monkeypatch.setattr(cli, "cmd_catalog", lambda args: calls.append(args) or 0)
+        assert main(["catalog"]) == 0
+        assert len(calls) == 1
 
 
 def test_console_script_installed():

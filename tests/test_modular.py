@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from thetaval import modular
 from thetaval.errors import DomainError, PreconditionViolated
 from thetaval.precision import Ball, PrecCtx, decimal_str, ipow, pow_rational, sqrt
 from thetaval.modular import (
@@ -292,3 +293,27 @@ class TestJims:
     def test_domain(self):
         with pytest.raises(DomainError):
             jims_identity(bf(F(3, 2)), CTX)
+
+    @pytest.mark.parametrize("bits", [512, 2048])
+    @pytest.mark.parametrize("x", [F(201, 10000), F(9499, 10000)])
+    def test_residual_tight_at_grid_edges(self, x, bits):
+        res = jims_identity(x, PrecCtx(bits))
+        assert res.contains_zero()
+        assert res.rad <= F(2) ** (8 - bits)
+
+    def test_one_cos_and_one_sin_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(modular, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("cos", "sin"):
+            monkeypatch.setattr(modular, name, counting(name))
+        jims_identity(F(3, 10), CTX)
+        assert sorted(calls) == ["cos", "sin"]

@@ -141,6 +141,28 @@ def test_exp_contains_mpmath_value(kind, v, bits):
     assert val.rad <= F(2) ** (8 - bits) * max(1, ref)
 
 
+# 0, +-1e-6, 10^-40 below and above k pi/2 for k = 1..4, -123/7 and 1e6
+TRIG_ARGS = {"0": F(0), "1e-6": F(1, 10**6), "-1e-6": F(-1, 10**6), "-123/7": F(-123, 7), "1e6": F(10**6)}
+for k in range(1, 5):
+    near = F(round(k * F(PI_50) / 2 * 10**48), 10**48)
+    TRIG_ARGS[f"{k}pi/2-"], TRIG_ARGS[f"{k}pi/2+"] = near - F(1, 10**40), near + F(1, 10**40)
+
+
+@pytest.mark.parametrize("bits", [64, 512, 2048, 4096])
+@pytest.mark.parametrize("fn", ["cos", "sin"])
+@pytest.mark.parametrize("v", list(TRIG_ARGS.values()), ids=list(TRIG_ARGS))
+def test_cos_sin_contain_mpmath_value(v, fn, bits):
+    import mpmath as mp
+
+    g = bits + 64
+    with mp.workprec(g):
+        ref = getattr(mp, fn)(mp.mpf(v.numerator) / v.denominator)
+    ref = int(mp.sign(ref)) * F(int(ref.man)) * F(2) ** int(ref.exp)  # man is unsigned
+    val = {"cos": cos, "sin": sin}[fn](Ball.from_fraction(v, g), PrecCtx(bits))
+    assert val.contains(ref)
+    assert val.rad <= F(2) ** (8 - bits)
+
+
 def test_cos_exact_value():
     third = const_pi(CTX).div_int(3)
     assert cos(third).contains(F(1, 2))
