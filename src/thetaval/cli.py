@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .errors import DomainError, ParseError, ThetavalError
+from .errors import DomainError, ParseError, PowerTooLarge, ThetavalError
 from .exact import build_catalog, eval_expr, parse_expr, render_expr, render_theta, verify_identity
 from .lostnotebook import complete_evaluation, compute_p, compute_uvw, verify_quartic_relation
 from .modular import jims_identity, verify_degree3, verify_degree15, yi_product_theorem
@@ -136,9 +136,12 @@ def cmd_verify(args) -> int:
 def cmd_eval(args) -> int:
     bits = _resolve_bits(args)
     try:
-        value = eval_expr(parse_expr(args.expression), PrecCtx(bits))
+        value = eval_expr(parse_expr(args.expression, bits), PrecCtx(bits))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except PowerTooLarge as exc:
+        print(f"size error: {exc}", file=sys.stderr)
         return 2
     except ThetavalError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)

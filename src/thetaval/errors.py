@@ -17,6 +17,10 @@ class NegativeBaseEvenRoot(DomainError):
     """Fractional power of a ball that is not strictly positive."""
 
 
+class PowerTooLarge(DomainError):
+    """An integer power or folded constant beyond the size limit of its precision."""
+
+
 class UnsupportedArgument(DomainError):
     """Argument outside the supported range of gamma_rational."""
 

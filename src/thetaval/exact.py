@@ -15,6 +15,7 @@ too, so `phi(q) + 1` is a single tree.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .errors import (
     NegativeBaseEvenRoot,
     NegativeEvenRootEnclosure,
     ParseError,
+    PowerTooLarge,
     ThetavalError,
     UnsupportedGammaArgument,
 )
@@ -35,6 +37,7 @@ from .precision import (
     PrecCtx,
     agm,
     agreement_digits,
+    check_power_size,
     cos,
     gamma_rational,
     ipow,
@@ -567,32 +570,41 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _const_value(e: Expr) -> Fraction | None:
-    """Exact value of a subtree of rationals, or None if it has other leaves."""
+def _const_value(e: Expr, bits: int) -> Fraction | None:
+    """Exact value of a subtree of rationals, or None if it has other leaves.
+
+    A power is refused by `check_power_size` at `bits` before it is formed.
+    """
     if isinstance(e, Int):
         return Fraction(e.value)
     if isinstance(e, Rat):
         return e.value
     if isinstance(e, Neg):
-        v = _const_value(e.arg)
+        v = _const_value(e.arg, bits)
         return None if v is None else -v
     if isinstance(e, (Add, Sub, Mul, Div)):
-        a, b = _const_value(e.left), _const_value(e.right)
+        a, b = _const_value(e.left, bits), _const_value(e.right, bits)
         return None if a is None or b is None else _FOLD[type(e)](a, b)
     if isinstance(e, PowRat) and e.exponent.denominator == 1:
-        base = _const_value(e.base)
-        return None if base is None else base**e.exponent.numerator
+        base = _const_value(e.base, bits)
+        if base is None:
+            return None
+        n = e.exponent.numerator
+        check_power_size(n, math.log2(max(abs(base.numerator), base.denominator)), bits)
+        return base**n
     return None
 
 
-def _fold(e: Expr, pos: int) -> Fraction | None:
+def _fold(e: Expr, pos: int, bits: int) -> Fraction | None:
     try:
-        return _const_value(e)
+        return _const_value(e, bits)
     except ZeroDivisionError:
         raise ParseError("division by zero in a constant", pos) from None
+    except PowerTooLarge as exc:
+        raise ParseError(str(exc), pos) from None
 
 
-def _call(name: str, args: list[Expr], pos: int) -> Expr:
+def _call(name: str, args: list[Expr], pos: int, bits: int) -> Expr:
     if len(args) != _ARITY[name]:
         raise ParseError(f"{name} takes {_ARITY[name]} argument(s)", pos)
     if name in _NOME_FUNCTIONS:
@@ -604,7 +616,7 @@ def _call(name: str, args: list[Expr], pos: int) -> Expr:
         return Agm(*args)
     if name == "hyp":
         return Hyp(*args)
-    values = [_fold(a, pos) for a in args]
+    values = [_fold(a, pos, bits) for a in args]
     if name == "qpoint":
         sign, r = values
         if sign not in (1, -1):
@@ -624,9 +636,10 @@ def _call(name: str, args: list[Expr], pos: int) -> Expr:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, bits: int):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.bits = bits
 
     def peek(self):
         return self.tokens[self.i]
@@ -672,7 +685,7 @@ class _Parser:
         if self.peek()[:2] == ("sym", "^"):
             self.next()
             exp_pos = self.peek()[2]
-            exponent = _fold(self.unary(), exp_pos)
+            exponent = _fold(self.unary(), exp_pos, self.bits)
             if exponent is None:
                 raise ParseError("exponent must be a rational constant", exp_pos)
             return PowRat(node, exponent)
@@ -694,7 +707,7 @@ class _Parser:
                 self.next()
                 args.append(self.expr())
             self.expect(")")
-            return _call(val, args, pos)
+            return _call(val, args, pos, self.bits)
         if kind == "sym" and val == "(":
             node = self.expr()
             self.expect(")")
@@ -702,9 +715,13 @@ class _Parser:
         raise ParseError("expected a value", pos)
 
 
-def parse_expr(text: str) -> Expr:
-    """The tree that a text in the grammar of `render_expr` denotes."""
-    return _Parser(text).parse()
+def parse_expr(text: str, bits: int = 512) -> Expr:
+    """The tree that a text in the grammar of `render_expr` denotes.
+
+    `bits` is the precision the tree is meant for; it sets the size limit
+    of the powers folded while parsing.
+    """
+    return _Parser(text, bits).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -414,15 +414,23 @@ def jims_identity(x, ctx: PrecCtx) -> Ball:
     summed by w^(n^2) = w^((n-1)^2) w^(2n-1) from one cos and one sin;
     both tails are certified geometrically."""
     f = ctx.bits
-    x0 = as_q_ball(x, f + 32) if not isinstance(x, Ball) else x
-    xf = x0.to_float()
-    if not 0.0 < xf < 1.0:
+    if isinstance(x, Ball):
+        x0, xf = x, x.to_float()
+        inside = 0.0 < xf < 1.0
+    else:  # read the exact x: rounded to f + 32 bits, a tiny one is 0.0;
+        # below 1e-300 the clamped estimate is already far above the limit
+        x = Fraction(x)
+        x0, xf = as_q_ball(x, f + 32), max(float(x), 1e-300)
+        inside = 0 < x < 1
+    if not inside:
         raise DomainError("jims_identity requires x inside (0, 1)")
     count = int(math.sqrt((f + 48) * math.log(2) / (math.pi * xf))) + 2
     fw = f + 64 + 2 * count.bit_length() + 4
     limit = 8 * fw + 64  # the theta series' term limit
     if count > limit:
-        raise NotConvergent(f"jims series needs {count} terms, more than its limit of {limit}")
+        raise NotConvergent(
+            f"jims series needs at least {count} terms, more than its limit of {limit}"
+        )
     xb = x0.rescale(fw)
     one = _one(fw)
     if not (xb.is_strictly_positive() and (one - xb).is_strictly_positive()):

@@ -24,6 +24,7 @@ from .errors import (
     DivisorStraddlesZero,
     DomainError,
     NegativeBaseEvenRoot,
+    PowerTooLarge,
     UnsupportedArgument,
 )
 
@@ -42,6 +43,7 @@ __all__ = [
     "cos",
     "sin",
     "ipow",
+    "check_power_size",
     "pow_rational",
     "agreement_digits",
     "decimal_str",
@@ -100,21 +102,42 @@ def _round_div(a: int, b: int) -> tuple[int, int]:
 
 
 def _iroot(n: int, k: int) -> int:
-    """Floor integer k-th root of n >= 0."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n < 2 or k == 1:
+    """Floor k-th root of n >= 0: the x with x**k <= n < (x+1)**k.
+
+    Floor roots compose, floor(floor(n**(1/a))**(1/b)) = floor(n**(1/(ab))),
+    so k runs as a chain: one `math.isqrt` per factor 2 and one
+    `_iroot_prime` per odd prime (24 is three square roots and a cube root).
+    """
+    if n < 0 or k < 1:
+        raise ValueError("negative radicand or root order below 1")
+    while k % 2 == 0:
+        n, k = math.isqrt(n), k >> 1
+    p = 3
+    while k > 1:
+        while k % p == 0:
+            n, k = _iroot_prime(n, p), k // p
+        p += 2
+    return n
+
+
+def _iroot_prime(n: int, k: int) -> int:
+    """Floor k-th root of n >= 0 by Newton with precision doubling.
+
+    x0, the root of n >> k*s for s about half the root's bits, comes
+    recursively, and (x0 + 1) << s lies above the root.  From above,
+    integer Newton never drops below the floor (AM-GM) and falls strictly
+    until x**k <= n: two or three full-length steps.
+    """
+    if n < 2:
         return n
-    if k == 2:
-        return math.isqrt(n)
-    x = 1 << _ceil_div(n.bit_length(), k)
+    bits = _ceil_div(n.bit_length(), k)  # the root is below 2**bits
+    s = bits >> 1
+    x = 1 << bits if bits <= 64 else (_iroot_prime(n >> (k * s), k) + 1) << s
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
             break
         x = y
-    while x**k > n:
-        x -= 1
     while (x + 1) ** k <= n:
         x += 1
     return x
@@ -324,9 +347,28 @@ class Ball:
 # powers and roots
 
 
+def check_power_size(exponent, log2_base: float, f: int) -> None:
+    """Refuse b**exponent for |log2 |b|| <= log2_base when its magnitude bound
+    2**(|exponent| * log2_base) passes 2**(64 * max(f, 64)), the one limit
+    of integer powers and folded constants, checked before multiplying."""
+    limit = 64 * max(f, 64)
+    if exponent == 0 or log2_base <= 0:
+        return
+    lg = math.log2(abs(exponent.numerator)) - math.log2(exponent.denominator)
+    lg += math.log2(log2_base)
+    if lg > math.log2(limit):
+        raise PowerTooLarge(
+            f"a power of magnitude up to 2^(2^{lg:.1f}) passes the limit of "
+            f"2^{limit} at {f} bits"
+        )
+
+
 def ipow(x: Ball, k: int) -> Ball:
     if k < 0:
         return Ball.one(x.f) / ipow(x, -k)
+    mag = x.sup_units()
+    if mag >> x.f:  # |x| may reach 1, so x**k may grow
+        check_power_size(k, math.log2(mag) - x.f, x.f)
     result = Ball.one(x.f)
     base = x
     while k:
@@ -352,6 +394,15 @@ def sqrt(x: Ball, ctx: PrecCtx | None = None) -> Ball:
 
 
 def nth_root(x: Ball, n: int, ctx: PrecCtx | None = None) -> Ball:
+    """n-th root of a strictly positive ball, or of a negative one for odd n.
+
+    The midpoint s is the one floor root of a.m * 2**(f*(n-1)), so the
+    root of a.m lies in [s, s + 1) units.  Above lo = a.m - a.r the root's
+    derivative is at most lo**(1/n) / (n * lo) < (s + 1) / (n * lo), as
+    lo <= a.m; so a.r * (s + 1) / (n * lo) + 1 units bound the radius
+    without a second root at lo.  (`sqrt` keeps its root at lo: there it
+    is a lower bound in the denominator.)
+    """
     if n < 1:
         raise DomainError("root order must be positive")
     if n == 1:
@@ -366,8 +417,7 @@ def nth_root(x: Ball, n: int, ctx: PrecCtx | None = None) -> Ball:
         raise DomainError("nth_root requires a strictly positive enclosure")
     s = _iroot(a.m << (f * (n - 1)), n)
     lo = a.m - a.r
-    rl = _iroot(lo << (f * (n - 1)), n)
-    return Ball(s, _ceil_div(a.r * (rl + 1), n * lo) + 1, f)
+    return Ball(s, _ceil_div(a.r * (s + 1), n * lo) + 1, f)
 
 
 def pow_rational(x: Ball, e, ctx: PrecCtx | None = None) -> Ball:
@@ -387,6 +437,8 @@ def pow_rational(x: Ball, e, ctx: PrecCtx | None = None) -> Ball:
         )
     fw = f + 32 + abs(num).bit_length() + den.bit_length()
     if den > 64:
+        lg = max(abs(math.log2(x.m + s * x.r) - x.f) for s in (-1, 1))
+        check_power_size(e, lg, f)
         return exp(log(x.rescale(fw)) * Ball.from_fraction(e, fw)).rescale(f)
     root = nth_root(x.rescale(fw), den)
     return ipow(root, num).rescale(f)

@@ -143,14 +143,43 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "cospi(1/2)")
         assert code == 0 and out.splitlines() == ["value  = 0", "radius <= 0"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["2^(2^40)", "--prec", "64"],
+            ["9^9^9"],
+            ["2^(2^40 + 1/65)", "--prec", "64"],  # the exp(e log x) route
+            ["2^(9^9^9)", "--prec", "64"],
+            ["gamma(9^9^9)"],
+        ],
+        ids=["2^(2^40)", "9^9^9", "2^(2^40+1/65)", "folded-exponent", "folded-argument"],
+    )
+    def test_oversized_power_is_refused(self, argv):
+        # refused before the first multiplication, not after building 2^40 bits
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetaval", "eval", *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert "passes the limit of 2^" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
-# Grammar fuzz.  Every exponent is a single digit and no '^' is nested, so
-# no input folds to an unbounded power such as 9^9^9 (see ROADMAP); theta,
-# f, hyp, h and classinv arguments are small trees, so no nome comes close
-# enough to 1 to make a q-product slow.
+    def test_power_limit_scales_with_precision(self, capsys):
+        # the limit is 2^(64 * bits): 2^4096 at 64 bits, 2^8192 at 128
+        assert run(capsys, "eval", "2^4096", "--prec", "64")[0] == 0
+        assert run(capsys, "eval", "2^4097", "--prec", "64")[0] == 2
+        assert run(capsys, "eval", "2^(2^12+1)", "--prec", "128")[0] == 0
+        assert run(capsys, "eval", "(1.0001)^100000", "--prec", "64")[0] == 0
+
+
+# Grammar fuzz.  Exponents nest, so towers such as 9^9^9 and (x^9)^(2^40)
+# reach the size limit of powers; theta, f, hyp, h and classinv arguments
+# are small trees, so no nome comes close enough to 1 to make a series slow.
 _NUMBERS = ["0", "1", "2", "3", "7", "9", "0.5", ".25", "1.5"]
 _FUNCTIONS = ["phi", "psi", "fneg", "chi", "f", "gamma", "cospi", "agm", "hyp", "h", "hprime", "classinv", "qpoint"]
-_EXPONENTS = ["^2", "^3", "^9", "^0", "^1"]
+_EXPONENTS = ["^2", "^3", "^9", "^0", "^1", "^-1", "^(1/65)", "^40"]
 _TOKENS = _NUMBERS + _FUNCTIONS + _EXPONENTS + ["pi", "+", "-", "*", "/", "(", ")", ",", "@", "x", "sin", "1e5"]
 
 _leaf = st.sampled_from(_NUMBERS + ["pi"])
@@ -174,20 +203,29 @@ def _calls(inner):
     )
 
 
+_exponent = st.recursive(
+    st.sampled_from(["0", "1", "2", "9", "40", "(-1)", "(1/3)", "(-1/65)"]),
+    lambda e: st.one_of(
+        st.tuples(e, e).map(_fmt("{}^{}")),
+        st.tuples(e, e).map(_fmt("({})^{}")),
+        st.tuples(e, st.sampled_from("+-*"), e).map(_fmt("({} {} {})")),
+    ),
+    max_leaves=4,
+)
+
+
 def _compound(inner):
     return st.one_of(
         st.tuples(inner, st.sampled_from("+-*/"), inner).map(_fmt("{} {} {}")),
         inner.map("-({})".format),
-        st.tuples(inner.filter(lambda s: "^" not in s), st.sampled_from("0123456789")).map(_fmt("({})^{}")),
+        st.tuples(inner, _exponent).map(_fmt("({})^{}")),
         _calls(inner),
         inner.map("({})".format),
     )
 
 
 _WELL_FORMED = st.recursive(_leaf, _compound, max_leaves=8)
-_SOUP = st.lists(st.sampled_from(_TOKENS), max_size=12).filter(
-    lambda ts: not any(a[0] == b[0] == "^" for a, b in zip(ts, ts[1:]))
-).map(" ".join)
+_SOUP = st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join)
 
 
 @given(text=st.one_of(_WELL_FORMED, _SOUP), bits=st.integers(64, 128))
@@ -251,6 +289,19 @@ class TestSweep:
     def test_yi_product_bad_tuple(self, capsys):
         code, _, err = run(capsys, "sweep", "yi_product", "--grid", "2:1:6")
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["1e-300", "1e-30"])
+    def test_jims_point_below_the_rounding_is_refused_by_its_term_count(self, grid):
+        # at 64 bits the rounded ball of such a point is 0; the exact point is inside (0, 1)
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetaval", "sweep", "jims", "--grid", grid, "--prec", "64"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 1
+        assert "jims series needs" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_jims_tiny_grid_point_is_refused(self):
         # about 1e16 terms: refused before the loop instead of hanging

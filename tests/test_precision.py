@@ -1,12 +1,14 @@
-"""Kernel tests: ball arithmetic, elementary functions, pi, agm, gamma.
+"""Kernel tests: ball arithmetic, roots, elementary functions, pi, agm, gamma.
 
 Oracles: exact interval propagation with Fractions, independent series
 summation at doubled precision, Brent-Salamin pi, the reflection and
-duplication functional equations, and mpmath as an out-of-tree referee
-for frozen digit strings.
+duplication functional equations, integer Newton on the full radicand for
+the floor root, and mpmath as an out-of-tree referee for frozen digit
+strings.
 """
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,10 +20,12 @@ from thetaval.errors import (
     NegativeBaseEvenRoot,
     UnsupportedArgument,
 )
+from thetaval import precision
 from thetaval.precision import (
     Ball,
     PrecCtx,
     _gamma_series,
+    _iroot,
     agm,
     agreement_digits,
     ball_arith,
@@ -388,6 +392,142 @@ def test_determinism_bit_identical():
 def test_nth_root_odd_negative():
     val = nth_root(Ball.from_fraction(-8, 256), 3)
     assert val.contains(-2)
+
+
+# ---------------------------------------------------------------------------
+# the root kernel
+
+
+def iroot_oracle(n: int, k: int) -> int:
+    """Floor k-th root by integer Newton from 2**ceil(bits/k) on the whole
+    radicand, with exact corrections: the kernel's former route."""
+    if n < 2 or k == 1:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    while x**k > n:
+        x -= 1
+    while (x + 1) ** k <= n:
+        x += 1
+    return x
+
+
+def assert_floor_root(n: int, k: int):
+    x = _iroot(n, k)
+    assert x == iroot_oracle(n, k)
+    assert x**k <= n < (x + 1) ** k
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+def test_iroot_small_and_exact_powers(k):
+    for n in (0, 1, 2, 3, 2**k - 1, 2**k, 2**k + 1):
+        assert_floor_root(n, k)
+    for base in (3, 10**6 + 3, 2**200 - 1, 3**150):
+        for delta in (-1, 0, 1):
+            assert_floor_root(base**k + delta, k)
+
+
+@st.composite
+def radicands(draw):
+    """(n, k): k in 2..64, n up to 10**5 bits, at random or an exact power
+    of a random root give or take one."""
+    k = draw(st.integers(2, 64))
+    bits = draw(st.integers(0, 100_000))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["any", "power", "power-1", "power+1"]))
+    if kind == "any":
+        return rng.getrandbits(bits), k
+    x = rng.getrandbits(bits // k) | 1
+    return x**k + {"power": 0, "power-1": -1, "power+1": 1}[kind], k
+
+
+@given(case=radicands())
+@settings(max_examples=60, deadline=None)
+def test_iroot_matches_newton_oracle(case):
+    assert_floor_root(*case)
+
+
+def test_iroot_refuses_negative_radicands_and_orders():
+    for n, k in ((-1, 3), (8, 0), (8, -2)):
+        with pytest.raises(ValueError):
+            _iroot(n, k)
+
+
+def mp_exact(v) -> F:
+    """An mpmath value as an exact Fraction (mantissas are unsigned)."""
+    import mpmath as mp
+
+    return int(mp.sign(v)) * F(int(v.man)) * F(2) ** int(v.exp)
+
+
+ROOT_BASES = {"2": F(2), "7/3": F(7, 3), "1e-6": F(1, 10**6), "1e30+7": F(10**30 + 7)}
+ROOT_BITS = [64, 512, 2048, 4096, 8192]
+
+
+@pytest.mark.parametrize("bits", ROOT_BITS)
+@pytest.mark.parametrize("k", [3, 4, 6, 7, 8, 24])
+@pytest.mark.parametrize("v", list(ROOT_BASES.values()), ids=list(ROOT_BASES))
+def test_nth_root_contains_mpmath_value(v, k, bits):
+    import mpmath as mp
+
+    g = bits + 64
+    with mp.workprec(g):
+        ref = mp_exact(mp.root(mp.mpf(v.numerator) / v.denominator, k))
+    val = nth_root(Ball.from_fraction(v, g), k, PrecCtx(bits))
+    assert val.contains(ref)
+    # one unit of the base moves the root by ref / (k v) units
+    assert val.rad <= F(2) ** (8 - bits) * max(1, ref / v)
+    if k % 2:
+        neg = nth_root(Ball.from_fraction(-v, g), k, PrecCtx(bits))
+        assert neg.contains(-ref) and neg.rad == val.rad
+
+
+@pytest.mark.parametrize("bits", [512, 4096])
+@pytest.mark.parametrize("k", [3, 4, 7, 24])
+@pytest.mark.parametrize("v", list(ROOT_BASES.values()), ids=list(ROOT_BASES))
+def test_nth_root_radius_covers_both_ends(v, k, bits):
+    """A base 2**-(bits/2) wide relative to itself: the root's radius comes
+    from the midpoint's root alone and must still reach both ends."""
+    import mpmath as mp
+
+    x = Ball.from_fraction(v, bits)
+    x = Ball(x.m, x.m >> (bits // 2), bits)
+    val = nth_root(x, k)
+    with mp.workprec(2 * bits):
+        for end in (x.lower, x.upper):
+            ref = mp_exact(mp.root(mp.mpf(end.numerator) / end.denominator, k))
+            assert val.contains(ref)
+
+
+POW_EXPONENTS = [F(1, 3), F(2, 3), F(-1, 4), F(5, 6), F(1, 7), F(3, 8), F(11, 24), F(-13, 24)]
+
+
+@pytest.mark.parametrize("bits", ROOT_BITS)
+@pytest.mark.parametrize("e", POW_EXPONENTS, ids=str)
+@pytest.mark.parametrize("v", [F(2), F(7, 3), F(1, 10**6)], ids=["2", "7/3", "1e-6"])
+def test_pow_rational_contains_mpmath_value(v, e, bits):
+    import mpmath as mp
+
+    g = bits + 64
+    with mp.workprec(g):
+        base = mp.mpf(v.numerator) / v.denominator
+        ref = mp_exact(mp.power(base, mp.mpf(e.numerator) / e.denominator))
+    val = pow_rational(Ball.from_fraction(v, g), e, PrecCtx(bits))
+    assert val.contains(ref)
+    assert val.rad <= F(2) ** (8 - bits) * max(1, ref)
+
+
+@pytest.mark.parametrize("k", [3, 4, 6, 24])
+def test_nth_root_takes_one_root(monkeypatch, k):
+    calls = []
+    iroot = precision._iroot
+    monkeypatch.setattr(precision, "_iroot", lambda n, j: calls.append(j) or iroot(n, j))
+    nth_root(mk_ball(F(7, 3), F(1, 10**20)), k, PrecCtx(512))
+    assert calls == [k]
 
 
 def test_agreement_digits_scale():
