@@ -228,7 +228,14 @@ _EXACT_COSPI = {
 }
 
 
-def _eval_raw(e: Expr, f: int) -> Ball:
+def _eval_raw(e: Expr, f: int, memo: dict) -> Ball:
+    val = memo.get((e, f))  # nodes are frozen dataclasses: equal trees hash alike
+    if val is None:
+        val = memo[e, f] = _eval_node(e, f, memo)
+    return val
+
+
+def _eval_node(e: Expr, f: int, memo: dict) -> Ball:
     if isinstance(e, Int):
         return Ball.exact_int(e.value).rescale(f)
     if isinstance(e, Rat):
@@ -246,26 +253,26 @@ def _eval_raw(e: Expr, f: int) -> Ball:
             return Ball.from_fraction(exact, f)
         return cos(_pi_ball(f + 32) * Ball.from_fraction(t, f + 32)).rescale(f)
     if isinstance(e, Add):
-        return _eval_raw(e.left, f) + _eval_raw(e.right, f)
+        return _eval_raw(e.left, f, memo) + _eval_raw(e.right, f, memo)
     if isinstance(e, Sub):
-        return _eval_raw(e.left, f) - _eval_raw(e.right, f)
+        return _eval_raw(e.left, f, memo) - _eval_raw(e.right, f, memo)
     if isinstance(e, Mul):
-        return _eval_raw(e.left, f) * _eval_raw(e.right, f)
+        return _eval_raw(e.left, f, memo) * _eval_raw(e.right, f, memo)
     if isinstance(e, Div):
-        return _eval_raw(e.left, f) / _eval_raw(e.right, f)
+        return _eval_raw(e.left, f, memo) / _eval_raw(e.right, f, memo)
     if isinstance(e, PowRat):
-        base = _eval_raw(e.base, f)
+        base = _eval_raw(e.base, f, memo)
         if e.exponent.denominator == 1:
             return ipow(base, e.exponent.numerator)
         return pow_rational(base, e.exponent)
     if isinstance(e, Neg):
-        return -_eval_raw(e.arg, f)
+        return -_eval_raw(e.arg, f, memo)
     if isinstance(e, ThetaExpr):
         return eval_theta(e, PrecCtx(f))
     if isinstance(e, Agm):
-        return agm(_eval_raw(e.a, f), _eval_raw(e.b, f), PrecCtx(f))
+        return agm(_eval_raw(e.a, f, memo), _eval_raw(e.b, f, memo), PrecCtx(f))
     if isinstance(e, Hyp):
-        return modular.hyp2f1_half(_eval_raw(e.x, f), PrecCtx(f))
+        return modular.hyp2f1_half(_eval_raw(e.x, f, memo), PrecCtx(f))
     if isinstance(e, Nome):
         return e.q.to_ball(PrecCtx(f))
     raise TypeError(f"unknown expression node {e!r}")
@@ -275,14 +282,20 @@ def eval_expr(e: Expr, ctx: PrecCtx) -> Ball:
     """Certified enclosure of an expression tree, theta nodes included.
 
     A divisor or fractional-power base whose enclosure straddles zero is
-    retried at doubled precision twice before the error surfaces.
+    retried at doubled precision twice before the error surfaces.  Shared
+    subtrees are evaluated once per scale, through a memo that lives for this
+    call and is cleared on exit (an error's traceback would keep it alive).
     """
     f = ctx.bits
-    for attempt in range(3):
-        try:
-            return _eval_raw(e, f << attempt).rescale(f)
-        except (DivisorStraddlesZero, NegativeBaseEvenRoot) as exc:
-            last = exc
+    memo: dict[tuple[Expr, int], Ball] = {}
+    try:
+        for attempt in range(3):
+            try:
+                return _eval_raw(e, f << attempt, memo).rescale(f)
+            except (DivisorStraddlesZero, NegativeBaseEvenRoot) as exc:
+                last = exc
+    finally:
+        memo.clear()
     if isinstance(last, DivisorStraddlesZero):
         raise DivisionByZeroEnclosure(str(last))
     raise NegativeEvenRootEnclosure(str(last))
@@ -446,7 +459,7 @@ class TPow(ThetaExpr):
 
 
 def _nome(q: QPoint | Expr, ctx: PrecCtx) -> QPoint | Ball:
-    return q if isinstance(q, QPoint) else _eval_raw(q, ctx.bits)
+    return q if isinstance(q, QPoint) else _eval_raw(q, ctx.bits, {})
 
 
 def eval_theta(t: ThetaExpr, ctx: PrecCtx) -> Ball:
@@ -459,7 +472,7 @@ def eval_theta(t: ThetaExpr, ctx: PrecCtx) -> Ball:
     if isinstance(t, Chi):
         return chi(_nome(t.q, ctx), ctx)
     if isinstance(t, ThetaF):
-        return theta_f(_eval_raw(t.a, ctx.bits), _eval_raw(t.b, ctx.bits), ctx)
+        return theta_f(_eval_raw(t.a, ctx.bits, {}), _eval_raw(t.b, ctx.bits, {}), ctx)
     if isinstance(t, YiH):
         return modular.yi_h(modular.YiQuotient(t.k, t.n, t.primed), ctx)
     if isinstance(t, ClassInv):

@@ -50,9 +50,6 @@ __all__ = [
     "rad_exponent",
 ]
 
-_LOG2_10 = 3.321928094887362  # bits per decimal digit
-
-
 @dataclass(frozen=True)
 class PrecCtx:
     """Working precision in bits; shared by a whole call tree."""
@@ -65,10 +62,6 @@ class PrecCtx:
 
     def escalated(self, doublings: int = 1) -> "PrecCtx":
         return PrecCtx(self.bits << doublings)
-
-    @property
-    def decimal_digits(self) -> int:
-        return int(self.bits / _LOG2_10)
 
 
 # ---------------------------------------------------------------------------
@@ -514,19 +507,41 @@ def _ln2_ball(f: int) -> Ball:
 # exponential, logarithm, trigonometry
 
 
-def _exp_series(s: Ball) -> Ball:
-    """exp of a ball with sup|s| <= 2^-8; truncation folded into the radius."""
-    f = s.f
-    acc = Ball.one(f)
-    t = acc
-    for i in range(1, 8 * f + 64):
-        t = (t * s).div_int(i)
-        acc = acc + t
-        if abs(t.m) + t.r <= 2:
-            break
-    # remaining terms fall at least geometrically with ratio sup|s| <= 2^-8
-    tail = _ceil_div(abs(t.m) + t.r, 128) + 1
-    return Ball(acc.m, acc.r + tail, f)
+def _mul_shift(a: int, b: int, f: int) -> int:
+    return (a * b) >> f  # the series kernel's one full-width product
+
+
+def _series_units(x: int, f: int, a) -> tuple[int, int]:
+    """(S, err) with |S - 2^f sum_{i>=0} X^i / prod_{k<=i} a(k)| <= err for
+    X = x 2^-f, |X| <= 1 and integers a(k) >= k, by rectangular splitting.
+
+    For |X| < 2^-k the term ratio is at most 1/2, so N terms leave a tail
+    below 2^(1-kN) / prod_{k<=N} a(k) <= 2^-f.  Powers X^r, r <= m ~ sqrt N,
+    are floored products, r - 1 units off.  Horner runs over blocks of m terms
+    on their common denominator D, H_j = (sum_r c_r X^r + X^m H_{j+1}) / D
+    with c_r = prod_{k>jm+r} a(k), one product and one division each.  As
+    every multiplier is at most 1 and H_{j+1} <= e, a block loses at most
+    (sum_r c_r (r - 1) + err + 3m + 2) / D + 1 units.
+    """
+    k = f - abs(x).bit_length()  # |X| < 2^-k
+    n, big_a = 1, a(1)
+    while k * n + big_a.bit_length() < f + 2:
+        n += 1
+        big_a *= a(n)
+    m = max(2, math.isqrt(n))
+    pw = [1 << f, x]
+    for _ in range(m - 1):
+        pw.append(_mul_shift(pw[-1], x, f))
+    acc = err = 0
+    for j in range(_ceil_div(n, m) - 1, -1, -1):
+        c, t, slack = 1, 0, 0
+        for r in range(m - 1, -1, -1):
+            c *= a(j * m + r + 1)
+            t += c * pw[r]
+            slack += c * max(r - 1, 0)
+        acc = (t + _mul_shift(pw[m], acc, f)) // c
+        err = _ceil_div(slack + err + 3 * m + 2, c) + 1
+    return acc, err + 1
 
 
 def exp(x: Ball, ctx: PrecCtx | None = None) -> Ball:
@@ -537,10 +552,13 @@ def exp(x: Ball, ctx: PrecCtx | None = None) -> Ball:
     fw = f + 48
     xw = x.rescale(fw)
     mag = (abs(xw.m) + xw.r) >> fw
-    # halve into |s| <= 2^-8, then about sqrt(fw) more times: fewer Taylor
+    # halve into |s| <= 2^-8, then about (4 fw)^(1/3) more times: fewer series
     # terms for more squarings; the scale fw + j adds a guard bit per squaring
-    j = mag.bit_length() + max(8, math.isqrt(fw))
-    y = _exp_series(Ball(xw.m, xw.r, fw + j))
+    j = mag.bit_length() + max(8, _iroot(4 * fw, 3))
+    # the series at sup|s| <= 2^-8, where exp' <= e^sup|s| < 1 + 2 sup|s|
+    v, err = _series_units(xw.m, fw + j, lambda k: k)
+    lip = xw.r + _ceil_div(2 * xw.r * xw.sup_units(), 1 << (fw + j))
+    y = Ball(v, err + lip, fw + j)
     for _ in range(j):
         y = y * y
     return y.rescale(f)
@@ -579,18 +597,15 @@ def log(x: Ball, ctx: PrecCtx | None = None) -> Ball:
 
 
 def _trig_series(s: Ball, odd: bool) -> Ball:
-    """sin s if odd else cos s, for sup|s| <= 0.9; geometric tail bound."""
+    """sin s if odd else cos s for sup|s| <= 0.9, as s^odd K(-s^2) by the
+    series kernel: flooring -s^2 (K' < 1) and the product by s cost a unit
+    each; the radius enters by |sin'| <= 1 and |cos'| <= sup|s| on the ball."""
     f = s.f
-    s2 = s * s
-    acc = s if odd else Ball.one(f)
-    t = acc
-    for i in range(1, 8 * f + 64):
-        t = (t * s2).div_int(2 * i - 1 + odd).div_int(2 * i + odd)
-        acc = acc + t if i % 2 == 0 else acc - t
-        if abs(t.m) + t.r <= 2:
-            break
-    # successive term ratio <= 0.81/2 < 1/2: tail <= last term
-    return Ball(acc.m, acc.r + abs(t.m) + t.r + 1, f)
+    a = lambda k: (2 * k - 1 + odd) * (2 * k + odd)  # noqa: E731
+    v, err = _series_units(-_mul_shift(s.m, s.m, f), f, a)
+    if odd:
+        return Ball(_mul_shift(s.m, v, f), err + 2 + s.r, f)
+    return Ball(v, err + 1 + _ceil_div(s.r * s.sup_units(), 1 << f), f)
 
 
 def _trig_reduce(x: Ball, f: int) -> tuple[int, Ball]:
@@ -653,16 +668,24 @@ def agm(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
 # term) and the upper incomplete gamma bound (at most e^-N) in the radius
 
 
-def _gamma_bsplit(n: int, a: int, b: int, lo: int, hi: int) -> tuple[int, int, int]:
-    """(P, Q, T) over the terms k in [lo, hi): P = prod p(k), Q = prod q(k)
-    and T/Q = sum_k prod_{lo <= j <= k} p(j)/q(j), with p(j) = n b and
-    q(j) = a + j b."""
-    if hi - lo == 1:
-        return n * b, a + lo * b, n * b
+def _gamma_bsplit(
+    n: int, a: int, b: int, lo: int, hi: int, pows: dict[int, int]
+) -> tuple[int, int]:
+    """(Q, T) over the terms k in [lo, hi): Q = prod q(k) and T/Q =
+    sum_k prod_{lo <= j <= k} p/q(j), with p = n b and q(j) = a + j b.  The
+    power P = p^(hi-lo) is not carried: `pows` holds p^len per left-half
+    length.  Leaves of up to 16 terms loop from the right, T = p (Q' + T')."""
+    if hi - lo <= 16:
+        q, t = 1, 0
+        for k in range(hi - 1, lo - 1, -1):
+            q, t = (a + k * b) * q, n * b * (q + t)
+        return q, t
     mid = (lo + hi) // 2
-    p1, q1, t1 = _gamma_bsplit(n, a, b, lo, mid)
-    p2, q2, t2 = _gamma_bsplit(n, a, b, mid, hi)
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    q1, t1 = _gamma_bsplit(n, a, b, lo, mid, pows)
+    q2, t2 = _gamma_bsplit(n, a, b, mid, hi, pows)
+    if mid - lo not in pows:
+        pows[mid - lo] = (n * b) ** (mid - lo)
+    return q1 * q2, t1 * q2 + pows[mid - lo] * t2
 
 
 def _gamma_series(z: Fraction, n: int, terms: int, f: int) -> Ball:
@@ -686,7 +709,8 @@ def _gamma_series(z: Fraction, n: int, terms: int, f: int) -> Ball:
     if not (0 < z <= 1 and n >= 1 and terms >= 2 * n):
         raise ValueError("_gamma_series needs 0 < z <= 1, n >= 1, terms >= 2n")
     a, b = z.numerator, z.denominator
-    p, q, t = _gamma_bsplit(n, a, b, 0, terms)
+    q, t = _gamma_bsplit(n, a, b, 0, terms, {})
+    p = (n * b) ** terms
     den = n * q  # t_k = (prod_{j<=k} p(j)/q(j)) / n
     s, err = _round_div(t << f, den)
     last = _ceil_div(p << f, den)

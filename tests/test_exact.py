@@ -1,10 +1,12 @@
 """Expression-tree and catalog tests: evaluation, rendering, verification,
 mutation sensitivity, and the cross-form consistency checks."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
+from thetaval import exact
 from thetaval.errors import (
     DivisionByZeroEnclosure,
     NegativeEvenRootEnclosure,
@@ -210,6 +212,41 @@ def test_precision_monotonicity_all_entries():
         ]
         assert digits[0] <= digits[1] <= digits[2], (entry.id, digits)
         assert digits[2] >= 290, (entry.id, digits)
+
+
+def subtrees(e) -> list:
+    """Every expression node under e, repeats included."""
+    out = [e]
+    for field in dataclasses.fields(e):
+        child = getattr(e, field.name)
+        if isinstance(child, exact.Expr):
+            out += subtrees(child)
+    return out
+
+
+@pytest.mark.parametrize("entry_id", ["cb13", "cb63", "g169", "ln7"])
+def test_shared_subtrees_are_evaluated_once_per_call(monkeypatch, entry_id):
+    rhs = CATALOG.get(entry_id).rhs
+    computed, memos = [], []
+    node, raw = exact._eval_node, exact._eval_raw
+    monkeypatch.setattr(exact, "_eval_node", lambda e, f, m: computed.append((e, f)) or node(e, f, m))
+    monkeypatch.setattr(exact, "_eval_raw", lambda e, f, m: memos.append(m) or raw(e, f, m))
+    for _ in range(2):  # a second call starts from an empty memo
+        computed.clear()
+        val = eval_expr(rhs, PrecCtx(512))
+        assert len(computed) == len(set(computed)) == len(set(subtrees(rhs)))
+    assert val.overlaps(verify_identity(CATALOG.get(entry_id), PrecCtx(512)).rhs)
+    assert memos and all(len(m) == 0 for m in memos)
+
+
+def test_memo_is_emptied_when_an_error_leaves():
+    memos = []
+    raw = exact._eval_raw
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_eval_raw", lambda e, f, m: memos.append(m) or raw(e, f, m))
+        with pytest.raises(DivisionByZeroEnclosure):
+            eval_expr(Div(Add(Int(1), Int(2)), Sub(Int(1), Int(1))), CTX)
+    assert memos and all(len(m) == 0 for m in memos)
 
 
 class TestCrossForm:

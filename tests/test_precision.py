@@ -123,6 +123,11 @@ def test_exp_minus_pi_against_series_oracle():
 # exact x, and the nome exponents x = -pi sqrt(r) for r in {1/1000, 7/3, 64}
 EXP_ARGS = [("x", x) for x in (F(1, 2), F(-1), F(5), F(-300), F(1, 10**6), F(-123, 7))]
 EXP_ARGS += [("-pi*sqrt", r) for r in (F(1, 1000), F(7, 3), F(64))]
+# 0, 1e-30, +-2^-k across the series' term counts, and just under 1, 2 and 4,
+# where the number of halvings steps up
+EXP_ARGS += [("x", x) for x in (F(0), F(1, 10**30), F(1) - F(1, 2**60), F(-2) + F(1, 10**30))]
+EXP_ARGS += [("x", F(4) - F(1, 2**40))]
+EXP_ARGS += [("x", F(-1, 2))] + [("x", sign * F(1, 2**k)) for k in (8, 9, 30, 200) for sign in (1, -1)]
 
 
 @pytest.mark.parametrize("bits", [64, 512, 2048, 4128, 8192])
@@ -150,9 +155,16 @@ TRIG_ARGS = {"0": F(0), "1e-6": F(1, 10**6), "-1e-6": F(-1, 10**6), "-123/7": F(
 for k in range(1, 5):
     near = F(round(k * F(PI_50) / 2 * 10**48), 10**48)
     TRIG_ARGS[f"{k}pi/2-"], TRIG_ARGS[f"{k}pi/2+"] = near - F(1, 10**40), near + F(1, 10**40)
+# the reduction switches quadrant at odd multiples of pi/4, where |s| is largest
+for k in (1, 3):
+    near = F(round(k * F(PI_50) / 4 * 10**48), 10**48)
+    TRIG_ARGS[f"{k}pi/4-"], TRIG_ARGS[f"{k}pi/4+"] = near - F(1, 10**40), near + F(1, 10**40)
+TRIG_ARGS["1e-30"], TRIG_ARGS["0.9-"] = F(1, 10**30), F(9, 10) - F(1, 10**30)
+for k in (1, 10, 100):
+    TRIG_ARGS[f"2^-{k}"], TRIG_ARGS[f"-2^-{k}"] = F(1, 2**k), -F(1, 2**k)
 
 
-@pytest.mark.parametrize("bits", [64, 512, 2048, 4096])
+@pytest.mark.parametrize("bits", [64, 512, 2048, 4096, 8192])
 @pytest.mark.parametrize("fn", ["cos", "sin"])
 @pytest.mark.parametrize("v", list(TRIG_ARGS.values()), ids=list(TRIG_ARGS))
 def test_cos_sin_contain_mpmath_value(v, fn, bits):
@@ -165,6 +177,80 @@ def test_cos_sin_contain_mpmath_value(v, fn, bits):
     val = {"cos": cos, "sin": sin}[fn](Ball.from_fraction(v, g), PrecCtx(bits))
     assert val.contains(ref)
     assert val.rad <= F(2) ** (8 - bits)
+
+
+@pytest.mark.parametrize("bits", [64, 512, 2048, 4096, 8192])
+@pytest.mark.parametrize("odd", [False, True], ids=["cos", "sin"])
+@pytest.mark.parametrize("v", [F(9, 10) - F(1, 2**40), F(-9, 10) + F(1, 10**30)], ids=["0.9-2^-40", "-0.9+1e-30"])
+def test_trig_series_at_its_widest_argument(v, odd, bits):
+    # sup|s| <= 0.9 is the kernel's contract; the reduction alone stays below pi/4
+    import mpmath as mp
+
+    with mp.workprec(bits + 64):
+        ref = mp_exact((mp.sin if odd else mp.cos)(mp.mpf(v.numerator) / v.denominator))
+    val = precision._trig_series(Ball.from_fraction(v, bits), odd)
+    assert val.contains(ref)
+    assert val.rad <= F(2) ** (8 - bits)
+
+
+SERIES_A = {
+    "exp": lambda k: k,
+    "cos": lambda k: (2 * k - 1) * 2 * k,
+    "sin": lambda k: 2 * k * (2 * k + 1),
+}
+
+
+def series_sum(kind, X):
+    """The kernel's sum at X: exp X, cos sqrt(-X) or sin sqrt(-X) / sqrt(-X)."""
+    import mpmath as mp
+
+    if kind == "exp":
+        return mp.exp(X)
+    if X == 0:
+        return mp.mpf(1)
+    t = mp.sqrt(-X)
+    return mp.cos(t) if kind == "cos" else mp.sin(t) / t
+
+
+@pytest.mark.parametrize("f", [64, 512, 2048, 4096])
+@pytest.mark.parametrize("kind", list(SERIES_A))
+def test_series_units_error_count_holds(kind, f):
+    # seeded X in [-1, 1] for exp and [-0.81, 0] for the trig kernels; the
+    # floored sums sit off the true sum by a unit or so, within the count
+    import mpmath as mp
+
+    rng = random.Random(f)
+    if kind == "exp":
+        xs = [0, 1 << f, -(1 << f)] + [rng.randint(-(1 << f), 1 << f) for _ in range(8)]
+    else:
+        top = (81 << f) // 100
+        xs = [0, -top] + [-rng.randint(0, top) for _ in range(8)]
+    for x in xs:
+        units, err = precision._series_units(x, f, SERIES_A[kind])
+        with mp.workprec(f + 80):
+            ref = series_sum(kind, mp.mpf(x) / mp.mpf(2) ** f) * mp.mpf(2) ** f
+            assert abs(units - ref) <= err <= 16
+
+
+WIDE_ARGS = [("exp", F(1, 3)), ("exp", F(-123, 7)), ("exp", F(5))]
+WIDE_ARGS += [(fn, v) for fn in ("cos", "sin") for v in (F(1, 3), F(-123, 7), F(7, 10))]
+
+
+@pytest.mark.parametrize("bits", [64, 512, 2048, 4096, 8192])
+@pytest.mark.parametrize("fn,v", WIDE_ARGS, ids=str)
+def test_wide_ball_contains_both_ends(fn, v, bits):
+    # radius 2^-(bits/2): the input radius enters through the Lipschitz bound
+    import mpmath as mp
+
+    g = bits + 64
+    rad = F(1, 2 ** (bits // 2))
+    x = Ball(round(v * 2**g), 1 << (g - bits // 2), g)
+    val = {"exp": exp, "cos": cos, "sin": sin}[fn](x, PrecCtx(bits))
+    with mp.workprec(g):
+        ends = [getattr(mp, fn)(mp.mpf(e.numerator) / e.denominator) for e in (x.lower, x.upper)]
+    ends = [mp_exact(e) for e in ends]
+    assert all(val.contains(e) for e in ends)
+    assert val.rad <= 2 * rad * max(1, *ends)
 
 
 def test_cos_exact_value():
@@ -528,6 +614,49 @@ def test_nth_root_takes_one_root(monkeypatch, k):
     monkeypatch.setattr(precision, "_iroot", lambda n, j: calls.append(j) or iroot(n, j))
     nth_root(mk_ball(F(7, 3), F(1, 10**20)), k, PrecCtx(512))
     assert calls == [k]
+
+
+def test_cos_takes_about_two_sqrt_n_products(monkeypatch):
+    # the 4161-bit series in -s^2 for s = 0.78 has about 280 terms, so
+    # rectangular splitting needs about 2 sqrt(280) ~ 34 full-width products
+    calls = []
+    mul_shift, ball_mul = getattr(precision, "_mul_shift", None), Ball.__mul__
+
+    def counted_ball_mul(a, b):
+        if isinstance(b, Ball):  # Ball x int scalings are not full-width
+            calls.append(b.f)
+        return ball_mul(a, b)
+
+    def counted_mul_shift(a, b, f):
+        calls.append(f)
+        return mul_shift(a, b, f)
+
+    monkeypatch.setattr(Ball, "__mul__", counted_ball_mul)
+    monkeypatch.setattr(precision, "_mul_shift", counted_mul_shift, raising=False)
+    val = cos(Ball.from_fraction(F(78, 100), 4160), PrecCtx(4096))
+    assert val.rad <= F(2) ** (8 - 4096)
+    assert 0 < len(calls) <= 2 * math.isqrt(280) + 4
+
+
+def gamma_bsplit_oracle(n: int, a: int, b: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """(P, Q, T) by halving down to single terms, P carried along."""
+    if hi - lo == 1:
+        return n * b, a + lo * b, n * b
+    mid = (lo + hi) // 2
+    p1, q1, t1 = gamma_bsplit_oracle(n, a, b, lo, mid)
+    p2, q2, t2 = gamma_bsplit_oracle(n, a, b, mid, hi)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+@pytest.mark.parametrize(
+    "z,n,terms",
+    [(F(1, 3), 1, 2), (F(1, 4), 8, 16), (F(2, 7), 40, 97), (F(5, 8), 355, 800), (F(1, 24), 2862, 5801)],
+    ids=str,
+)
+def test_gamma_bsplit_integers_match_single_term_recursion(z, n, terms):
+    a, b = z.numerator, z.denominator
+    q, t = precision._gamma_bsplit(n, a, b, 0, terms, {})
+    assert gamma_bsplit_oracle(n, a, b, 0, terms) == ((n * b) ** terms, q, t)
 
 
 def test_agreement_digits_scale():
