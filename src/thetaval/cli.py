@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import DomainError, ParseError, PowerTooLarge, ThetavalError
-from .exact import build_catalog, eval_expr, parse_expr, render_expr, render_theta, verify_identity
+from .exact import Identity, build_catalog, eval_expr, parse_expr, render_expr, verify_identity
 from .lostnotebook import complete_evaluation, compute_p, compute_uvw, verify_quartic_relation
 from .modular import jims_identity, verify_degree3, verify_degree15, yi_product_theorem
 from .precision import Ball, PrecCtx, agreement_digits, decimal_str, rad_exponent
@@ -91,19 +91,18 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _verify_worker(task: tuple[str, int, bool]) -> dict:
-    entry_id, bits, timings = task
-    catalog = build_catalog()
+def _verify_worker(task: tuple[Identity, int, bool]) -> dict:
+    ident, bits, timings = task
     t0 = time.monotonic()
-    rep = verify_identity(catalog.get(entry_id), PrecCtx(bits))
+    rep = verify_identity(ident, PrecCtx(bits))
     ms = int((time.monotonic() - t0) * 1000) if timings else 0
     return _entry(
-        entry_id,
+        ident.id,
         rep.status,
         rep.agreement_digits,
         rep.lhs,
         ms,
-        catalog.get(entry_id).provenance,
+        ident.provenance,
         rep.prec_bits_used,
     )
 
@@ -122,7 +121,7 @@ def cmd_verify(args) -> int:
             print(f"unknown catalog id: {entry_id}", file=sys.stderr)
             return 2
     ids = sorted(set(ids))
-    tasks = [(entry_id, bits, args.timings) for entry_id in ids]
+    tasks = [(catalog.get(entry_id), bits, args.timings) for entry_id in ids]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_verify_worker, tasks))
@@ -251,7 +250,7 @@ def cmd_complete(args) -> int:
     except ThetavalError as exc:
         print(f"completion failed: {exc}", file=sys.stderr)
         return 1
-    print(f"identity    : {render_theta(result.identity.lhs)} = {render_expr(result.identity.rhs)}")
+    print(f"identity    : {render_expr(result.identity.lhs)} = {render_expr(result.identity.rhs)}")
     print(f"branch      : {result.state.branch}")
     print(f"permutation : {result.assignment.permutation_index} (of ascending roots)")
     print(f"cos pairs   : {result.cos_pairs}")

@@ -1,16 +1,17 @@
 """Exact closed-form expression trees and the identity catalog.
 
 Every explicit phi value carried by this package is encoded here as an
-:class:`Identity`: a theta-quotient left side over structured nomes, a
-closed-form right side built from rationals, pi, Gamma at rationals and
-cosines of rational multiples of pi, and a literature provenance string.
-Verification means evaluating both sides to certified balls and checking
-overlap with radii below the digit target.
+:class:`Identity`: a left side built around theta values at structured
+nomes, a closed-form right side built from rationals, pi, Gamma at
+rationals and cosines of rational multiples of pi, and a literature
+provenance string.  Verification means evaluating both sides to certified
+balls and checking overlap with radii below the digit target.
 
-The trees print in one text grammar (`render_expr`, `render_theta`) and
-`parse_expr` reads that grammar back, so `eval_expr` is the one evaluator
-of both catalog trees and command-line text.  Theta nodes are expressions
-too, so `phi(q) + 1` is a single tree.
+There is one node set.  Theta values are leaves like any other, so
+`phi(q) + 1` and a theta quotient are ordinary trees.  `render_expr` prints
+a tree in one text grammar and `parse_expr` reads that grammar back; the
+catalog itself is stored as rows of that text, and `eval_expr` is the one
+evaluator of catalog trees and command-line text.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ __all__ = [
     "ThetaF",
     "YiH",
     "ClassInv",
-    "Scalar",
-    "TMul",
-    "TDiv",
-    "TPow",
     "eval_theta",
     "render_theta",
     "Identity",
@@ -98,46 +95,6 @@ D_TARGET_DIGITS = 100
 
 class Expr:
     __slots__ = ()
-
-    def __add__(self, other):
-        return Add(self, _as_expr(other))
-
-    def __radd__(self, other):
-        return Add(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, _as_expr(other))
-
-    def __rsub__(self, other):
-        return Sub(_as_expr(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return Mul(_as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Div(_as_expr(other), self)
-
-    def __pow__(self, e):
-        return PowRat(self, Fraction(e))
-
-    def __neg__(self):
-        return Neg(self)
-
-
-def _as_expr(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, int):
-        return Int(v)
-    if isinstance(v, Fraction):
-        return Rat(v)
-    raise TypeError(f"cannot build an Expr from {v!r}")
 
 
 @dataclass(frozen=True)
@@ -384,11 +341,11 @@ def mutate_first_leaf(e: Expr, delta: Fraction = Fraction(1, 10**6)) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# theta-expression left sides
+# theta leaves
 
 
 class ThetaExpr(Expr):
-    """A theta-function value; legal anywhere in an `Expr`."""
+    """A theta-function value; a leaf legal anywhere in an `Expr`."""
 
     __slots__ = ()
 
@@ -435,34 +392,12 @@ class ClassInv(ThetaExpr):
     n: Fraction
 
 
-@dataclass(frozen=True)
-class Scalar(ThetaExpr):
-    value: Expr
-
-
-@dataclass(frozen=True)
-class TMul(ThetaExpr):
-    left: ThetaExpr
-    right: ThetaExpr
-
-
-@dataclass(frozen=True)
-class TDiv(ThetaExpr):
-    left: ThetaExpr
-    right: ThetaExpr
-
-
-@dataclass(frozen=True)
-class TPow(ThetaExpr):
-    base: ThetaExpr
-    exponent: Fraction
-
-
 def _nome(q: QPoint | Expr, ctx: PrecCtx) -> QPoint | Ball:
     return q if isinstance(q, QPoint) else _eval_raw(q, ctx.bits, {})
 
 
 def eval_theta(t: ThetaExpr, ctx: PrecCtx) -> Ball:
+    """Enclosure of one theta leaf; `eval_expr` evaluates the tree around it."""
     if isinstance(t, Phi):
         return phi(_nome(t.q, ctx), ctx)
     if isinstance(t, Psi):
@@ -477,17 +412,6 @@ def eval_theta(t: ThetaExpr, ctx: PrecCtx) -> Ball:
         return modular.yi_h(modular.YiQuotient(t.k, t.n, t.primed), ctx)
     if isinstance(t, ClassInv):
         return modular.class_invariant(t.n, ctx)
-    if isinstance(t, Scalar):
-        return eval_expr(t.value, ctx)
-    if isinstance(t, TMul):
-        return eval_theta(t.left, ctx) * eval_theta(t.right, ctx)
-    if isinstance(t, TDiv):
-        return eval_theta(t.left, ctx) / eval_theta(t.right, ctx)
-    if isinstance(t, TPow):
-        b = eval_theta(t.base, ctx)
-        if t.exponent.denominator == 1:
-            return ipow(b, t.exponent.numerator)
-        return pow_rational(b, t.exponent)
     raise TypeError(f"unknown theta node {t!r}")
 
 
@@ -512,16 +436,6 @@ def render_theta(t: ThetaExpr) -> str:
         return f"{name}({t.k}, {t.n})"
     if isinstance(t, ClassInv):
         return f"classinv({t.n})"
-    if isinstance(t, Scalar):
-        return render_expr(t.value)
-    if isinstance(t, TMul):
-        return f"({render_theta(t.left)} * {render_theta(t.right)})"
-    if isinstance(t, TDiv):
-        return f"({render_theta(t.left)} / {render_theta(t.right)})"
-    if isinstance(t, TPow):
-        exp = t.exponent
-        suffix = f"^({exp})" if exp.denominator != 1 or exp < 0 else f"^{exp}"
-        return f"({render_theta(t.base)}){suffix}"
     raise TypeError(f"unknown theta node {t!r}")
 
 
@@ -539,7 +453,8 @@ def render_theta(t: ThetaExpr) -> str:
 # phi/psi/fneg/chi.  Exponents and the arguments of gamma, cospi, h,
 # hprime, classinv and qpoint fold to exact rationals while parsing.
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))", re.DOTALL)
+_TOKEN_KINDS = (None, "num", "name", "sym")
 
 _ARITY = {
     "phi": 1,
@@ -563,22 +478,15 @@ _FOLD = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        num, name, sym = m.groups()
-        tok_pos = m.start(1) if num else m.start(2) if name else m.start(3)
-        if num:
-            tokens.append(("num", num, tok_pos))
-        elif name:
-            tokens.append(("name", name, tok_pos))
-        elif sym.strip():
-            if sym not in "+-*/^(),":
-                raise ParseError(f"unexpected character {sym!r}", tok_pos)
-            tokens.append(("sym", sym, tok_pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):  # the last alternative matches any character
+        group = m.lastindex
+        val = m[group]
+        if group == 3:
+            if val.isspace():
+                continue
+            if val not in "+-*/^(),":
+                raise ParseError(f"unexpected character {val!r}", m.start(3))
+        tokens.append((_TOKEN_KINDS[group], val, m.start(group)))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -676,13 +584,13 @@ class _Parser:
 
     def expr(self) -> Expr:
         node = self.term()
-        while self.peek()[:2] in (("sym", "+"), ("sym", "-")):
+        while self.peek()[1] in ("+", "-"):
             node = _BINARY[self.next()[1]](node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.unary()
-        while self.peek()[:2] in (("sym", "*"), ("sym", "/")):
+        while self.peek()[1] in ("*", "/"):
             node = _BINARY[self.next()[1]](node, self.unary())
         return node
 
@@ -695,7 +603,7 @@ class _Parser:
 
     def power(self) -> Expr:
         node = self.atom()
-        if self.peek()[:2] == ("sym", "^"):
+        if self.peek()[1] == "^":
             self.next()
             exp_pos = self.peek()[2]
             exponent = _fold(self.unary(), exp_pos, self.bits)
@@ -707,6 +615,8 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, pos = self.next()
         if kind == "num":
+            if "." not in val:
+                return Int(int(val))
             v = Fraction(val)
             return Int(v.numerator) if v.denominator == 1 else Rat(v)
         if kind == "name":
@@ -716,7 +626,7 @@ class _Parser:
                 raise ParseError(f"unknown name {val!r}", pos)
             self.expect("(")
             args = [self.expr()]
-            while self.peek()[:2] == ("sym", ","):
+            while self.peek()[1] == ",":
                 self.next()
                 args.append(self.expr())
             self.expect(")")
@@ -744,10 +654,9 @@ def parse_expr(text: str, bits: int = 512) -> Expr:
 @dataclass(frozen=True)
 class Identity:
     id: str
-    lhs: ThetaExpr
+    lhs: Expr
     rhs: Expr
     provenance: str
-    status: str = "unverified"
 
 
 @dataclass(frozen=True)
@@ -775,7 +684,7 @@ class Catalog:
         return [
             {
                 "id": e.id,
-                "lhs_text": render_theta(e.lhs),
+                "lhs_text": render_expr(e.lhs),
                 "rhs_text": render_expr(e.rhs),
                 "provenance": e.provenance,
             }
@@ -793,25 +702,13 @@ class VerifyReport:
     prec_bits_used: int
 
 
-def _sq(e: Expr) -> Expr:
-    return PowRat(e, Fraction(1, 2))
-
-
-def _cbrt(e: Expr) -> Expr:
-    return PowRat(e, Fraction(1, 3))
-
-
-def _frac(p: int, q: int) -> Fraction:
-    return Fraction(p, q)
-
-
 def ln7_cos_term(num_k: int, den_k: int) -> Expr:
-    """(cos(num_k pi/7) / (2 cos^2(den_k pi/7)))^(2/7), the shape shared by
-    the catalog entry and the completion pipeline's emitted terms."""
+    """(cos(num_k pi/7) / (2 cos^2(den_k pi/7)))^(2/7), the shape of the terms
+    that the completion pipeline emits for the ln7 entry."""
     return PowRat(
         Div(
-            CosPiRat(_frac(num_k, 7)),
-            Mul(Int(2), PowRat(CosPiRat(_frac(den_k, 7)), Fraction(2))),
+            CosPiRat(Fraction(num_k, 7)),
+            Mul(Int(2), PowRat(CosPiRat(Fraction(den_k, 7)), Fraction(2))),
         ),
         Fraction(2, 7),
     )
@@ -826,279 +723,127 @@ def ln7_rhs_from_terms(pairs: tuple[tuple[int, int], ...]) -> Expr:
     )
 
 
-def _g169_expr() -> Expr:
-    s13 = _sq(Int(13))
-    half_11 = Div(Add(Int(11), s13), Int(2))
-    inner = Add(
-        _cbrt(Add(half_11, Mul(Int(3), _sq(Int(3))))),
-        _cbrt(Sub(half_11, Mul(Int(3), _sq(Int(3))))),
-    )
-    return Div(
-        Add(
-            Add(s13, Int(2)),
-            Mul(_cbrt(Div(Add(Int(13), Mul(Int(3), s13)), Int(2))), inner),
-        ),
-        Int(3),
-    )
+# Each row is (id, left side, right side, provenance), both sides in the
+# grammar of `parse_expr`; every right side follows its printed source.  The
+# grammar has no names for subexpressions, so a repeated one (G_169 in cb13)
+# is written out again: `eval_expr` evaluates equal subtrees once per call.
+_CATALOG_ROWS = (
+    ("classical_1",
+     "phi(qpoint(+1, 1))",
+     "pi^(1/4) / gamma(3/4)",
+     "classical; Ramanujan, notebook 2 (Entry 6)"),
+    ("classical_sqrt2",
+     "phi(qpoint(+1, 2))",
+     "gamma(9/8) / gamma(5/4) * (gamma(1/4) / (2^(1/4) * pi))^(1/2)",
+     "classical; Ramanujan, notebook 2 (Entry 6)"),
+    ("classical_2",
+     "phi(qpoint(+1, 4))",
+     "(2 + 2^(1/2))^(1/2) / 2 * (pi^(1/4) / gamma(3/4))",
+     "classical; Ramanujan, notebook 2 (Entry 6)"),
+    ("r5",
+     "phi(qpoint(+1, 25)) / phi(qpoint(+1, 1))",
+     "1 / (5 * 5^(1/2) - 10)^(1/2)",
+     "Ramanujan, JIMS question 629 (second part)"),
+    ("r3",
+     "phi(qpoint(+1, 9)) / phi(qpoint(+1, 1))",
+     "(6 * 3^(1/2) - 9)^(-1/4)",
+     "Ramanujan, notebook 1; proof by Berndt-Chan"),
+    ("r7",
+     "(phi(qpoint(+1, 49)) / phi(qpoint(+1, 1)))^2",
+     "((13 + 7^(1/2))^(1/2) + (7 + 3 * 7^(1/2))^(1/2)) / 14 * 28^(1/8)",
+     "Ramanujan, notebook 1; proof by Berndt-Chan"),
+    ("r9",
+     "phi(qpoint(+1, 81)) / phi(qpoint(+1, 1))",
+     "(1 + (2 * (3^(1/2) + 1))^(1/3)) / 3",
+     "Ramanujan, notebook 1; proof by Berndt-Chan"),
+    ("r45",
+     "phi(qpoint(+1, 2025)) / phi(qpoint(+1, 1))",
+     "(3 + 5^(1/2) + (3^(1/2) + 5^(1/2) + 60^(1/4)) * (2 + 3^(1/2))^(1/3))"
+     " / (3 * (10 + 10 * 5^(1/2))^(1/2))",
+     "Ramanujan, notebook 1; proof by Berndt-Chan"),
+    ("cb13",
+     "phi(qpoint(+1, 169)) / phi(qpoint(+1, 1))",
+     "(((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
+     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
+     " * 3^(1/2))^(1/3))) / 3)^(-3) * ((((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
+     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
+     " * 3^(1/2))^(1/3))) / 3 - ((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
+     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
+     " * 3^(1/2))^(1/3))) / 3)^(-1))^3 + 7 * ((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
+     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
+     " * 3^(1/2))^(1/3))) / 3 - ((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
+     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
+     " * 3^(1/2))^(1/3))) / 3)^(-1)) + ((((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
+     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
+     " * 3^(1/2))^(1/3))) / 3 - ((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
+     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
+     " * 3^(1/2))^(1/3))) / 3)^(-1))^3 + 7 * ((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
+     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
+     " * 3^(1/2))^(1/3))) / 3 - ((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
+     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
+     " * 3^(1/2))^(1/3))) / 3)^(-1)))^2 + 52)^(1/2)) / 2))^(-1/2)",
+     "Berndt-Chan, via the class invariant G_169"),
+    ("cb27",
+     "phi(qpoint(+1, 729)) / phi(qpoint(+1, 9))",
+     "1 / 3 * (1 + (3^(1/2) - 1) * (((2 * (3^(1/2) + 1))^(1/3) + 1)"
+     " / ((2 * (3^(1/2) - 1))^(1/3) - 1))^(1/3))",
+     "Berndt-Chan; combine with r3 for phi(e^-27pi)"),
+    ("cb63",
+     "phi(qpoint(+1, 3969)) / phi(qpoint(+1, 49))",
+     "1 / 3 * (1 + (((4 + 7^(1/2))^(1/2) - 7^(1/4)) / 2)^3 * (3^(1/2) + 7^(1/2))^(1/2)"
+     " * ((2 + 3^(1/2))^(1/6) * ((2 + 7^(1/2) + (7 + 4 * 7^(1/2))^(1/2)) / 2)^(1/2))"
+     " * (((3 + 7^(1/2))^(1/2) + (6 * 7^(1/2))^(1/4))"
+     " / ((3 + 7^(1/2))^(1/2) - (6 * 7^(1/2))^(1/4)))^(1/2))",
+     "Berndt-Chan; combine with r7 for phi(e^-63pi)"),
+    ("yi_33",
+     "phi(qpoint(+1, 3)) / (3^(1/4) * phi(qpoint(+1, 27)))",
+     "(1 - 2^(1/3) + 4^(1/3)) / 3^(1/2)",
+     "Yi, theta quotient h_{3,9}"),
+    ("yi_53",
+     "phi(qpoint(+1, 5/3)) / (3^(1/4) * phi(qpoint(+1, 15)))",
+     "(5^(1/2) - 1)^(1/2) / 2^(1/2)",
+     "Yi, theta quotient h_{3,5}"),
+    ("yi_m6",
+     "phi(qpoint(-1, 36)) / phi(qpoint(+1, 1))",
+     "(1 + 3^(1/2) + 2^(1/2) * 3^(3/4))^(1/3) / (2^(11/24) * 3^(3/8) * (3^(1/2) - 1)^(1/6))",
+     "Yi, signed-nome quotient"),
+    ("yi_2s5",
+     "phi(qpoint(+1, 4/5)) / (5^(1/4) * phi(qpoint(+1, 20)))",
+     "2 * (2 * ((1 + 5^(1/2)) / 2 + ((1 + 5^(1/2)) / 2)^(1/2)))^(1/2)"
+     " / ((3 + 2^(1/2) + (5^(1/2) + 10^(1/2))) * ((1 + 5^(1/2)) / 2 + ((1 + 5^(1/2)) / 2)^(1/2)"
+     " - 5^(1/2)))",
+     "Yi and coauthors, degree-5 route"),
+    ("yi_9",
+     "phi(qpoint(+1, 1)) / (3^(1/2) * phi(qpoint(+1, 81)))",
+     "2 - 3^(1/2) - 4^(1/3) * (5 - 3 * 3^(1/2)) / (11 * 3^(1/2) - 19)^(1/3)"
+     " - (2 * (11 * 3^(1/2) - 19))^(1/3)",
+     "Yi and coauthors (sign-corrected form)"),
+    ("ln7",
+     "phi(qpoint(+1, 343)) / phi(qpoint(+1, 7))",
+     "7^(-3/4) * (1 + ((cospi(1/7) / (2 * cospi(2/7)^2))^(2/7)"
+     " + ((cospi(2/7) / (2 * cospi(3/7)^2))^(2/7) + (cospi(3/7) / (2 * cospi(1/7)^2))^(2/7))))",
+     "lost notebook p.206, completed by Rebak"),
+    ("g9",
+     "classinv(9)",
+     "((1 + 3^(1/2)) / 2^(1/2))^(1/3)",
+     "Ramanujan's class invariant table"),
+    ("g169",
+     "classinv(169)",
+     "(13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
+     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
+     " * 3^(1/2))^(1/3))) / 3",
+     "Berndt-Chan, class invariant G_169"),
+)
 
 
 def build_catalog() -> Catalog:
-    """The full value catalog; every right side follows its printed source."""
-    one, two, three = Int(1), Int(2), Int(3)
-    s2, s3, s5, s7 = _sq(two), _sq(three), _sq(Int(5)), _sq(Int(7))
-    pi = Pi()
-
-    def P(r, sign=1) -> Phi:
-        return Phi(QPoint(sign, Fraction(r)))
-
-    def quot(a, b) -> ThetaExpr:
-        return TDiv(a, b)
-
-    entries = []
-
-    entries.append(
-        Identity(
-            "classical_1",
-            P(1),
-            Div(PowRat(pi, Fraction(1, 4)), GammaRat(_frac(3, 4))),
-            "classical; Ramanujan, notebook 2 (Entry 6)",
+    """The full value catalog, read from its text rows."""
+    return Catalog(
+        tuple(
+            Identity(entry_id, parse_expr(lhs), parse_expr(rhs), provenance)
+            for entry_id, lhs, rhs, provenance in _CATALOG_ROWS
         )
     )
-    entries.append(
-        Identity(
-            "classical_sqrt2",
-            P(2),
-            Mul(
-                Div(GammaRat(_frac(9, 8)), GammaRat(_frac(5, 4))),
-                _sq(
-                    Div(
-                        GammaRat(_frac(1, 4)),
-                        Mul(PowRat(two, Fraction(1, 4)), pi),
-                    )
-                ),
-            ),
-            "classical; Ramanujan, notebook 2 (Entry 6)",
-        )
-    )
-    entries.append(
-        Identity(
-            "classical_2",
-            P(4),
-            Mul(
-                Div(_sq(Add(two, s2)), two),
-                Div(PowRat(pi, Fraction(1, 4)), GammaRat(_frac(3, 4))),
-            ),
-            "classical; Ramanujan, notebook 2 (Entry 6)",
-        )
-    )
-    entries.append(
-        Identity(
-            "r5",
-            quot(P(25), P(1)),
-            Div(one, _sq(Sub(Mul(Int(5), s5), Int(10)))),
-            "Ramanujan, JIMS question 629 (second part)",
-        )
-    )
-    entries.append(
-        Identity(
-            "r3",
-            quot(P(9), P(1)),
-            PowRat(Sub(Mul(Int(6), s3), Int(9)), Fraction(-1, 4)),
-            "Ramanujan, notebook 1; proof by Berndt-Chan",
-        )
-    )
-    entries.append(
-        Identity(
-            "r7",
-            TPow(quot(P(49), P(1)), Fraction(2)),
-            Mul(
-                Div(Add(_sq(Add(Int(13), s7)), _sq(Add(Int(7), Mul(three, s7)))), Int(14)),
-                PowRat(Int(28), Fraction(1, 8)),
-            ),
-            "Ramanujan, notebook 1; proof by Berndt-Chan",
-        )
-    )
-    entries.append(
-        Identity(
-            "r9",
-            quot(P(81), P(1)),
-            Div(Add(one, _cbrt(Mul(two, Add(s3, one)))), three),
-            "Ramanujan, notebook 1; proof by Berndt-Chan",
-        )
-    )
-    entries.append(
-        Identity(
-            "r45",
-            quot(P(2025), P(1)),
-            Div(
-                Add(
-                    Add(three, s5),
-                    Mul(
-                        Add(Add(s3, s5), PowRat(Int(60), Fraction(1, 4))),
-                        _cbrt(Add(two, s3)),
-                    ),
-                ),
-                Mul(three, _sq(Add(Int(10), Mul(Int(10), s5)))),
-            ),
-            "Ramanujan, notebook 1; proof by Berndt-Chan",
-        )
-    )
-    g = _g169_expr()
-    g_inv = PowRat(g, Fraction(-1))
-    gdiff = Sub(g, g_inv)
-    a13 = Add(PowRat(gdiff, Fraction(3)), Mul(Int(7), gdiff))
-    entries.append(
-        Identity(
-            "cb13",
-            quot(P(169), P(1)),
-            PowRat(
-                Mul(
-                    PowRat(g, Fraction(-3)),
-                    Div(Add(a13, _sq(Add(PowRat(a13, Fraction(2)), Int(52)))), two),
-                ),
-                Fraction(-1, 2),
-            ),
-            "Berndt-Chan, via the class invariant G_169",
-        )
-    )
-    entries.append(
-        Identity(
-            "cb27",
-            quot(P(729), P(9)),
-            Mul(
-                Div(one, three),
-                Add(
-                    one,
-                    Mul(
-                        Sub(s3, one),
-                        _cbrt(
-                            Div(
-                                Add(_cbrt(Mul(two, Add(s3, one))), one),
-                                Sub(_cbrt(Mul(two, Sub(s3, one))), one),
-                            )
-                        ),
-                    ),
-                ),
-            ),
-            "Berndt-Chan; combine with r3 for phi(e^-27pi)",
-        )
-    )
-    entries.append(
-        Identity(
-            "cb63",
-            quot(P(3969), P(49)),
-            Mul(
-                Div(one, three),
-                Add(
-                    one,
-                    Mul(
-                        Mul(
-                            Mul(
-                                PowRat(
-                                    Div(Sub(_sq(Add(Int(4), s7)), PowRat(Int(7), Fraction(1, 4))), two),
-                                    Fraction(3),
-                                ),
-                                _sq(Add(s3, s7)),
-                            ),
-                            Mul(
-                                PowRat(Add(two, s3), Fraction(1, 6)),
-                                _sq(Div(Add(Add(two, s7), _sq(Add(Int(7), Mul(Int(4), s7)))), two)),
-                            ),
-                        ),
-                        _sq(
-                            Div(
-                                Add(_sq(Add(three, s7)), PowRat(Mul(Int(6), s7), Fraction(1, 4))),
-                                Sub(_sq(Add(three, s7)), PowRat(Mul(Int(6), s7), Fraction(1, 4))),
-                            )
-                        ),
-                    ),
-                ),
-            ),
-            "Berndt-Chan; combine with r7 for phi(e^-63pi)",
-        )
-    )
-    entries.append(
-        Identity(
-            "yi_33",
-            quot(P(3), TMul(Scalar(PowRat(three, Fraction(1, 4))), P(27))),
-            Div(Add(Sub(one, _cbrt(two)), _cbrt(Int(4))), s3),
-            "Yi, theta quotient h_{3,9}",
-        )
-    )
-    entries.append(
-        Identity(
-            "yi_53",
-            quot(P(_frac(5, 3)), TMul(Scalar(PowRat(three, Fraction(1, 4))), P(15))),
-            Div(_sq(Sub(s5, one)), s2),
-            "Yi, theta quotient h_{3,5}",
-        )
-    )
-    entries.append(
-        Identity(
-            "yi_m6",
-            quot(P(36, -1), P(1)),
-            Div(
-                _cbrt(Add(Add(one, s3), Mul(s2, PowRat(three, Fraction(3, 4))))),
-                Mul(
-                    Mul(PowRat(two, Fraction(11, 24)), PowRat(three, Fraction(3, 8))),
-                    PowRat(Sub(s3, one), Fraction(1, 6)),
-                ),
-            ),
-            "Yi, signed-nome quotient",
-        )
-    )
-    a_y = Add(Div(Add(one, s5), two), _sq(Div(Add(one, s5), two)))
-    entries.append(
-        Identity(
-            "yi_2s5",
-            quot(P(_frac(4, 5)), TMul(Scalar(PowRat(Int(5), Fraction(1, 4))), P(20))),
-            Div(
-                Mul(two, _sq(Mul(two, a_y))),
-                Mul(Add(Add(three, s2), Add(s5, _sq(Int(10)))), Sub(a_y, s5)),
-            ),
-            "Yi and coauthors, degree-5 route",
-        )
-    )
-    w19 = Sub(Mul(Int(11), s3), Int(19))
-    entries.append(
-        Identity(
-            "yi_9",
-            quot(P(1), TMul(Scalar(s3), P(81))),
-            Sub(
-                Sub(
-                    Sub(two, s3),
-                    Div(Mul(_cbrt(Int(4)), Sub(Int(5), Mul(three, s3))), _cbrt(w19)),
-                ),
-                _cbrt(Mul(two, w19)),
-            ),
-            "Yi and coauthors (sign-corrected form)",
-        )
-    )
-    entries.append(
-        Identity(
-            "ln7",
-            quot(P(343), P(7)),
-            ln7_rhs_from_terms(((1, 2), (2, 3), (3, 1))),
-            "lost notebook p.206, completed by Rebak",
-        )
-    )
-    entries.append(
-        Identity(
-            "g9",
-            ClassInv(Fraction(9)),
-            _cbrt(Div(Add(one, s3), s2)),
-            "Ramanujan's class invariant table",
-        )
-    )
-    entries.append(
-        Identity(
-            "g169",
-            ClassInv(Fraction(169)),
-            _g169_expr(),
-            "Berndt-Chan, class invariant G_169",
-        )
-    )
-    return Catalog(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -1125,7 +870,7 @@ def verify_identity(
     for attempt in range(2):
         used = bits << attempt
         try:
-            lhs = eval_theta(ident.lhs, PrecCtx(used))
+            lhs = eval_expr(ident.lhs, PrecCtx(used))
             rhs = eval_expr(ident.rhs, PrecCtx(used))
         except ThetavalError as exc:
             raise EvaluationError(ident.id, str(exc)) from exc

@@ -27,12 +27,12 @@ from .errors import (
 )
 from .exact import (
     CosPiRat,
+    Div,
     Identity,
     Int,
     Mul,
     Phi,
     PowRat,
-    TDiv,
     VerifyReport,
     eval_expr,
     ln7_rhs_from_terms,
@@ -361,7 +361,7 @@ def complete_evaluation(ctx: PrecCtx) -> CompletionResult:
     rhs = ln7_rhs_from_terms(ordered)
     identity = Identity(
         "ln7",
-        TDiv(Phi(QPoint(1, Fraction(343))), Phi(QPoint(1, Fraction(7)))),
+        Div(Phi(QPoint(1, Fraction(343))), Phi(QPoint(1, Fraction(7)))),
         rhs,
         "lost notebook p.206, completed by Rebak",
     )

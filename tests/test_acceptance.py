@@ -17,7 +17,6 @@ from thetaval.exact import (
     Identity,
     build_catalog,
     eval_expr,
-    eval_theta,
     mutate_first_leaf,
     verify_identity,
 )
@@ -249,7 +248,7 @@ def test_criterion_10_oracle_equivalence(capsys):
 
 
 def test_criterion_11_cross_form_consistency(capsys):
-    prod = eval_theta(CATALOG.get("r9").lhs, CTX) * eval_theta(CATALOG.get("yi_9").lhs, CTX)
+    prod = eval_expr(CATALOG.get("r9").lhs, CTX) * eval_expr(CATALOG.get("yi_9").lhs, CTX)
     target = Ball.one(512) / sqrt(Ball.from_fraction(3, 512))
     assert prod.overlaps(target)
     assert agreement_digits(prod, target) >= 100

@@ -61,6 +61,15 @@ class TestVerify:
         assert main(args + ["--jobs", "3", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_catalog_is_built_once_per_run(self, capsys, monkeypatch):
+        # the workers get the parsed entries; they do not build the catalog again
+        calls = []
+        build = cli.build_catalog
+        monkeypatch.setattr(cli, "build_catalog", lambda: calls.append(1) or build())
+        monkeypatch.delenv("THETAVAL_PREC_BITS", raising=False)
+        code, _, _ = run(capsys, "verify", "--all")
+        assert code == 0 and len(calls) == 1
+
     def test_env_var_default(self, capsys, monkeypatch):
         monkeypatch.setenv("THETAVAL_PREC_BITS", "128")
         code, out, _ = run(capsys, "verify", "r3")

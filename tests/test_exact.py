@@ -21,20 +21,19 @@ from thetaval.exact import (
     GammaRat,
     Identity,
     Int,
+    Mul,
     Pi,
     PowRat,
     Rat,
-    Scalar,
     Sub,
-    TDiv,
-    TMul,
     Phi,
+    ThetaExpr,
     build_catalog,
     eval_expr,
     eval_theta,
     mutate_first_leaf,
+    parse_expr,
     render_expr,
-    render_theta,
     verify_identity,
 )
 from thetaval.precision import Ball, PrecCtx, ipow, sqrt
@@ -71,10 +70,13 @@ class TestEvalExpr:
         assert diff.overlaps(sqrt(bf(3)) * 2)
 
     def test_operator_sugar(self):
-        e = (Int(1) + Int(2)) * Int(3) / Int(9) - Int(1)
+        # the infix operators of the text grammar
+        e = parse_expr("(1 + 2) * 3 / 9 - 1")
+        assert e == Sub(Div(Mul(Add(Int(1), Int(2)), Int(3)), Int(9)), Int(1))
         assert eval_expr(e, CTX).contains(0)
-        assert eval_expr(-Int(5), CTX).contains(-5)
-        assert eval_expr(Int(2) ** F(-1, 2), CTX).overlaps(1 / sqrt(bf(2)))
+        assert eval_expr(parse_expr("-5"), CTX).contains(-5)
+        assert parse_expr("2^(-1/2)") == PowRat(Int(2), F(-1, 2))
+        assert eval_expr(parse_expr("2^(-1/2)"), CTX).overlaps(1 / sqrt(bf(2)))
 
     def test_division_by_zero_enclosure(self):
         with pytest.raises(DivisionByZeroEnclosure):
@@ -139,21 +141,28 @@ class TestCatalog:
             assert e["rhs_text"] and e["lhs_text"]
 
     def test_rendered_rhs_parses_and_evaluates(self):
-        # the export grammar round-trips through the parser
-        from thetaval.exact import parse_expr
-
+        # the export grammar round-trips through the parser to the same tree
         for entry in CATALOG.entries:
-            text = render_expr(entry.rhs)
-            node = parse_expr(text)
-            assert eval_expr(node, CTX).overlaps(eval_expr(entry.rhs, CTX))
+            assert parse_expr(render_expr(entry.rhs)) == entry.rhs, entry.id
 
     def test_rendered_lhs_parses_and_evaluates(self):
-        from thetaval.exact import parse_expr
-
         for entry in CATALOG.entries:
-            text = render_theta(entry.lhs)
-            node = parse_expr(text)
-            assert eval_expr(node, CTX).overlaps(eval_theta(entry.lhs, CTX))
+            assert parse_expr(render_expr(entry.lhs)) == entry.lhs, entry.id
+
+    def test_sides_are_closed_forms_and_theta_values(self):
+        # a theta value on a right side would let an entry verify trivially
+        open_nodes = (ThetaExpr, exact.Nome, exact.Agm, exact.Hyp)
+        for entry in CATALOG.entries:
+            assert not any(isinstance(n, open_nodes) for n in subtrees(entry.rhs)), entry.id
+            assert any(isinstance(n, ThetaExpr) for n in subtrees(entry.lhs)), entry.id
+
+    def test_left_sides_use_the_shared_nodes(self):
+        yi_33 = CATALOG.get("yi_33").lhs
+        assert yi_33 == Div(
+            Phi(QPoint(1, F(3))), Mul(PowRat(Int(3), F(1, 4)), Phi(QPoint(1, F(27))))
+        )
+        r7 = CATALOG.get("r7").lhs
+        assert r7 == PowRat(Div(Phi(QPoint(1, F(49))), Phi(QPoint(1, F(1)))), F(2))
 
 
 class TestVerify:
@@ -266,6 +275,9 @@ class TestCrossForm:
         assert combined.overlaps(direct)
 
     def test_scalar_and_theta_nodes(self):
-        t = TMul(Scalar(Int(2)), TDiv(Phi(QPoint(1, F(1))), Phi(QPoint(1, F(1)))))
-        assert eval_theta(t, CTX).contains(2)
+        t = parse_expr("2 * (phi(qpoint(+1, 1)) / phi(qpoint(+1, 1)))")
+        assert t == Mul(Int(2), Div(Phi(QPoint(1, F(1))), Phi(QPoint(1, F(1)))))
+        assert eval_expr(t, CTX).contains(2)
+        assert parse_expr("classinv(1)") == ClassInv(F(1))
+        assert eval_expr(parse_expr("classinv(1)"), CTX).contains(1)
         assert eval_theta(ClassInv(F(1)), CTX).contains(1)
