@@ -263,8 +263,7 @@ def render_expr(e: Expr) -> str:
     if isinstance(e, Int):
         return str(e.value)
     if isinstance(e, Rat):
-        v = e.value
-        return str(v.numerator) if v.denominator == 1 else f"({v})"
+        return _render_rat(e.value)
     if isinstance(e, Pi):
         return "pi"
     if isinstance(e, GammaRat):
@@ -299,6 +298,19 @@ def render_expr(e: Expr) -> str:
     if isinstance(e, Nome):
         return _render_qpoint(e.q)
     raise TypeError(f"unknown expression node {e!r}")
+
+
+def _render_rat(v: Fraction) -> str:
+    """v >= 0 with denominator 2^a 5^b as the decimal literal that parses
+    back to it; any other non-integer v as (p/q)."""
+    d = v.denominator
+    if d == 1:
+        return str(v.numerator)
+    k = d.bit_length()  # 10^k is a multiple of d exactly when d = 2^a 5^b
+    if v < 0 or 10**k % d:
+        return f"({v})"
+    digits = str(v.numerator * 10**k // d).rjust(k + 1, "0")
+    return f"{digits[:-k]}.{digits[-k:]}".rstrip("0")
 
 
 def mutate_first_leaf(e: Expr, delta: Fraction = Fraction(1, 10**6)) -> Expr:

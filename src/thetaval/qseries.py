@@ -5,9 +5,11 @@ defining series: phi, psi and f(-q) sum O(sqrt(f/log(1/|q|))) terms, and
 chi(q) = phi(q)/f(q) with f(q) = f(-(-q)).  The infinite q-Pochhammer
 products (Berndt, Ramanujan's Notebooks III, Ch. 16 Entry 22), which need
 O(f/log(1/|q|)) factors, are kept as the independent oracle for the tests
-and for theta_f's Jacobi triple product.  Every truncation is covered by an
-explicit tail bound that is computed rigorously in ball arithmetic and
-folded into the output radius, never assumed from a heuristic term count.
+and for theta_f's Jacobi triple product.  All four series are 1 plus one or
+two wings sum_{k>=1} t_k with t_(k+1) = t_k rho_k and rho_(k+1) = rho_k c,
+summed by one kernel on plain integers with a counted rounding error.  Every
+truncation is covered by a proven tail bound folded into the output radius,
+never assumed from a heuristic term count.
 """
 
 from __future__ import annotations
@@ -176,41 +178,76 @@ def pochhammer_inf(a: Ball, q: Ball, ctx: PrecCtx) -> Ball:
 
 
 # ---------------------------------------------------------------------------
-# the general theta function f(a, b)
+# the series: f(a, b), phi, psi and f(-q) share one integer kernel
+
+
+def _theta_wings(wings, f: int, min_terms: int = 0) -> tuple[int, int, int, int]:
+    """(S, err, tail, n) for the sum over wings of sum_{k>=1} t_k at scale f.
+
+    A wing (t1, rho1, c) of Balls at scale f with sup|c| < 1 has the terms
+    t_(k+1) = t_k rho_k and the ratios rho_(k+1) = rho_k c, formed on the
+    midpoints as floored integer products.  A product of x and y, known to
+    e_x and e_y units, is then off by (|x| e_y + |y| e_x + e_x e_y) 2^-f,
+    floored, plus 2 units for the two floors; err sums these over the kept
+    terms.  A wing stops at n >= min_terms terms once sup|t_n| <= 2 and
+    sup|rho_n| <= 1/2: |rho| keeps shrinking by sup|c|, so each dropped term
+    is at most half the one before and the wing's tail is at most sup|t_n|.
+    `tail` sums these bounds and n is the longest wing's term count.  A wing
+    whose terms share the sign of t1 < 0 is summed negated, so its floored
+    terms settle at 0 instead of -1.
+    """
+    one = 1 << f
+    s = err = tail = n_max = 0
+    for t1, rho1, c in wings:
+        cm, ec = c.m, c.r
+        ac = abs(cm)
+        if ac + ec >= one:
+            raise NotConvergent("theta series ratio must lie strictly below 1")
+        sign = -1 if t1.m < 0 <= min(rho1.m, cm) else 1
+        t, et, rho, er = sign * t1.m, t1.r, rho1.m, rho1.r
+        acc, e, n = t, et, 1
+        while abs(t) + et > 2 or 2 * (abs(rho) + er) > one or n < min_terms:
+            if n > 8 * f + 64:
+                raise NotConvergent("theta series failed to reach its tail target")
+            arho = abs(rho)
+            t, et = (t * rho) >> f, ((abs(t) * er + arho * et + et * er) >> f) + 2
+            rho, er = (rho * cm) >> f, ((arho * ec + ac * er + er * ec) >> f) + 2
+            acc += t
+            e += et
+            n += 1
+        s += sign * acc
+        err += e
+        tail += abs(t) + et
+        n_max = max(n_max, n)
+    return s, err, tail, n_max
+
+
+def _theta_sum(wings, ctx: PrecCtx, scale: int = 1, min_terms: int = 0, with_tail: bool = False):
+    """1 + scale * (the wing sums), the wings given at scale ctx.bits + 32."""
+    fw = ctx.bits + 32
+    s, err, tail, n = _theta_wings(wings, fw, min_terms)
+    out = Ball((1 << fw) + scale * s, scale * (err + tail), fw).rescale(ctx.bits)
+    if with_tail:
+        return out, SeriesTail(n, Fraction(scale * tail, 1 << fw))
+    return out
+
+
+def _series_nome(q, ctx: PrecCtx) -> Ball:
+    qb = as_q_ball(q, ctx.bits + 32)
+    _check_q(qb)
+    return qb
 
 
 def theta_f(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
-    """Certified enclosure of sum_n a^(n(n+1)/2) b^(n(n-1)/2), |ab| < 1."""
-    f = ctx.bits
-    fw = f + 32
+    """Certified enclosure of sum_n a^(n(n+1)/2) b^(n(n-1)/2), |ab| < 1:
+    the wings (a, a ab, ab) for n >= 1 and (b, b ab, ab) for n <= -1."""
+    fw = ctx.bits + 32
     a = a.rescale(fw)
     b = b.rescale(fw)
     ab = a * b
     if not ab.mag_lt_one():
         raise NotConvergent("|ab| enclosure must lie strictly below 1")
-    acc = Ball.one(fw)
-    tp, tm = a, b  # n = 1 and n = -1 terms
-    ra, rb = a * ab, b * ab  # term ratios a^(n+1) b^n and b^(n+1) a^n at n = 1
-    half = 1 << (fw - 1)
-    for _ in range(8 * fw + 64):
-        acc = acc + tp + tm
-        done = (
-            tp.sup_units() <= 2
-            and tm.sup_units() <= 2
-            and ra.sup_units() <= half
-            and rb.sup_units() <= half
-        )
-        if done:
-            break
-        tp = tp * ra
-        tm = tm * rb
-        ra = ra * ab
-        rb = rb * ab
-    else:
-        raise NotConvergent("theta series failed to reach its tail target")
-    # ratios keep shrinking by |ab| < 1, so each wing tail <= current term
-    tail = tp.sup_units() + tm.sup_units() + 2
-    return Ball(acc.m, acc.r + tail, fw).rescale(f)
+    return _theta_sum([(a, a * ab, ab), (b, b * ab, ab)], ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -234,36 +271,10 @@ def phi(q, ctx: PrecCtx) -> Ball:
 
 
 def phi_series(q, ctx: PrecCtx, min_terms: int = 0, with_tail: bool = False):
-    """Series route 1 + 2 sum q^(n^2); tail 2|q|^((N+1)^2)/(1-|q|^(2N+3))."""
-    f = ctx.bits
-    fw = f + 32
-    qb = as_q_ball(q, fw)
-    _check_q(qb)
-    one = Ball.one(fw)
+    """Series route 1 + 2 sum_{n>=1} q^(n^2), the wing (q, q^3, q^2)."""
+    qb = _series_nome(q, ctx)
     q2 = qb * qb
-    acc = one
-    t = qb  # q^(n^2)
-    step = qb  # q^(2n-1)
-    n = 1
-    for _ in range(8 * fw + 64):
-        acc = acc + t * 2
-        if t.sup_units() <= 1 and n >= min_terms:
-            break
-        step = step * q2
-        t = t * step
-        n += 1
-    else:
-        raise NotConvergent("phi series failed to reach its tail target")
-    qmag = qb.mag_upper()
-    num = ipow(qmag, (n + 1) ** 2) * 2
-    den = one - ipow(qmag, 2 * n + 3)
-    if not den.is_strictly_positive():
-        raise NotConvergent("phi series tail bound failed")
-    tail = (num / den).sup_units() + 1
-    out = Ball(acc.m, acc.r + tail, fw).rescale(f)
-    if with_tail:
-        return out, SeriesTail(n, Fraction(tail, 1 << fw))
-    return out
+    return _theta_sum([(qb, q2 * qb, q2)], ctx, 2, min_terms, with_tail)
 
 
 def psi(q, ctx: PrecCtx) -> Ball:
@@ -272,35 +283,9 @@ def psi(q, ctx: PrecCtx) -> Ball:
 
 
 def psi_series(q, ctx: PrecCtx, min_terms: int = 0, with_tail: bool = False):
-    """Series route; tail |q|^(T(N+1)) / (1 - |q|^(N+2))."""
-    f = ctx.bits
-    fw = f + 32
-    qb = as_q_ball(q, fw)
-    _check_q(qb)
-    one = Ball.one(fw)
-    acc = one
-    t = one
-    qn = one  # q^n
-    n = 0
-    for _ in range(8 * fw + 64):
-        qn = qn * qb
-        t = t * qn  # q^(T(n+1))
-        n += 1
-        acc = acc + t
-        if t.sup_units() <= 1 and n >= min_terms:
-            break
-    else:
-        raise NotConvergent("psi series failed to reach its tail target")
-    qmag = qb.mag_upper()
-    num = ipow(qmag, (n + 1) * (n + 2) // 2)
-    den = one - ipow(qmag, n + 2)
-    if not den.is_strictly_positive():
-        raise NotConvergent("psi series tail bound failed")
-    tail = (num / den).sup_units() + 1
-    out = Ball(acc.m, acc.r + tail, fw).rescale(f)
-    if with_tail:
-        return out, SeriesTail(n, Fraction(tail, 1 << fw))
-    return out
+    """Series route 1 + sum_{n>=1} q^(n(n+1)/2), the wing (q, q^2, q)."""
+    qb = _series_nome(q, ctx)
+    return _theta_sum([(qb, qb * qb, qb)], ctx, 1, min_terms, with_tail)
 
 
 def f_neg(q, ctx: PrecCtx) -> Ball:
@@ -309,42 +294,13 @@ def f_neg(q, ctx: PrecCtx) -> Ball:
 
 
 def f_neg_series(q, ctx: PrecCtx, min_terms: int = 0, with_tail: bool = False):
-    """Pentagonal-number series sum (-1)^n q^(n(3n-1)/2), both wings."""
-    f = ctx.bits
-    fw = f + 32
-    qb = as_q_ball(q, fw)
-    _check_q(qb)
-    one = Ball.one(fw)
+    """Pentagonal-number series sum (-1)^n q^(n(3n-1)/2) = f(-q, -q^2), the
+    wings (-q, -q^4, q^3) for n >= 1 and (-q^2, -q^5, q^3) for n <= -1."""
+    qb = _series_nome(q, ctx)
     q2 = qb * qb
-    acc = one
-    cur = one  # q^e, walking e = 0 -> 1 -> 2 -> 5 -> 7 -> 12 -> ...
-    qa = qb  # q^(2n-1)
-    qn = qb  # q^n
-    n = 1
-    for _ in range(8 * fw + 64):
-        cur = cur * qa  # exponent n(3n-1)/2
-        t1 = cur
-        cur = cur * qn  # exponent n(3n+1)/2
-        t2 = cur
-        acc = acc + (t1 + t2) * (-1 if n % 2 else 1)
-        if t1.sup_units() <= 1 and t2.sup_units() <= 1 and n >= min_terms:
-            break
-        qa = qa * q2
-        qn = qn * qb
-        n += 1
-    else:
-        raise NotConvergent("pentagonal series failed to reach its tail target")
-    # next exponent is (n+1)(3n+2)/2; at most one term per exponent beyond it
-    qmag = qb.mag_upper()
-    num = ipow(qmag, (n + 1) * (3 * n + 2) // 2)
-    den = one - qmag
-    if not den.is_strictly_positive():
-        raise NotConvergent("pentagonal series tail bound failed")
-    tail = (num / den).sup_units() + 1
-    out = Ball(acc.m, acc.r + tail, fw).rescale(f)
-    if with_tail:
-        return out, SeriesTail(n, Fraction(tail, 1 << fw))
-    return out
+    q3 = q2 * qb
+    wings = [(-qb, -(q3 * qb), q3), (-q2, -(q3 * q2), q3)]
+    return _theta_sum(wings, ctx, 1, min_terms, with_tail)
 
 
 def _chi_series(q, ctx: PrecCtx) -> Ball:

@@ -199,6 +199,31 @@ class TestMutation:
         delta = eval_expr(mutated, CTX) - eval_expr(e, CTX)
         assert not delta.contains_zero()
 
+    def test_mutated_tree_round_trips_through_its_text(self):
+        # the mutated first leaf of r3 is the Rat 6000001/1000000, printed 6.000001
+        mutated = mutate_first_leaf(CATALOG.get("r3").rhs)
+        text = render_expr(mutated)
+        assert "6.000001" in text
+        assert parse_expr(text) == mutated
+
+    @pytest.mark.parametrize(
+        "v,text",
+        [
+            (F(1, 2), "0.5"),
+            (F(3, 8), "0.375"),
+            (F(1, 1024), "0.0009765625"),
+            (F(123, 5), "24.6"),
+            (F(7, 3), "(7/3)"),
+            (F(1, 96), "(1/96)"),
+            (F(-1, 2), "(-1/2)"),
+        ],
+    )
+    def test_rat_leaf_text(self, v, text):
+        # a decimal denominator prints as the literal that parses to the same Rat
+        assert render_expr(Rat(v)) == text
+        if "." in text:
+            assert parse_expr(text) == Rat(v)
+
     def test_mutation_flips_two_sample_entries(self):
         for entry_id in ("r3", "g9"):
             entry = CATALOG.get(entry_id)

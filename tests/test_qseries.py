@@ -5,10 +5,12 @@ oracles here are the infinite products through pochhammer_inf, direct
 finite products at doubled precision, and exact special-case identities.
 """
 
+import functools
+import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thetaval import qseries
 from thetaval.errors import DomainError, NotConvergent
@@ -60,15 +62,28 @@ def product_oracles(q, ctx):
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _product_oracles_at(q, bits):
+    return product_oracles(q, PrecCtx(bits))
+
+
 THETAS = {"phi": phi, "psi": psi, "f_neg": f_neg, "chi": chi}
+# the nomes of PRODUCT_QS at 256 bits, then the benchmark's precision of
+# 2048 bits across its range of r, both signs
+PRODUCT_CASES = [(q, 256) for q in PRODUCT_QS] + [
+    (QPoint(sign, r), 2048) for r in (F(1, 1000), F(1, 100), F(1), F(64)) for sign in (1, -1)
+]
 
 
 @pytest.mark.parametrize("name", sorted(THETAS))
-@pytest.mark.parametrize("q", PRODUCT_QS)
-def test_series_route_agrees_with_product_oracle(q, name):
-    val = THETAS[name](q, CTX)
-    assert val.overlaps(product_oracles(q, CTX)[name])
-    assert val.rad <= F(1, 2**240)
+@pytest.mark.parametrize(
+    "q,bits", [pytest.param(q, bits, id=f"q{i}") for i, (q, bits) in enumerate(PRODUCT_CASES)]
+)
+def test_series_route_agrees_with_product_oracle(q, bits, name):
+    ctx = PrecCtx(bits)
+    val = THETAS[name](q, ctx)
+    assert val.overlaps(_product_oracles_at(q, bits)[name])
+    assert val.rad <= F(2) ** (16 - bits)
 
 
 @given(
@@ -94,6 +109,103 @@ def test_ball_nome_series_match_products_property(q, bits):
     oracles = product_oracles(qb, ctx)
     for name, fn in THETAS.items():
         assert fn(qb, ctx).overlaps(oracles[name]), name
+
+
+def _mp_fraction(x) -> F:
+    import mpmath as mp
+
+    return int(mp.sign(x)) * F(int(x.man)) * F(2) ** int(x.exp)  # man is unsigned
+
+
+def _wing_terms(t, rho, c, f):
+    """The terms of one wing with exact rational inputs, by mpmath at f + 80 bits."""
+    import mpmath as mp
+
+    with mp.workprec(f + 80):
+        t, rho, c = (mp.mpf(v.numerator) / v.denominator for v in (t, rho, c))
+        terms = []
+        while abs(t) > mp.ldexp(1, -(f + 90)) or abs(rho) > 0.5:
+            terms.append(_mp_fraction(t))
+            t, rho = t * rho, rho * c
+        return terms
+
+
+def _dyadic(rng, f, lo, hi):
+    """An exact point ball at scale f, drawn uniformly from (lo, hi)."""
+    m = rng.randrange(int(lo * 2**f) + 1, int(hi * 2**f))
+    return Ball(m, 0, f), F(m, 2**f)
+
+
+def _power_wings(kind, qb, q):
+    """(balls, exact values) of the phi, psi and f(-q) wings of a nome."""
+    q2b, q3b = qb * qb, qb * qb * qb
+    if kind == "phi":
+        return [((qb, q3b, q2b), (q, q**3, q**2))]
+    if kind == "psi":
+        return [((qb, q2b, qb), (q, q**2, q))]
+    return [
+        ((-qb, -(q3b * qb), q3b), (-q, -(q**4), q**3)),
+        ((-q2b, -(q3b * q2b), q3b), (-(q**2), -(q**5), q**3)),
+    ]
+
+
+def _f_wings(a, b, f):
+    """(balls, exact values) of the two wings of f(a, b)."""
+    ab, bb = Ball.from_fraction(a, f), Ball.from_fraction(b, f)
+    abb = ab * bb
+    return [
+        ((ab, ab * abb, abb), (a, a * a * b, a * b)),
+        ((bb, bb * abb, abb), (b, b * a * b, a * b)),
+    ]
+
+
+def _wing_sets(kind, bits, rng):
+    if kind == "positive":  # exact random wings, one of them negated, and phi and psi
+        (t, tv), (r, rv) = _dyadic(rng, bits, 0, 1), _dyadic(rng, bits, 0, 1)
+        c, cv = _dyadic(rng, bits, 0, F(19, 20))
+        q = F(rng.randrange(1, 900), 1000)
+        qb = Ball.from_fraction(q, bits)
+        return [
+            [((t, r, c), (tv, rv, cv))],
+            [((-t, r, c), (-tv, rv, cv))],
+            _power_wings("phi", qb, q),
+            _power_wings("psi", qb, q),
+        ]
+    if kind == "alternating":  # f(-q) on an exact nome of either sign
+        sets = []
+        for lo, hi in ((0, F(9, 10)), (F(-9, 10), 0)):
+            qb, q = _dyadic(rng, bits, lo, hi)
+            sets.append(_power_wings("f_neg", qb, q))
+        return sets
+    if kind == "large":  # |t1| > 1 and |rho1| > 1
+        return [_f_wings(F(3, 2), F(1, 2), bits), _f_wings(F(-19, 10), F(2, 5), bits)]
+    # wide: nomes whose ball has radius 2^-(f/2), its midpoint off the exact value
+    sets = []
+    for name in ("phi", "psi", "f_neg"):
+        q = F(rng.randrange(-900, 900), 1000)
+        rad = 2 ** (bits // 2)
+        mid = round(q * 2**bits) + rng.randrange(-rad // 2, rad // 2)
+        sets.append(_power_wings(name, Ball(mid, rad, bits), q))
+    return sets
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024, 4096])
+@pytest.mark.parametrize("kind", ["positive", "alternating", "large", "wide"])
+def test_theta_wings_error_count_holds(kind, bits):
+    # each wing alone: the kept terms are within err, the dropped ones within
+    # tail; all wings of a set together: the whole sum is within err + tail
+    rng = random.Random(f"{kind}-{bits}")
+    for wings in _wing_sets(kind, bits, rng):
+        total = F(0)
+        for balls, exact in wings:
+            s, err, tail, n = qseries._theta_wings([balls], bits)
+            terms = _wing_terms(*exact, bits)
+            kept, dropped = sum(terms[:n]) * 2**bits, sum(terms[n:]) * 2**bits
+            assert abs(s - kept) <= err, (kind, bits, exact)
+            assert abs(dropped) <= tail, (kind, bits, exact)
+            total += kept + dropped
+        s, err, tail, _ = qseries._theta_wings([balls for balls, _ in wings], bits)
+        assert abs(s - total) <= err + tail, (kind, bits)
 
 
 class TestQPoint:
@@ -175,13 +287,16 @@ class TestThetaF:
     @given(
         a=st.fractions(min_value=F(-9, 10), max_value=F(9, 10), max_denominator=200),
         b=st.fractions(min_value=F(-9, 10), max_value=F(9, 10), max_denominator=200),
+        bits=st.just(128),
     )
+    # |a| > 1 of either sign, and |ab| near 0.9, at the benchmark's precision
+    @example(a=F(3, 2), b=F(1, 2), bits=2048)
+    @example(a=F(-19, 10), b=F(2, 5), bits=2048)
+    @example(a=F(999, 1000), b=F(9, 10), bits=2048)
     @settings(max_examples=20, deadline=None)
-    def test_symmetry_and_triple_product(self, a, b):
-        if abs(a * b) > F(4, 5):
-            return
-        ctx = PrecCtx(128)
-        ba, bb = Ball.from_fraction(a, 128), Ball.from_fraction(b, 128)
+    def test_symmetry_and_triple_product(self, a, b, bits):
+        ctx = PrecCtx(bits)
+        ba, bb = Ball.from_fraction(a, bits), Ball.from_fraction(b, bits)
         series = theta_f(ba, bb, ctx)
         assert series.overlaps(theta_f(bb, ba, ctx))
         ab = ba * bb
