@@ -9,7 +9,9 @@ and for theta_f's Jacobi triple product.  All four series are 1 plus one or
 two wings sum_{k>=1} t_k with t_(k+1) = t_k rho_k and rho_(k+1) = rho_k c,
 summed by one kernel on plain integers with a counted rounding error.  Every
 truncation is covered by a proven tail bound folded into the output radius,
-never assumed from a heuristic term count.
+never assumed from a heuristic term count.  A QPoint nome near 1 is taken to
+its dual nome by the Jacobi imaginary transformation (`_DUAL_ROWS`), where
+the same series need a few terms.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, FactorNearZero, NotConvergent
-from .precision import Ball, PrecCtx, ipow, pow_rational
+from .precision import Ball, PrecCtx, check_power_size, ipow, nth_root, pow_rational
 from .precision import _pi_ball, exp, sqrt  # noqa: F401  (pi needed for nomes)
 
 __all__ = [
@@ -255,13 +257,15 @@ def theta_f(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
 
 
 def _theta_cached(kind: str, q, ctx: PrecCtx, compute) -> Ball:
-    """compute(q, ctx), cached per (kind, sign, r, bits) for QPoint nomes."""
+    """compute(q, ctx), cached per (kind, sign, r, bits) for QPoint nomes;
+    a QPoint nome near 1 goes through its dual nome instead (`_dual_value`)."""
     if not isinstance(q, QPoint):
         return compute(q, ctx)
     key = (kind, q.sign, q.r, ctx.bits)
     val = _THETA_CACHE.get(key)
     if val is None:
-        val = _THETA_CACHE[key] = compute(q, ctx)
+        near_one = q.r < 1 and float(q.r) <= _DUAL_BELOW[kind] * ctx.bits**2
+        val = _THETA_CACHE[key] = _dual_value(kind, q, ctx) if near_one else compute(q, ctx)
     return val
 
 
@@ -314,3 +318,73 @@ def _chi_series(q, ctx: PrecCtx) -> Ball:
 def chi(q, ctx: PrecCtx) -> Ball:
     """chi(q) = phi(q)/f(q) by the series (oracle: (-q; q^2)_inf)."""
     return _theta_cached("chi", q, ctx, _chi_series)
+
+
+# ---------------------------------------------------------------------------
+# QPoint nomes near 1: the Jacobi imaginary transformation
+
+
+# With q_x = exp(-pi sqrt x), s = sqrt r and B = exp(-pi/(24 s)) = q_(1/(576 r)),
+# the dual nomes q_(1/r), q_(4/r) and q_(16/r) are B^24, B^48 and B^96.  The
+# row (c, p, a, b, series) of (kind, sign) is the identity (Berndt,
+# Ramanujan's Notebooks III, Ch. 16, Entry 27)
+#     kind(sign q_r) = (c r^p)^(1/4) exp(pi (a s + b/s)) prod fn(+-B^|k|)^e
+# over its series (fn, k, e), the nome -B^|k| for k < 0.  Every row is a
+# product: none divides by a tiny value or takes the root of one (the chi
+# rows divide by f(-+B^k), which is near 1).
+_DUAL_ROWS = {
+    ("phi", 1): (Fraction(1), -1, 0, 0, ((phi_series, 24, 1),)),
+    ("phi", -1): (Fraction(16), -1, 0, Fraction(-1, 4), ((psi_series, 48, 1),)),
+    ("psi", 1): (Fraction(1, 4), -1, Fraction(1, 8), 0, ((phi_series, -48, 1),)),
+    ("psi", -1): (Fraction(1), -1, Fraction(1, 8), Fraction(-1, 8), ((psi_series, -24, 1),)),
+    ("f_neg", 1): (Fraction(4), -1, Fraction(1, 24), Fraction(-1, 6), ((f_neg_series, 96, 1),)),
+    ("f_neg", -1): (Fraction(1), -1, Fraction(1, 24), Fraction(-1, 24), ((f_neg_series, -24, 1),)),
+    ("chi", 1): (
+        Fraction(1), 0, Fraction(-1, 24), Fraction(1, 24),
+        ((phi_series, 24, 1), (f_neg_series, -24, -1)),
+    ),
+    ("chi", -1): (
+        Fraction(4), 0, Fraction(-1, 24), Fraction(-1, 12),
+        ((psi_series, 48, 1), (f_neg_series, 96, -1)),
+    ),
+}
+
+# The direct series needs about sqrt(f ln 2 / (pi w sqrt r)) terms, w = 1,
+# 1/2, 3/2 and 1 for phi, psi, f(-q) and chi.  A QPoint nome with r < 1
+# takes its row once that count reaches T, i.e. once
+# r <= (f ln 2 / (pi w T^2))^2 = _DUAL_BELOW[kind] f^2.  A row costs the exp
+# of B, all but phi's rows one more exp, and a few products; a direct term
+# costs two products (f(-q): two wings).  Timed cold at 512-4096 bits, the
+# row is faster from about 28-38 terms for phi, 62-80 for psi, 35-50 for
+# f(-q) and 30-44 for chi, so T is 28, 64, 40 and 32.  At 512 bits phi
+# reduces for r <= 0.021 and the others for r <= 0.013; at 2048 bits phi at
+# r = 1/1000 sums 4 terms instead of about 120.
+_DUAL_BELOW = {
+    kind: (math.log(2) / (math.pi * w * t * t)) ** 2
+    for kind, w, t in (("phi", 1, 28), ("psi", 0.5, 64), ("f_neg", 1.5, 40), ("chi", 1, 32))
+}
+
+
+def _dual_value(kind: str, q: QPoint, ctx: PrecCtx) -> Ball:
+    """kind(q) for a QPoint nome q = sign q_r by its `_DUAL_ROWS` row."""
+    c, p, a, b, series = _DUAL_ROWS[kind, q.sign]
+    r, f = q.r, ctx.bits
+    # guard bits for the factor (c/r)^(1/4), which scales every error
+    fw = f + 32 + max(0, r.denominator.bit_length() - r.numerator.bit_length()) // 4
+    wctx = PrecCtx(fw)
+    big_b = _qpoint_ball(1, 1 / (576 * r), fw)
+    alg = c * r**p
+    val = nth_root(Ball.from_fraction(alg, fw), 4) if alg != 1 else Ball.one(fw)
+    if a:  # exp(pi (a s + b/s)) = exp(+-pi sqrt t), t = (a r + b)^2 / r
+        x = a * r + b
+        t = x * x / r
+        if x > 0:  # chi(q) near 1 is huge: refuse 2^(pi sqrt(t) / ln 2) past the power limit
+            check_power_size(1, math.pi / math.log(2) * math.sqrt(min(t, 10**300)), f)
+        val = val * exp(_pi_ball(fw) * sqrt(Ball.from_fraction(t, fw)) * (1 if x > 0 else -1))
+    elif b:
+        val = val * ipow(big_b, int(-24 * b))
+    for fn, k, e in series:
+        nome = ipow(big_b, abs(k))
+        term = fn(nome if k > 0 else -nome, wctx)
+        val = val * term if e > 0 else val / term
+    return val.rescale(f)

@@ -148,6 +148,27 @@ class TestEval:
         exponent = re.search(r"^radius <= 1e(-\d+)$", out, re.M).group(1)
         assert int(exponent) <= -100
 
+    def test_phi_at_a_qpoint_nome_very_near_one(self, capsys):
+        # r = 10^-12: the direct series needs about 4,800 terms at 512 bits,
+        # past its limit; the dual nome q_(10^12) needs 2
+        code, out, _ = run(capsys, "eval", "phi(qpoint(+1, 1/1000000000000))")
+        assert code == 0
+        assert out.splitlines()[0].startswith("value  = 1000.0000000000000000000000")
+
+    def test_chi_at_a_negative_qpoint_nome_near_one(self, capsys):
+        # chi(-q) = 2.83e-114 at r = 10^-6; as phi(-q)/f(-q) it read 0 +/- 1e-91
+        code, out, _ = run(capsys, "eval", "chi(qpoint(-1, 1/1000000))")
+        assert code == 0
+        assert out.splitlines()[0].startswith("value  = 2.834188046359343425")
+        assert out.splitlines()[0].endswith("e-114")
+        exponent = re.search(r"^radius <= 1e(-\d+)$", out, re.M).group(1)
+        assert int(exponent) <= -150
+
+    def test_chi_past_the_power_limit_near_one_is_refused(self, capsys):
+        # chi(q_r) grows like exp(pi / (24 sqrt r)): about 2^188,850 at r = 10^-12
+        code, _, err = run(capsys, "eval", "chi(qpoint(+1, 1/1000000000000))")
+        assert code == 2 and "passes the limit of 2^" in err
+
     def test_cospi_uses_the_exact_table(self, capsys):
         code, out, _ = run(capsys, "eval", "cospi(1/2)")
         assert code == 0 and out.splitlines() == ["value  = 0", "radius <= 0"]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from thetaval import qseries
-from thetaval.errors import DomainError, NotConvergent
+from thetaval.errors import DomainError, NotConvergent, ThetavalError
 from thetaval.precision import Ball, PrecCtx, decimal_str, gamma_rational, ipow, pow_rational
 from thetaval.precision import const_pi
 from thetaval.qseries import (
@@ -71,7 +71,9 @@ THETAS = {"phi": phi, "psi": psi, "f_neg": f_neg, "chi": chi}
 # the nomes of PRODUCT_QS at 256 bits, then the benchmark's precision of
 # 2048 bits across its range of r, both signs
 PRODUCT_CASES = [(q, 256) for q in PRODUCT_QS] + [
-    (QPoint(sign, r), 2048) for r in (F(1, 1000), F(1, 100), F(1), F(64)) for sign in (1, -1)
+    (QPoint(sign, r), 2048)
+    for r in (F(1, 1000), F(1, 100), F(1), F(64), F(1, 3), F(4, 5))
+    for sign in (1, -1)
 ]
 
 
@@ -84,6 +86,112 @@ def test_series_route_agrees_with_product_oracle(q, bits, name):
     val = THETAS[name](q, ctx)
     assert val.overlaps(_product_oracles_at(q, bits)[name])
     assert val.rad <= F(2) ** (16 - bits)
+
+
+DUAL_ORACLE_RS = (F(1, 1000), F(1, 100), F(1, 3), F(4, 5))
+
+
+@pytest.mark.parametrize("name", sorted(THETAS))
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("r", DUAL_ORACLE_RS, ids=str)
+def test_dual_rows_agree_with_product_oracle(r, sign, name):
+    # every row, whether or not the routing rule takes it at this r
+    q, ctx = QPoint(sign, r), PrecCtx(2048)
+    val = qseries._dual_value(name, q, ctx)
+    assert val.overlaps(_product_oracles_at(q, 2048)[name])
+    assert val.rad <= F(2) ** (16 - 2048)
+
+
+DIRECT = {"phi": phi_series, "psi": psi_series, "f_neg": f_neg_series, "chi": qseries._chi_series}
+DUAL_SERIES_RS = (
+    F(1, 10**6), F(1, 10**4), F(1, 1000), F(1, 100), F(1, 20), F(3, 10), F(7, 10), F(999, 1000)
+)
+
+
+@pytest.mark.parametrize("bits", [64, 512, 2048])
+def test_dual_rows_agree_with_direct_series(bits):
+    # wherever the direct series succeeds, the row overlaps it with a radius
+    # at most twice the direct one plus 4 units
+    ctx = PrecCtx(bits)
+    for r in DUAL_SERIES_RS:
+        for sign in (1, -1):
+            q = QPoint(sign, r)
+            for name, direct in DIRECT.items():
+                try:
+                    ref = direct(q, ctx)
+                except ThetavalError:  # phi(q)/f(q) with f(q) near 0, r <= 10^-4
+                    assert name == "chi"
+                    continue
+                val = qseries._dual_value(name, q, ctx)
+                assert val.f == ref.f == bits
+                assert val.overlaps(ref), (r, sign, name)
+                assert val.r <= 2 * ref.r + 4, (r, sign, name, val.r, ref.r)
+
+
+def test_nome_near_one_takes_the_dual_route(monkeypatch):
+    # phi(q_(1/1000)) at 2048 bits sums about 120 terms directly and 4 at
+    # the dual nome q_1000
+    counts = []
+    real = qseries._theta_wings
+
+    def spy(wings, f, min_terms=0):
+        out = real(wings, f, min_terms)
+        counts.append(out[3])
+        return out
+
+    monkeypatch.setattr(qseries, "_THETA_CACHE", {})
+    monkeypatch.setattr(qseries, "_theta_wings", spy)
+    ctx = PrecCtx(2048)
+    phi(QPoint(1, F(1, 1000)), ctx)
+    phi_series(QPoint(1, F(1, 1000)), ctx)
+    assert len(counts) == 2 and counts[0] <= 8 and counts[1] > 100
+
+
+def test_dual_nome_identities_hold_in_mpmath():
+    # the eight rows of the dual-nome table, by mpmath alone at 200 digits:
+    # q_x = exp(-pi sqrt x), s = sqrt r
+    import mpmath as mp
+
+    with mp.workdps(200):
+
+        def q(x):
+            return mp.exp(-mp.pi * mp.sqrt(x))
+
+        def phi_mp(x):
+            return mp.jtheta(3, 0, x)
+
+        def psi_mp(x):  # (x^2; x^2) / (x; x^2)
+            return mp.qp(x * x, x * x) / mp.qp(x, x * x)
+
+        def f_neg_mp(x):  # f(-x) = (x; x)
+            return mp.qp(x)
+
+        def chi_mp(x):  # (-x; x^2)
+            return mp.qp(-x, x * x)
+
+        for r in (mp.mpf(1) / 20, mp.mpf(3) / 10, mp.mpf(7) / 10):
+            s, e = mp.sqrt(r), mp.exp
+            rows = [
+                (phi_mp(q(r)), r ** -0.25 * phi_mp(q(1 / r))),
+                (phi_mp(-q(r)), 2 * r ** -0.25 * e(-mp.pi / (4 * s)) * psi_mp(q(4 / r))),
+                (psi_mp(q(r)), (4 * r) ** -0.25 * e(mp.pi * s / 8) * phi_mp(-q(4 / r))),
+                (psi_mp(-q(r)), r ** -0.25 * e(mp.pi * (s - 1 / s) / 8) * psi_mp(-q(1 / r))),
+                (
+                    f_neg_mp(q(r)),
+                    (4 / r) ** 0.25 * e(mp.pi * s / 24 - mp.pi / (6 * s)) * f_neg_mp(q(16 / r)),
+                ),
+                (f_neg_mp(-q(r)), r ** -0.25 * e(mp.pi * (s - 1 / s) / 24) * f_neg_mp(-q(1 / r))),
+                (chi_mp(q(r)), e(-mp.pi * (s - 1 / s) / 24) * chi_mp(q(1 / r))),
+                (
+                    chi_mp(-q(r)),
+                    mp.sqrt(2)
+                    * e(-mp.pi * (s / 24 + 1 / (12 * s)))
+                    * psi_mp(q(4 / r))
+                    / f_neg_mp(q(16 / r)),
+                ),
+            ]
+            for i, (lhs, rhs) in enumerate(rows):
+                assert abs(lhs / rhs - 1) < mp.mpf(10) ** -190, (r, i)
 
 
 @given(
