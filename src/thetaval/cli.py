@@ -8,10 +8,12 @@ output deterministic.
 
 `eval` holds no grammar of its own: `exact.parse_expr` reads the text
 into the same tree the catalog uses, and `exact.eval_expr` evaluates it
-(with its doubled-precision retries and exact cospi table).
+(with its exact cospi table).  Every command runs through the one loop
+`precision.certify`: a result too wide to decide runs again at more bits,
+up to 8 times the requested precision; `prec_bits_used` reports the bits.
 
-Exit codes: 0 all checks pass, 1 a mathematical verification failed,
-2 usage, parse or domain error.
+Exit codes: 0 all checks pass, 1 a mathematical verification failed or
+stayed undecided at the cap, 2 usage, parse or domain error.
 """
 
 from __future__ import annotations
@@ -23,16 +25,16 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .errors import DomainError, ParseError, PowerTooLarge, ThetavalError
+from .errors import DomainError, ParseError, PowerTooLarge, ThetavalError, Undecided
 from .exact import Identity, build_catalog, eval_expr, parse_expr, render_expr, verify_identity
 from .lostnotebook import complete_evaluation, compute_p, compute_uvw, verify_quartic_relation
 from .modular import jims_identity, verify_degree3, verify_degree15, yi_product_theorem
-from .precision import Ball, PrecCtx, agreement_digits, decimal_str, rad_exponent
-from .precision import _log10_floor
+from .precision import CAP_FACTOR, Ball, PrecCtx, agreement_digits, certify, decimal_str
+from .precision import _log10_floor, rad_exponent, rad_shortfall
+from .qseries import phi, q_power_ball
 
 BITS_PER_DIGIT = 3.33
 DEFAULT_BITS = 512
@@ -91,6 +93,16 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _map(worker, tasks: list, jobs: int) -> list:
+    """worker(task) for each task, in `jobs` processes if jobs > 1 (only then imported)."""
+    if jobs <= 1:
+        return [worker(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(worker, tasks))
+
+
 def _verify_worker(task: tuple[Identity, int, bool]) -> dict:
     ident, bits, timings = task
     t0 = time.monotonic()
@@ -122,12 +134,7 @@ def cmd_verify(args) -> int:
             return 2
     ids = sorted(set(ids))
     tasks = [(catalog.get(entry_id), bits, args.timings) for entry_id in ids]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_worker, tasks))
-    else:
-        results = [_verify_worker(t) for t in tasks]
-    results.sort(key=lambda e: e["id"])
+    results = _map(_verify_worker, tasks, args.jobs)  # in id order, as the tasks
     _emit(_report(bits, results), args.out)
     return 0 if all(e["status"] == "verified" for e in results) else 1
 
@@ -146,27 +153,13 @@ def cmd_eval(args) -> int:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 1
     implied = int(bits / 3.3219280948873626)
-    if value.m == 0:
-        certified = implied
-    elif value.r == 0:
-        certified = implied
-    else:
-        mag, _ = _log10_floor(abs(value.m), value.f)
-        rexp = rad_exponent(value)
-        certified = max(1, mag - rexp + 1)
-    shown = max(1, min(implied, 1000, certified))
-    print(f"value  = {decimal_str(value, shown)}")
     rexp = rad_exponent(value)
+    certified = implied
+    if value.m and rexp is not None:
+        certified = max(1, _log10_floor(abs(value.m), value.f)[0] - rexp + 1)
+    print(f"value  = {decimal_str(value, max(1, min(implied, 1000, certified)))}")
     print(f"radius <= {'0' if rexp is None else f'1e{rexp:+d}'}")
     return 0
-
-
-def _parse_grid(text: str) -> list[str]:
-    return [p for p in text.split(",") if p.strip()]
-
-
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
 
 
 def _sweep_point(target: str, point: str, bits: int) -> list[tuple[str, Ball]]:
@@ -176,7 +169,7 @@ def _sweep_point(target: str, point: str, bits: int) -> list[tuple[str, Ball]]:
         if len(parts) != 5:
             raise DomainError("yi_product points are k:a:b:c:d tuples")
         return [(point, yi_product_theorem(*parts, ctx))]
-    q = _parse_rational(point)
+    q = Fraction(point.strip())
     if not 0 < q < 1:
         raise DomainError(f"grid point {point} outside (0, 1)")
     if target == "deg3":
@@ -190,51 +183,51 @@ def _sweep_point(target: str, point: str, bits: int) -> list[tuple[str, Ball]]:
         u, v, w = compute_uvw(q, ctx)
         p = compute_p(q, ctx)
         fw = PrecCtx(bits + 32)
-        from .qseries import phi as _phi, q_power_ball
-
-        quot = _phi(q_power_ball(q, Fraction(1, 7), bits + 32), fw) / _phi(
-            q**7, fw
-        )
-        res_p = p - u * v * w
-        res_q = (Ball.one(bits) + u + v + w) - quot
-        res_r = verify_quartic_relation(q, ctx)
+        quot = phi(q_power_ball(q, Fraction(1, 7), fw.bits), fw) / phi(q**7, fw)
         return [
-            (f"{point}#p_uvw", res_p),
-            (f"{point}#quotient", res_q),
-            (f"{point}#quartic", res_r),
+            (f"{point}#p_uvw", p - u * v * w),
+            (f"{point}#quotient", (Ball.one(bits) + u + v + w) - quot),
+            (f"{point}#quartic", verify_quartic_relation(q, ctx)),
         ]
     raise DomainError(f"unknown sweep target {target}")
 
 
+def _sweep_status(residual: Ball) -> str:
+    if residual.contains_zero():
+        return "undecided" if rad_shortfall(residual) else "pass"
+    return "fail"
+
+
 def _sweep_worker(task: tuple[str, str, int]) -> list[dict]:
     target, point, bits = task
-    entries = []
-    for label, residual in _sweep_point(target, point, bits):
-        zero = Ball(0, 0, residual.f)
-        entries.append(
-            _entry(
-                f"{target}@{label}",
-                "pass" if residual.contains_zero() else "fail",
-                agreement_digits(residual, zero),
-                residual,
-                0,
-                f"residual sweep {target}",
-                bits,
-            )
+    rows, used = certify(
+        lambda b: _sweep_point(target, point, b),
+        bits,
+        lambda rows: [r for _, r in rows] if all(r.contains_zero() for _, r in rows) else (),
+    )
+    return [
+        _entry(
+            f"{target}@{label}",
+            _sweep_status(residual),
+            agreement_digits(residual, Ball(0, 0, residual.f)),
+            residual,
+            0,
+            f"residual sweep {target}",
+            used,
         )
-    return entries
+        for label, residual in rows
+    ]
 
 
 def cmd_sweep(args) -> int:
     bits = _resolve_bits(args)
-    grid = _parse_grid(args.grid or _DEFAULT_GRIDS[args.target])
-    tasks = [(args.target, point, bits) for point in grid]
+    grid = (args.grid or _DEFAULT_GRIDS[args.target]).split(",")
+    tasks = [(args.target, point, bits) for point in grid if point.strip()]
     try:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                groups = list(pool.map(_sweep_worker, tasks))
-        else:
-            groups = [_sweep_worker(t) for t in tasks]
+        groups = _map(_sweep_worker, tasks, args.jobs)
+    except Undecided as exc:
+        print(f"undecided at {CAP_FACTOR * bits} bits: {exc}", file=sys.stderr)
+        return 1
     except (DomainError, ValueError, ZeroDivisionError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2

@@ -9,11 +9,15 @@ class DomainError(ThetavalError):
     """Input outside the mathematical domain of an operation."""
 
 
-class DivisorStraddlesZero(DomainError):
+class Undecided(ThetavalError):
+    """An enclosure too wide to decide a step; more bits may decide it."""
+
+
+class DivisorStraddlesZero(DomainError, Undecided):
     """Division by a ball whose enclosure contains zero."""
 
 
-class NegativeBaseEvenRoot(DomainError):
+class NegativeBaseEvenRoot(DomainError, Undecided):
     """Fractional power of a ball that is not strictly positive."""
 
 
@@ -45,14 +49,6 @@ class EvaluationError(ThetavalError):
         self.entry_id = entry_id
 
 
-class DivisionByZeroEnclosure(DivisorStraddlesZero):
-    """Expression-tree division by an enclosure containing zero."""
-
-
-class NegativeEvenRootEnclosure(NegativeBaseEvenRoot):
-    """Expression-tree even root of a non-positive enclosure."""
-
-
 class UnsupportedGammaArgument(UnsupportedArgument):
     """Expression-tree gamma node with argument outside (0, 2]."""
 
@@ -61,11 +57,11 @@ class NoRootMatches(ThetavalError):
     """Neither quadratic root overlaps the series oracle."""
 
 
-class BothRootsMatch(ThetavalError):
+class BothRootsMatch(Undecided):
     """Both quadratic roots overlap the oracle; enclosures too wide."""
 
 
-class RootsNotSeparable(ThetavalError):
+class RootsNotSeparable(Undecided):
     """Certified root enclosures of the cubic could not be separated."""
 
 
@@ -77,7 +73,7 @@ class NoPermutationMatches(ThetavalError):
     """No ordering of the cubic roots reproduces (u, v, w)."""
 
 
-class MultiplePermutationsMatch(ThetavalError):
+class MultiplePermutationsMatch(Undecided):
     """Several root orderings reproduce (u, v, w); enclosures too wide."""
 
 

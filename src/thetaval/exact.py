@@ -23,26 +23,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    DivisionByZeroEnclosure,
-    DivisorStraddlesZero,
     EvaluationError,
-    NegativeBaseEvenRoot,
-    NegativeEvenRootEnclosure,
     ParseError,
     PowerTooLarge,
     ThetavalError,
     UnsupportedGammaArgument,
 )
 from .precision import (
+    D_TARGET_DIGITS,
     Ball,
     PrecCtx,
     agm,
     agreement_digits,
+    certify,
     check_power_size,
     cos,
     gamma_rational,
     ipow,
     pow_rational,
+    rad_shortfall,
 )
 from .precision import _pi_ball
 from .qseries import QPoint, chi, f_neg, phi, psi, theta_f
@@ -85,8 +84,6 @@ __all__ = [
     "mutate_first_leaf",
     "D_TARGET_DIGITS",
 ]
-
-D_TARGET_DIGITS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -238,24 +235,15 @@ def _eval_node(e: Expr, f: int, memo: dict) -> Ball:
 def eval_expr(e: Expr, ctx: PrecCtx) -> Ball:
     """Certified enclosure of an expression tree, theta nodes included.
 
-    A divisor or fractional-power base whose enclosure straddles zero is
-    retried at doubled precision twice before the error surfaces.  Shared
-    subtrees are evaluated once per scale, through a memo that lives for this
-    call and is cleared on exit (an error's traceback would keep it alive).
+    A divisor or fractional-power base that straddles zero runs the tree again
+    at more bits, through `certify`.  Shared subtrees are evaluated once per
+    scale, through a memo cleared on exit (an error's traceback would keep it).
     """
-    f = ctx.bits
     memo: dict[tuple[Expr, int], Ball] = {}
     try:
-        for attempt in range(3):
-            try:
-                return _eval_raw(e, f << attempt, memo).rescale(f)
-            except (DivisorStraddlesZero, NegativeBaseEvenRoot) as exc:
-                last = exc
+        return certify(lambda bits: _eval_raw(e, bits, memo), ctx.bits)[0].rescale(ctx.bits)
     finally:
         memo.clear()
-    if isinstance(last, DivisorStraddlesZero):
-        raise DivisionByZeroEnclosure(str(last))
-    raise NegativeEvenRootEnclosure(str(last))
 
 
 def render_expr(e: Expr) -> str:
@@ -862,40 +850,26 @@ def build_catalog() -> Catalog:
 # verification
 
 
-def _rad_below(ball: Ball, digits: int) -> bool:
-    """radius < 10^-digits, decided exactly in integers."""
-    return ball.r * 10**digits < (1 << ball.f)
-
-
-def verify_identity(
-    ident: Identity, ctx: PrecCtx, d_target: int = D_TARGET_DIGITS
-) -> VerifyReport:
+def verify_identity(ident: Identity, ctx: PrecCtx) -> VerifyReport:
     """Evaluate both sides and compare as balls.
 
     Verified means the enclosures overlap and both radii sit below
-    10^-d_target.  Overlapping-but-wide results trigger one automatic
-    precision doubling before the entry is reported unverified; disjoint
-    enclosures fail immediately (inclusion makes that definitive).
+    10^-D_TARGET_DIGITS.  Overlapping enclosures that are too wide, or a
+    divisor or root base that straddles zero, run both sides again at more
+    bits through `certify`; disjoint enclosures fail at once (inclusion makes
+    that definitive).
     """
-    bits = ctx.bits
-    last = None
-    for attempt in range(2):
-        used = bits << attempt
-        try:
-            lhs = eval_expr(ident.lhs, PrecCtx(used))
-            rhs = eval_expr(ident.rhs, PrecCtx(used))
-        except ThetavalError as exc:
-            raise EvaluationError(ident.id, str(exc)) from exc
-        overlap = lhs.overlaps(rhs)
-        tight = _rad_below(lhs, d_target) and _rad_below(rhs, d_target)
-        last = (lhs, rhs, used)
-        if overlap and tight:
-            return VerifyReport(
-                ident.id, lhs, rhs, agreement_digits(lhs, rhs), "verified", used
-            )
-        if not overlap:
-            break
-    lhs, rhs, used = last
-    return VerifyReport(
-        ident.id, lhs, rhs, agreement_digits(lhs, rhs), "unverified", used
-    )
+    memo: dict[tuple[Expr, int], Ball] = {}
+
+    def sides(bits: int) -> tuple[Ball, ...]:
+        return tuple(_eval_raw(e, bits, memo).rescale(bits) for e in (ident.lhs, ident.rhs))
+
+    try:
+        (lhs, rhs), used = certify(sides, ctx.bits, lambda s: s if s[0].overlaps(s[1]) else ())
+    except ThetavalError as exc:
+        raise EvaluationError(ident.id, str(exc)) from exc
+    finally:
+        memo.clear()
+    verified = lhs.overlaps(rhs) and rad_shortfall(lhs) == rad_shortfall(rhs) == 0
+    status = "verified" if verified else "unverified"
+    return VerifyReport(ident.id, lhs, rhs, agreement_digits(lhs, rhs), status, used)

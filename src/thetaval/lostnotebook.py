@@ -38,7 +38,7 @@ from .exact import (
     ln7_rhs_from_terms,
     verify_identity,
 )
-from .precision import Ball, PrecCtx, ipow, pow_rational, sqrt
+from .precision import Ball, PrecCtx, certify, ipow, pow_rational, sqrt
 from .qseries import QPoint, as_q_ball, chi, phi, phi_series, q_power_ball, theta_f
 
 __all__ = [
@@ -57,8 +57,6 @@ __all__ = [
     "complete_evaluation",
     "misprint_variant",
 ]
-
-MAX_DOUBLINGS = 3
 
 
 @dataclass(frozen=True)
@@ -306,20 +304,16 @@ def assign_roots(
 
 
 def septic_pipeline(q, ctx: PrecCtx) -> tuple[SepticState, tuple[Ball, Ball, Ball], RootAssignment]:
-    """State, certified roots and the unique assignment, escalating the
-    working precision (at most three doublings) when enclosures are too
-    wide to separate branches, roots or permutations."""
-    last: Exception | None = None
-    for doubling in range(MAX_DOUBLINGS + 1):
-        wctx = ctx.escalated(doubling) if doubling else ctx
-        try:
-            state = build_septic_state(q, wctx)
-            roots = cubic_roots(state, wctx)
-            assignment = assign_roots(state, roots, wctx)
-            return state, roots, assignment
-        except (BothRootsMatch, MultiplePermutationsMatch, RootsNotSeparable) as exc:
-            last = exc
-    raise last
+    """State, certified roots and the unique assignment; enclosures too wide to
+    separate branches, roots or permutations run it again through `certify`."""
+
+    def attempt(bits: int):
+        wctx = PrecCtx(bits)
+        state = build_septic_state(q, wctx)
+        roots = cubic_roots(state, wctx)
+        return state, roots, assign_roots(state, roots, wctx)
+
+    return certify(attempt, ctx.bits)[0]
 
 
 def _cos_root_expr(k: int):
@@ -338,7 +332,6 @@ def complete_evaluation(ctx: PrecCtx) -> CompletionResult:
     """
     q = QPoint(1, Fraction(1, 7))
     state, roots, assignment = septic_pipeline(q, ctx)
-    wctx = ctx if ctx.bits >= 128 else PrecCtx(128)
     if not state.p.contains(1):
         raise EvaluationError("ln7", "p does not contain 1 at q = e^(-pi/sqrt 7)")
     if not state.ratio4.contains(7):
@@ -346,7 +339,7 @@ def complete_evaluation(ctx: PrecCtx) -> CompletionResult:
     # identify each certified root with its cosine closed form
     root_k: dict[int, int] = {}
     for k in (1, 2, 3):
-        val = eval_expr(_cos_root_expr(k), wctx)
+        val = eval_expr(_cos_root_expr(k), ctx)
         hits = [i for i, r in enumerate(roots) if r.overlaps(val)]
         if len(hits) != 1:
             raise EvaluationError("ln7", f"root {k} identification is ambiguous")

@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     NegativeBaseEvenRoot,
     PowerTooLarge,
+    Undecided,
     UnsupportedArgument,
 )
 
@@ -48,6 +49,9 @@ __all__ = [
     "agreement_digits",
     "decimal_str",
     "rad_exponent",
+    "D_TARGET_DIGITS",
+    "rad_shortfall",
+    "certify",
 ]
 
 @dataclass(frozen=True)
@@ -59,9 +63,6 @@ class PrecCtx:
     def __post_init__(self):
         if self.bits < 64:
             raise ValueError("working precision must be at least 64 bits")
-
-    def escalated(self, doublings: int = 1) -> "PrecCtx":
-        return PrecCtx(self.bits << doublings)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +359,11 @@ def check_power_size(exponent, log2_base: float, f: int) -> None:
 
 def ipow(x: Ball, k: int) -> Ball:
     if k < 0:
-        return Ball.one(x.f) / ipow(x, -k)
+        # 1/x^k, or (1/x)^k when x is resolved but x^k falls below the scale
+        xk = ipow(x, -k)
+        if xk.contains_zero() and not x.contains_zero():
+            return ipow(Ball.one(x.f) / x, -k)
+        return Ball.one(x.f) / xk
     mag = x.sup_units()
     if mag >> x.f:  # |x| may reach 1, so x**k may grow
         check_power_size(k, math.log2(mag) - x.f, x.f)
@@ -880,3 +885,40 @@ def agreement_digits(lhs: Ball, rhs: Ball, cap: int = 10**6) -> int:
         return cap
     fl, exact = _log10_floor(x, f)
     return min(cap, -fl if exact else -fl - 1)
+
+
+# ---------------------------------------------------------------------------
+# certification: the one escalation loop of every command
+
+D_TARGET_DIGITS = 100
+GUARD_BITS = 32
+CAP_FACTOR = 8
+
+
+def rad_shortfall(ball: Ball) -> int:
+    """Bits by which the radius misses 10^-D_TARGET_DIGITS; 0 when below it."""
+    return max(0, (ball.r * 10**D_TARGET_DIGITS).bit_length() - ball.f)
+
+
+def certify(compute, bits: int, pending=lambda result: ()) -> tuple[object, int]:
+    """(result, bits used) of compute(b), from b = bits until it is decided.
+
+    `pending(result)` lists the balls whose radii must fall below the target;
+    a result decided either way (disjoint sides, a residual that excludes 0)
+    lists none.  A result short of the target, or an `Undecided` error, runs
+    again at max(2b, b + shortfall + GUARD_BITS) bits, up to CAP_FACTOR * bits,
+    where it is returned or raised as it is.
+    """
+    cap = CAP_FACTOR * bits
+    while True:
+        try:
+            result = compute(bits)
+        except Undecided:
+            if bits >= cap:
+                raise
+            short = 0
+        else:
+            short = max(map(rad_shortfall, pending(result)), default=0)
+            if short == 0 or bits >= cap:
+                return result, bits
+        bits = min(cap, max(2 * bits, bits + short + GUARD_BITS))

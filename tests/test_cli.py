@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from thetaval import cli
 from thetaval.cli import main
+from thetaval.exact import Catalog, Identity, mutate_first_leaf
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -42,11 +43,24 @@ class TestVerify:
         ids = [e["id"] for e in doc["entries"]]
         assert ids == sorted(ids)
 
-    def test_verification_failure_exit_code(self, capsys):
-        # 64-bit radii can never reach the 100-digit target: exit 1
+    def test_verification_failure_exit_code(self, capsys, monkeypatch):
+        # a right side moved by 1e-6 is disjoint from the left: exit 1, no escalation
+        r3 = cli.build_catalog().get("r3")
+        bad = Identity("r3", r3.lhs, mutate_first_leaf(r3.rhs), r3.provenance)
+        monkeypatch.setattr(cli, "build_catalog", lambda: Catalog((bad,)))
         code, out, _ = run(capsys, "verify", "r3", "--prec", "64")
         assert code == 1
-        assert json.loads(out)["entries"][0]["status"] == "unverified"
+        entry = json.loads(out)["entries"][0]
+        assert entry["status"] == "unverified" and entry["prec_bits_used"] == 64
+
+    def test_all_entries_escalate_from_64_bits(self, capsys):
+        # 64-bit radii miss the 100-digit target; the loop jumps by the shortfall
+        code, out, _ = run(capsys, "verify", "--all", "--prec", "64")
+        assert code == 0
+        entries = json.loads(out)["entries"]
+        assert len(entries) == 19
+        assert all(e["status"] == "verified" for e in entries)
+        assert all(64 < e["prec_bits_used"] <= 512 for e in entries)
 
     def test_reports_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -168,6 +182,13 @@ class TestEval:
         # chi(q_r) grows like exp(pi / (24 sqrt r)): about 2^188,850 at r = 10^-12
         code, _, err = run(capsys, "eval", "chi(qpoint(+1, 1/1000000000000))")
         assert code == 2 and "passes the limit of 2^" in err
+
+    def test_negative_power_of_a_value_below_the_scale(self, capsys):
+        # q^27 = 2^-774 at q = e^(-pi sqrt 40): resolved at the 1024-bit cap,
+        # where its square is not, so q^-54 is taken as (1/q^27)^2
+        code, out, _ = run(capsys, "eval", "((((qpoint(+1, 40))^3)^3)^3)^(-2)", "--prec", "128")
+        assert code == 0
+        assert out.splitlines()[0] == "value  = 9.3321410037451962643601778129571531682e+465"
 
     def test_cospi_uses_the_exact_table(self, capsys):
         code, out, _ = run(capsys, "eval", "cospi(1/2)")
@@ -307,6 +328,36 @@ class TestSweep:
         assert all(e["status"] == "pass" for e in entries)
         assert all(e["agreement_digits"] >= 100 for e in entries)
 
+    def test_wide_residual_escalates_instead_of_passing(self, capsys):
+        # at 64 bits the deg3 residual at 0.85 held 0 with 0 agreement digits
+        code, out, _ = run(capsys, "sweep", "deg3", "--grid", "0.85", "--prec", "64")
+        assert code == 0
+        entries = json.loads(out)["entries"]
+        assert all(e["status"] == "pass" for e in entries)
+        assert all(e["agreement_digits"] >= 100 for e in entries)
+        assert all(e["prec_bits_used"] > 64 for e in entries)
+
+    def test_deg3_near_one_escalates_past_512_bits(self, capsys):
+        # 53 digits at 512 bits; 1 - alpha is about 4e-83 there
+        code, out, _ = run(capsys, "sweep", "deg3", "--grid", "0.95")
+        assert code == 0
+        entries = json.loads(out)["entries"]
+        assert all(e["agreement_digits"] >= 100 for e in entries)
+        assert all(e["prec_bits_used"] == 1024 for e in entries)
+
+    def test_wide_residual_at_the_cap_is_undecided(self, capsys):
+        code, out, _ = run(capsys, "sweep", "deg3", "--grid", "0.95", "--prec", "64")
+        assert code == 1
+        eq, reciprocal = json.loads(out)["entries"]
+        assert eq["status"] == "undecided" and eq["prec_bits_used"] == 512
+        assert reciprocal["status"] == "pass"
+
+    def test_divisor_straddling_zero_at_the_cap_exits_one(self, capsys):
+        # 1 - alpha at q = 0.99 is below 2^-512: an undecided result, not a domain error
+        code, out, err = run(capsys, "sweep", "deg3", "--grid", "0.99", "--prec", "64")
+        assert code == 1 and out == ""
+        assert err == "undecided at 512 bits: divisor enclosure contains zero\n"
+
     def test_yi_product_default(self, capsys):
         code, out, _ = run(capsys, "sweep", "yi_product", "--prec", "192")
         assert code == 0
@@ -375,10 +426,10 @@ class TestComplete:
         assert "permutation : 5" in out
         assert "7^(-3/4)" in out
 
-    def test_complete_low_precision_exits_one(self, capsys):
-        # the pipeline resolves, but 100 certified digits are unreachable
+    def test_complete_low_precision_escalates(self, capsys):
+        # 64-bit radii miss the 100-digit target; the verification escalates
         code, out, _ = run(capsys, "complete", "--prec", "64")
-        assert code == 1 and "unverified" in out
+        assert code == 0 and "status      : verified" in out
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "complete", "--prec", "256")

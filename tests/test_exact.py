@@ -8,8 +8,8 @@ import pytest
 
 from thetaval import exact
 from thetaval.errors import (
-    DivisionByZeroEnclosure,
-    NegativeEvenRootEnclosure,
+    DivisorStraddlesZero,
+    NegativeBaseEvenRoot,
     UnsupportedGammaArgument,
 )
 from thetaval.exact import (
@@ -79,11 +79,11 @@ class TestEvalExpr:
         assert eval_expr(parse_expr("2^(-1/2)"), CTX).overlaps(1 / sqrt(bf(2)))
 
     def test_division_by_zero_enclosure(self):
-        with pytest.raises(DivisionByZeroEnclosure):
+        with pytest.raises(DivisorStraddlesZero):
             eval_expr(Div(Int(1), Sub(Int(1), Int(1))), CTX)
 
     def test_negative_even_root(self):
-        with pytest.raises(NegativeEvenRootEnclosure):
+        with pytest.raises(NegativeBaseEvenRoot):
             eval_expr(PowRat(Sub(Int(1), Int(3)), F(1, 2)), CTX)
 
     def test_gamma_domain(self):
@@ -278,7 +278,7 @@ def test_memo_is_emptied_when_an_error_leaves():
     raw = exact._eval_raw
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_eval_raw", lambda e, f, m: memos.append(m) or raw(e, f, m))
-        with pytest.raises(DivisionByZeroEnclosure):
+        with pytest.raises(DivisorStraddlesZero):
             eval_expr(Div(Add(Int(1), Int(2)), Sub(Int(1), Int(1))), CTX)
     assert memos and all(len(m) == 0 for m in memos)
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetaval.errors import (
+    BothRootsMatch,
     DivisorStraddlesZero,
     DomainError,
     NegativeBaseEvenRoot,
@@ -29,6 +30,7 @@ from thetaval.precision import (
     agm,
     agreement_digits,
     ball_arith,
+    certify,
     const_pi,
     cos,
     decimal_str,
@@ -39,6 +41,7 @@ from thetaval.precision import (
     log,
     nth_root,
     pow_rational,
+    rad_shortfall,
     sin,
     sqrt,
 )
@@ -668,4 +671,75 @@ def test_agreement_digits_scale():
 def test_prec_ctx_validation():
     with pytest.raises(ValueError):
         PrecCtx(32)
-    assert PrecCtx(64).escalated().bits == 128
+
+
+def test_negative_power_of_a_base_whose_power_falls_below_the_scale():
+    # x = 2^-40 is resolved at 64 bits, x^2 = 2^-80 is not: x^-2 = (1/x)^2
+    x = Ball(1 << 24, 1, 64)
+    assert ipow(x, 2).contains_zero()
+    val = ipow(x, -2)
+    assert val.contains(2**80) and val.rad < 2**60
+    with pytest.raises(DivisorStraddlesZero):  # x itself unresolved
+        ipow(Ball(1, 1, 64), -2)
+
+
+def test_rad_shortfall_is_the_bits_missing_below_the_target():
+    f = 512
+    below = Ball(0, (1 << f) // 10**100, f)  # radius just under 1e-100
+    assert rad_shortfall(below) == 0
+    assert rad_shortfall(Ball(0, (1 << f) // 10**100 + 1, f)) == 1
+    assert rad_shortfall(Ball(0, 1 << f, f)) == 333  # radius 1: 10^100 < 2^333
+
+
+def _tracked(outcomes):
+    """compute(bits) that records its bits and replays `outcomes` in turn:
+    an exception class is raised, a ball is returned."""
+    seen = []
+
+    def compute(bits):
+        seen.append(bits)
+        out = outcomes[min(len(seen), len(outcomes)) - 1]
+        if isinstance(out, type):
+            raise out("undecided")
+        return out
+
+    return compute, seen
+
+
+def test_certify_doubles_on_an_undecided_error_up_to_the_cap():
+    compute, seen = _tracked([DivisorStraddlesZero])
+    with pytest.raises(DivisorStraddlesZero):
+        certify(compute, 64)
+    assert seen == [64, 128, 256, 512]
+
+
+def test_certify_stops_on_the_first_decided_result():
+    wide = Ball(0, 1 << 64, 64)  # radius 1
+    compute, seen = _tracked([BothRootsMatch, wide])
+    result, used = certify(compute, 100)
+    assert result is wide and used == 200 and seen == [100, 200]
+    # a pending ball that is already tight decides too
+    compute, seen = _tracked([Ball(0, 1, 512)])
+    assert certify(compute, 512, lambda b: [b])[1] == 512 and seen == [512]
+    # and so does a wide result decided false, which lists no pending ball
+    compute, seen = _tracked([wide])
+    assert certify(compute, 64, lambda b: ())[1] == 64 and seen == [64]
+
+
+def test_certify_jumps_by_the_shortfall_when_it_exceeds_a_doubling():
+    wide = Ball(0, 1 << 64, 64)  # 333 bits short of 1e-100
+    tight = Ball(0, 1, 1024)
+    compute, seen = _tracked([wide, tight])
+    result, used = certify(compute, 64, lambda b: [b])
+    assert seen == [64, 64 + 333 + precision.GUARD_BITS] and result is tight
+    # a small shortfall still doubles
+    near = Ball(0, (1 << 512) // 10**99, 512)
+    compute, seen = _tracked([near, tight])
+    assert certify(compute, 512, lambda b: [b])[1] == 1024
+
+
+def test_certify_returns_a_wide_result_at_the_cap():
+    wide = Ball(0, 1 << 64, 64)
+    compute, seen = _tracked([wide])
+    result, used = certify(compute, 64, lambda b: [b])
+    assert result is wide and used == 512 and seen[-1] == 512 and len(seen) == 3
