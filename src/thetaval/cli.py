@@ -3,8 +3,6 @@
 Reports are JSON with a fixed field order and canonical entry ordering
 (catalog ids sorted lexicographically, sweep points in grid order), so
 two runs at the same version, precision and inputs are byte-identical.
-Timings are all zero unless --timings is passed, keeping the default
-output deterministic.
 
 `eval` holds no grammar of its own: `exact.parse_expr` reads the text
 into the same tree the catalog uses, and `exact.eval_expr` evaluates it
@@ -19,12 +17,9 @@ stayed undecided at the cap, 2 usage, parse or domain error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
-import os
 import sys
-import time
 from fractions import Fraction
 
 from . import __version__
@@ -32,7 +27,7 @@ from .errors import DomainError, ParseError, PowerTooLarge, ThetavalError, Undec
 from .exact import Identity, build_catalog, eval_expr, parse_expr, render_expr, verify_identity
 from .lostnotebook import complete_evaluation, compute_p, compute_uvw, verify_quartic_relation
 from .modular import jims_identity, verify_degree3, verify_degree15, yi_product_theorem
-from .precision import CAP_FACTOR, Ball, PrecCtx, agreement_digits, certify, decimal_str
+from .precision import CAP_FACTOR, Ball, PrecCtx, agreement_digits, certify, decimal_str, memo
 from .precision import _log10_floor, rad_exponent, rad_shortfall
 from .qseries import phi, q_power_ball
 
@@ -60,17 +55,16 @@ def _resolve_bits(args) -> int:
             raise ValueError("--digits must be positive")
         bits = max(64, math.ceil(args.digits * BITS_PER_DIGIT))
     else:
-        bits = int(os.environ.get("THETAVAL_PREC_BITS") or DEFAULT_BITS)
+        bits = DEFAULT_BITS
     return PrecCtx(bits).bits  # fewer than 64 bits is a usage error in every command
 
 
-def _entry(entry_id, status, digits, lhs_ball, runtime_ms, provenance, bits_used):
+def _entry(entry_id, status, digits, lhs_ball, provenance, bits_used):
     return {
         "id": entry_id,
         "status": status,
         "agreement_digits": max(0, digits),
         "lhs_mid_decimal": decimal_str(lhs_ball, 50),
-        "runtime_ms": runtime_ms,
         "provenance": provenance,
         "prec_bits_used": bits_used,
     }
@@ -103,19 +97,11 @@ def _map(worker, tasks: list, jobs: int) -> list:
         return list(pool.map(worker, tasks))
 
 
-def _verify_worker(task: tuple[Identity, int, bool]) -> dict:
-    ident, bits, timings = task
-    t0 = time.monotonic()
+def _verify_worker(task: tuple[Identity, int]) -> dict:
+    ident, bits = task
     rep = verify_identity(ident, PrecCtx(bits))
-    ms = int((time.monotonic() - t0) * 1000) if timings else 0
     return _entry(
-        ident.id,
-        rep.status,
-        rep.agreement_digits,
-        rep.lhs,
-        ms,
-        ident.provenance,
-        rep.prec_bits_used,
+        ident.id, rep.status, rep.agreement_digits, rep.lhs, ident.provenance, rep.prec_bits_used
     )
 
 
@@ -133,7 +119,7 @@ def cmd_verify(args) -> int:
             print(f"unknown catalog id: {entry_id}", file=sys.stderr)
             return 2
     ids = sorted(set(ids))
-    tasks = [(catalog.get(entry_id), bits, args.timings) for entry_id in ids]
+    tasks = [(catalog.get(entry_id), bits) for entry_id in ids]
     results = _map(_verify_worker, tasks, args.jobs)  # in id order, as the tasks
     _emit(_report(bits, results), args.out)
     return 0 if all(e["status"] == "verified" for e in results) else 1
@@ -211,7 +197,6 @@ def _sweep_worker(task: tuple[str, str, int]) -> list[dict]:
             _sweep_status(residual),
             agreement_digits(residual, Ball(0, 0, residual.f)),
             residual,
-            0,
             f"residual sweep {target}",
             used,
         )
@@ -262,17 +247,18 @@ def cmd_catalog(args) -> int:
 # argument parsing
 
 
-def _add_common(p):
+def _add_common(p, report: bool = False):
+    """--prec and --digits; with `report`, --out and --jobs of a JSON report."""
     p.add_argument("--prec", type=int, help="working precision in bits")
     p.add_argument(
         "--digits", type=int, help=f"decimal digit target ({BITS_PER_DIGIT} bits/digit)"
     )
-    p.add_argument("--out", help="write the JSON report to this path")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p.add_argument("--timings", action="store_true", help="record wall times")
+    if report:
+        p.add_argument("--out", help="write the JSON report to this path")
+        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
 
-@functools.cache
+@memo
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thetaval",
@@ -284,7 +270,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify catalog identities")
     p.add_argument("ids", nargs="*", help="catalog entry ids")
     p.add_argument("--all", action="store_true", help="verify every entry")
-    _add_common(p)
+    _add_common(p, report=True)
 
     p = sub.add_parser("eval", help="evaluate an expression to certified digits")
     p.add_argument("expression")
@@ -293,7 +279,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="verify residual identities over a grid")
     p.add_argument("target", choices=sorted(_DEFAULT_GRIDS))
     p.add_argument("--grid", help="comma-separated points (k:a:b:c:d for yi_product)")
-    _add_common(p)
+    _add_common(p, report=True)
 
     p = sub.add_parser("complete", help="run the septic completion pipeline")
     _add_common(p)

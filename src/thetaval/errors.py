@@ -47,6 +47,10 @@ class EvaluationError(ThetavalError):
     def __init__(self, entry_id: str, message: str):
         super().__init__(f"{entry_id}: {message}")
         self.entry_id = entry_id
+        self.message = message
+
+    def __reduce__(self):  # rebuilt from both fields, so it crosses a process pool
+        return type(self), (self.entry_id, self.message)
 
 
 class UnsupportedGammaArgument(UnsupportedArgument):
@@ -82,4 +86,8 @@ class ParseError(ThetavalError):
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
+        self.message = message
         self.pos = pos
+
+    def __reduce__(self):
+        return type(self), (self.message, self.pos)

@@ -39,7 +39,8 @@ from .exact import (
     verify_identity,
 )
 from .precision import Ball, PrecCtx, certify, ipow, pow_rational, sqrt
-from .qseries import QPoint, as_q_ball, chi, phi, phi_series, q_power_ball, theta_f
+from .qseries import QPoint, as_q_ball, chi, nome_pow, phi, phi_series, q_power_ball, theta_f
+from .qseries import require_positive_nome
 
 __all__ = [
     "SepticState",
@@ -91,54 +92,30 @@ class CompletionResult:
     cos_pairs: tuple[tuple[int, int], ...]  # (numerator k, denominator k) per term
 
 
-def _require_positive_nome(q):
-    if isinstance(q, QPoint):
-        if q.sign != 1:
-            raise DomainError("septic operations require a positive nome")
-    elif isinstance(q, Ball):
-        if not q.is_strictly_positive() or not q.mag_lt_one():
-            raise DomainError("septic operations require 0 < q < 1")
-    elif not (0 < Fraction(q) < 1):
-        raise DomainError("septic operations require 0 < q < 1")
-
-
 def compute_uvw(q, ctx: PrecCtx) -> tuple[Ball, Ball, Ball]:
     """u = 2 q^(1/7) f(q^5,q^9)/phi(q^7), and the q^(4/7), q^(9/7) mates."""
-    _require_positive_nome(q)
+    require_positive_nome(q, "the septic system")
     f = ctx.bits
     fw = f + 32
     wctx = PrecCtx(fw)
-    den = phi(_q_pow(q, 7), wctx)
-    q5, q9 = as_q_ball(_q_pow(q, 5), fw), as_q_ball(_q_pow(q, 9), fw)
-    q3, q11 = as_q_ball(_q_pow(q, 3), fw), as_q_ball(_q_pow(q, 11), fw)
-    q1, q13 = as_q_ball(q, fw), as_q_ball(_q_pow(q, 13), fw)
+    den = phi(nome_pow(q, 7), wctx)
+    q5, q9 = q_power_ball(q, 5, fw), q_power_ball(q, 9, fw)
+    q3, q11 = q_power_ball(q, 3, fw), q_power_ball(q, 11, fw)
+    q1, q13 = as_q_ball(q, fw), q_power_ball(q, 13, fw)
     u = (q_power_ball(q, Fraction(1, 7), fw) * 2) * theta_f(q5, q9, wctx) / den
     v = (q_power_ball(q, Fraction(4, 7), fw) * 2) * theta_f(q3, q11, wctx) / den
     w = (q_power_ball(q, Fraction(9, 7), fw) * 2) * theta_f(q1, q13, wctx) / den
     return u.rescale(f), v.rescale(f), w.rescale(f)
 
 
-def _q_pow(q, k):
-    """q^k staying exact where possible: QPoint bookkeeping, Fraction powers,
-    and certified ball powers otherwise."""
-    k = Fraction(k)
-    if isinstance(q, QPoint):
-        return q.pow(k)
-    if isinstance(q, Ball):
-        return ipow(q, k.numerator) if k.denominator == 1 else pow_rational(q, k)
-    if k.denominator == 1:
-        return Fraction(q) ** k.numerator
-    raise DomainError("fractional powers of a plain rational nome need a ball")
-
-
 def compute_p(q, ctx: PrecCtx) -> Ball:
     """p = uvw = 8 q^2 chi(q) / chi(q^7)^7, with chi(q) = (-q; q^2)_inf."""
-    _require_positive_nome(q)
+    require_positive_nome(q, "the septic system")
     f = ctx.bits
     fw = f + 32
     wctx = PrecCtx(fw)
     qb = as_q_ball(q, fw)
-    den = ipow(chi(_q_pow(q, 7), wctx), 7)
+    den = ipow(chi(nome_pow(q, 7), wctx), 7)
     return ((qb * qb * 8) * chi(q, wctx) / den).rescale(f)
 
 
@@ -147,13 +124,13 @@ def ratio4_series_oracle(q, ctx: PrecCtx) -> Ball:
     fw = ctx.bits + 32
     wctx = PrecCtx(fw)
     num = phi_series(q, wctx)
-    den = phi_series(_q_pow(q, 7), wctx)
+    den = phi_series(nome_pow(q, 7), wctx)
     return ipow(num / den, 4).rescale(ctx.bits)
 
 
 def verify_quartic_relation(q, ctx: PrecCtx) -> Ball:
     """Residual of R^2 - (2+5p) R + (1-p)^3 with R from the series route."""
-    _require_positive_nome(q)
+    require_positive_nome(q, "the septic system")
     f = ctx.bits
     fw = f + 32
     wctx = PrecCtx(fw)

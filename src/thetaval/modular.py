@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import DomainError, NotConvergent, PreconditionViolated
 from .precision import Ball, PrecCtx, agm, cos, exp, ipow, pow_rational, sin, sqrt
 from .precision import _ceil_div, _pi_ball
-from .qseries import QPoint, as_q_ball, phi
+from .qseries import QPoint, as_q_ball, nome_neg, nome_pow, phi, require_positive_nome
 
 __all__ = [
     "ModularTriple",
@@ -105,15 +105,8 @@ def modulus_from_q(q, ctx: PrecCtx) -> Ball:
     f = ctx.bits
     fw = f + 32
     wctx = PrecCtx(fw)
-    if isinstance(q, QPoint):
-        if q.sign != 1:
-            raise DomainError("modulus_from_q requires a positive nome")
-        ratio = phi(QPoint(-1, q.r), wctx) / phi(q, wctx)
-    else:
-        qb = as_q_ball(q, fw)
-        if not qb.is_strictly_positive() or not qb.mag_lt_one():
-            raise DomainError("modulus_from_q requires 0 < q < 1")
-        ratio = phi(-qb, wctx) / phi(qb, wctx)
+    require_positive_nome(q, "modulus_from_q")
+    ratio = phi(nome_neg(q), wctx) / phi(q, wctx)
     return (_one(fw) - ipow(ratio, 4)).rescale(f)
 
 
@@ -186,16 +179,8 @@ def multiplier(q, n: int, ctx: PrecCtx) -> Ball:
     """m = phi(q)^2 / phi(q^n)^2."""
     if n < 1:
         raise DomainError("multiplier degree must be a positive integer")
-    f = ctx.bits
-    fw = f + 32
-    wctx = PrecCtx(fw)
-    if isinstance(q, QPoint):
-        qn = q.pow(n)
-    else:
-        qn = ipow(as_q_ball(q, fw), n)
-    num = phi(q, wctx)
-    den = phi(qn, wctx)
-    return ipow(num / den, 2).rescale(f)
+    wctx = PrecCtx(ctx.bits + 32)
+    return ipow(phi(q, wctx) / phi(nome_pow(q, n), wctx), 2).rescale(ctx.bits)
 
 
 def singular_modulus_sq(n, ctx: PrecCtx) -> Ball:
@@ -299,8 +284,7 @@ def modulus_pair(q, n: int, ctx: PrecCtx) -> ModulusPair:
     """The degree-n pair at a nome: beta is *defined* as the modulus-squared
     of q^n, so the printed degree-n relations become checkable residuals."""
     alpha = modulus_from_q(q, ctx)
-    qn = q.pow(n) if isinstance(q, QPoint) else ipow(as_q_ball(q, ctx.bits), n)
-    beta = modulus_from_q(qn, ctx)
+    beta = modulus_from_q(nome_pow(q, n), ctx)
     return ModulusPair(alpha, beta, n, multiplier(q, n, ctx))
 
 
@@ -320,8 +304,7 @@ def degree_relation_residual(q, n: int, ctx: PrecCtx) -> Ball:
     wctx = PrecCtx(fw)
     one = _one(fw)
     alpha = modulus_from_q(q, wctx).rescale(fw)
-    qn = q.pow(n) if isinstance(q, QPoint) else ipow(as_q_ball(q, fw), n)
-    beta = modulus_from_q(qn, wctx).rescale(fw)
+    beta = modulus_from_q(nome_pow(q, n), wctx).rescale(fw)
     lhs = (_hyp_raw(one - alpha, fw) / _hyp_raw(alpha, fw)) * n
     rhs = _hyp_raw(one - beta, fw) / _hyp_raw(beta, fw)
     return (lhs - rhs).rescale(f)
@@ -339,9 +322,7 @@ def verify_degree15(q, ctx: PrecCtx) -> Ball:
     wctx = PrecCtx(fw)
 
     def _phi_pow(k: int) -> Ball:
-        if isinstance(q, QPoint):
-            return phi(q.pow(k), wctx)
-        return phi(ipow(as_q_ball(q, fw), k), wctx)
+        return phi(nome_pow(q, k), wctx)
 
     p = _phi_pow(1) / _phi_pow(5)
     qq = _phi_pow(3) / _phi_pow(15)

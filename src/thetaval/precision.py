@@ -16,6 +16,7 @@ values are created, normally from a :class:`PrecCtx`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,7 +53,19 @@ __all__ = [
     "D_TARGET_DIGITS",
     "rad_shortfall",
     "certify",
+    "CACHE_ENTRIES",
+    "memo",
 ]
+
+
+# The one cache rule: every memo table is an lru_cache of a pure function of
+# (value, scale), at most CACHE_ENTRIES entries each, so a loop over distinct
+# nomes or precisions cannot grow memory without bound.  A pass of the
+# catalog, a theta batch or a CLI run keys at most a few hundred entries per
+# table, so none of them evicts.  cache_info() gives the hits and misses.
+CACHE_ENTRIES = 1024
+memo = functools.lru_cache(maxsize=CACHE_ENTRIES)
+
 
 @dataclass(frozen=True)
 class PrecCtx:
@@ -446,11 +459,6 @@ def pow_rational(x: Ball, e, ctx: PrecCtx | None = None) -> Ball:
 # pi (Machin's formula on integers), ln 2
 
 
-_PI_CACHE: dict[int, tuple[int, int]] = {}
-_LN2_CACHE: dict[int, Ball] = {}
-_GAMMA_CACHE: dict[tuple[Fraction, int], Ball] = {}
-
-
 def _atan_inv_units(x: int, f: int) -> tuple[int, int]:
     """(units, error bound in units) for atan(1/x) * 2^f.
 
@@ -471,11 +479,9 @@ def _atan_inv_units(x: int, f: int) -> tuple[int, int]:
     return total, err
 
 
+@memo
 def _pi_units(f: int) -> tuple[int, int]:
     """pi * 2^f as (units, error units), cached per scale."""
-    cached = _PI_CACHE.get(f)
-    if cached is not None:
-        return cached
     g = f + 40
     a5, e5 = _atan_inv_units(5, g)
     a239, e239 = _atan_inv_units(239, g)
@@ -483,7 +489,6 @@ def _pi_units(f: int) -> tuple[int, int]:
     err = 16 * e5 + 4 * e239
     m, round_err = _round_shift(units, 40)
     r = _ceil_shift(err, 40) + round_err + 1
-    _PI_CACHE[f] = (m, r)
     return m, r
 
 
@@ -498,14 +503,10 @@ def _pi_ball(f: int) -> Ball:
     return Ball(m, r, f)
 
 
+@memo
 def _ln2_ball(f: int) -> Ball:
-    cached = _LN2_CACHE.get(f)
-    if cached is not None:
-        return cached
     third = Ball.from_fraction(Fraction(1, 3), f + 16)
-    val = (_atanh_series(third) * 2).rescale(f)
-    _LN2_CACHE[f] = val
-    return val
+    return (_atanh_series(third) * 2).rescale(f)
 
 
 # ---------------------------------------------------------------------------
@@ -725,12 +726,9 @@ def _gamma_series(z: Fraction, n: int, terms: int, f: int) -> Ball:
     return scaled / exp(big_n)
 
 
+@memo
 def _gamma_unit(z: Fraction, f: int) -> Ball:
     """Cached Gamma(z) for rational 0 < z < 1 at scale f."""
-    key = (z, f)
-    cached = _GAMMA_CACHE.get(key)
-    if cached is not None:
-        return cached
     fw = f + 32
     # e^-n <= 2^-fw; the terms are chosen so the last kept one, times
     # n^z e^-n, falls below 2^-fw too (t_{k-1} <= n^(k-1) / (z (k-1)!))
@@ -741,9 +739,7 @@ def _gamma_unit(z: Fraction, f: int) -> Ball:
     while log_last > goal:
         log_last += math.log(n) - math.log(terms)
         terms += 1
-    g = _gamma_series(z, n, terms, fw).rescale(f)
-    _GAMMA_CACHE[key] = g
-    return g
+    return _gamma_series(z, n, terms, fw).rescale(f)
 
 
 def gamma_rational(p, ctx: PrecCtx) -> Ball:

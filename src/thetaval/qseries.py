@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, FactorNearZero, NotConvergent
-from .precision import Ball, PrecCtx, check_power_size, ipow, nth_root, pow_rational
+from .precision import Ball, PrecCtx, check_power_size, ipow, memo, nth_root, pow_rational
 from .precision import _pi_ball, exp, sqrt  # noqa: F401  (pi needed for nomes)
 
 __all__ = [
@@ -38,6 +38,9 @@ __all__ = [
     "chi",
     "as_q_ball",
     "q_power_ball",
+    "nome_pow",
+    "nome_neg",
+    "require_positive_nome",
 ]
 
 
@@ -69,19 +72,17 @@ class QPoint:
         return _qpoint_ball(self.sign, self.r, ctx.bits)
 
 
-_QPOINT_CACHE: dict[tuple[Fraction, int], Ball] = {}
-_THETA_CACHE: dict[tuple, Ball] = {}
+@memo
+def _nome_exp(r: Fraction, f: int) -> Ball:
+    """exp(-pi sqrt(r)) at scale f."""
+    fw = f + 32
+    return exp(-(_pi_ball(fw) * sqrt(Ball.from_fraction(r, fw)))).rescale(f)
 
 
 def _qpoint_ball(sign: int, r: Fraction, f: int) -> Ball:
-    """exp(-pi sqrt(r)) cached per (r, f); sign -1 negates the cached ball."""
-    key = (r, f)
-    cached = _QPOINT_CACHE.get(key)
-    if cached is None:
-        fw = f + 32
-        root = sqrt(Ball.from_fraction(r, fw))
-        cached = _QPOINT_CACHE[key] = exp(-(_pi_ball(fw) * root)).rescale(f)
-    return -cached if sign == -1 else cached
+    """sign exp(-pi sqrt(r)): the cached `_nome_exp`, negated for sign -1."""
+    ball = _nome_exp(r, f)
+    return -ball if sign == -1 else ball
 
 
 def as_q_ball(q, f: int) -> Ball:
@@ -93,18 +94,43 @@ def as_q_ball(q, f: int) -> Ball:
     return Ball.from_fraction(q, f)
 
 
-def q_power_ball(q, k, f: int) -> Ball:
-    """Enclosure of q**k with exact exponent bookkeeping for QPoints."""
+def nome_pow(q, k):
+    """q**k, kept exact where it can be: bookkeeping on r for a QPoint, the
+    exact power of a rational for integer k, a certified power of a Ball."""
     k = Fraction(k)
     if isinstance(q, QPoint):
-        return _qpoint_ball(*_qpow_key(q, k), f)
-    qb = as_q_ball(q, f)
-    return pow_rational(qb, k) if k.denominator != 1 else ipow(qb, k.numerator)
+        return q.pow(k)
+    if isinstance(q, Ball):
+        return ipow(q, k.numerator) if k.denominator == 1 else pow_rational(q, k)
+    if k.denominator == 1:
+        return Fraction(q) ** k.numerator
+    raise DomainError("fractional powers of a plain rational nome need a ball")
 
 
-def _qpow_key(q: QPoint, k: Fraction) -> tuple[int, Fraction]:
-    p = q.pow(k)
-    return p.sign, p.r
+def nome_neg(q):
+    """-q; the negative of a QPoint stays a QPoint."""
+    return QPoint(-q.sign, q.r) if isinstance(q, QPoint) else -q
+
+
+def require_positive_nome(q, what: str) -> None:
+    """Raise DomainError unless the nome q is known to lie in (0, 1)."""
+    if isinstance(q, QPoint):
+        inside = q.sign == 1
+    elif isinstance(q, Ball):
+        inside = q.is_strictly_positive() and q.mag_lt_one()
+    else:
+        inside = 0 < Fraction(q) < 1
+    if not inside:
+        raise DomainError(f"{what} requires a nome 0 < q < 1")
+
+
+def q_power_ball(q, k, f: int) -> Ball:
+    """Enclosure of q**k at scale f by `nome_pow`; a fractional power of a
+    rational nome is taken of its enclosure at scale f."""
+    k = Fraction(k)
+    if k.denominator != 1 and not isinstance(q, (QPoint, Ball)):
+        q = as_q_ball(q, f)
+    return as_q_ball(nome_pow(q, k), f)
 
 
 @dataclass(frozen=True)
@@ -257,16 +283,20 @@ def theta_f(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
 
 
 def _theta_cached(kind: str, q, ctx: PrecCtx, compute) -> Ball:
-    """compute(q, ctx), cached per (kind, sign, r, bits) for QPoint nomes;
-    a QPoint nome near 1 goes through its dual nome instead (`_dual_value`)."""
-    if not isinstance(q, QPoint):
-        return compute(q, ctx)
-    key = (kind, q.sign, q.r, ctx.bits)
-    val = _THETA_CACHE.get(key)
-    if val is None:
-        near_one = q.r < 1 and float(q.r) <= _DUAL_BELOW[kind] * ctx.bits**2
-        val = _THETA_CACHE[key] = _dual_value(kind, q, ctx) if near_one else compute(q, ctx)
-    return val
+    """compute(q, ctx), memoized by `_theta_qpoint` for a QPoint nome."""
+    if isinstance(q, QPoint):
+        return _theta_qpoint(kind, compute, q.sign, q.r, ctx.bits)
+    return compute(q, ctx)
+
+
+@memo
+def _theta_qpoint(kind: str, compute, sign: int, r: Fraction, f: int) -> Ball:
+    """kind(q) = compute(q, ctx) at the QPoint q = sign q_r; a nome near 1
+    goes through its dual nome instead (`_dual_value`)."""
+    q, ctx = QPoint(sign, r), PrecCtx(f)
+    if r < 1 and float(r) <= _DUAL_BELOW[kind] * f**2:
+        return _dual_value(kind, q, ctx)
+    return compute(q, ctx)
 
 
 def phi(q, ctx: PrecCtx) -> Ball:
@@ -311,8 +341,7 @@ def _chi_series(q, ctx: PrecCtx) -> Ball:
     # phi(q) = (-q; q^2)^2 (q^2; q^2) and f(q) = (-q; -q) = (-q; q^2)(q^2; q^2)
     f = ctx.bits
     wctx = PrecCtx(f + 32)
-    neg = QPoint(-q.sign, q.r) if isinstance(q, QPoint) else -as_q_ball(q, wctx.bits)
-    return (phi_series(q, wctx) / f_neg_series(neg, wctx)).rescale(f)
+    return (phi_series(q, wctx) / f_neg_series(nome_neg(q), wctx)).rescale(f)
 
 
 def chi(q, ctx: PrecCtx) -> Ball:

@@ -1,6 +1,7 @@
 """CLI tests: subcommands, exit codes, report stability, parallel runs."""
 
 import json
+import pickle
 import re
 import subprocess
 import sys
@@ -8,9 +9,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetaval import cli
+from thetaval import cli, errors
 from thetaval.cli import main
-from thetaval.exact import Catalog, Identity, mutate_first_leaf
+from thetaval.errors import EvaluationError, ParseError, ThetavalError
+from thetaval.exact import Catalog, Identity, mutate_first_leaf, parse_expr
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -80,14 +82,15 @@ class TestVerify:
         calls = []
         build = cli.build_catalog
         monkeypatch.setattr(cli, "build_catalog", lambda: calls.append(1) or build())
-        monkeypatch.delenv("THETAVAL_PREC_BITS", raising=False)
         code, _, _ = run(capsys, "verify", "--all")
         assert code == 0 and len(calls) == 1
 
-    def test_env_var_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("THETAVAL_PREC_BITS", "128")
-        code, out, _ = run(capsys, "verify", "r3")
-        assert json.loads(out)["prec_bits"] == 128
+    def test_precision_is_set_only_by_flags(self, capsys, monkeypatch):
+        # no environment variable is read: the default is 512 bits whatever it holds
+        for value in ("128", "not-a-number"):
+            monkeypatch.setenv("THETAVAL_PREC_BITS", value)
+            code, out, _ = run(capsys, "verify", "r3")
+            assert code == 0 and json.loads(out)["prec_bits"] == 512
 
     def test_digits_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "r3", "--digits", "40")
@@ -98,10 +101,10 @@ class TestVerify:
             code, _, err = run(capsys, "verify", "r3", flag, value)
             assert code == 2 and "usage error" in err, (flag, value)
 
-    def test_bad_env_var_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("THETAVAL_PREC_BITS", "not-a-number")
-        code, _, err = run(capsys, "verify", "r3")
-        assert code == 2 and "usage error" in err
+    def test_report_has_no_runtime_field(self, capsys):
+        code, out, _ = run(capsys, "verify", "r3")
+        entry = json.loads(out)["entries"][0]
+        assert code == 0 and "runtime_ms" not in entry
 
 
 class TestEval:
@@ -482,6 +485,47 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "cmd_catalog", lambda args: calls.append(args) or 0)
         assert main(["catalog"]) == 0
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "1", "--out", "f"],
+        ["eval", "1", "--jobs", "2"],
+        ["eval", "1", "--timings"],
+        ["complete", "--out", "f"],
+        ["complete", "--jobs", "2"],
+        ["sweep", "jims", "--timings"],
+        ["verify", "r3", "--timings"],
+    ],
+)
+def test_options_that_would_do_nothing_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+
+def _error_classes(cls=ThetavalError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", sorted(set(_error_classes()), key=lambda c: c.__name__))
+def test_every_error_survives_a_pickle_round_trip(cls):
+    args = {EvaluationError: ("r3", "divisor enclosure contains zero"), ParseError: ("bad", 4)}
+    exc = cls(*args.get(cls, ("message",)))
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls and cls.__module__ == errors.__name__
+    assert str(back) == str(exc) and vars(back) == vars(exc)
+
+
+def test_a_worker_error_crosses_the_process_pool():
+    # the sequential path raises EvaluationError; the pool must raise the same
+    bad = Identity("bad", parse_expr("1 / (1 - 1)"), parse_expr("1"), "a zero divisor")
+    for jobs in (1, 2):
+        with pytest.raises(EvaluationError, match="bad: divisor enclosure contains zero"):
+            cli._map(cli._verify_worker, [(bad, 128)], jobs)
 
 
 def test_console_script_installed():

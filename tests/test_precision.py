@@ -45,6 +45,7 @@ from thetaval.precision import (
     sin,
     sqrt,
 )
+from thetaval.precision import _gamma_unit, _ln2_ball, _pi_units
 
 CTX = PrecCtx(256)
 PI_50 = "3.1415926535897932384626433832795028841971693993751"
@@ -743,3 +744,19 @@ def test_certify_returns_a_wide_result_at_the_cap():
     compute, seen = _tracked([wide])
     result, used = certify(compute, 64, lambda b: [b])
     assert result is wide and used == 512 and seen[-1] == 512 and len(seen) == 3
+
+
+@pytest.mark.parametrize(
+    "table, call",
+    [
+        (_pi_units, lambda: const_pi(PrecCtx(333))),
+        (_ln2_ball, lambda: log(Ball.from_fraction(F(5, 3), 333), PrecCtx(333))),
+        (_gamma_unit, lambda: gamma_rational(F(2, 9), PrecCtx(333))),
+    ],
+)
+def test_a_repeated_constant_is_a_cache_hit_with_the_same_enclosure(table, call):
+    first = call()
+    hits = table.cache_info().hits
+    again = call()
+    assert table.cache_info().hits > hits
+    assert (again.m, again.r, again.f) == (first.m, first.r, first.f)

@@ -12,10 +12,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from thetaval import qseries
+from thetaval import precision, qseries
 from thetaval.errors import DomainError, NotConvergent, ThetavalError
 from thetaval.precision import Ball, PrecCtx, decimal_str, gamma_rational, ipow, pow_rational
-from thetaval.precision import const_pi
+from thetaval.precision import CACHE_ENTRIES, const_pi
 from thetaval.qseries import (
     QPoint,
     SeriesTail,
@@ -23,11 +23,15 @@ from thetaval.qseries import (
     chi,
     f_neg,
     f_neg_series,
+    nome_neg,
+    nome_pow,
     phi,
     phi_series,
     pochhammer_inf,
     psi,
     psi_series,
+    q_power_ball,
+    require_positive_nome,
     theta_f,
 )
 
@@ -139,7 +143,7 @@ def test_nome_near_one_takes_the_dual_route(monkeypatch):
         counts.append(out[3])
         return out
 
-    monkeypatch.setattr(qseries, "_THETA_CACHE", {})
+    qseries._theta_qpoint.cache_clear()
     monkeypatch.setattr(qseries, "_theta_wings", spy)
     ctx = PrecCtx(2048)
     phi(QPoint(1, F(1, 1000)), ctx)
@@ -358,11 +362,84 @@ class TestQPoint:
             calls.append(args)
             return real_exp(*args, **kwargs)
 
-        monkeypatch.setattr(qseries, "_QPOINT_CACHE", {})
+        qseries._nome_exp.cache_clear()
         monkeypatch.setattr(qseries, "exp", counting_exp)
         QPoint(1, F(11, 3)).to_ball(CTX)
         QPoint(-1, F(11, 3)).to_ball(CTX)
         assert len(calls) == 1
+
+
+class TestNomeHelpers:
+    NOMES = [QPoint(1, F(7, 3)), QPoint(-1, F(2)), F(3, 10), F(-2, 5), Ball(3 << 254, 5, 256)]
+
+    @pytest.mark.parametrize("k", [3, 5, 7, 15, F(1, 7)])
+    @pytest.mark.parametrize("q", NOMES)
+    def test_nome_pow_agrees_with_the_power_of_the_nome_ball(self, q, k):
+        k = F(k)
+        base = as_q_ball(q, 256)
+        if k.denominator != 1 and not base.is_strictly_positive():
+            with pytest.raises(DomainError):
+                q_power_ball(q, k, 256)
+            return
+        old = ipow(base, k.numerator) if k.denominator == 1 else pow_rational(base, k)
+        assert q_power_ball(q, k, 256).overlaps(old)
+        if k.denominator == 1 or not isinstance(q, F):
+            assert as_q_ball(nome_pow(q, k), 256).overlaps(old)
+
+    def test_nome_pow_keeps_qpoints_and_rationals_exact(self):
+        assert nome_pow(QPoint(-1, F(2)), 3) == QPoint(-1, F(18))
+        assert nome_pow(QPoint(1, F(7, 3)), F(1, 7)) == QPoint(1, F(1, 21))
+        assert nome_pow(F(3, 10), 5) == F(3, 10) ** 5
+        with pytest.raises(DomainError):
+            nome_pow(F(3, 10), F(1, 7))
+
+    @pytest.mark.parametrize("q", NOMES)
+    def test_nome_neg_agrees_with_the_negated_ball(self, q):
+        neg = nome_neg(q)
+        assert type(neg) is type(q)
+        assert as_q_ball(neg, 256).overlaps(-as_q_ball(q, 256))
+
+    @pytest.mark.parametrize(
+        "q", [QPoint(-1, F(3)), F(0), F(1), F(-1, 2), F(3, 2), Ball(0, 5, 64), Ball(1 << 64, 1, 64)]
+    )
+    def test_require_positive_nome_refuses(self, q):
+        with pytest.raises(DomainError, match="requires a nome 0 < q < 1"):
+            require_positive_nome(q, "this")
+
+    @pytest.mark.parametrize("q", [QPoint(1, F(1, 1000)), F(1, 2), Ball(1 << 63, 1, 64)])
+    def test_require_positive_nome_accepts(self, q):
+        require_positive_nome(q, "this")
+
+
+class TestCaches:
+    TABLES = [
+        precision._pi_units,
+        precision._ln2_ball,
+        precision._gamma_unit,
+        qseries._nome_exp,
+        qseries._theta_qpoint,
+    ]
+
+    def test_every_table_is_bounded_by_the_one_constant(self):
+        for table in self.TABLES:
+            assert table.cache_parameters()["maxsize"] == CACHE_ENTRIES
+
+    def test_a_loop_over_more_nomes_than_entries_stays_bounded(self):
+        ctx = PrecCtx(64)
+        for i in range(CACHE_ENTRIES + 1):
+            phi(QPoint(1, 1 + F(i, CACHE_ENTRIES)), ctx)
+        for table in self.TABLES:
+            assert table.cache_info().currsize <= CACHE_ENTRIES
+        assert qseries._theta_qpoint.cache_info().currsize == CACHE_ENTRIES
+        assert qseries._nome_exp.cache_info().currsize == CACHE_ENTRIES
+
+    def test_a_repeated_call_is_a_hit_with_the_same_enclosure(self):
+        q, ctx = QPoint(-1, F(1234, 567)), PrecCtx(320)
+        first = chi(q, ctx)
+        hits = qseries._theta_qpoint.cache_info().hits
+        again = chi(q, ctx)
+        assert qseries._theta_qpoint.cache_info().hits == hits + 1
+        assert (again.m, again.r, again.f) == (first.m, first.r, first.f)
 
 
 class TestPochhammer:
