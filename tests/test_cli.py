@@ -85,12 +85,21 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--all")
         assert code == 0 and len(calls) == 1
 
-    def test_precision_is_set_only_by_flags(self, capsys, monkeypatch):
-        # no environment variable is read: the default is 512 bits whatever it holds
-        for value in ("128", "not-a-number"):
-            monkeypatch.setenv("THETAVAL_PREC_BITS", value)
-            code, out, _ = run(capsys, "verify", "r3")
-            assert code == 0 and json.loads(out)["prec_bits"] == 512
+    def test_env_var_default(self, capsys, monkeypatch):
+        # THETAVAL_PREC_BITS is no longer read: the default stays 512 bits
+        monkeypatch.setenv("THETAVAL_PREC_BITS", "128")
+        code, out, _ = run(capsys, "verify", "r3")
+        assert code == 0 and json.loads(out)["prec_bits"] == 512
+
+    def test_bad_env_var_is_usage_error(self, capsys, monkeypatch):
+        # a malformed precision is a usage error only where it is read, on the flag;
+        # the unread THETAVAL_PREC_BITS is ignored whatever it holds
+        monkeypatch.setenv("THETAVAL_PREC_BITS", "not-a-number")
+        code, out, _ = run(capsys, "verify", "r3")
+        assert code == 0 and json.loads(out)["prec_bits"] == 512
+        with pytest.raises(SystemExit) as exc:  # argparse usage error
+            main(["verify", "r3", "--prec", "not-a-number"])
+        assert exc.value.code == 2 and "invalid int value" in capsys.readouterr().err
 
     def test_digits_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "r3", "--digits", "40")
