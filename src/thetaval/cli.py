@@ -168,8 +168,8 @@ def _sweep_point(target: str, point: str, bits: int) -> list[tuple[str, Ball]]:
     if target == "septic":
         u, v, w = compute_uvw(q, ctx)
         p = compute_p(q, ctx)
-        fw = PrecCtx(bits + 32)
-        quot = phi(q_power_ball(q, Fraction(1, 7), fw.bits), fw) / phi(q**7, fw)
+        work = ctx.work()
+        quot = phi(q_power_ball(q, Fraction(1, 7), work.bits), work) / phi(q**7, work)
         return [
             (f"{point}#p_uvw", p - u * v * w),
             (f"{point}#quotient", (Ball.one(bits) + u + v + w) - quot),

@@ -33,13 +33,13 @@ from .precision import (
     D_TARGET_DIGITS,
     Ball,
     PrecCtx,
+    WorkCtx,
     agm,
     agreement_digits,
     certify,
     check_power_size,
     cos,
     gamma_rational,
-    ipow,
     pow_rational,
     rad_shortfall,
 )
@@ -182,66 +182,67 @@ _EXACT_COSPI = {
 }
 
 
-def _eval_raw(e: Expr, f: int, memo: dict) -> Ball:
-    val = memo.get((e, f))  # nodes are frozen dataclasses: equal trees hash alike
+def _eval_raw(e: Expr, w: WorkCtx, memo: dict) -> Ball:
+    """Unrounded enclosure of e; every leaf gets the working context w."""
+    key = e, w.bits  # nodes are frozen dataclasses: equal trees hash alike
+    val = memo.get(key)
     if val is None:
-        val = memo[e, f] = _eval_node(e, f, memo)
+        val = memo[key] = _eval_node(e, w, memo)
     return val
 
 
-def _eval_node(e: Expr, f: int, memo: dict) -> Ball:
+def _eval_node(e: Expr, w: WorkCtx, memo: dict) -> Ball:
     if isinstance(e, Int):
-        return Ball.exact_int(e.value).rescale(f)
+        return Ball.exact_int(e.value).rescale(w.bits)
     if isinstance(e, Rat):
-        return Ball.from_fraction(e.value, f)
+        return Ball.from_fraction(e.value, w.bits)
     if isinstance(e, Pi):
-        return _pi_ball(f)
+        return _pi_ball(w.bits)
     if isinstance(e, GammaRat):
         if not 0 < e.arg <= 2:
             raise UnsupportedGammaArgument(f"gamma argument {e.arg} outside (0, 2]")
-        return gamma_rational(e.arg, PrecCtx(f))
+        return gamma_rational(e.arg, w)
     if isinstance(e, CosPiRat):
         t = e.arg % 2
         exact = _EXACT_COSPI.get(t)
         if exact is not None:
-            return Ball.from_fraction(exact, f)
-        return cos(_pi_ball(f + 32) * Ball.from_fraction(t, f + 32)).rescale(f)
+            return Ball.from_fraction(exact, w.bits)
+        return cos(_pi_ball(w.bits) * Ball.from_fraction(t, w.bits))
     if isinstance(e, Add):
-        return _eval_raw(e.left, f, memo) + _eval_raw(e.right, f, memo)
+        return _eval_raw(e.left, w, memo) + _eval_raw(e.right, w, memo)
     if isinstance(e, Sub):
-        return _eval_raw(e.left, f, memo) - _eval_raw(e.right, f, memo)
+        return _eval_raw(e.left, w, memo) - _eval_raw(e.right, w, memo)
     if isinstance(e, Mul):
-        return _eval_raw(e.left, f, memo) * _eval_raw(e.right, f, memo)
+        return _eval_raw(e.left, w, memo) * _eval_raw(e.right, w, memo)
     if isinstance(e, Div):
-        return _eval_raw(e.left, f, memo) / _eval_raw(e.right, f, memo)
-    if isinstance(e, PowRat):
-        base = _eval_raw(e.base, f, memo)
-        if e.exponent.denominator == 1:
-            return ipow(base, e.exponent.numerator)
-        return pow_rational(base, e.exponent)
+        return _eval_raw(e.left, w, memo) / _eval_raw(e.right, w, memo)
+    if isinstance(e, PowRat):  # under the power limit of the requested bits
+        return pow_rational(_eval_raw(e.base, w, memo), e.exponent, w)
     if isinstance(e, Neg):
-        return -_eval_raw(e.arg, f, memo)
+        return -_eval_raw(e.arg, w, memo)
     if isinstance(e, ThetaExpr):
-        return eval_theta(e, PrecCtx(f))
+        return eval_theta(e, w)
     if isinstance(e, Agm):
-        return agm(_eval_raw(e.a, f, memo), _eval_raw(e.b, f, memo), PrecCtx(f))
+        return agm(_eval_raw(e.a, w, memo), _eval_raw(e.b, w, memo), w)
     if isinstance(e, Hyp):
-        return modular.hyp2f1_half(_eval_raw(e.x, f, memo), PrecCtx(f))
+        return modular.hyp2f1_half(_eval_raw(e.x, w, memo), w)
     if isinstance(e, Nome):
-        return e.q.to_ball(PrecCtx(f))
+        return e.q.to_ball(w)
     raise TypeError(f"unknown expression node {e!r}")
 
 
 def eval_expr(e: Expr, ctx: PrecCtx) -> Ball:
     """Certified enclosure of an expression tree, theta nodes included.
 
-    A divisor or fractional-power base that straddles zero runs the tree again
-    at more bits, through `certify`.  Shared subtrees are evaluated once per
-    scale, through a memo cleared on exit (an error's traceback would keep it).
+    The tree runs at `ctx.work()` and is rounded once, to ctx.bits.  A divisor
+    or fractional-power base that straddles zero runs the tree again at more
+    bits, through `certify`.  Shared subtrees are evaluated once per scale,
+    through a memo cleared on exit (an error's traceback would keep it).
     """
     memo: dict[tuple[Expr, int], Ball] = {}
     try:
-        return certify(lambda bits: _eval_raw(e, bits, memo), ctx.bits)[0].rescale(ctx.bits)
+        value, _ = certify(lambda b: _eval_raw(e, PrecCtx(b).work(), memo), ctx.bits)
+        return value.rescale(ctx.bits)
     finally:
         memo.clear()
 
@@ -393,7 +394,7 @@ class ClassInv(ThetaExpr):
 
 
 def _nome(q: QPoint | Expr, ctx: PrecCtx) -> QPoint | Ball:
-    return q if isinstance(q, QPoint) else _eval_raw(q, ctx.bits, {})
+    return q if isinstance(q, QPoint) else _eval_raw(q, ctx.work(), {})
 
 
 def eval_theta(t: ThetaExpr, ctx: PrecCtx) -> Ball:
@@ -407,7 +408,7 @@ def eval_theta(t: ThetaExpr, ctx: PrecCtx) -> Ball:
     if isinstance(t, Chi):
         return chi(_nome(t.q, ctx), ctx)
     if isinstance(t, ThetaF):
-        return theta_f(_eval_raw(t.a, ctx.bits, {}), _eval_raw(t.b, ctx.bits, {}), ctx)
+        return theta_f(_eval_raw(t.a, ctx.work(), {}), _eval_raw(t.b, ctx.work(), {}), ctx)
     if isinstance(t, YiH):
         return modular.yi_h(modular.YiQuotient(t.k, t.n, t.primed), ctx)
     if isinstance(t, ClassInv):
@@ -854,15 +855,17 @@ def verify_identity(ident: Identity, ctx: PrecCtx) -> VerifyReport:
     """Evaluate both sides and compare as balls.
 
     Verified means the enclosures overlap and both radii sit below
-    10^-D_TARGET_DIGITS.  Overlapping enclosures that are too wide, or a
-    divisor or root base that straddles zero, run both sides again at more
-    bits through `certify`; disjoint enclosures fail at once (inclusion makes
-    that definitive).
+    10^-D_TARGET_DIGITS.  Each side runs at the working context and is
+    rounded once, to the bits of its attempt.  Overlapping enclosures that
+    are too wide, or a divisor or root base that straddles zero, run both
+    sides again at more bits through `certify`; disjoint enclosures fail at
+    once (inclusion makes that definitive).
     """
     memo: dict[tuple[Expr, int], Ball] = {}
 
     def sides(bits: int) -> tuple[Ball, ...]:
-        return tuple(_eval_raw(e, bits, memo).rescale(bits) for e in (ident.lhs, ident.rhs))
+        w = PrecCtx(bits).work()
+        return tuple(_eval_raw(e, w, memo).rescale(bits) for e in (ident.lhs, ident.rhs))
 
     try:
         (lhs, rhs), used = certify(sides, ctx.bits, lambda s: s if s[0].overlaps(s[1]) else ())

@@ -95,50 +95,43 @@ class CompletionResult:
 def compute_uvw(q, ctx: PrecCtx) -> tuple[Ball, Ball, Ball]:
     """u = 2 q^(1/7) f(q^5,q^9)/phi(q^7), and the q^(4/7), q^(9/7) mates."""
     require_positive_nome(q, "the septic system")
-    f = ctx.bits
-    fw = f + 32
-    wctx = PrecCtx(fw)
+    wctx = ctx.work()
     den = phi(nome_pow(q, 7), wctx)
-    q5, q9 = q_power_ball(q, 5, fw), q_power_ball(q, 9, fw)
-    q3, q11 = q_power_ball(q, 3, fw), q_power_ball(q, 11, fw)
-    q1, q13 = as_q_ball(q, fw), q_power_ball(q, 13, fw)
-    u = (q_power_ball(q, Fraction(1, 7), fw) * 2) * theta_f(q5, q9, wctx) / den
-    v = (q_power_ball(q, Fraction(4, 7), fw) * 2) * theta_f(q3, q11, wctx) / den
-    w = (q_power_ball(q, Fraction(9, 7), fw) * 2) * theta_f(q1, q13, wctx) / den
-    return u.rescale(f), v.rescale(f), w.rescale(f)
+    q5, q9 = q_power_ball(q, 5, wctx.bits), q_power_ball(q, 9, wctx.bits)
+    q3, q11 = q_power_ball(q, 3, wctx.bits), q_power_ball(q, 11, wctx.bits)
+    q1, q13 = as_q_ball(q, wctx.bits), q_power_ball(q, 13, wctx.bits)
+    u = (q_power_ball(q, Fraction(1, 7), wctx.bits) * 2) * theta_f(q5, q9, wctx) / den
+    v = (q_power_ball(q, Fraction(4, 7), wctx.bits) * 2) * theta_f(q3, q11, wctx) / den
+    w = (q_power_ball(q, Fraction(9, 7), wctx.bits) * 2) * theta_f(q1, q13, wctx) / den
+    return u.rescale(ctx.bits), v.rescale(ctx.bits), w.rescale(ctx.bits)
 
 
 def compute_p(q, ctx: PrecCtx) -> Ball:
     """p = uvw = 8 q^2 chi(q) / chi(q^7)^7, with chi(q) = (-q; q^2)_inf."""
     require_positive_nome(q, "the septic system")
-    f = ctx.bits
-    fw = f + 32
-    wctx = PrecCtx(fw)
-    qb = as_q_ball(q, fw)
-    den = ipow(chi(nome_pow(q, 7), wctx), 7)
-    return ((qb * qb * 8) * chi(q, wctx) / den).rescale(f)
+    w = ctx.work()
+    qb = as_q_ball(q, w.bits)
+    den = ipow(chi(nome_pow(q, 7), w), 7)
+    return ((qb * qb * 8) * chi(q, w) / den).rescale(ctx.bits)
 
 
 def ratio4_series_oracle(q, ctx: PrecCtx) -> Ball:
     """phi^4(q)/phi^4(q^7) evaluated purely by the series route."""
-    fw = ctx.bits + 32
-    wctx = PrecCtx(fw)
-    num = phi_series(q, wctx)
-    den = phi_series(nome_pow(q, 7), wctx)
+    w = ctx.work()
+    num = phi_series(q, w)
+    den = phi_series(nome_pow(q, 7), w)
     return ipow(num / den, 4).rescale(ctx.bits)
 
 
 def verify_quartic_relation(q, ctx: PrecCtx) -> Ball:
     """Residual of R^2 - (2+5p) R + (1-p)^3 with R from the series route."""
     require_positive_nome(q, "the septic system")
-    f = ctx.bits
-    fw = f + 32
-    wctx = PrecCtx(fw)
-    ratio = ratio4_series_oracle(q, wctx)
-    p = compute_p(q, wctx)
-    one = Ball.one(fw)
+    w = ctx.work()
+    ratio = ratio4_series_oracle(q, w)
+    p = compute_p(q, w)
+    one = Ball.one(w.bits)
     res = ipow(ratio, 2) - (p * 5 + 2) * ratio + ipow(one - p, 3)
-    return res.rescale(f)
+    return res.rescale(ctx.bits)
 
 
 def solve_ratio4(p: Ball, q, ctx: PrecCtx) -> tuple[Ball, str]:
@@ -148,19 +141,18 @@ def solve_ratio4(p: Ball, q, ctx: PrecCtx) -> tuple[Ball, str]:
     Returns (root, branch) with branch in {"plus", "minus", "double"}.
     Root selection is always by numeric comparison, never a fixed branch.
     """
-    f = ctx.bits
-    fw = f + 32
+    fw = ctx.work().bits
     one = Ball.one(fw)
     pw = p.rescale(fw)
     b = pw * 5 + 2
     disc = ipow(b, 2) - ipow(one - pw, 3) * 4
     if disc.m == 0 and disc.r == 0:
-        return (b.half().rescale(f), "double")
+        return (b.half().rescale(ctx.bits), "double")
     if not disc.is_strictly_positive():
         raise DomainError("quadratic discriminant enclosure is not positive")
     root = sqrt(disc)
-    x_plus = ((b + root).half()).rescale(f)
-    x_minus = ((b - root).half()).rescale(f)
+    x_plus = ((b + root).half()).rescale(ctx.bits)
+    x_minus = ((b - root).half()).rescale(ctx.bits)
     oracle = ratio4_series_oracle(q, ctx)
     hit_plus = x_plus.overlaps(oracle)
     hit_minus = x_minus.overlaps(oracle)
@@ -179,8 +171,7 @@ def build_septic_state(q, ctx: PrecCtx) -> SepticState:
     u, v, w = compute_uvw(q, ctx)
     p = compute_p(q, ctx)
     ratio4, branch = solve_ratio4(p, q, ctx)
-    f = ctx.bits
-    one = Ball.one(f)
+    one = Ball.one(ctx.bits)
     c2 = (one + p * 3 - ratio4) * 2
     c1 = ipow(p, 2) * (p + 4)
     c0 = -ipow(p, 4)
@@ -285,10 +276,10 @@ def septic_pipeline(q, ctx: PrecCtx) -> tuple[SepticState, tuple[Ball, Ball, Bal
     separate branches, roots or permutations run it again through `certify`."""
 
     def attempt(bits: int):
-        wctx = PrecCtx(bits)
-        state = build_septic_state(q, wctx)
-        roots = cubic_roots(state, wctx)
-        return state, roots, assign_roots(state, roots, wctx)
+        at = PrecCtx(bits)
+        state = build_septic_state(q, at)
+        roots = cubic_roots(state, at)
+        return state, roots, assign_roots(state, roots, at)
 
     return certify(attempt, ctx.bits)[0]
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NotConvergent, PreconditionViolated
-from .precision import Ball, PrecCtx, agm, cos, exp, ipow, pow_rational, sin, sqrt
-from .precision import _ceil_div, _pi_ball
+from .precision import GUARD_BITS, Ball, PrecCtx, WorkCtx, agm, cos, exp, ipow, pow_rational
+from .precision import _ceil_div, _pi_ball, sin, sqrt
 from .qseries import QPoint, as_q_ball, nome_neg, nome_pow, phi, require_positive_nome
 
 __all__ = [
@@ -48,38 +48,34 @@ __all__ = [
 # hypergeometric and nome
 
 
-def _one(f: int) -> Ball:
-    return Ball.one(f)
-
-
-def _hyp_raw(x: Ball, fw: int) -> Ball:
-    """2F1(1/2,1/2;1;x) = 1 / agm(1, sqrt(1-x)) on (0, 1); exact 1 at x = 0."""
-    x = x.rescale(fw)
+def _hyp_raw(x: Ball, w: WorkCtx) -> Ball:
+    """2F1(1/2,1/2;1;x) = 1 / agm(1, sqrt(1-x)) on (0, 1) at the working
+    context w, unrounded; exact 1 at x = 0."""
+    x, one = x.rescale(w.bits), Ball.one(w.bits)
     if x.m == 0 and x.r == 0:
-        return _one(fw)
-    comp = _one(fw) - x
+        return one
+    comp = one - x
     if not (x.is_strictly_positive() and comp.is_strictly_positive()):
         raise DomainError("hyp2f1_half requires an enclosure inside (0, 1)")
-    return _one(fw) / agm(_one(fw), sqrt(comp), PrecCtx(fw))
+    return one / agm(one, sqrt(comp), w)
 
 
 def hyp2f1_half(x: Ball, ctx: PrecCtx) -> Ball:
     """Complete-elliptic route for 2F1(1/2, 1/2; 1; x)."""
-    return _hyp_raw(x, ctx.bits + 32).rescale(ctx.bits)
+    return _hyp_raw(x, ctx.work()).rescale(ctx.bits)
 
 
 def hyp2f1_half_series(x: Ball, ctx: PrecCtx) -> Ball:
     """Direct hypergeometric series, usable as an independent oracle for
     x <= 0.7 (the term ratio is then bounded by 0.7)."""
-    f = ctx.bits
-    fw = f + 32
+    fw = ctx.work().bits
     x = x.rescale(fw)
     if 100 * x.sup_units() > 71 << fw:
         raise DomainError("series route restricted to x <= 0.7")
     if x.m - x.r < 0:
         raise DomainError("series route requires x >= 0")
-    acc = _one(fw)
-    t = _one(fw)
+    acc = Ball.one(fw)
+    t = Ball.one(fw)
     n = 0
     for _ in range(8 * fw + 64):
         t = ((t * x) * (2 * n + 1) ** 2).div_int((2 * n + 2) ** 2)
@@ -88,26 +84,23 @@ def hyp2f1_half_series(x: Ball, ctx: PrecCtx) -> Ball:
         if t.sup_units() <= 2:
             break
     tail = _ceil_div(5 * t.sup_units(), 2) + 1  # ratio <= 0.71: tail <= 2.5 t
-    return Ball(acc.m, acc.r + tail, fw).rescale(f)
+    return Ball(acc.m, acc.r + tail, fw).rescale(ctx.bits)
 
 
 def nome(x: Ball, ctx: PrecCtx) -> Ball:
     """q(x) = exp(-pi * 2F1(.., 1-x) / 2F1(.., x))."""
-    f = ctx.bits
-    fw = f + 32
-    x = x.rescale(fw)
-    quotient = _hyp_raw(_one(fw) - x, fw) / _hyp_raw(x, fw)
-    return exp(-(_pi_ball(fw) * quotient)).rescale(f)
+    w = ctx.work()
+    x = x.rescale(w.bits)
+    quotient = _hyp_raw(Ball.one(w.bits) - x, w) / _hyp_raw(x, w)
+    return exp(-(_pi_ball(w.bits) * quotient)).rescale(ctx.bits)
 
 
 def modulus_from_q(q, ctx: PrecCtx) -> Ball:
     """Closed-form nome inversion x = 1 - (phi(-q)/phi(q))^4, 0 < q < 1."""
-    f = ctx.bits
-    fw = f + 32
-    wctx = PrecCtx(fw)
+    w = ctx.work()
     require_positive_nome(q, "modulus_from_q")
-    ratio = phi(nome_neg(q), wctx) / phi(q, wctx)
-    return (_one(fw) - ipow(ratio, 4)).rescale(f)
+    ratio = phi(nome_neg(q), w) / phi(q, w)
+    return (Ball.one(w.bits) - ipow(ratio, 4)).rescale(ctx.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +134,9 @@ def triple_from_x(x: Ball, ctx: PrecCtx) -> ModularTriple:
 
 def transform(t: ModularTriple, kind: str, ctx: PrecCtx) -> ModularTriple:
     """Apply duplication, dimidiation or change_of_sign to a triple."""
-    f = ctx.bits
-    fw = f + 32
+    fw = ctx.work().bits
     x, q, z = t.x.rescale(fw), t.q.rescale(fw), t.z.rescale(fw)
-    one = _one(fw)
+    one = Ball.one(fw)
     if kind == "duplication":
         s = sqrt(one - x)
         x2 = ipow((one - s) / (one + s), 2)
@@ -168,7 +160,7 @@ def transform(t: ModularTriple, kind: str, ctx: PrecCtx) -> ModularTriple:
         z2 = z * sqrt(one - x)
     else:
         raise ValueError(f"unknown transform {kind!r}")
-    return ModularTriple(x2.rescale(f), q2.rescale(f), z2.rescale(f))
+    return ModularTriple(x2.rescale(ctx.bits), q2.rescale(ctx.bits), z2.rescale(ctx.bits))
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +171,8 @@ def multiplier(q, n: int, ctx: PrecCtx) -> Ball:
     """m = phi(q)^2 / phi(q^n)^2."""
     if n < 1:
         raise DomainError("multiplier degree must be a positive integer")
-    wctx = PrecCtx(ctx.bits + 32)
-    return ipow(phi(q, wctx) / phi(nome_pow(q, n), wctx), 2).rescale(ctx.bits)
+    w = ctx.work()
+    return ipow(phi(q, w) / phi(nome_pow(q, n), w), 2).rescale(ctx.bits)
 
 
 def singular_modulus_sq(n, ctx: PrecCtx) -> Ball:
@@ -202,13 +194,11 @@ def class_invariant(n, ctx: PrecCtx) -> Ball:
     n = Fraction(n)
     if n <= 0:
         raise DomainError("class invariant index must be positive")
-    f = ctx.bits
-    fw = f + 32
-    wctx = PrecCtx(fw)
-    root = sqrt(Ball.from_fraction(n, fw))
-    q_pow = exp((_pi_ball(fw) * root).div_int(24))
-    two_qtr = pow_rational(Ball.from_fraction(2, fw), Fraction(-1, 4))
-    return (two_qtr * q_pow * chi(QPoint(1, n), wctx)).rescale(f)
+    w = ctx.work()
+    root = sqrt(Ball.from_fraction(n, w.bits))
+    q_pow = exp((_pi_ball(w.bits) * root).div_int(24))
+    two_qtr = pow_rational(Ball.from_fraction(2, w.bits), Fraction(-1, 4))
+    return (two_qtr * q_pow * chi(QPoint(1, n), w)).rescale(ctx.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +236,8 @@ class ModularEquation:
         )
 
     def residual(self, alpha: Ball, beta: Ball, m: Ball, ctx: PrecCtx) -> Ball:
-        fw = ctx.bits + 32
-        one = _one(fw)
+        fw = ctx.work().bits
+        one = Ball.one(fw)
         factors = (
             alpha.rescale(fw),
             one - alpha.rescale(fw),
@@ -291,7 +281,7 @@ def modulus_pair(q, n: int, ctx: PrecCtx) -> ModulusPair:
 def verify_degree3(q, ctx: PrecCtx) -> tuple[Ball, Ball]:
     """Residuals of the degree-3 multiplier equation and its reciprocal;
     both must contain 0."""
-    pair = modulus_pair(q, 3, PrecCtx(ctx.bits + 32))
+    pair = modulus_pair(q, 3, ctx.work())
     r1 = DEGREE3_PRIMARY.residual(pair.alpha, pair.beta, pair.m, ctx)
     r2 = DEGREE3_PRIMARY.reciprocal().residual(pair.alpha, pair.beta, pair.m, ctx)
     return r1, r2
@@ -299,15 +289,13 @@ def verify_degree3(q, ctx: PrecCtx) -> tuple[Ball, Ball]:
 
 def degree_relation_residual(q, n: int, ctx: PrecCtx) -> Ball:
     """n * F(1-alpha)/F(alpha) - F(1-beta)/F(beta) with beta from q^n."""
-    f = ctx.bits
-    fw = f + 32
-    wctx = PrecCtx(fw)
-    one = _one(fw)
-    alpha = modulus_from_q(q, wctx).rescale(fw)
-    beta = modulus_from_q(nome_pow(q, n), wctx).rescale(fw)
-    lhs = (_hyp_raw(one - alpha, fw) / _hyp_raw(alpha, fw)) * n
-    rhs = _hyp_raw(one - beta, fw) / _hyp_raw(beta, fw)
-    return (lhs - rhs).rescale(f)
+    w = ctx.work()
+    one = Ball.one(w.bits)
+    alpha = modulus_from_q(q, w)
+    beta = modulus_from_q(nome_pow(q, n), w)
+    lhs = (_hyp_raw(one - alpha, w) / _hyp_raw(alpha, w)) * n
+    rhs = _hyp_raw(one - beta, w) / _hyp_raw(beta, w)
+    return (lhs - rhs).rescale(ctx.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +305,19 @@ def degree_relation_residual(q, n: int, ctx: PrecCtx) -> Ball:
 def verify_degree15(q, ctx: PrecCtx) -> Ball:
     """Residual of PQ + 5/PQ = (Q/P)^2 + 3(Q/P) + 3(P/Q) - (P/Q)^2
     with P = phi(q)/phi(q^5) and Q = phi(q^3)/phi(q^15)."""
-    f = ctx.bits
-    fw = f + 32
-    wctx = PrecCtx(fw)
+    w = ctx.work()
 
     def _phi_pow(k: int) -> Ball:
-        return phi(nome_pow(q, k), wctx)
+        return phi(nome_pow(q, k), w)
 
     p = _phi_pow(1) / _phi_pow(5)
     qq = _phi_pow(3) / _phi_pow(15)
     pq = p * qq
     ratio = qq / p
     inv = p / qq
-    lhs = pq + Ball.from_fraction(5, fw) / pq
+    lhs = pq + Ball.from_fraction(5, w.bits) / pq
     rhs = ipow(ratio, 2) + ratio * 3 + inv * 3 - ipow(inv, 2)
-    return (lhs - rhs).rescale(f)
+    return (lhs - rhs).rescale(ctx.bits)
 
 
 @dataclass(frozen=True)
@@ -352,18 +338,16 @@ class YiQuotient:
 def yi_h(hq: YiQuotient, ctx: PrecCtx) -> Ball:
     """h_{k,n} = phi(e^(-pi sqrt(n/k))) / (k^(1/4) phi(e^(-pi sqrt(n k)))),
     with nomes -e^(-2 pi sqrt(.)) for the primed variant."""
-    f = ctx.bits
-    fw = f + 32
-    wctx = PrecCtx(fw)
+    w = ctx.work()
     k, n = hq.k, hq.n
     if hq.primed:
-        num = phi(QPoint(-1, 4 * n / k), wctx)
-        den = phi(QPoint(-1, 4 * n * k), wctx)
+        num = phi(QPoint(-1, 4 * n / k), w)
+        den = phi(QPoint(-1, 4 * n * k), w)
     else:
-        num = phi(QPoint(1, n / k), wctx)
-        den = phi(QPoint(1, n * k), wctx)
-    kq = pow_rational(Ball.from_fraction(k, fw), Fraction(1, 4))
-    return (num / (kq * den)).rescale(f)
+        num = phi(QPoint(1, n / k), w)
+        den = phi(QPoint(1, n * k), w)
+    kq = pow_rational(Ball.from_fraction(k, w.bits), Fraction(1, 4))
+    return (num / (kq * den)).rescale(ctx.bits)
 
 
 def yi_product_theorem(k, a, b, c, d, ctx: PrecCtx) -> Ball:
@@ -371,9 +355,9 @@ def yi_product_theorem(k, a, b, c, d, ctx: PrecCtx) -> Ball:
     k, a, b, c, d = (Fraction(v) for v in (k, a, b, c, d))
     if a * b != c * d:
         raise PreconditionViolated("the product theorem requires ab = cd")
-    wctx = PrecCtx(ctx.bits + 32)
-    lhs = yi_h(YiQuotient(a, b), wctx) * yi_h(YiQuotient(k * c, k * d), wctx)
-    rhs = yi_h(YiQuotient(k * a, k * b), wctx) * yi_h(YiQuotient(c, d), wctx)
+    w = ctx.work()
+    lhs = yi_h(YiQuotient(a, b), w) * yi_h(YiQuotient(k * c, k * d), w)
+    rhs = yi_h(YiQuotient(k * a, k * b), w) * yi_h(YiQuotient(c, d), w)
     return (lhs - rhs).rescale(ctx.bits)
 
 
@@ -398,10 +382,10 @@ def jims_identity(x, ctx: PrecCtx) -> Ball:
     if isinstance(x, Ball):
         x0, xf = x, x.to_float()
         inside = 0.0 < xf < 1.0
-    else:  # read the exact x: rounded to f + 32 bits, a tiny one is 0.0;
+    else:  # read the exact x: rounded to f + GUARD_BITS, a tiny one is 0.0;
         # below 1e-300 the clamped estimate is already far above the limit
         x = Fraction(x)
-        x0, xf = as_q_ball(x, f + 32), max(float(x), 1e-300)
+        x0, xf = as_q_ball(x, f + GUARD_BITS), max(float(x), 1e-300)
         inside = 0 < x < 1
     if not inside:
         raise DomainError("jims_identity requires x inside (0, 1)")
@@ -413,7 +397,7 @@ def jims_identity(x, ctx: PrecCtx) -> Ball:
             f"jims series needs at least {count} terms, more than its limit of {limit}"
         )
     xb = x0.rescale(fw)
-    one = _one(fw)
+    one = Ball.one(fw)
     if not (xb.is_strictly_positive() and (one - xb).is_strictly_positive()):
         raise DomainError("jims_identity requires x inside (0, 1)")
     pi = _pi_ball(fw)

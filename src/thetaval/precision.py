@@ -32,6 +32,8 @@ from .errors import (
 
 __all__ = [
     "PrecCtx",
+    "WorkCtx",
+    "GUARD_BITS",
     "Ball",
     "ball_arith",
     "elementary",
@@ -67,15 +69,39 @@ CACHE_ENTRIES = 1024
 memo = functools.lru_cache(maxsize=CACHE_ENTRIES)
 
 
+# The one guard rule: a function given ctx works at ctx.work(), GUARD_BITS
+# above it, and rounds once to ctx.bits; a WorkCtx's work() is itself, so a
+# call tree carries the guard once.  Kernel-local guards (exp, trig, pi) stay.
+GUARD_BITS = 32
+
+
 @dataclass(frozen=True)
 class PrecCtx:
-    """Working precision in bits; shared by a whole call tree."""
+    """Requested precision in bits; a call tree works at `work()`."""
 
     bits: int = 512
 
     def __post_init__(self):
         if self.bits < 64:
-            raise ValueError("working precision must be at least 64 bits")
+            raise ValueError("requested precision must be at least 64 bits")
+
+    @property
+    def requested(self) -> int:
+        return self.bits  # the precision asked for; it sets the power limit
+
+    def work(self) -> "WorkCtx":
+        return WorkCtx(self.bits + GUARD_BITS)
+
+
+class WorkCtx(PrecCtx):
+    """A working context: its bits already carry the guard."""
+
+    @property
+    def requested(self) -> int:
+        return self.bits - GUARD_BITS
+
+    def work(self) -> "WorkCtx":
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +221,12 @@ class Ball:
     # -- inspection ---------------------------------------------------
 
     def rescale(self, f2: int) -> "Ball":
-        if f2 == self.f:
-            return self
-        if f2 > self.f:
-            s = f2 - self.f
-            return Ball(self.m << s, self.r << s, f2)
         s = self.f - f2
-        m, err = _round_shift(self.m, s)
-        return Ball(m, _ceil_shift(self.r, s) + err, f2)
+        if s <= 0:
+            return self if s == 0 else Ball(self.m << -s, self.r << -s, f2)
+        # the exact distance to the rounded midpoint: at most ceil(r/2^s) + 1
+        m = (self.m + (1 << (s - 1))) >> s
+        return Ball(m, _ceil_shift(abs(self.m - (m << s)) + self.r, s), f2)
 
     @property
     def mid(self) -> Fraction:
@@ -370,16 +394,17 @@ def check_power_size(exponent, log2_base: float, f: int) -> None:
         )
 
 
-def ipow(x: Ball, k: int) -> Ball:
+def ipow(x: Ball, k: int, bits: int | None = None) -> Ball:
+    """x**k, refused past the power limit of `bits` (default: the scale of x)."""
     if k < 0:
         # 1/x^k, or (1/x)^k when x is resolved but x^k falls below the scale
-        xk = ipow(x, -k)
+        xk = ipow(x, -k, bits)
         if xk.contains_zero() and not x.contains_zero():
-            return ipow(Ball.one(x.f) / x, -k)
+            return ipow(Ball.one(x.f) / x, -k, bits)
         return Ball.one(x.f) / xk
     mag = x.sup_units()
     if mag >> x.f:  # |x| may reach 1, so x**k may grow
-        check_power_size(k, math.log2(mag) - x.f, x.f)
+        check_power_size(k, math.log2(mag) - x.f, x.f if bits is None else bits)
     result = Ball.one(x.f)
     base = x
     while k:
@@ -435,24 +460,25 @@ def pow_rational(x: Ball, e, ctx: PrecCtx | None = None) -> Ball:
     """x**(p/q).  Fractional exponents require a strictly positive base.
 
     Small root orders go through the integer root (tight); large ones
-    through the certified exp(e log x) route, which stays cheap.
+    through the certified exp(e log x) route, which stays cheap.  The power
+    limit is that of the requested precision of ctx (default: the scale of x).
     """
     e = Fraction(e)
-    f = ctx.bits if ctx is not None else x.f
+    f, bits = (ctx.bits, ctx.requested) if ctx is not None else (x.f, x.f)
     num, den = e.numerator, e.denominator
     if den == 1:
-        return ipow(x, num).rescale(f)
+        return ipow(x, num, bits).rescale(f)
     if not x.is_strictly_positive():
         raise NegativeBaseEvenRoot(
             "fractional powers are defined for strictly positive bases only"
         )
-    fw = f + 32 + abs(num).bit_length() + den.bit_length()
+    fw = f + GUARD_BITS + abs(num).bit_length() + den.bit_length()
     if den > 64:
         lg = max(abs(math.log2(x.m + s * x.r) - x.f) for s in (-1, 1))
-        check_power_size(e, lg, f)
+        check_power_size(e, lg, bits)
         return exp(log(x.rescale(fw)) * Ball.from_fraction(e, fw)).rescale(f)
     root = nth_root(x.rescale(fw), den)
-    return ipow(root, num).rescale(f)
+    return ipow(root, num, bits).rescale(f)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +520,7 @@ def _pi_units(f: int) -> tuple[int, int]:
 
 def const_pi(ctx: PrecCtx) -> Ball:
     """Certified enclosure of pi at the context precision."""
-    m, r = _pi_units(ctx.bits)
-    return Ball(m, r, ctx.bits)
+    return _pi_ball(ctx.bits)
 
 
 def _pi_ball(f: int) -> Ball:
@@ -653,8 +678,7 @@ def sin(x: Ball, ctx: PrecCtx | None = None) -> Ball:
 
 def agm(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
     """Arithmetic-geometric mean of two strictly positive enclosures."""
-    f = ctx.bits
-    fw = f + 32
+    fw = ctx.work().bits
     x, y = a.rescale(fw), b.rescale(fw)
     if not (x.is_strictly_positive() and y.is_strictly_positive()):
         raise DomainError("agm requires strictly positive enclosures")
@@ -664,7 +688,7 @@ def agm(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
         x, y = x1, y1
         # after one step the true iterates bracket the limit: agm in [y, x]
         if abs(x.m - y.m) <= x.r + y.r + 4:
-            return Ball.hull(x, y).rescale(f)
+            return Ball.hull(x, y).rescale(ctx.bits)
     raise DomainError("agm iteration failed to converge")
 
 
@@ -727,9 +751,8 @@ def _gamma_series(z: Fraction, n: int, terms: int, f: int) -> Ball:
 
 
 @memo
-def _gamma_unit(z: Fraction, f: int) -> Ball:
-    """Cached Gamma(z) for rational 0 < z < 1 at scale f."""
-    fw = f + 32
+def _gamma_unit(z: Fraction, fw: int) -> Ball:
+    """Cached Gamma(z) for rational 0 < z < 1 at the working scale fw."""
     # e^-n <= 2^-fw; the terms are chosen so the last kept one, times
     # n^z e^-n, falls below 2^-fw too (t_{k-1} <= n^(k-1) / (z (k-1)!))
     n = math.ceil(fw * math.log(2))
@@ -739,7 +762,7 @@ def _gamma_unit(z: Fraction, f: int) -> Ball:
     while log_last > goal:
         log_last += math.log(n) - math.log(terms)
         terms += 1
-    return _gamma_series(z, n, terms, fw).rescale(f)
+    return _gamma_series(z, n, terms, fw)
 
 
 def gamma_rational(p, ctx: PrecCtx) -> Ball:
@@ -756,13 +779,12 @@ def gamma_rational(p, ctx: PrecCtx) -> Ball:
     p = Fraction(p)
     if not 0 < p <= 2:
         raise UnsupportedArgument("gamma_rational requires 0 < p <= 2")
-    f = ctx.bits
     if p == 1 or p == 2:
-        return Ball.one(f)
+        return Ball.one(ctx.bits)
     if p < 1:
-        return _gamma_unit(p, f)
+        return _gamma_unit(p, ctx.work().bits).rescale(ctx.bits)
     z = p - 1
-    return (_gamma_unit(z, f) * z.numerator).div_int(z.denominator)
+    return (_gamma_unit(z, ctx.work().bits) * z.numerator).div_int(z.denominator).rescale(ctx.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +909,6 @@ def agreement_digits(lhs: Ball, rhs: Ball, cap: int = 10**6) -> int:
 # certification: the one escalation loop of every command
 
 D_TARGET_DIGITS = 100
-GUARD_BITS = 32
 CAP_FACTOR = 8
 
 

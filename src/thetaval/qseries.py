@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, FactorNearZero, NotConvergent
-from .precision import Ball, PrecCtx, check_power_size, ipow, memo, nth_root, pow_rational
+from .precision import GUARD_BITS, Ball, PrecCtx, WorkCtx, check_power_size, ipow, memo, nth_root
+from .precision import pow_rational
 from .precision import _pi_ball, exp, sqrt  # noqa: F401  (pi needed for nomes)
 
 __all__ = [
@@ -75,7 +76,7 @@ class QPoint:
 @memo
 def _nome_exp(r: Fraction, f: int) -> Ball:
     """exp(-pi sqrt(r)) at scale f."""
-    fw = f + 32
+    fw = f + GUARD_BITS
     return exp(-(_pi_ball(fw) * sqrt(Ball.from_fraction(r, fw)))).rescale(f)
 
 
@@ -181,7 +182,7 @@ def _pochhammer_raw(a: Ball, q: Ball, fw: int) -> Ball:
         mk = amag * ipow(qmag, count)
         if 2 * mk.sup_units() < 1 << fw:
             bound = mk / ((one - mk) * (one - qmag))
-            if bound.sup_units() <= 64:  # <= 2^-(fw-7); fw carries 32 guard bits
+            if bound.sup_units() <= 64:  # <= 2^-(fw-7); fw carries GUARD_BITS
                 tail_units = 2 * bound.sup_units() + 1
                 break
         count *= 2
@@ -201,8 +202,7 @@ def _pochhammer_raw(a: Ball, q: Ball, fw: int) -> Ball:
 
 def pochhammer_inf(a: Ball, q: Ball, ctx: PrecCtx) -> Ball:
     """Certified enclosure of the infinite product (a; q)_inf."""
-    f = ctx.bits
-    return _pochhammer_raw(a, q, f + 32).rescale(f)
+    return _pochhammer_raw(a, q, ctx.work().bits).rescale(ctx.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +251,8 @@ def _theta_wings(wings, f: int, min_terms: int = 0) -> tuple[int, int, int, int]
 
 
 def _theta_sum(wings, ctx: PrecCtx, scale: int = 1, min_terms: int = 0, with_tail: bool = False):
-    """1 + scale * (the wing sums), the wings given at scale ctx.bits + 32."""
-    fw = ctx.bits + 32
+    """1 + scale * (the wing sums), the wings given at scale ctx.work().bits."""
+    fw = ctx.work().bits
     s, err, tail, n = _theta_wings(wings, fw, min_terms)
     out = Ball((1 << fw) + scale * s, scale * (err + tail), fw).rescale(ctx.bits)
     if with_tail:
@@ -261,7 +261,7 @@ def _theta_sum(wings, ctx: PrecCtx, scale: int = 1, min_terms: int = 0, with_tai
 
 
 def _series_nome(q, ctx: PrecCtx) -> Ball:
-    qb = as_q_ball(q, ctx.bits + 32)
+    qb = as_q_ball(q, ctx.work().bits)
     _check_q(qb)
     return qb
 
@@ -269,7 +269,7 @@ def _series_nome(q, ctx: PrecCtx) -> Ball:
 def theta_f(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
     """Certified enclosure of sum_n a^(n(n+1)/2) b^(n(n-1)/2), |ab| < 1:
     the wings (a, a ab, ab) for n >= 1 and (b, b ab, ab) for n <= -1."""
-    fw = ctx.bits + 32
+    fw = ctx.work().bits
     a = a.rescale(fw)
     b = b.rescale(fw)
     ab = a * b
@@ -283,18 +283,19 @@ def theta_f(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
 
 
 def _theta_cached(kind: str, q, ctx: PrecCtx, compute) -> Ball:
-    """compute(q, ctx), memoized by `_theta_qpoint` for a QPoint nome."""
+    """compute(q, ctx), memoized by `_theta_qpoint` on the working scale for a
+    QPoint nome, so a direct call and one inside a composite share an entry."""
     if isinstance(q, QPoint):
-        return _theta_qpoint(kind, compute, q.sign, q.r, ctx.bits)
+        return _theta_qpoint(kind, compute, q.sign, q.r, ctx.work().bits).rescale(ctx.bits)
     return compute(q, ctx)
 
 
 @memo
 def _theta_qpoint(kind: str, compute, sign: int, r: Fraction, f: int) -> Ball:
-    """kind(q) = compute(q, ctx) at the QPoint q = sign q_r; a nome near 1
-    goes through its dual nome instead (`_dual_value`)."""
-    q, ctx = QPoint(sign, r), PrecCtx(f)
-    if r < 1 and float(r) <= _DUAL_BELOW[kind] * f**2:
+    """kind(q) = compute(q, ctx) at the QPoint q = sign q_r and the working
+    scale f; a nome near 1 goes through its dual nome instead (`_dual_value`)."""
+    q, ctx = QPoint(sign, r), WorkCtx(f)
+    if r < 1 and float(r) <= _DUAL_BELOW[kind] * ctx.requested**2:
         return _dual_value(kind, q, ctx)
     return compute(q, ctx)
 
@@ -339,9 +340,8 @@ def f_neg_series(q, ctx: PrecCtx, min_terms: int = 0, with_tail: bool = False):
 
 def _chi_series(q, ctx: PrecCtx) -> Ball:
     # phi(q) = (-q; q^2)^2 (q^2; q^2) and f(q) = (-q; -q) = (-q; q^2)(q^2; q^2)
-    f = ctx.bits
-    wctx = PrecCtx(f + 32)
-    return (phi_series(q, wctx) / f_neg_series(nome_neg(q), wctx)).rescale(f)
+    w = ctx.work()
+    return (phi_series(q, w) / f_neg_series(nome_neg(q), w)).rescale(ctx.bits)
 
 
 def chi(q, ctx: PrecCtx) -> Ball:
@@ -397,10 +397,9 @@ _DUAL_BELOW = {
 def _dual_value(kind: str, q: QPoint, ctx: PrecCtx) -> Ball:
     """kind(q) for a QPoint nome q = sign q_r by its `_DUAL_ROWS` row."""
     c, p, a, b, series = _DUAL_ROWS[kind, q.sign]
-    r, f = q.r, ctx.bits
+    r = q.r
     # guard bits for the factor (c/r)^(1/4), which scales every error
-    fw = f + 32 + max(0, r.denominator.bit_length() - r.numerator.bit_length()) // 4
-    wctx = PrecCtx(fw)
+    fw = ctx.work().bits + max(0, r.denominator.bit_length() - r.numerator.bit_length()) // 4
     big_b = _qpoint_ball(1, 1 / (576 * r), fw)
     alg = c * r**p
     val = nth_root(Ball.from_fraction(alg, fw), 4) if alg != 1 else Ball.one(fw)
@@ -408,12 +407,12 @@ def _dual_value(kind: str, q: QPoint, ctx: PrecCtx) -> Ball:
         x = a * r + b
         t = x * x / r
         if x > 0:  # chi(q) near 1 is huge: refuse 2^(pi sqrt(t) / ln 2) past the power limit
-            check_power_size(1, math.pi / math.log(2) * math.sqrt(min(t, 10**300)), f)
+            check_power_size(1, math.pi / math.log(2) * math.sqrt(min(t, 10**300)), ctx.requested)
         val = val * exp(_pi_ball(fw) * sqrt(Ball.from_fraction(t, fw)) * (1 if x > 0 else -1))
     elif b:
         val = val * ipow(big_b, int(-24 * b))
     for fn, k, e in series:
         nome = ipow(big_b, abs(k))
-        term = fn(nome if k > 0 else -nome, wctx)
+        term = fn(nome if k > 0 else -nome, WorkCtx(fw))
         val = val * term if e > 0 else val / term
-    return val.rescale(f)
+    return val.rescale(ctx.bits)

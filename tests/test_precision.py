@@ -19,6 +19,7 @@ from thetaval.errors import (
     DivisorStraddlesZero,
     DomainError,
     NegativeBaseEvenRoot,
+    PowerTooLarge,
     UnsupportedArgument,
 )
 from thetaval import precision
@@ -760,3 +761,47 @@ def test_a_repeated_constant_is_a_cache_hit_with_the_same_enclosure(table, call)
     again = call()
     assert table.cache_info().hits > hits
     assert (again.m, again.r, again.f) == (first.m, first.r, first.f)
+
+
+# ---------------------------------------------------------------------------
+# the one guard-bit rule and the one final rounding
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(-(1 << 200), 1 << 200),
+    r=st.integers(0, 1 << 120),
+    f=st.integers(1, 300),
+    s=st.integers(1, 300),
+)
+def test_downward_rescale_encloses_and_adds_at_most_one_unit(m, r, f, s):
+    s = min(s, f)
+    ball = Ball(m, r, f)
+    out = ball.rescale(f - s)
+    assert out.encloses(ball)
+    assert out.r <= -(-r >> s) + 1
+    if m % (1 << s) == 0:  # an exact midpoint adds nothing
+        assert out.r == -(-r >> s)
+
+
+def test_rounding_a_guarded_leaf_costs_no_extra_unit():
+    # 6.66 at 544 bits is 1 unit wide; its distance to the rounded midpoint
+    # joins that unit, so at 512 bits it stays 1 unit (the old rule gave 2)
+    ball = Ball.from_fraction(F(666, 100), 544)
+    assert ball.r == 1 and ball.rescale(512).r == 1
+
+
+def test_work_adds_the_guard_once():
+    work = PrecCtx(64).work()
+    assert work.bits == 96 == 64 + precision.GUARD_BITS
+    assert isinstance(work, precision.WorkCtx)
+    assert work.work() is work
+    assert (PrecCtx(64).requested, work.requested) == (64, 64)
+
+
+def test_power_limit_of_a_working_context_is_that_of_the_requested_bits():
+    two = Ball.from_fraction(2, 96)
+    assert pow_rational(two, 4096, PrecCtx(64).work()).contains(2**4096)
+    with pytest.raises(PowerTooLarge, match="limit of 2\\^4096 at 64 bits"):
+        pow_rational(two, 4097, PrecCtx(64).work())
+    assert pow_rational(two, 4097, PrecCtx(96)).contains(2**4097)

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from thetaval import precision, qseries
+from thetaval import cli, lostnotebook, modular, precision, qseries
 from thetaval.errors import DomainError, NotConvergent, ThetavalError
 from thetaval.precision import Ball, PrecCtx, decimal_str, gamma_rational, ipow, pow_rational
 from thetaval.precision import CACHE_ENTRIES, const_pi
@@ -440,6 +440,42 @@ class TestCaches:
         again = chi(q, ctx)
         assert qseries._theta_qpoint.cache_info().hits == hits + 1
         assert (again.m, again.r, again.f) == (first.m, first.r, first.f)
+
+
+class TestGuardRule:
+    """A call tree carries GUARD_BITS once: every theta kernel inside a
+    composite at 512 requested bits runs at 544, however deep it sits."""
+
+    COMPOSITES = {
+        "deg3": lambda ctx: modular.verify_degree3(F(3, 10), ctx),
+        "deg15": lambda ctx: modular.verify_degree15(F(2, 5), ctx),
+        "yi_product": lambda ctx: modular.yi_product_theorem(2, 1, 6, 2, 3, ctx),
+        "septic": lambda ctx: cli._sweep_point("septic", "0.3", ctx.bits),
+        "quartic": lambda ctx: lostnotebook.verify_quartic_relation(F(3, 10), ctx),
+        "complete": lambda ctx: lostnotebook.complete_evaluation(ctx),
+    }
+
+    @pytest.mark.parametrize("name", list(COMPOSITES))
+    def test_every_theta_kernel_runs_at_one_working_width(self, name, monkeypatch):
+        real, widths = qseries._theta_wings, []
+
+        def spy(wings, f, min_terms=0):
+            widths.append(f)
+            return real(wings, f, min_terms)
+
+        qseries._theta_qpoint.cache_clear()
+        monkeypatch.setattr(qseries, "_theta_wings", spy)
+        self.COMPOSITES[name](PrecCtx(512))
+        assert widths and set(widths) == {544}
+
+    def test_a_direct_call_and_a_working_one_share_a_memo_entry(self):
+        q, ctx = QPoint(1, F(5, 3)), PrecCtx(512)
+        qseries._theta_qpoint.cache_clear()
+        direct = phi(q, ctx)
+        inner = phi(q, ctx.work())
+        info = qseries._theta_qpoint.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert direct.f == 512 and inner.f == 544 and direct.encloses(inner.rescale(512))
 
 
 class TestPochhammer:
