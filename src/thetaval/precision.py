@@ -482,40 +482,54 @@ def pow_rational(x: Ball, e, ctx: PrecCtx | None = None) -> Ball:
 
 
 # ---------------------------------------------------------------------------
-# pi (Machin's formula on integers), ln 2
+# pi (Chudnovsky's series by binary splitting), ln 2
+
+_CHUD_A, _CHUD_B, _CHUD_C3 = 13591409, 545140134, 640320**3
 
 
-def _atan_inv_units(x: int, f: int) -> tuple[int, int]:
-    """(units, error bound in units) for atan(1/x) * 2^f.
-
-    Alternating series; each iteratively floored quotient contributes
-    less than 3 units of error, the tail is below the first omitted term.
-    """
-    xsq = x * x
-    cur = (1 << f) // x
-    total = 0
-    k = 0
-    err = 4
-    while cur:
-        term = cur // (2 * k + 1)
-        total += -term if k & 1 else term
-        err += 3
-        cur //= xsq
-        k += 1
-    return total, err
+def _chud_bsplit(lo: int, hi: int) -> tuple[int, int, int]:
+    """(P, Q, T) over the terms k in [lo, hi), lo >= 1: P = prod p(k),
+    Q = prod q(k) and T/Q = sum_k (-1)^k (A + B k) prod_{lo <= j <= k} p/q(j),
+    with p(k) = (6k-5)(2k-1)(6k-1) and q(k) = k^3 C^3 / 24."""
+    if hi - lo == 1:
+        p = (6 * lo - 5) * (2 * lo - 1) * (6 * lo - 1)
+        t = p * (_CHUD_A + _CHUD_B * lo)
+        return p, lo**3 * (_CHUD_C3 // 24), -t if lo & 1 else t
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _chud_bsplit(lo, mid)
+    p2, q2, t2 = _chud_bsplit(mid, hi)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 @memo
 def _pi_units(f: int) -> tuple[int, int]:
-    """pi * 2^f as (units, error units), cached per scale."""
-    g = f + 40
-    a5, e5 = _atan_inv_units(5, g)
-    a239, e239 = _atan_inv_units(239, g)
-    units = 16 * a5 - 4 * a239
-    err = 16 * e5 + 4 * e239
-    m, round_err = _round_shift(units, 40)
-    r = _ceil_shift(err, 40) + round_err + 1
-    return m, r
+    """pi * 2^f as (units, error units), cached per scale, by Chudnovsky's
+
+        pi = 426880 sqrt(10005) / S,  S = sum_{k>=0} t_k,
+        t_k = (-1)^k (6k)! (A + B k) / ((3k)! k!^3 C^(3k)),
+
+    A = 13591409, B = 545140134, C = 640320 (Chudnovsky & Chudnovsky 1988).
+    The terms k < n are summed exactly by binary splitting, at g = f + 8 bits.
+    Three errors of under a unit each, as S > A > 426880 and pi < 4:
+
+    * tail: the hypergeometric part of t_(k+1)/t_k is 24 p(k+1)/((k+1)^3 C^3)
+      < 1728/C^3 < 2^-47, and (A + B(k+1))/(A + Bk) < 2 for k >= 1, so the
+      term ratio is below 2^-46 and the omitted terms sum to at most
+      2|t_n| < 2 (A + Bn) (1728/C^3)^n; n is the first count >= 2 with that
+      below 2^-g;
+    * `math.isqrt` floors sqrt(10005) 2^g, one unit off, times 426880/S < 1;
+    * the final floored division is one more unit.
+
+    Rounding the 3-unit ball to f costs nothing past one unit (`rescale`).
+    """
+    g = f + 8
+    n, bound, c3n = 2, 1728**2 << (g + 1), _CHUD_C3**2
+    while (_CHUD_A + _CHUD_B * n) * bound >= c3n:
+        n, bound, c3n = n + 1, bound * 1728, c3n * _CHUD_C3
+    _, q, t = _chud_bsplit(1, n)
+    units = 426880 * math.isqrt(10005 << 2 * g) * q // (_CHUD_A * q + t)
+    pi = Ball(units, 3, g).rescale(f)
+    return pi.m, pi.r
 
 
 def const_pi(ctx: PrecCtx) -> Ball:
@@ -693,9 +707,10 @@ def agm(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
 
 
 # ---------------------------------------------------------------------------
-# gamma at rational arguments: the lower incomplete gamma series, summed
-# exactly by binary splitting, with its truncation bound (the last kept
-# term) and the upper incomplete gamma bound (at most e^-N) in the radius
+# gamma at rational arguments: by the AGM at denominators dividing 8, else
+# the lower incomplete gamma series, summed exactly by binary splitting, with
+# its truncation bound (the last kept term) and the upper incomplete gamma
+# bound (at most e^-N) in the radius
 
 
 def _gamma_bsplit(
@@ -754,37 +769,78 @@ def _gamma_series(z: Fraction, n: int, terms: int, f: int) -> Ball:
 def _gamma_unit(z: Fraction, fw: int) -> Ball:
     """Cached Gamma(z) for rational 0 < z < 1 at the working scale fw."""
     # e^-n <= 2^-fw; the terms are chosen so the last kept one, times
-    # n^z e^-n, falls below 2^-fw too (t_{k-1} <= n^(k-1) / (z (k-1)!))
+    # n^z e^-n, falls below 2^-fw too (t_{k-1} <= n^(k-1) / (z (k-1)!));
+    # log z from the integers, as a tiny z underflows as a float
     n = math.ceil(fw * math.log(2))
     terms = 2 * n
     goal = -fw * math.log(2) + n - float(z) * math.log(n)
-    log_last = (terms - 1) * math.log(n) - math.lgamma(terms) - math.log(z)
+    log_z = math.log(z.numerator) - math.log(z.denominator)
+    log_last = (terms - 1) * math.log(n) - math.lgamma(terms) - log_z
     while log_last > goal:
         log_last += math.log(n) - math.log(terms)
         terms += 1
     return _gamma_series(z, n, terms, fw)
 
 
+@memo
+def _gamma_agm(fw: int) -> tuple[Ball, ...]:
+    """Gamma(k/8) for k = 1..7 at the working scale fw, by the AGM.
+
+    With K(k) = pi / (2 agm(1, k')) and k' = sqrt(1 - k^2), Borwein & Zucker
+    (IMA J. Numer. Anal. 12, 1992, 519-526) give
+
+        Gamma(1/4)^2 = (2 pi)^(3/2) / agm(sqrt 2, 1),
+        Gamma(1/8) Gamma(3/8) = 2^(13/4) sqrt(pi) K(sqrt 2 - 1) / sqrt(sqrt 2 + 1),
+        Gamma(1/8) / Gamma(3/8) = 2^(3/4) Gamma(1/4) sin(3pi/8) / sqrt(pi),
+
+    where k' = sqrt(2 sqrt 2 - 2) for k = sqrt 2 - 1.  The rest follow by
+    reflection: Gamma(1/2) = sqrt(pi), Gamma(3/4) = pi sqrt 2 / Gamma(1/4),
+    Gamma(5/8) = pi / (sin(3pi/8) Gamma(3/8)) and Gamma(7/8) =
+    pi / (sin(pi/8) Gamma(1/8)), with sin(3pi/8) = sqrt(2 + sqrt 2)/2 and
+    sin(pi/8) = sqrt(2 - sqrt 2)/2.  Every step is a certified Ball
+    operation, at 16 bits above fw.
+    """
+    ctx = WorkCtx(fw + 16)
+    w = ctx.bits
+    one, two, pi = Ball.one(w), Ball(2 << w, 0, w), _pi_ball(w)
+    rpi, r2 = sqrt(pi), sqrt(two)
+    r4 = sqrt(r2)  # 2^(1/4)
+    tau = pi * 2
+    g14 = sqrt(tau * sqrt(tau) / agm(r2, one, ctx))
+    s3, s1 = sqrt(two + r2).half(), sqrt(two - r2).half()
+    big_k = pi / (agm(one, sqrt(r2 * 2 - two), ctx) * 2)  # K(sqrt 2 - 1)
+    prod = r4 * 8 * rpi * big_k / sqrt(r2 + one)  # Gamma(1/8) Gamma(3/8)
+    ratio = r2 * r4 * g14 * s3 / rpi  # Gamma(1/8) / Gamma(3/8)
+    g18, g38 = sqrt(prod * ratio), sqrt(prod / ratio)
+    values = (g18, g14, g38, rpi, pi / (s3 * g38), pi * r2 / g14, pi / (s1 * g18))
+    return tuple(v.rescale(fw) for v in values)
+
+
 def gamma_rational(p, ctx: PrecCtx) -> Ball:
     """Certified enclosure of Gamma(p) for rational p in (0, 2].
 
-    For 0 < p < 1 the lower incomplete gamma series is summed exactly by
-    binary splitting, and its truncation bound (the last kept term, as
-    the term ratio is at most 1/2) and the upper incomplete gamma bound
-    0 <= Gamma(p, N) <= e^-N are added to the radius (see
-    `_gamma_series`), so the enclosure is certified rather than
-    heuristic.  Arguments in (1, 2) go through Gamma(p) = (p-1) Gamma(p-1),
-    so a value never depends on the order of calls.
+    Arguments whose denominator divides 8 read the AGM table `_gamma_agm`.
+    Any other 0 < p < 1 sums the lower incomplete gamma series exactly by
+    binary splitting, with its truncation bound (the last kept term, as the
+    term ratio is at most 1/2) and the upper incomplete gamma bound
+    0 <= Gamma(p, N) <= e^-N in the radius (see `_gamma_series`).
+    Arguments in (1, 2) go through Gamma(p) = (p-1) Gamma(p-1), so a value
+    never depends on the order of calls.
     """
     p = Fraction(p)
     if not 0 < p <= 2:
         raise UnsupportedArgument("gamma_rational requires 0 < p <= 2")
     if p == 1 or p == 2:
         return Ball.one(ctx.bits)
-    if p < 1:
-        return _gamma_unit(p, ctx.work().bits).rescale(ctx.bits)
-    z = p - 1
-    return (_gamma_unit(z, ctx.work().bits) * z.numerator).div_int(z.denominator).rescale(ctx.bits)
+    z = p - 1 if p > 1 else p
+    fw = ctx.work().bits
+    if 8 % z.denominator == 0:
+        g = _gamma_agm(fw)[int(8 * z) - 1]
+    else:
+        g = _gamma_unit(z, fw)
+    if p > 1:
+        g = (g * z.numerator).div_int(z.denominator)
+    return g.rescale(ctx.bits)
 
 
 # ---------------------------------------------------------------------------

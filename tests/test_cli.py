@@ -136,6 +136,22 @@ class TestEval:
         code, _, err = run(capsys, "eval", "2 +* 3")
         assert code == 2 and "position 3" in err
 
+    @pytest.mark.parametrize(
+        "text, num, den", [("1/10^400", 1, 10**400), ("1/2^2000", 1, 2**2000)], ids=["1/10^400", "1/2^2000"]
+    )
+    def test_gamma_at_a_tiny_argument(self, capsys, text, num, den):
+        # both arguments lie in (0, 2], and both underflow to 0.0 as floats
+        import mpmath as mp
+        from fractions import Fraction
+
+        code, out, _ = run(capsys, "eval", f"gamma({text})")
+        assert code == 0
+        value = Fraction(out.splitlines()[0].split("=", 1)[1].strip())
+        with mp.workprec(600):
+            ref = mp.gamma(mp.mpf(num) / den)
+        ref = Fraction(int(ref.man)) * Fraction(2) ** int(ref.exp)
+        assert abs(value - ref) <= ref / 10**150
+
     def test_domain_error_exit_one(self, capsys):
         code, _, err = run(capsys, "eval", "gamma(5/2)")
         assert code == 1 and "evaluation error" in err

@@ -190,6 +190,15 @@ class TestVerify:
         rep = verify_identity(bogus, PrecCtx(256))
         assert rep.status == "unverified" and rep.prec_bits_used == 256
 
+    @pytest.mark.parametrize("bits, digits", [(512, 153), (2048, 616), (4096, 1232), (8192, 2465)])
+    def test_every_entry_verifies_at_its_bits_with_pinned_digits(self, bits, digits):
+        # pins the outcomes of the constants' routes (Gamma by the AGM, pi by
+        # Chudnovsky): their enclosures may move in the last units, no outcome
+        for entry in CATALOG.entries:
+            rep = verify_identity(entry, PrecCtx(bits))
+            assert rep.status == "verified" and rep.prec_bits_used == bits, entry.id
+            assert rep.agreement_digits >= digits, (entry.id, rep.agreement_digits)
+
 
 class TestMutation:
     def test_mutate_changes_value(self):

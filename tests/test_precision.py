@@ -1,10 +1,10 @@
 """Kernel tests: ball arithmetic, roots, elementary functions, pi, agm, gamma.
 
 Oracles: exact interval propagation with Fractions, independent series
-summation at doubled precision, Brent-Salamin pi, the reflection and
-duplication functional equations, integer Newton on the full radicand for
-the floor root, and mpmath as an out-of-tree referee for frozen digit
-strings.
+summation at doubled precision, Brent-Salamin and Machin pi, Gamma by
+binary splitting against the AGM route, the reflection and duplication
+functional equations, integer Newton on the full radicand for the floor
+root, and mpmath as an out-of-tree referee for frozen digit strings.
 """
 
 import math
@@ -46,7 +46,7 @@ from thetaval.precision import (
     sin,
     sqrt,
 )
-from thetaval.precision import _gamma_unit, _ln2_ball, _pi_units
+from thetaval.precision import _gamma_agm, _gamma_unit, _ln2_ball, _pi_units
 
 CTX = PrecCtx(256)
 PI_50 = "3.1415926535897932384626433832795028841971693993751"
@@ -315,6 +315,52 @@ def test_const_pi_against_brent_salamin_oracle():
     assert const_pi(CTX).overlaps(bs)
 
 
+def _atan_inv_units(x: int, f: int) -> tuple[int, int]:
+    """(units, error bound in units) for atan(1/x) * 2^f.
+
+    Alternating series; each iteratively floored quotient contributes
+    less than 3 units of error, the tail is below the first omitted term.
+    """
+    xsq = x * x
+    cur = (1 << f) // x
+    total = 0
+    k = 0
+    err = 4
+    while cur:
+        term = cur // (2 * k + 1)
+        total += -term if k & 1 else term
+        err += 3
+        cur //= xsq
+        k += 1
+    return total, err
+
+
+def machin_pi(f: int) -> Ball:
+    """pi = 16 atan(1/5) - 4 atan(1/239) at scale f, 40 guard bits."""
+    a5, e5 = _atan_inv_units(5, f + 40)
+    a239, e239 = _atan_inv_units(239, f + 40)
+    return Ball(16 * a5 - 4 * a239, 16 * e5 + 4 * e239, f + 40).rescale(f)
+
+
+@pytest.mark.parametrize("bits", [64, 512, 4128, 16384])
+def test_chudnovsky_pi_against_machin_oracle(bits):
+    pi = const_pi(PrecCtx(bits))
+    assert pi.f == bits and pi.r <= 2
+    assert pi.overlaps(machin_pi(bits))
+
+
+def test_chudnovsky_bsplit_integers_match_the_term_sum():
+    # T/Q is the sum of the terms k in [1, n), here summed exactly with Fractions
+    n = 6
+    _, q, t = precision._chud_bsplit(1, n)
+    terms = sum(
+        F((-1) ** k * math.factorial(6 * k) * (13591409 + 545140134 * k),
+          math.factorial(3 * k) * math.factorial(k) ** 3 * 640320 ** (3 * k))
+        for k in range(1, n)
+    )
+    assert F(t, q) == terms
+
+
 def test_agm_fixed_point_and_value():
     one = Ball.one(256)
     assert agm(one, one, CTX).contains(1)
@@ -437,6 +483,47 @@ def test_gamma_reflection_property(p, bits):
     pi = const_pi(ctx)
     refl = gamma_rational(p, ctx) * gamma_rational(1 - p, ctx)
     assert refl.overlaps(pi / sin(pi * Ball.from_fraction(p, bits)))
+
+
+def _bsplit_gamma(p, bits):
+    """The binary-splitting oracle: Gamma(p) by `_gamma_unit`, then the recurrence."""
+    fw = PrecCtx(bits).work().bits
+    z = p - 1 if p > 1 else p
+    g = _gamma_unit(z, fw)
+    if p > 1:
+        g = (g * z.numerator).div_int(z.denominator)
+    return g.rescale(bits)
+
+
+AGM_ARGS = [F(k, 8) for k in range(1, 16) if k != 8]  # denominators 2, 4 and 8
+
+
+@pytest.mark.parametrize("bits", [512, 2048, 4128, 8224])
+def test_agm_gamma_against_binary_splitting_oracle(bits):
+    for p in AGM_ARGS:
+        val = gamma_rational(p, PrecCtx(bits))
+        assert val.f == bits and val.r <= 2, p
+        assert val.overlaps(_bsplit_gamma(p, bits)), p
+
+
+def test_agm_gamma_table_is_keyed_on_the_working_scale():
+    ctx = PrecCtx(4096)
+    gamma_rational(F(3, 4), ctx)
+    misses = _gamma_agm.cache_info().misses
+    for p in AGM_ARGS:
+        gamma_rational(p, ctx)
+    assert _gamma_agm.cache_info().misses == misses
+    gamma_rational(F(1, 4), ctx.work())
+    assert _gamma_agm.cache_info().misses == misses
+
+
+@pytest.mark.parametrize(
+    "p", [F(1, 10**400), F(1, 2**2000), 1 + F(1, 10**400)], ids=["1/10^400", "1/2^2000", "1+1/10^400"]
+)
+def test_gamma_at_a_tiny_argument_against_mpmath(p):
+    # a tiny z underflows to 0.0 as a float, so log z is taken on its integers
+    ref = mp_gamma_exact(p, 512)
+    assert abs(gamma_rational(p, PrecCtx(512)).mid - ref) <= ref / 10**150
 
 
 def test_gamma_domain():
@@ -753,6 +840,7 @@ def test_certify_returns_a_wide_result_at_the_cap():
         (_pi_units, lambda: const_pi(PrecCtx(333))),
         (_ln2_ball, lambda: log(Ball.from_fraction(F(5, 3), 333), PrecCtx(333))),
         (_gamma_unit, lambda: gamma_rational(F(2, 9), PrecCtx(333))),
+        (_gamma_agm, lambda: gamma_rational(F(7, 8), PrecCtx(333))),
     ],
 )
 def test_a_repeated_constant_is_a_cache_hit_with_the_same_enclosure(table, call):

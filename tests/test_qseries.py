@@ -416,6 +416,7 @@ class TestCaches:
         precision._pi_units,
         precision._ln2_ball,
         precision._gamma_unit,
+        precision._gamma_agm,
         qseries._nome_exp,
         qseries._theta_qpoint,
     ]
