@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -33,6 +32,7 @@ from .precision import (
     D_TARGET_DIGITS,
     Ball,
     PrecCtx,
+    Record,
     WorkCtx,
     agm,
     agreement_digits,
@@ -90,84 +90,66 @@ __all__ = [
 # closed-form expression nodes
 
 
-class Expr:
+class Expr(Record):
+    """A node of the one expression tree; it hashes once (see `Record`)."""
+
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Int(Expr):
-    value: int
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class Rat(Expr):
-    value: Fraction
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class Pi(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class GammaRat(Expr):
-    arg: Fraction
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class CosPiRat(Expr):
-    arg: Fraction  # cos(arg * pi)
+    __slots__ = ("arg",)  # cos(arg * pi)
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Div(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class PowRat(Expr):
-    base: Expr
-    exponent: Fraction
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Agm(Expr):
-    a: Expr
-    b: Expr
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class Hyp(Expr):
-    x: Expr  # 2F1(1/2, 1/2; 1; x)
+    __slots__ = ("x",)  # 2F1(1/2, 1/2; 1; x)
 
 
-@dataclass(frozen=True)
 class Nome(Expr):
-    q: QPoint  # the value sign * e^(-pi sqrt r) as a ball
+    __slots__ = ("q",)  # the value sign * e^(-pi sqrt r) as a ball
 
 
 _EXACT_COSPI = {
@@ -184,7 +166,7 @@ _EXACT_COSPI = {
 
 def _eval_raw(e: Expr, w: WorkCtx, memo: dict) -> Ball:
     """Unrounded enclosure of e; every leaf gets the working context w."""
-    key = e, w.bits  # nodes are frozen dataclasses: equal trees hash alike
+    key = e, w.bits  # nodes are records: equal trees hash alike, each once
     val = memo.get(key)
     if val is None:
         val = memo[key] = _eval_node(e, w, memo)
@@ -355,42 +337,35 @@ class ThetaExpr(Expr):
 # cache keys on) or any expression whose ball is the nome.
 
 
-@dataclass(frozen=True)
 class Phi(ThetaExpr):
-    q: QPoint | Expr
+    __slots__ = ("q",)
 
 
-@dataclass(frozen=True)
 class Psi(ThetaExpr):
-    q: QPoint | Expr
+    __slots__ = ("q",)
 
 
-@dataclass(frozen=True)
 class FNeg(ThetaExpr):
-    q: QPoint | Expr
+    __slots__ = ("q",)
 
 
-@dataclass(frozen=True)
 class Chi(ThetaExpr):
-    q: QPoint | Expr
+    __slots__ = ("q",)
 
 
-@dataclass(frozen=True)
 class ThetaF(ThetaExpr):
-    a: Expr  # Ramanujan's general theta function f(a, b)
-    b: Expr
+    __slots__ = ("a", "b")  # Ramanujan's general theta function f(a, b)
 
 
-@dataclass(frozen=True)
 class YiH(ThetaExpr):
-    k: Fraction
-    n: Fraction
-    primed: bool = False
+    __slots__ = ("k", "n", "primed")
+
+    def __init__(self, k: Fraction, n: Fraction, primed: bool = False):
+        Record.__init__(self, k, n, primed)
 
 
-@dataclass(frozen=True)
 class ClassInv(ThetaExpr):
-    n: Fraction
+    __slots__ = ("n",)
 
 
 def _nome(q: QPoint | Expr, ctx: PrecCtx) -> QPoint | Ball:
@@ -652,22 +627,18 @@ def parse_expr(text: str, bits: int = 512) -> Expr:
 # the identity catalog
 
 
-@dataclass(frozen=True)
-class Identity:
-    id: str
-    lhs: Expr
-    rhs: Expr
-    provenance: str
+class Identity(Record):
+    __slots__ = ("id", "lhs", "rhs", "provenance")
 
 
-@dataclass(frozen=True)
-class Catalog:
-    entries: tuple[Identity, ...]
+class Catalog(Record):
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        ids = [e.id for e in self.entries]
+    def __init__(self, entries: tuple[Identity, ...]):
+        ids = [e.id for e in entries]
         if len(ids) != len(set(ids)):
             raise ValueError("catalog ids must be unique")
+        Record.__init__(self, entries)
 
     def __len__(self):
         return len(self.entries)
@@ -693,14 +664,8 @@ class Catalog:
         ]
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    id: str
-    lhs: Ball
-    rhs: Ball
-    agreement_digits: int
-    status: str
-    prec_bits_used: int
+class VerifyReport(Record):
+    __slots__ = ("id", "lhs", "rhs", "agreement_digits", "status", "prec_bits_used")
 
 
 def ln7_cos_term(num_k: int, den_k: int) -> Expr:

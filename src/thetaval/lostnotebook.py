@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -38,7 +37,7 @@ from .exact import (
     ln7_rhs_from_terms,
     verify_identity,
 )
-from .precision import Ball, PrecCtx, certify, ipow, pow_rational, sqrt
+from .precision import Ball, PrecCtx, Record, certify, ipow, pow_rational, sqrt
 from .qseries import QPoint, as_q_ball, chi, nome_pow, phi, phi_series, q_power_ball, theta_f
 from .qseries import require_positive_nome
 
@@ -60,36 +59,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SepticState:
-    """Everything the septic system knows at one nome."""
+class SepticState(Record):
+    """Everything the septic system knows at one nome q (a QPoint or an exact
+    Fraction): p, u, v, w, ratio4 = phi^4(q) / phi^4(q^7), the cubic's
+    (c2, c1, c0) of xi^3 + c2 xi^2 + c1 xi + c0, and the quadratic branch
+    that matched the oracle."""
 
-    q: object  # QPoint or exact Fraction
-    p: Ball
-    u: Ball
-    v: Ball
-    w: Ball
-    ratio4: Ball  # phi^4(q) / phi^4(q^7)
-    cubic: tuple[Ball, Ball, Ball]  # (c2, c1, c0) of xi^3 + c2 xi^2 + c1 xi + c0
-    branch: str  # quadratic branch that matched the oracle
+    __slots__ = ("q", "p", "u", "v", "w", "ratio4", "cubic", "branch")
 
 
-@dataclass(frozen=True)
-class RootAssignment:
-    alpha: Ball
-    beta: Ball
-    gamma: Ball
-    permutation_index: int  # lexicographic index over ascending-sorted roots
+class RootAssignment(Record):
+    """The roots as alpha, beta, gamma, and the permutation's lexicographic
+    index over the ascending-sorted roots."""
+
+    __slots__ = ("alpha", "beta", "gamma", "permutation_index")
 
 
-@dataclass(frozen=True)
-class CompletionResult:
-    identity: Identity
-    report: VerifyReport
-    state: SepticState
-    roots: tuple[Ball, Ball, Ball]
-    assignment: RootAssignment
-    cos_pairs: tuple[tuple[int, int], ...]  # (numerator k, denominator k) per term
+class CompletionResult(Record):
+    """The completed evaluation; cos_pairs holds (numerator k, denominator k)
+    per term."""
+
+    __slots__ = ("identity", "report", "state", "roots", "assignment", "cos_pairs")
 
 
 def compute_uvw(q, ctx: PrecCtx) -> tuple[Ball, Ball, Ball]:

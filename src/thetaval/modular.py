@@ -10,11 +10,10 @@ h-quotients and product theorem, and the JIMS series identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NotConvergent, PreconditionViolated
-from .precision import GUARD_BITS, Ball, PrecCtx, WorkCtx, agm, cos, exp, ipow, pow_rational
+from .precision import GUARD_BITS, Ball, PrecCtx, Record, WorkCtx, agm, cos, exp, ipow, pow_rational
 from .precision import _ceil_div, _pi_ball, sin, sqrt
 from .qseries import QPoint, as_q_ball, nome_neg, nome_pow, phi, require_positive_nome
 
@@ -107,23 +106,16 @@ def modulus_from_q(q, ctx: PrecCtx) -> Ball:
 # the (x, q, z) triple and its three substitutions
 
 
-@dataclass(frozen=True)
-class ModularTriple:
+class ModularTriple(Record):
     """A triple satisfying z = 2F1(1/2,1/2;1;x) = phi(q)^2 (q possibly signed)."""
 
-    x: Ball
-    q: Ball
-    z: Ball
+    __slots__ = ("x", "q", "z")
 
 
-@dataclass(frozen=True)
-class ModulusPair:
+class ModulusPair(Record):
     """Degree-n pair of moduli-squared with its multiplier m = phi^2(q)/phi^2(q^n)."""
 
-    alpha: Ball
-    beta: Ball
-    n: int
-    m: Ball
+    __slots__ = ("alpha", "beta", "n", "m")
 
 
 def triple_from_x(x: Ball, ctx: PrecCtx) -> ModularTriple:
@@ -205,22 +197,16 @@ def class_invariant(n, ctx: PrecCtx) -> Ball:
 # degree-3 modular equation pair, with the reciprocal rewrite as data
 
 
-@dataclass(frozen=True)
-class SqrtTerm:
+class SqrtTerm(Record):
     """coef * sqrt(alpha^e1 (1-alpha)^e2 beta^e3 (1-beta)^e4)."""
 
-    coef: int
-    exps: tuple[int, int, int, int]
+    __slots__ = ("coef", "exps")
 
 
-@dataclass(frozen=True)
-class ModularEquation:
+class ModularEquation(Record):
     """m_coef * m^m_pow = sum of square-root terms in alpha and beta."""
 
-    degree: int
-    m_coef: int
-    m_pow: int
-    terms: tuple[SqrtTerm, ...]
+    __slots__ = ("degree", "m_coef", "m_pow", "terms")
 
     def reciprocal(self) -> "ModularEquation":
         """Swap alpha -> 1-beta, beta -> 1-alpha, m -> degree/m."""
@@ -320,19 +306,16 @@ def verify_degree15(q, ctx: PrecCtx) -> Ball:
     return (lhs - rhs).rescale(ctx.bits)
 
 
-@dataclass(frozen=True)
-class YiQuotient:
+class YiQuotient(Record):
     """h_{k,n} (or the primed variant on -e^(-2 pi sqrt(.)) nomes)."""
 
-    k: Fraction
-    n: Fraction
-    primed: bool = False
+    __slots__ = ("k", "n", "primed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", Fraction(self.k))
-        object.__setattr__(self, "n", Fraction(self.n))
-        if self.k <= 0 or self.n <= 0:
+    def __init__(self, k, n, primed: bool = False):
+        k, n = Fraction(k), Fraction(n)
+        if k <= 0 or n <= 0:
             raise DomainError("Yi quotient parameters must be positive")
+        Record.__init__(self, k, n, primed)
 
 
 def yi_h(hq: YiQuotient, ctx: PrecCtx) -> Ball:

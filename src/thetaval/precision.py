@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -31,6 +30,7 @@ from .errors import (
 )
 
 __all__ = [
+    "Record",
     "PrecCtx",
     "WorkCtx",
     "GUARD_BITS",
@@ -75,15 +75,77 @@ memo = functools.lru_cache(maxsize=CACHE_ENTRIES)
 GUARD_BITS = 32
 
 
-@dataclass(frozen=True)
-class PrecCtx:
+_set_field = object.__setattr__
+
+
+class Record:
+    """An immutable value whose fields are its classes' `__slots__`.
+
+    Two records are equal when they are of one class with equal fields.  The
+    hash is computed on first use and kept, so a tree of records hashes in
+    O(1) however often it keys a memo; pickling rebuilds a record from its
+    field values, so a kept hash never crosses into another process.  A
+    subclass that validates or normalises its fields, or has defaults,
+    defines `__init__` and passes the final values to `Record.__init__`.
+    """
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:
+            try:
+                values += tuple(named.pop(name) for name in fields[len(values) :])
+            except KeyError as exc:
+                raise TypeError(f"{type(self).__name__} needs the field {exc}") from None
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes exactly the fields {fields}")
+        for name, value in zip(fields, values):
+            _set_field(self, name, value)
+        _set_field(self, "_hash", None)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.__class__, *self._values()))
+            _set_field(self, "_hash", h)
+        return h
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PrecCtx(Record):
     """Requested precision in bits; a call tree works at `work()`."""
 
-    bits: int = 512
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        if self.bits < 64:
+    def __init__(self, bits: int = 512):
+        if bits < 64:
             raise ValueError("requested precision must be at least 64 bits")
+        Record.__init__(self, bits)
 
     @property
     def requested(self) -> int:
@@ -95,6 +157,8 @@ class PrecCtx:
 
 class WorkCtx(PrecCtx):
     """A working context: its bits already carry the guard."""
+
+    __slots__ = ()
 
     @property
     def requested(self) -> int:
@@ -424,8 +488,14 @@ def sqrt(x: Ball, ctx: PrecCtx | None = None) -> Ball:
     s = math.isqrt(a.m << f)
     if a.r == 0:
         return Ball(s, 1, f)
+    # the radius is r / (2 sqrt(lo)) over a lower bound of isqrt(lo << f), for
+    # lo = a.m - a.r: isqrt((lo << f) >> 2k) << k is one, and it moves the
+    # quotient by about r 2^k / lo units, below 2^-64 when k keeps lo 65 bits
+    # above r and the short root at least 65 bits
     lo = a.m - a.r
-    slo = math.isqrt(lo << f)
+    big = lo << f
+    k = max(0, min(lo.bit_length() - a.r.bit_length(), big.bit_length() >> 1) - 65)
+    slo = math.isqrt(big >> 2 * k) << k
     return Ball(s, _ceil_div(a.r << f, 2 * slo) + 1, f)
 
 
@@ -436,8 +506,8 @@ def nth_root(x: Ball, n: int, ctx: PrecCtx | None = None) -> Ball:
     root of a.m lies in [s, s + 1) units.  Above lo = a.m - a.r the root's
     derivative is at most lo**(1/n) / (n * lo) < (s + 1) / (n * lo), as
     lo <= a.m; so a.r * (s + 1) / (n * lo) + 1 units bound the radius
-    without a second root at lo.  (`sqrt` keeps its root at lo: there it
-    is a lower bound in the denominator.)
+    without a second root at lo.  (`sqrt` takes a short root at lo, a lower
+    bound in the denominator, from the top bits of lo alone.)
     """
     if n < 1:
         raise DomainError("root order must be positive")

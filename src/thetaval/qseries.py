@@ -17,12 +17,11 @@ the same series need a few terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, FactorNearZero, NotConvergent
 from .precision import GUARD_BITS, Ball, PrecCtx, WorkCtx, check_power_size, ipow, memo, nth_root
-from .precision import pow_rational
+from .precision import Record, pow_rational
 from .precision import _pi_ball, exp, sqrt  # noqa: F401  (pi needed for nomes)
 
 __all__ = [
@@ -45,19 +44,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QPoint:
+class QPoint(Record):
     """Structured nome q = sign * exp(-pi * sqrt(r)) with exact rational r > 0."""
 
-    sign: int
-    r: Fraction
+    __slots__ = ("sign", "r")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, r):
+        if sign not in (1, -1):
             raise DomainError("QPoint sign must be +1 or -1")
-        object.__setattr__(self, "r", Fraction(self.r))
-        if self.r <= 0:
+        r = Fraction(r)
+        if r <= 0:
             raise DomainError("QPoint exponent parameter r must be positive")
+        Record.__init__(self, sign, r)
 
     def pow(self, k) -> "QPoint":
         """q**k by exact bookkeeping on r; fractional k needs sign = +1."""
@@ -134,12 +132,10 @@ def q_power_ball(q, k, f: int) -> Ball:
     return as_q_ball(nome_pow(q, k), f)
 
 
-@dataclass(frozen=True)
-class SeriesTail:
+class SeriesTail(Record):
     """Truncation certificate: proven bound on the dropped remainder."""
 
-    terms_used: int
-    tail_bound: Fraction
+    __slots__ = ("terms_used", "tail_bound")
 
 
 # ---------------------------------------------------------------------------

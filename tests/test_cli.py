@@ -571,3 +571,13 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("value  = 3.6256099082219083119")
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_process_pool():
+    code = (
+        "import sys, thetaval.cli; "
+        "loaded = {'dataclasses', 'inspect', 'concurrent.futures'} & set(sys.modules); "
+        "assert not loaded, loaded"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,10 @@
 """Expression-tree and catalog tests: evaluation, rendering, verification,
 mutation sensitivity, and the cross-form consistency checks."""
 
-import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -260,8 +263,8 @@ def test_precision_monotonicity_all_entries():
 def subtrees(e) -> list:
     """Every expression node under e, repeats included."""
     out = [e]
-    for field in dataclasses.fields(e):
-        child = getattr(e, field.name)
+    for name in e._fields:
+        child = getattr(e, name)
         if isinstance(child, exact.Expr):
             out += subtrees(child)
     return out
@@ -290,6 +293,88 @@ def test_memo_is_emptied_when_an_error_leaves():
         with pytest.raises(DivisorStraddlesZero):
             eval_expr(Div(Add(Int(1), Int(2)), Sub(Int(1), Int(1))), CTX)
     assert memos and all(len(m) == 0 for m in memos)
+
+
+# records: immutable, equal by class and fields, hashed once, rebuilt by pickle
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (parse_expr("gamma(1/4)^2 / pi"), "left"),
+        (QPoint(1, F(2)), "r"),
+        (PrecCtx(512), "bits"),
+        (CATALOG.get("r3"), "lhs"),
+    ],
+    ids=["expr", "qpoint", "precctx", "identity"],
+)
+def test_a_record_field_cannot_be_assigned(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, Int(0))
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is before
+
+
+def test_a_record_takes_each_field_once_by_position_or_name():
+    assert Add(Int(1), right=Int(2)) == Add(left=Int(1), right=Int(2)) == Add(Int(1), Int(2))
+    for args, named in [((Int(1),), {}), ((Int(1),) * 3, {}), ((Int(1),), {"rihgt": Int(2)})]:
+        with pytest.raises(TypeError):
+            Add(*args, **named)
+
+
+@pytest.mark.parametrize("row", exact._CATALOG_ROWS, ids=lambda row: row[0])
+def test_two_parses_of_one_text_are_equal_and_hash_alike(row):
+    for text in row[1:3]:
+        a, b = parse_expr(text), parse_expr(text)
+        assert a is not b and a == b and hash(a) == hash(b)
+
+
+def test_a_record_repr_names_each_field():
+    assert repr(parse_expr("gamma(1/4)^2 / pi")) == (
+        "Div(left=PowRat(base=GammaRat(arg=Fraction(1, 4)), exponent=Fraction(2, 1)),"
+        " right=Pi())"
+    )
+
+
+def test_a_leaf_is_hashed_once_however_often_its_tree_keys_the_memo():
+    hashes = []
+
+    class CountedFraction(F):
+        def __hash__(self):
+            hashes.append(self)
+            return super().__hash__()
+
+    tree = Div(Add(Rat(CountedFraction(1, 3)), Pi()), Mul(Int(7), Pi()))
+    for bits in (128, 256, 256):
+        eval_expr(tree, PrecCtx(bits))
+    verify_identity(Identity("counted", tree, tree, "test"), CTX)
+    assert len(hashes) == 1
+
+
+def test_a_pickled_identity_hashes_afresh_under_another_hash_seed(tmp_path):
+    entry = CATALOG.get("cb13")
+    {entry: None}  # the record keeps its hash in this process
+    path = tmp_path / "entry.pickle"
+    path.write_bytes(pickle.dumps(entry))
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = (
+        "import pickle, sys\n"
+        "from thetaval.exact import build_catalog\n"
+        "entry = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+        "fresh = build_catalog().get(entry.id)\n"
+        "assert entry == fresh and hash(entry) == hash(fresh)\n"
+        "assert {fresh: 'found'}[entry] == 'found'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        env={**os.environ, "PYTHONHASHSEED": seed},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCrossForm:

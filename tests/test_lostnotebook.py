@@ -1,7 +1,6 @@
 """Septic-system tests: the recorded relations on a nome grid, certified
 root solving, ordering search, and the completed evaluation."""
 
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -36,6 +35,11 @@ from thetaval.lostnotebook import (
 CTX = PrecCtx(256)
 Q7 = QPoint(1, F(1, 7))
 GRID = [F(1, 10), F(1, 5), F(3, 10), F(2, 5)]
+
+
+def replace(record, **changes):
+    """A copy of the record with the named fields changed."""
+    return type(record)(*(changes.get(name, getattr(record, name)) for name in record._fields))
 
 
 def cos_root(k: int, ctx=CTX) -> Ball:

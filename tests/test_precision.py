@@ -635,6 +635,25 @@ def test_iroot_refuses_negative_radicands_and_orders():
             _iroot(n, k)
 
 
+@given(
+    f=st.integers(64, 8224),
+    m_bits=st.integers(-64, 600),
+    r_bits=st.integers(1, 300),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_sqrt_radius_from_a_short_root_encloses_both_ends(f, m_bits, r_bits, seed):
+    rng = random.Random(seed)
+    r = rng.getrandbits(r_bits) | 1
+    m = r + 1 + rng.getrandbits(max(1, f + m_bits))
+    lo, hi = F(m - r, 1 << f), F(m + r, 1 << f)
+    val = sqrt(Ball(m, r, f))
+    full_width = -(-(r << f) // (2 * math.isqrt((m - r) << f))) + 1
+    assert val.r >= full_width
+    assert val.lower <= 0 or val.lower**2 <= lo
+    assert val.upper**2 >= hi
+
+
 def mp_exact(v) -> F:
     """An mpmath value as an exact Fraction (mantissas are unsigned)."""
     import mpmath as mp
