@@ -11,7 +11,9 @@ into the same tree the catalog uses, and `exact.eval_expr` evaluates it
 up to 8 times the requested precision; `prec_bits_used` reports the bits.
 
 Exit codes: 0 all checks pass, 1 a mathematical verification failed or
-stayed undecided at the cap, 2 usage, parse or domain error.
+stayed undecided at the cap, or an `eval` expression could not be evaluated
+(a domain error included), 2 a usage, parse or size error, or a sweep point
+outside its domain.
 """
 
 from __future__ import annotations
@@ -87,6 +89,12 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _resolve_jobs(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    return args.jobs
+
+
 def _map(worker, tasks: list, jobs: int) -> list:
     """worker(task) for each task, in `jobs` processes if jobs > 1 (only then imported)."""
     if jobs <= 1:
@@ -110,7 +118,7 @@ def _verify_worker(task: tuple[Identity, int]) -> dict:
 
 
 def cmd_verify(args) -> int:
-    bits = _resolve_bits(args)
+    bits, jobs = _resolve_bits(args), _resolve_jobs(args)
     catalog = build_catalog()
     known = set(catalog.ids())
     ids = sorted(known) if args.all or not args.ids else list(args.ids)
@@ -120,7 +128,7 @@ def cmd_verify(args) -> int:
             return 2
     ids = sorted(set(ids))
     tasks = [(catalog.get(entry_id), bits) for entry_id in ids]
-    results = _map(_verify_worker, tasks, args.jobs)  # in id order, as the tasks
+    results = _map(_verify_worker, tasks, jobs)  # in id order, as the tasks
     _emit(_report(bits, results), args.out)
     return 0 if all(e["status"] == "verified" for e in results) else 1
 
@@ -205,11 +213,13 @@ def _sweep_worker(task: tuple[str, str, int]) -> list[dict]:
 
 
 def cmd_sweep(args) -> int:
-    bits = _resolve_bits(args)
-    grid = (args.grid or _DEFAULT_GRIDS[args.target]).split(",")
-    tasks = [(args.target, point, bits) for point in grid if point.strip()]
+    bits, jobs = _resolve_bits(args), _resolve_jobs(args)
+    grid = _DEFAULT_GRIDS[args.target] if args.grid is None else args.grid
+    tasks = [(args.target, point, bits) for point in grid.split(",") if point.strip()]
+    if not tasks:
+        raise ValueError("--grid has no points")
     try:
-        groups = _map(_sweep_worker, tasks, args.jobs)
+        groups = _map(_sweep_worker, tasks, jobs)
     except Undecided as exc:
         print(f"undecided at {CAP_FACTOR * bits} bits: {exc}", file=sys.stderr)
         return 1

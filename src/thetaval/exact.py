@@ -48,46 +48,26 @@ from .qseries import QPoint, chi, f_neg, phi, psi, theta_f
 from . import modular
 
 __all__ = [
-    "Expr",
-    "Int",
-    "Rat",
-    "Pi",
-    "GammaRat",
-    "CosPiRat",
-    "Add",
-    "Sub",
-    "Mul",
-    "Div",
-    "PowRat",
-    "Neg",
-    "Agm",
-    "Hyp",
-    "Nome",
-    "eval_expr",
-    "render_expr",
-    "parse_expr",
-    "ThetaExpr",
-    "Phi",
-    "Psi",
-    "FNeg",
-    "Chi",
-    "ThetaF",
-    "YiH",
-    "ClassInv",
-    "eval_theta",
-    "render_theta",
-    "Identity",
-    "Catalog",
-    "VerifyReport",
-    "build_catalog",
-    "verify_identity",
-    "mutate_first_leaf",
+    # nodes: closed forms, function leaves and theta leaves
+    "Expr", "Int", "Rat", "Pi", "Infix", "Add", "Sub", "Mul", "Div", "PowRat", "Neg",
+    "Function", "Nome", "GammaRat", "CosPiRat", "Agm", "Hyp",
+    "ThetaExpr", "Phi", "Psi", "FNeg", "Chi", "ThetaF", "YiH", "ClassInv",
+    # the tree both ways, and the catalog
+    "eval_expr", "eval_theta", "render_expr", "render_theta", "parse_expr", "mutate_first_leaf",
+    "Identity", "Catalog", "VerifyReport", "build_catalog", "catalog_entry", "verify_identity",
     "D_TARGET_DIGITS",
 ]
 
 
 # ---------------------------------------------------------------------------
-# closed-form expression nodes
+# the nodes
+#
+# Each node kind is declared once: its fields are its `__slots__`, and
+# `_ball(w, memo)` is its enclosure at the working context w, each subtree
+# evaluated through `_eval_raw` and the caller's memo.  The evaluator,
+# renderer, folder, parser and `mutate_first_leaf` read these declarations.
+# Calls into qseries, modular and precision go through this module's names,
+# so rebinding one of them reaches every call.
 
 
 class Expr(Record):
@@ -99,69 +79,210 @@ class Expr(Record):
 class Int(Expr):
     __slots__ = ("value",)
 
+    def _ball(self, w, memo):
+        return Ball.exact_int(self.value).rescale(w.bits)
+
 
 class Rat(Expr):
     __slots__ = ("value",)
+
+    def _ball(self, w, memo):
+        return Ball.from_fraction(self.value, w.bits)
 
 
 class Pi(Expr):
     __slots__ = ()
 
-
-class GammaRat(Expr):
-    __slots__ = ("arg",)
-
-
-class CosPiRat(Expr):
-    __slots__ = ("arg",)  # cos(arg * pi)
+    def _ball(self, w, memo):
+        return _pi_ball(w.bits)
 
 
-class Add(Expr):
+class Infix(Expr):
+    """(left sym right); `op` computes it on balls and on exact rationals."""
+
     __slots__ = ("left", "right")
 
-
-class Sub(Expr):
-    __slots__ = ("left", "right")
-
-
-class Mul(Expr):
-    __slots__ = ("left", "right")
+    def _ball(self, w, memo):
+        return self.op(_eval_raw(self.left, w, memo), _eval_raw(self.right, w, memo))
 
 
-class Div(Expr):
-    __slots__ = ("left", "right")
+class Add(Infix):
+    __slots__ = ()
+    sym, op = "+", operator.add
+
+
+class Sub(Infix):
+    __slots__ = ()
+    sym, op = "-", operator.sub
+
+
+class Mul(Infix):
+    __slots__ = ()
+    sym, op = "*", operator.mul
+
+
+class Div(Infix):
+    __slots__ = ()
+    sym, op = "/", operator.truediv
 
 
 class PowRat(Expr):
     __slots__ = ("base", "exponent")
 
+    def _ball(self, w, memo):  # under the power limit of the requested bits
+        return pow_rational(_eval_raw(self.base, w, memo), self.exponent, w)
+
 
 class Neg(Expr):
     __slots__ = ("arg",)
 
-
-class Agm(Expr):
-    __slots__ = ("a", "b")
-
-
-class Hyp(Expr):
-    __slots__ = ("x",)  # 2F1(1/2, 1/2; 1; x)
+    def _ball(self, w, memo):
+        return -_eval_raw(self.arg, w, memo)
 
 
-class Nome(Expr):
+_FUNCTIONS: dict[str, type] = {}  # grammar name -> node class
+
+
+class Function(Expr):
+    """A node written name(argument, ...); the arguments of a `rational`
+    one fold to exact rationals while parsing."""
+
+    __slots__ = ()
+    name = ""
+    rational = False
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "name" in vars(cls):
+            _FUNCTIONS[cls.name] = cls
+
+
+class Nome(Function):
     __slots__ = ("q",)  # the value sign * e^(-pi sqrt r) as a ball
+    name, rational = "qpoint", True  # written qpoint(sign, r)
+
+    def _ball(self, w, memo):
+        return self.q.to_ball(w)
 
 
-_EXACT_COSPI = {
-    Fraction(0): Fraction(1),
-    Fraction(1): Fraction(-1),
-    Fraction(1, 2): Fraction(0),
-    Fraction(3, 2): Fraction(0),
-    Fraction(1, 3): Fraction(1, 2),
-    Fraction(2, 3): Fraction(-1, 2),
-    Fraction(4, 3): Fraction(-1, 2),
-    Fraction(5, 3): Fraction(1, 2),
-}
+class GammaRat(Function):
+    __slots__ = ("arg",)
+    name, rational = "gamma", True
+
+    def _ball(self, w, memo):
+        if not 0 < self.arg <= 2:
+            raise UnsupportedGammaArgument(f"gamma argument {self.arg} outside (0, 2]")
+        return gamma_rational(self.arg, w)
+
+
+# cos(t pi) at the t in [0, 2) where it is rational
+_EXACT_COSPI = {Fraction(k, 3): Fraction(c, 2) for k, c in enumerate((2, 1, -1, -2, -1, 1))}
+_EXACT_COSPI.update({Fraction(1, 2): Fraction(0), Fraction(3, 2): Fraction(0)})
+
+
+class CosPiRat(Function):
+    __slots__ = ("arg",)  # cos(arg * pi)
+    name, rational = "cospi", True
+
+    def _ball(self, w, memo):
+        t = self.arg % 2
+        exact = _EXACT_COSPI.get(t)
+        if exact is not None:
+            return Ball.from_fraction(exact, w.bits)
+        return cos(_pi_ball(w.bits) * Ball.from_fraction(t, w.bits))
+
+
+class Agm(Function):
+    __slots__ = ("a", "b")
+    name = "agm"
+
+    def _ball(self, w, memo):
+        return agm(_eval_raw(self.a, w, memo), _eval_raw(self.b, w, memo), w)
+
+
+class Hyp(Function):
+    __slots__ = ("x",)  # 2F1(1/2, 1/2; 1; x)
+    name = "hyp"
+
+    def _ball(self, w, memo):
+        return modular.hyp2f1_half(_eval_raw(self.x, w, memo), w)
+
+
+class ThetaExpr(Function):
+    """A theta-function value; a leaf legal anywhere in an `Expr`."""
+
+    __slots__ = ()
+
+
+class _NomeTheta(ThetaExpr):
+    """A theta function of a QPoint nome (the theta cache's key) or of an `Expr`."""
+
+    __slots__ = ("q",)
+
+    def _q(self, w, memo):
+        return self.q if isinstance(self.q, QPoint) else _eval_raw(self.q, w, memo)
+
+
+class Phi(_NomeTheta):
+    __slots__ = ()
+    name = "phi"
+
+    def _ball(self, w, memo):
+        return phi(self._q(w, memo), w)
+
+
+class Psi(_NomeTheta):
+    __slots__ = ()
+    name = "psi"
+
+    def _ball(self, w, memo):
+        return psi(self._q(w, memo), w)
+
+
+class FNeg(_NomeTheta):
+    __slots__ = ()
+    name = "fneg"
+
+    def _ball(self, w, memo):
+        return f_neg(self._q(w, memo), w)
+
+
+class Chi(_NomeTheta):
+    __slots__ = ()
+    name = "chi"
+
+    def _ball(self, w, memo):
+        return chi(self._q(w, memo), w)
+
+
+class ThetaF(ThetaExpr):
+    __slots__ = ("a", "b")  # Ramanujan's general theta function f(a, b)
+    name = "f"
+
+    def _ball(self, w, memo):
+        return theta_f(_eval_raw(self.a, w, memo), _eval_raw(self.b, w, memo), w)
+
+
+class YiH(ThetaExpr):
+    __slots__ = ("k", "n", "primed")
+    name, rational = "h", True  # written h(k, n), or hprime(k, n) if primed
+
+    def __init__(self, k: Fraction, n: Fraction, primed: bool = False):
+        Record.__init__(self, k, n, primed)
+
+    def _ball(self, w, memo):
+        return modular.yi_h(modular.YiQuotient(self.k, self.n, self.primed), w)
+
+
+class ClassInv(ThetaExpr):
+    __slots__ = ("n",)
+    name, rational = "classinv", True
+
+    def _ball(self, w, memo):
+        return modular.class_invariant(self.n, w)
+
+
+_FUNCTIONS["hprime"] = YiH
 
 
 def _eval_raw(e: Expr, w: WorkCtx, memo: dict) -> Ball:
@@ -174,43 +295,7 @@ def _eval_raw(e: Expr, w: WorkCtx, memo: dict) -> Ball:
 
 
 def _eval_node(e: Expr, w: WorkCtx, memo: dict) -> Ball:
-    if isinstance(e, Int):
-        return Ball.exact_int(e.value).rescale(w.bits)
-    if isinstance(e, Rat):
-        return Ball.from_fraction(e.value, w.bits)
-    if isinstance(e, Pi):
-        return _pi_ball(w.bits)
-    if isinstance(e, GammaRat):
-        if not 0 < e.arg <= 2:
-            raise UnsupportedGammaArgument(f"gamma argument {e.arg} outside (0, 2]")
-        return gamma_rational(e.arg, w)
-    if isinstance(e, CosPiRat):
-        t = e.arg % 2
-        exact = _EXACT_COSPI.get(t)
-        if exact is not None:
-            return Ball.from_fraction(exact, w.bits)
-        return cos(_pi_ball(w.bits) * Ball.from_fraction(t, w.bits))
-    if isinstance(e, Add):
-        return _eval_raw(e.left, w, memo) + _eval_raw(e.right, w, memo)
-    if isinstance(e, Sub):
-        return _eval_raw(e.left, w, memo) - _eval_raw(e.right, w, memo)
-    if isinstance(e, Mul):
-        return _eval_raw(e.left, w, memo) * _eval_raw(e.right, w, memo)
-    if isinstance(e, Div):
-        return _eval_raw(e.left, w, memo) / _eval_raw(e.right, w, memo)
-    if isinstance(e, PowRat):  # under the power limit of the requested bits
-        return pow_rational(_eval_raw(e.base, w, memo), e.exponent, w)
-    if isinstance(e, Neg):
-        return -_eval_raw(e.arg, w, memo)
-    if isinstance(e, ThetaExpr):
-        return eval_theta(e, w)
-    if isinstance(e, Agm):
-        return agm(_eval_raw(e.a, w, memo), _eval_raw(e.b, w, memo), w)
-    if isinstance(e, Hyp):
-        return modular.hyp2f1_half(_eval_raw(e.x, w, memo), w)
-    if isinstance(e, Nome):
-        return e.q.to_ball(w)
-    raise TypeError(f"unknown expression node {e!r}")
+    return e._ball(w, memo)
 
 
 def eval_expr(e: Expr, ctx: PrecCtx) -> Ball:
@@ -218,8 +303,8 @@ def eval_expr(e: Expr, ctx: PrecCtx) -> Ball:
 
     The tree runs at `ctx.work()` and is rounded once, to ctx.bits.  A divisor
     or fractional-power base that straddles zero runs the tree again at more
-    bits, through `certify`.  Shared subtrees are evaluated once per scale,
-    through a memo cleared on exit (an error's traceback would keep it).
+    bits, through `certify`.  Each distinct subtree is evaluated once per
+    scale, through a memo cleared on exit (an error's traceback would keep it).
     """
     memo: dict[tuple[Expr, int], Ball] = {}
     try:
@@ -227,6 +312,11 @@ def eval_expr(e: Expr, ctx: PrecCtx) -> Ball:
         return value.rescale(ctx.bits)
     finally:
         memo.clear()
+
+
+def eval_theta(t: ThetaExpr, ctx: PrecCtx) -> Ball:
+    """Enclosure of one theta leaf, as `eval_expr` evaluates it in a tree."""
+    return _eval_node(t, ctx.work(), {}).rescale(ctx.bits)
 
 
 def render_expr(e: Expr) -> str:
@@ -237,38 +327,32 @@ def render_expr(e: Expr) -> str:
         return _render_rat(e.value)
     if isinstance(e, Pi):
         return "pi"
-    if isinstance(e, GammaRat):
-        return f"gamma({e.arg})"
-    if isinstance(e, CosPiRat):
-        return f"cospi({e.arg})"
-    if isinstance(e, Add):
-        return f"({render_expr(e.left)} + {render_expr(e.right)})"
-    if isinstance(e, Sub):
-        return f"({render_expr(e.left)} - {render_expr(e.right)})"
-    if isinstance(e, Mul):
-        return f"({render_expr(e.left)} * {render_expr(e.right)})"
-    if isinstance(e, Div):
-        return f"({render_expr(e.left)} / {render_expr(e.right)})"
+    if isinstance(e, Infix):
+        return f"({render_expr(e.left)} {e.sym} {render_expr(e.right)})"
     if isinstance(e, PowRat):
-        exp = e.exponent
-        base = render_expr(e.base)
-        atom = isinstance(e.base, (Pi, GammaRat, CosPiRat)) or (
-            isinstance(e.base, Int) and e.base.value >= 0
-        )
-        if not atom:
+        base, exp = render_expr(e.base), e.exponent
+        if not isinstance(e.base, (Pi, GammaRat, CosPiRat, Int)) or base[0] == "-":
             base = f"({base})"
         return f"{base}^({exp})" if exp.denominator != 1 or exp < 0 else f"{base}^{exp}"
     if isinstance(e, Neg):
         return f"(-{render_expr(e.arg)})"
-    if isinstance(e, ThetaExpr):
-        return render_theta(e)
-    if isinstance(e, Agm):
-        return f"agm({render_expr(e.a)}, {render_expr(e.b)})"
-    if isinstance(e, Hyp):
-        return f"hyp({render_expr(e.x)})"
     if isinstance(e, Nome):
-        return _render_qpoint(e.q)
-    raise TypeError(f"unknown expression node {e!r}")
+        return _render_arg(e.q)
+    if isinstance(e, YiH):
+        return f"{'hprime' if e.primed else 'h'}({e.k}, {e.n})"
+    return f"{e.name}({', '.join(map(_render_arg, e._values()))})"
+
+
+def render_theta(t: ThetaExpr) -> str:
+    return render_expr(t)
+
+
+def _render_arg(x) -> str:
+    if isinstance(x, Expr):
+        return render_expr(x)
+    if isinstance(x, QPoint):
+        return f"qpoint({'+1' if x.sign == 1 else '-1'}, {x.r})"
+    return str(x)
 
 
 def _render_rat(v: Fraction) -> str:
@@ -287,132 +371,27 @@ def _render_rat(v: Fraction) -> str:
 def mutate_first_leaf(e: Expr, delta: Fraction = Fraction(1, 10**6)) -> Expr:
     """Copy of the tree with its first rational leaf shifted by `delta`.
 
-    Leaf rationals are integer and rational constants, gamma and cosine
-    arguments, and power exponents (visited after their base subtree)."""
+    The fields are walked in order, so an exponent comes after its base.  A
+    rational leaf is an `Int` (it turns into a `Rat`) or a `Fraction` field:
+    of a `Rat`, gamma, cospi, h, hprime or classinv, or a power's exponent."""
 
     def walk(node: Expr) -> tuple[Expr, bool]:
         if isinstance(node, Int):
-            return Rat(Fraction(node.value) + delta), True
-        if isinstance(node, Rat):
             return Rat(node.value + delta), True
-        if isinstance(node, GammaRat):
-            return GammaRat(node.arg + delta), True
-        if isinstance(node, CosPiRat):
-            return CosPiRat(node.arg + delta), True
-        if isinstance(node, Pi):
-            return node, False
-        if isinstance(node, (Add, Sub, Mul, Div)):
-            left, done = walk(node.left)
+        fields = node._values()
+        for i, x in enumerate(fields):
+            if isinstance(x, Expr):
+                x, done = walk(x)
+            elif done := isinstance(x, Fraction):
+                x += delta
             if done:
-                return type(node)(left, node.right), True
-            right, done = walk(node.right)
-            return type(node)(node.left, right), done
-        if isinstance(node, PowRat):
-            base, done = walk(node.base)
-            if done:
-                return PowRat(base, node.exponent), True
-            return PowRat(node.base, node.exponent + delta), True
-        if isinstance(node, Neg):
-            arg, done = walk(node.arg)
-            return Neg(arg), done
-        raise TypeError(f"unknown expression node {node!r}")
+                return type(node)(*fields[:i], x, *fields[i + 1 :]), True
+        return node, False
 
     out, done = walk(e)
     if not done:
         raise ValueError("expression has no rational leaf to mutate")
     return out
-
-
-# ---------------------------------------------------------------------------
-# theta leaves
-
-
-class ThetaExpr(Expr):
-    """A theta-function value; a leaf legal anywhere in an `Expr`."""
-
-    __slots__ = ()
-
-
-# The nome of phi/psi/fneg/chi is a structured QPoint (which the theta
-# cache keys on) or any expression whose ball is the nome.
-
-
-class Phi(ThetaExpr):
-    __slots__ = ("q",)
-
-
-class Psi(ThetaExpr):
-    __slots__ = ("q",)
-
-
-class FNeg(ThetaExpr):
-    __slots__ = ("q",)
-
-
-class Chi(ThetaExpr):
-    __slots__ = ("q",)
-
-
-class ThetaF(ThetaExpr):
-    __slots__ = ("a", "b")  # Ramanujan's general theta function f(a, b)
-
-
-class YiH(ThetaExpr):
-    __slots__ = ("k", "n", "primed")
-
-    def __init__(self, k: Fraction, n: Fraction, primed: bool = False):
-        Record.__init__(self, k, n, primed)
-
-
-class ClassInv(ThetaExpr):
-    __slots__ = ("n",)
-
-
-def _nome(q: QPoint | Expr, ctx: PrecCtx) -> QPoint | Ball:
-    return q if isinstance(q, QPoint) else _eval_raw(q, ctx.work(), {})
-
-
-def eval_theta(t: ThetaExpr, ctx: PrecCtx) -> Ball:
-    """Enclosure of one theta leaf; `eval_expr` evaluates the tree around it."""
-    if isinstance(t, Phi):
-        return phi(_nome(t.q, ctx), ctx)
-    if isinstance(t, Psi):
-        return psi(_nome(t.q, ctx), ctx)
-    if isinstance(t, FNeg):
-        return f_neg(_nome(t.q, ctx), ctx)
-    if isinstance(t, Chi):
-        return chi(_nome(t.q, ctx), ctx)
-    if isinstance(t, ThetaF):
-        return theta_f(_eval_raw(t.a, ctx.work(), {}), _eval_raw(t.b, ctx.work(), {}), ctx)
-    if isinstance(t, YiH):
-        return modular.yi_h(modular.YiQuotient(t.k, t.n, t.primed), ctx)
-    if isinstance(t, ClassInv):
-        return modular.class_invariant(t.n, ctx)
-    raise TypeError(f"unknown theta node {t!r}")
-
-
-def _render_qpoint(q: QPoint) -> str:
-    sign = "+1" if q.sign == 1 else "-1"
-    return f"qpoint({sign}, {q.r})"
-
-
-_NOME_FUNCTIONS = {"phi": Phi, "psi": Psi, "fneg": FNeg, "chi": Chi}
-_NOME_NAMES = {node: name for name, node in _NOME_FUNCTIONS.items()}
-
-
-def render_theta(t: ThetaExpr) -> str:
-    name = _NOME_NAMES.get(type(t))
-    if name is not None:
-        q = t.q
-        return f"{name}({_render_qpoint(q) if isinstance(q, QPoint) else render_expr(q)})"
-    if isinstance(t, ThetaF):
-        return f"f({render_expr(t.a)}, {render_expr(t.b)})"
-    if isinstance(t, YiH):
-        name = "hprime" if t.primed else "h"
-        return f"{name}({t.k}, {t.n})"
-    if isinstance(t, ClassInv):
-        return f"classinv({t.n})"
-    raise TypeError(f"unknown theta node {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -424,32 +403,14 @@ def render_theta(t: ThetaExpr) -> str:
 #   power  := atom ('^' unary)?          exponent must fold to a rational
 #   atom   := NUMBER | 'pi' | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 #
-# Functions and their arities are the keys of _ARITY; qpoint(sign, r)
+# A NAME is the `name` of a `Function` node (or hprime); qpoint(sign, r)
 # denotes sign * e^(-pi sqrt r) and stays a structured QPoint inside
-# phi/psi/fneg/chi.  Exponents and the arguments of gamma, cospi, h,
-# hprime, classinv and qpoint fold to exact rationals while parsing.
+# phi/psi/fneg/chi.  Exponents and the arguments of a `rational` function
+# fold to exact rationals while parsing.
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))", re.DOTALL)
 _TOKEN_KINDS = (None, "num", "name", "sym")
-
-_ARITY = {
-    "phi": 1,
-    "psi": 1,
-    "fneg": 1,
-    "chi": 1,
-    "f": 2,
-    "gamma": 1,
-    "cospi": 1,
-    "agm": 2,
-    "hyp": 1,
-    "h": 2,
-    "hprime": 2,
-    "classinv": 1,
-    "qpoint": 2,
-}
-
-_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
-_FOLD = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+_BINARY = {node.sym: node for node in Infix.__subclasses__()}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -479,9 +440,9 @@ def _const_value(e: Expr, bits: int) -> Fraction | None:
     if isinstance(e, Neg):
         v = _const_value(e.arg, bits)
         return None if v is None else -v
-    if isinstance(e, (Add, Sub, Mul, Div)):
+    if isinstance(e, Infix):
         a, b = _const_value(e.left, bits), _const_value(e.right, bits)
-        return None if a is None or b is None else _FOLD[type(e)](a, b)
+        return None if a is None or b is None else e.op(a, b)
     if isinstance(e, PowRat) and e.exponent.denominator == 1:
         base = _const_value(e.base, bits)
         if base is None:
@@ -502,19 +463,16 @@ def _fold(e: Expr, pos: int, bits: int) -> Fraction | None:
 
 
 def _call(name: str, args: list[Expr], pos: int, bits: int) -> Expr:
-    if len(args) != _ARITY[name]:
-        raise ParseError(f"{name} takes {_ARITY[name]} argument(s)", pos)
-    if name in _NOME_FUNCTIONS:
-        q = args[0]
-        return _NOME_FUNCTIONS[name](q.q if isinstance(q, Nome) else q)
-    if name == "f":
-        return ThetaF(*args)
-    if name == "agm":
-        return Agm(*args)
-    if name == "hyp":
-        return Hyp(*args)
+    node = _FUNCTIONS[name]
+    arity = 2 if node in (Nome, YiH) else len(node._fields)
+    if len(args) != arity:
+        raise ParseError(f"{name} takes {arity} argument(s)", pos)
+    if not node.rational:
+        if issubclass(node, _NomeTheta) and isinstance(args[0], Nome):
+            return node(args[0].q)
+        return node(*args)
     values = [_fold(a, pos, bits) for a in args]
-    if name == "qpoint":
+    if node is Nome:
         sign, r = values
         if sign not in (1, -1):
             raise ParseError("qpoint sign must be +1 or -1", pos)
@@ -523,13 +481,7 @@ def _call(name: str, args: list[Expr], pos: int, bits: int) -> Expr:
         return Nome(QPoint(int(sign), r))
     if None in values:
         raise ParseError(f"{name} needs a rational argument", pos)
-    if name == "gamma":
-        return GammaRat(*values)
-    if name == "cospi":
-        return CosPiRat(*values)
-    if name == "classinv":
-        return ClassInv(*values)
-    return YiH(*values, primed=name == "hprime")
+    return YiH(*values, name == "hprime") if node is YiH else node(*values)
 
 
 class _Parser:
@@ -598,7 +550,7 @@ class _Parser:
         if kind == "name":
             if val == "pi":
                 return Pi()
-            if val not in _ARITY:
+            if val not in _FUNCTIONS:
                 raise ParseError(f"unknown name {val!r}", pos)
             self.expect("(")
             args = [self.expr()]
@@ -689,10 +641,18 @@ def ln7_rhs_from_terms(pairs: tuple[tuple[int, int], ...]) -> Expr:
     )
 
 
+# G_169, the right side of g169, and y = x^3 + 7x at x = G_169 - 1/G_169,
+# through which cb13 reads it.  The grammar has no names for subexpressions,
+# so these texts repeat them; `eval_expr` evaluates each distinct subtree once.
+_G169 = (
+    "(13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3) * (((11 + 13^(1/2)) / 2"
+    " + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3 * 3^(1/2))^(1/3))) / 3"
+)
+_X169 = f"({_G169} - ({_G169})^(-1))"
+_Y169 = f"{_X169}^3 + 7 * {_X169}"
+
 # Each row is (id, left side, right side, provenance), both sides in the
-# grammar of `parse_expr`; every right side follows its printed source.  The
-# grammar has no names for subexpressions, so a repeated one (G_169 in cb13)
-# is written out again: `eval_expr` evaluates equal subtrees once per call.
+# grammar of `parse_expr`; every right side follows its printed source.
 _CATALOG_ROWS = (
     ("classical_1",
      "phi(qpoint(+1, 1))",
@@ -729,25 +689,7 @@ _CATALOG_ROWS = (
      "Ramanujan, notebook 1; proof by Berndt-Chan"),
     ("cb13",
      "phi(qpoint(+1, 169)) / phi(qpoint(+1, 1))",
-     "(((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
-     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
-     " * 3^(1/2))^(1/3))) / 3)^(-3) * ((((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
-     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
-     " * 3^(1/2))^(1/3))) / 3 - ((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
-     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
-     " * 3^(1/2))^(1/3))) / 3)^(-1))^3 + 7 * ((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
-     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
-     " * 3^(1/2))^(1/3))) / 3 - ((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
-     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
-     " * 3^(1/2))^(1/3))) / 3)^(-1)) + ((((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
-     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
-     " * 3^(1/2))^(1/3))) / 3 - ((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
-     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
-     " * 3^(1/2))^(1/3))) / 3)^(-1))^3 + 7 * ((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
-     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
-     " * 3^(1/2))^(1/3))) / 3 - ((13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
-     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
-     " * 3^(1/2))^(1/3))) / 3)^(-1)))^2 + 52)^(1/2)) / 2))^(-1/2)",
+     f"(({_G169})^(-3) * (({_Y169} + (({_Y169})^2 + 52)^(1/2)) / 2))^(-1/2)",
      "Berndt-Chan, via the class invariant G_169"),
     ("cb27",
      "phi(qpoint(+1, 729)) / phi(qpoint(+1, 9))",
@@ -795,21 +737,23 @@ _CATALOG_ROWS = (
      "Ramanujan's class invariant table"),
     ("g169",
      "classinv(169)",
-     "(13^(1/2) + 2 + ((13 + 3 * 13^(1/2)) / 2)^(1/3)"
-     " * (((11 + 13^(1/2)) / 2 + 3 * 3^(1/2))^(1/3) + ((11 + 13^(1/2)) / 2 - 3"
-     " * 3^(1/2))^(1/3))) / 3",
+     _G169,
      "Berndt-Chan, class invariant G_169"),
 )
 
 
+def _read_row(entry_id: str, lhs: str, rhs: str, provenance: str) -> Identity:
+    return Identity(entry_id, parse_expr(lhs), parse_expr(rhs), provenance)
+
+
 def build_catalog() -> Catalog:
     """The full value catalog, read from its text rows."""
-    return Catalog(
-        tuple(
-            Identity(entry_id, parse_expr(lhs), parse_expr(rhs), provenance)
-            for entry_id, lhs, rhs, provenance in _CATALOG_ROWS
-        )
-    )
+    return Catalog(tuple(_read_row(*row) for row in _CATALOG_ROWS))
+
+
+def catalog_entry(entry_id: str) -> Identity:
+    """One catalog entry, read from its own row alone."""
+    return _read_row(*next(row for row in _CATALOG_ROWS if row[0] == entry_id))
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,12 @@ from .errors import (
 )
 from .exact import (
     CosPiRat,
-    Div,
     Identity,
     Int,
     Mul,
-    Phi,
     PowRat,
     VerifyReport,
+    catalog_entry,
     eval_expr,
     ln7_rhs_from_terms,
     verify_identity,
@@ -310,12 +309,8 @@ def complete_evaluation(ctx: PrecCtx) -> CompletionResult:
     pairs = ((k_beta, k_alpha), (k_gamma, k_beta), (k_alpha, k_gamma))
     ordered = tuple(sorted(pairs))
     rhs = ln7_rhs_from_terms(ordered)
-    identity = Identity(
-        "ln7",
-        Div(Phi(QPoint(1, Fraction(343))), Phi(QPoint(1, Fraction(7)))),
-        rhs,
-        "lost notebook p.206, completed by Rebak",
-    )
+    ln7 = catalog_entry("ln7")
+    identity = Identity(ln7.id, ln7.lhs, rhs, ln7.provenance)
     report = verify_identity(identity, ctx)
     return CompletionResult(identity, report, state, roots, assignment, ordered)
 

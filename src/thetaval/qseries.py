@@ -21,12 +21,10 @@ from fractions import Fraction
 
 from .errors import DomainError, FactorNearZero, NotConvergent
 from .precision import GUARD_BITS, Ball, PrecCtx, WorkCtx, check_power_size, ipow, memo, nth_root
-from .precision import Record, pow_rational
-from .precision import _pi_ball, exp, sqrt  # noqa: F401  (pi needed for nomes)
+from .precision import Record, _pi_ball, exp, pow_rational, sqrt
 
 __all__ = [
     "QPoint",
-    "SeriesTail",
     "pochhammer_inf",
     "theta_f",
     "phi",
@@ -132,12 +130,6 @@ def q_power_ball(q, k, f: int) -> Ball:
     return as_q_ball(nome_pow(q, k), f)
 
 
-class SeriesTail(Record):
-    """Truncation certificate: proven bound on the dropped remainder."""
-
-    __slots__ = ("terms_used", "tail_bound")
-
-
 # ---------------------------------------------------------------------------
 # q-Pochhammer products
 
@@ -218,7 +210,8 @@ def _theta_wings(wings, f: int, min_terms: int = 0) -> tuple[int, int, int, int]
     is at most half the one before and the wing's tail is at most sup|t_n|.
     `tail` sums these bounds and n is the longest wing's term count.  A wing
     whose terms share the sign of t1 < 0 is summed negated, so its floored
-    terms settle at 0 instead of -1.
+    terms settle at 0 instead of -1.  The series pass no min_terms; the
+    tests raise it to check that summing further stays inside the ball.
     """
     one = 1 << f
     s = err = tail = n_max = 0
@@ -246,14 +239,11 @@ def _theta_wings(wings, f: int, min_terms: int = 0) -> tuple[int, int, int, int]
     return s, err, tail, n_max
 
 
-def _theta_sum(wings, ctx: PrecCtx, scale: int = 1, min_terms: int = 0, with_tail: bool = False):
+def _theta_sum(wings, ctx: PrecCtx, scale: int = 1) -> Ball:
     """1 + scale * (the wing sums), the wings given at scale ctx.work().bits."""
     fw = ctx.work().bits
-    s, err, tail, n = _theta_wings(wings, fw, min_terms)
-    out = Ball((1 << fw) + scale * s, scale * (err + tail), fw).rescale(ctx.bits)
-    if with_tail:
-        return out, SeriesTail(n, Fraction(scale * tail, 1 << fw))
-    return out
+    s, err, tail, _ = _theta_wings(wings, fw)
+    return Ball((1 << fw) + scale * s, scale * (err + tail), fw).rescale(ctx.bits)
 
 
 def _series_nome(q, ctx: PrecCtx) -> Ball:
@@ -301,11 +291,11 @@ def phi(q, ctx: PrecCtx) -> Ball:
     return _theta_cached("phi", q, ctx, phi_series)
 
 
-def phi_series(q, ctx: PrecCtx, min_terms: int = 0, with_tail: bool = False):
+def phi_series(q, ctx: PrecCtx) -> Ball:
     """Series route 1 + 2 sum_{n>=1} q^(n^2), the wing (q, q^3, q^2)."""
     qb = _series_nome(q, ctx)
     q2 = qb * qb
-    return _theta_sum([(qb, q2 * qb, q2)], ctx, 2, min_terms, with_tail)
+    return _theta_sum([(qb, q2 * qb, q2)], ctx, 2)
 
 
 def psi(q, ctx: PrecCtx) -> Ball:
@@ -313,10 +303,10 @@ def psi(q, ctx: PrecCtx) -> Ball:
     return _theta_cached("psi", q, ctx, psi_series)
 
 
-def psi_series(q, ctx: PrecCtx, min_terms: int = 0, with_tail: bool = False):
+def psi_series(q, ctx: PrecCtx) -> Ball:
     """Series route 1 + sum_{n>=1} q^(n(n+1)/2), the wing (q, q^2, q)."""
     qb = _series_nome(q, ctx)
-    return _theta_sum([(qb, qb * qb, qb)], ctx, 1, min_terms, with_tail)
+    return _theta_sum([(qb, qb * qb, qb)], ctx)
 
 
 def f_neg(q, ctx: PrecCtx) -> Ball:
@@ -324,14 +314,14 @@ def f_neg(q, ctx: PrecCtx) -> Ball:
     return _theta_cached("f_neg", q, ctx, f_neg_series)
 
 
-def f_neg_series(q, ctx: PrecCtx, min_terms: int = 0, with_tail: bool = False):
+def f_neg_series(q, ctx: PrecCtx) -> Ball:
     """Pentagonal-number series sum (-1)^n q^(n(3n-1)/2) = f(-q, -q^2), the
     wings (-q, -q^4, q^3) for n >= 1 and (-q^2, -q^5, q^3) for n <= -1."""
     qb = _series_nome(q, ctx)
     q2 = qb * qb
     q3 = q2 * qb
     wings = [(-qb, -(q3 * qb), q3), (-q2, -(q3 * q2), q3)]
-    return _theta_sum(wings, ctx, 1, min_terms, with_tail)
+    return _theta_sum(wings, ctx)
 
 
 def _chi_series(q, ctx: PrecCtx) -> Ball:

@@ -395,6 +395,13 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "deg3", "--grid", "0.1", "--prec", "0")
         assert code == 2 and "usage error" in err
 
+    @pytest.mark.parametrize("grid", [",", " ", "", " , ,"])
+    def test_a_grid_without_points_is_usage_error(self, capsys, grid):
+        # an empty report would pass without checking anything
+        code, out, err = run(capsys, "sweep", "deg15", "--grid", grid)
+        assert code == 2 and out == ""
+        assert err == "usage error: --grid has no points\n"
+
     def test_yi_product_bad_tuple(self, capsys):
         code, _, err = run(capsys, "sweep", "yi_product", "--grid", "2:1:6")
         assert code == 2
@@ -510,6 +517,14 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "cmd_catalog", lambda args: calls.append(args) or 0)
         assert main(["catalog"]) == 0
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("argv", [["verify", "r3"], ["sweep", "jims", "--grid", "0.5"]])
+def test_fewer_than_one_job_is_usage_error(capsys, argv, jobs):
+    code, out, err = run(capsys, *argv, "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err == "usage error: --jobs must be at least 1\n"
 
 
 @pytest.mark.parametrize(

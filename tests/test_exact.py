@@ -25,6 +25,7 @@ from thetaval.exact import (
     Identity,
     Int,
     Mul,
+    Neg,
     Pi,
     PowRat,
     Rat,
@@ -236,6 +237,19 @@ class TestMutation:
         if "." in text:
             assert parse_expr(text) == Rat(v)
 
+    @pytest.mark.parametrize(
+        "text, mutated",
+        [
+            ("phi(qpoint(+1, 2)) * 3", "(phi(qpoint(+1, 2)) * 3.000001)"),
+            ("f(0.5, 2^(1/2))", "f(0.500001, 2^(1/2))"),
+            ("agm(pi, pi^2)", "agm(pi, pi^(2000001/1000000))"),
+            ("hprime(2, 3)", "hprime(2000001/1000000, 3)"),
+        ],
+    )
+    def test_mutation_walks_the_fields_of_every_node_kind(self, text, mutated):
+        # a QPoint nome is no rational leaf; the first one after it is
+        assert render_expr(mutate_first_leaf(parse_expr(text))) == mutated
+
     def test_mutation_flips_two_sample_entries(self):
         for entry_id in ("r3", "g9"):
             entry = CATALOG.get(entry_id)
@@ -270,9 +284,23 @@ def subtrees(e) -> list:
     return out
 
 
-@pytest.mark.parametrize("entry_id", ["cb13", "cb63", "g169", "ln7"])
+# catalog ids, and texts whose theta leaves share a subtree with the tree
+# around them: a nome, or an argument of f
+SHARED_SUBTREE_CASES = [
+    "cb13",
+    "cb63",
+    "g169",
+    "ln7",
+    "phi(0.5^(1/2)) + 0.5^(1/2)",
+    "f(0.3, 0.2) * 0.3",
+    "psi(0.1) / chi(0.1)",
+]
+
+
+@pytest.mark.parametrize("entry_id", SHARED_SUBTREE_CASES)
 def test_shared_subtrees_are_evaluated_once_per_call(monkeypatch, entry_id):
-    rhs = CATALOG.get(entry_id).rhs
+    catalog = entry_id in CATALOG.ids()
+    rhs = CATALOG.get(entry_id).rhs if catalog else parse_expr(entry_id)
     computed, memos = [], []
     node, raw = exact._eval_node, exact._eval_raw
     monkeypatch.setattr(exact, "_eval_node", lambda e, f, m: computed.append((e, f)) or node(e, f, m))
@@ -281,8 +309,40 @@ def test_shared_subtrees_are_evaluated_once_per_call(monkeypatch, entry_id):
         computed.clear()
         val = eval_expr(rhs, PrecCtx(512))
         assert len(computed) == len(set(computed)) == len(set(subtrees(rhs)))
-    assert val.overlaps(verify_identity(CATALOG.get(entry_id), PrecCtx(512)).rhs)
+    if catalog:
+        assert val.overlaps(verify_identity(CATALOG.get(entry_id), PrecCtx(512)).rhs)
     assert memos and all(len(m) == 0 for m in memos)
+
+
+# one tree of each node kind and the text it prints as
+RENDERED = [
+    (PowRat(Int(2), F(3)), "2^3"),
+    (PowRat(Pi(), F(-1, 2)), "pi^(-1/2)"),
+    (PowRat(Add(Int(1), Int(2)), F(1, 3)), "((1 + 2))^(1/3)"),
+    (PowRat(Int(-2), F(3)), "(-2)^3"),
+    (Sub(Mul(Int(1), Rat(F(1, 4))), Div(Int(3), Neg(Int(4)))), "((1 * 0.25) - (3 / (-4)))"),
+    (Add(GammaRat(F(1, 4)), CosPiRat(F(-2, 7))), "(gamma(1/4) + cospi(-2/7))"),
+    (exact.Nome(QPoint(1, F(5, 3))), "qpoint(+1, 5/3)"),
+    (exact.Nome(QPoint(-1, F(36))), "qpoint(-1, 36)"),
+    (Phi(QPoint(1, F(9))), "phi(qpoint(+1, 9))"),
+    (Phi(Mul(Rat(F(1, 2)), exact.Nome(QPoint(1, F(1))))), "phi((0.5 * qpoint(+1, 1)))"),
+    (exact.Psi(Rat(F(1, 10))), "psi(0.1)"),
+    (exact.FNeg(Neg(Rat(F(3, 10)))), "fneg((-0.3))"),
+    (exact.Chi(QPoint(-1, F(2))), "chi(qpoint(-1, 2))"),
+    (exact.ThetaF(Rat(F(1, 5)), Rat(F(3, 10))), "f(0.2, 0.3)"),
+    (exact.YiH(F(3), F(9)), "h(3, 9)"),
+    (exact.YiH(F(2), F(3, 2), True), "hprime(2, 3/2)"),
+    (ClassInv(F(169)), "classinv(169)"),
+    (exact.Agm(Int(1), PowRat(Int(2), F(1, 2))), "agm(1, 2^(1/2))"),
+    (exact.Hyp(Rat(F(7, 3))), "hyp((7/3))"),
+]
+
+
+@pytest.mark.parametrize("tree, text", RENDERED, ids=[text for _, text in RENDERED])
+def test_each_node_kind_renders_to_its_pinned_text(tree, text):
+    assert render_expr(tree) == text
+    if isinstance(tree, ThetaExpr):
+        assert exact.render_theta(tree) == text
 
 
 def test_memo_is_emptied_when_an_error_leaves():

@@ -5,6 +5,7 @@ oracles here are the infinite products through pochhammer_inf, direct
 finite products at doubled precision, and exact special-case identities.
 """
 
+import collections
 import functools
 import random
 from fractions import Fraction as F
@@ -18,7 +19,6 @@ from thetaval.precision import Ball, PrecCtx, decimal_str, gamma_rational, ipow,
 from thetaval.precision import CACHE_ENTRIES, const_pi
 from thetaval.qseries import (
     QPoint,
-    SeriesTail,
     as_q_ball,
     chi,
     f_neg,
@@ -50,6 +50,27 @@ PRODUCT_QS = SAMPLE_QS + [
 
 def bf(x, f=256):
     return Ball.from_fraction(F(x), f)
+
+
+# one `_theta_wings` result: the sum, its error and tail bound in units, and
+# the longest wing's term count
+WingSum = collections.namedtuple("WingSum", "s err tail terms_used")
+
+
+def series_with_tail(monkeypatch, series, q, min_terms=0):
+    """series(q, CTX), its wings summed to at least min_terms terms through
+    a `_theta_wings` spy, and the one `WingSum` that the spy saw."""
+    real, sums = qseries._theta_wings, []
+
+    def spy(wings, f, _=0):
+        sums.append(real(wings, f, min_terms))
+        return sums[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(qseries, "_theta_wings", spy)
+        val = series(q, CTX)
+    (wing_sum,) = sums
+    return val, WingSum(*wing_sum)
 
 
 def product_oracles(q, ctx):
@@ -561,12 +582,12 @@ class TestPhi:
     def test_route_agreement(self, q):
         assert phi(q, CTX).overlaps(phi_series(q, CTX))
 
-    def test_tail_soundness(self):
-        val1, tail1 = phi_series(bf(F(3, 10)), CTX, with_tail=True)
-        val2, tail2 = phi_series(
-            bf(F(3, 10)), CTX, min_terms=tail1.terms_used + 10, with_tail=True
+    def test_tail_soundness(self, monkeypatch):
+        val1, tail1 = series_with_tail(monkeypatch, phi_series, bf(F(3, 10)))
+        val2, tail2 = series_with_tail(
+            monkeypatch, phi_series, bf(F(3, 10)), min_terms=tail1.terms_used + 10
         )
-        assert isinstance(tail1, SeriesTail) and tail1.tail_bound >= 0
+        assert tail1.tail >= 0
         assert tail2.terms_used >= tail1.terms_used + 10
         assert val1.encloses(val2)
 
@@ -583,9 +604,9 @@ class TestPsi:
         q = bf(F(1, 5))
         assert psi(q, CTX).overlaps(theta_f(q, ipow(q, 3), CTX))
 
-    def test_tail_soundness(self):
-        v1, t1 = psi_series(bf(F(2, 5)), CTX, with_tail=True)
-        v2, _ = psi_series(bf(F(2, 5)), CTX, min_terms=t1.terms_used + 10, with_tail=True)
+    def test_tail_soundness(self, monkeypatch):
+        v1, t1 = series_with_tail(monkeypatch, psi_series, bf(F(2, 5)))
+        v2, _ = series_with_tail(monkeypatch, psi_series, bf(F(2, 5)), min_terms=t1.terms_used + 10)
         assert v1.encloses(v2)
 
 
@@ -606,9 +627,9 @@ class TestFNeg:
     def test_route_agreement(self, q):
         assert f_neg(q, CTX).overlaps(f_neg_series(q, CTX))
 
-    def test_tail_soundness(self):
-        v1, t1 = f_neg_series(bf(F(1, 2)), CTX, with_tail=True)
-        v2, _ = f_neg_series(bf(F(1, 2)), CTX, min_terms=t1.terms_used + 10, with_tail=True)
+    def test_tail_soundness(self, monkeypatch):
+        v1, t1 = series_with_tail(monkeypatch, f_neg_series, bf(F(1, 2)))
+        v2, _ = series_with_tail(monkeypatch, f_neg_series, bf(F(1, 2)), min_terms=t1.terms_used + 10)
         assert v1.encloses(v2)
 
 

@@ -22,6 +22,7 @@ from thetaval.exact import (
     ClassInv,
     CosPiRat,
     Div,
+    Expr,
     FNeg,
     GammaRat,
     Hyp,
@@ -179,6 +180,27 @@ def test_rendered_mixed_trees_parse_to_overlapping_balls(e, bits):
     except ThetavalError:
         assume(False)  # e.g. a tiny nome under a negative power: its ball holds 0
     assert eval_expr(parse_expr(render_expr(e)), ctx).overlaps(expected), render_expr(e)
+
+
+def _read_back(e):
+    """The tree that the text of e reads back as.  It is e itself but where
+    the grammar has no text for a node: a Rat with no decimal literal reads
+    back as a quotient of integers, and the nome of phi/psi/fneg/chi written
+    qpoint(...) stays the QPoint instead of a Nome node."""
+    if isinstance(e, Rat) and e.value.denominator == 1:
+        return Int(e.value.numerator)
+    if isinstance(e, Rat) and 10**64 % e.value.denominator:
+        return Div(Int(e.value.numerator), Int(e.value.denominator))  # e.value > 0 here
+    fields = [_read_back(x) if isinstance(x, Expr) else x for x in e._values()]
+    if isinstance(e, (Phi, Psi, FNeg, Chi)) and isinstance(e.q, Nome):
+        fields = [e.q.q]
+    return type(e)(*fields)
+
+
+@given(e=_mixed)
+@settings(max_examples=200, deadline=None)
+def test_rendered_trees_parse_back_to_the_same_tree(e):
+    assert parse_expr(render_expr(e)) == _read_back(e), render_expr(e)
 
 
 def _mp_value(e):
