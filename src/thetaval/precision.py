@@ -469,15 +469,14 @@ def ipow(x: Ball, k: int, bits: int | None = None) -> Ball:
     mag = x.sup_units()
     if mag >> x.f:  # |x| may reach 1, so x**k may grow
         check_power_size(k, math.log2(mag) - x.f, x.f if bits is None else bits)
-    result = Ball.one(x.f)
-    base = x
+    result, base = None, x
     while k:
-        if k & 1:
-            result = result * base
+        if k & 1:  # the first factor is taken as it is: 1 * base would be base
+            result = base if result is None else result * base
         k >>= 1
         if k:
             base = base * base
-    return result
+    return Ball.one(x.f) if result is None else result
 
 
 def sqrt(x: Ball, ctx: PrecCtx | None = None) -> Ball:

@@ -69,15 +69,66 @@ class QPoint(Record):
         return _qpoint_ball(self.sign, self.r, ctx.bits)
 
 
+def _square_out(s: int, p: int) -> tuple[int, int]:
+    """(t, c) with s = c^2 t, c a power of p and p^2 not dividing t, in
+    O(log v) divisions for p^v dividing s, by recursing on p^2."""
+    if s % (p * p):
+        return s, 1
+    t, c = _square_out(s // (p * p), p * p)
+    if t % (p * p):
+        return t, c * p
+    return t // (p * p), c * p * p
+
+
+def _nome_class(r: Fraction) -> tuple[int, Fraction]:
+    """(a, r0) with r = a^2 r0 for an integer a >= 1 and r0 = s/b^2, gcd(a, b) = 1.
+
+    With r = n/d, sqrt(r) = sqrt(n d)/d.  The square c^2 in n d = c^2 s is
+    taken out by trial division by p^2 for the primes p < 50 and one isqrt
+    test of the rest; then a/b = c/d in lowest terms.  s need not be
+    squarefree: it only decides how many nomes share a base.
+    """
+    n, d = r.numerator, r.denominator
+    s, c = n * d, 1
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        s, cp = _square_out(s, p)
+        c *= cp
+    root = math.isqrt(s)
+    if root * root == s:
+        s, c = 1, c * root
+    g = math.gcd(c, d)
+    return c // g, Fraction(s, (d // g) ** 2)
+
+
+@memo
+def _nome_base(r0: Fraction, fw: int) -> Ball:
+    """exp(-pi sqrt(r0)) at the working scale fw, the base of a class of nomes."""
+    return exp(-(_pi_ball(fw) * sqrt(Ball.from_fraction(r0, fw))))
+
+
 @memo
 def _nome_exp(r: Fraction, f: int) -> Ball:
-    """exp(-pi sqrt(r)) at scale f."""
-    fw = f + GUARD_BITS
-    return exp(-(_pi_ball(fw) * sqrt(Ball.from_fraction(r, fw)))).rescale(f)
+    """exp(-pi sqrt(r)) at scale f: x^a for the class base x = exp(-pi sqrt(r0))
+    at fw = f + GUARD_BITS, r = a^2 r0 (`_nome_class`); for a = 1 that is x.
+
+    A product of balls in [-1, 1] is off by its factors' errors plus 2 units,
+    so x^a is off by below a (rho + 2) units at fw for x off by rho.  For
+    r0 >= 1/16, x <= 1/2 and every product halves the errors it carries, so
+    x^a stays within rho + 6 units for any a.  For r0 < 1/16, rho + 2 is
+    below 4/sqrt(r0) (sqrt(r0) is off by about 1/(2 sqrt(r0)) units, times
+    pi), so for a^2 < 2^58 r0 the power is off by under 2^31 units and the
+    rescale to f adds at most one unit; any other r takes its own exp.
+    """
+    a, r0 = _nome_class(r)
+    if 16 * r0 < 1 and a * a >= r0 * 2**58:
+        a, r0 = 1, r
+    return ipow(_nome_base(r0, f + GUARD_BITS), a).rescale(f)
 
 
 def _qpoint_ball(sign: int, r: Fraction, f: int) -> Ball:
-    """sign exp(-pi sqrt(r)): the cached `_nome_exp`, negated for sign -1."""
+    """sign exp(-pi sqrt(r)): the cached `_nome_exp`, negated for sign -1, so
+    the nomes of a class, the dual nome B of `_dual_value` and the QPoints
+    of `nome_pow` share one exp of their class base."""
     ball = _nome_exp(r, f)
     return -ball if sign == -1 else ball
 

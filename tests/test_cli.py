@@ -197,6 +197,17 @@ class TestEval:
         assert code == 0
         assert out.splitlines()[0].startswith("value  = 1000.0000000000000000000000")
 
+    def test_nomes_that_are_huge_powers_of_their_class_base(self, capsys):
+        # q_(10^40) is the power 10^20 of e^-pi, and the dual nome
+        # q_(10^400/576) of q_(10^-400) the power 5^200 2^197 of q_(1/9); the
+        # text is the one the nomes gave as their own exps
+        code, out, _ = run(capsys, "eval", "phi(qpoint(+1, 10^40)) + phi(qpoint(+1, 1/10^400))")
+        assert code == 0
+        assert out == (
+            "value  = 1." + "0" * 99 + "1" + "0" * 53 + "e+100\n"
+            "radius <= 1e-154\n"
+        )
+
     def test_chi_at_a_negative_qpoint_nome_near_one(self, capsys):
         # chi(-q) = 2.83e-114 at r = 10^-6; as phi(-q)/f(-q) it read 0 +/- 1e-91
         code, out, _ = run(capsys, "eval", "chi(qpoint(-1, 1/1000000))")

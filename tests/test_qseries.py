@@ -7,7 +7,9 @@ finite products at doubled precision, and exact special-case identities.
 
 import collections
 import functools
+import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -15,8 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from thetaval import cli, lostnotebook, modular, precision, qseries
 from thetaval.errors import DomainError, NotConvergent, ThetavalError
+from thetaval.exact import build_catalog, verify_identity
 from thetaval.precision import Ball, PrecCtx, decimal_str, gamma_rational, ipow, pow_rational
-from thetaval.precision import CACHE_ENTRIES, const_pi
+from thetaval.precision import CACHE_ENTRIES, GUARD_BITS, const_pi, exp, sqrt
 from thetaval.qseries import (
     QPoint,
     as_q_ball,
@@ -36,6 +39,7 @@ from thetaval.qseries import (
 )
 
 CTX = PrecCtx(256)
+CATALOG = build_catalog()
 E_PI = QPoint(1, F(1))
 SAMPLE_QS = [F(1, 20), F(-1, 20), F(3, 10), F(-3, 10), F(3, 5), F(-3, 5), E_PI, QPoint(1, F(7))]
 PRODUCT_QS = SAMPLE_QS + [
@@ -376,18 +380,120 @@ class TestQPoint:
         assert (neg.m, neg.r, neg.f) == (pos.m, pos.r, pos.f)
 
     def test_both_signs_share_one_exp(self, monkeypatch):
-        calls = []
-        real_exp = qseries.exp
-
-        def counting_exp(*args, **kwargs):
-            calls.append(args)
-            return real_exp(*args, **kwargs)
-
-        qseries._nome_exp.cache_clear()
-        monkeypatch.setattr(qseries, "exp", counting_exp)
+        calls = count_nome_exps(monkeypatch)
         QPoint(1, F(11, 3)).to_ball(CTX)
         QPoint(-1, F(11, 3)).to_ball(CTX)
         assert len(calls) == 1
+        # q_4 = q_1^2 and -q_36 = -q_1^6 are powers of the class base q_1
+        for q in (QPoint(1, F(1)), QPoint(1, F(4)), QPoint(-1, F(36))):
+            q.to_ball(CTX)
+        assert len(calls) == 2
+
+
+def count_nome_exps(monkeypatch) -> list:
+    """Empty the nome tables and record each exp that qseries makes."""
+    calls = []
+    real_exp = qseries.exp
+
+    def counting_exp(*args, **kwargs):
+        calls.append(args)
+        return real_exp(*args, **kwargs)
+
+    for table in (qseries._nome_exp, qseries._nome_base, qseries._theta_qpoint):
+        table.cache_clear()
+    monkeypatch.setattr(qseries, "exp", counting_exp)
+    return calls
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+POSITIVE_R = st.builds(
+    lambda n, d, k: F(n * k * k, d),
+    st.integers(1, 10**40),
+    st.integers(1, 10**40),
+    st.integers(1, 10**6),
+)
+
+
+class TestNomeClass:
+    """sqrt(r) = a sqrt(r0), so q_r is the power a of the class base q_(r0)."""
+
+    @given(POSITIVE_R)
+    @settings(max_examples=200, deadline=None)
+    def test_the_power_and_base_rebuild_r(self, r):
+        a, r0 = qseries._nome_class(r)
+        assert isinstance(a, int) and a >= 1
+        assert a * a * r0 == r
+
+    # k coprime to the denominator of r: a common factor of k and b would
+    # make gcd(a, b) > 1, and a prime above 47 is found only in a square rest
+    @given(POSITIVE_R, st.lists(st.sampled_from(SMALL_PRIMES), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_a_square_factor_multiplies_the_power(self, r, primes):
+        k = math.prod(p for p in primes if r.denominator % p)
+        a, r0 = qseries._nome_class(r)
+        assert qseries._nome_class(r * k * k) == (k * a, r0)
+
+    @pytest.mark.parametrize(
+        "r, a, r0",
+        [
+            (F(3969), 63, F(1)),
+            (F(27), 3, F(3)),
+            (F(343), 7, F(7)),
+            (F(20), 2, F(5)),
+            (F(4, 5), 2, F(1, 5)),
+            (F(25, 7), 5, F(1, 7)),
+            (F(5, 2304), 1, F(5, 2304)),
+            (F(1, 8), 1, F(1, 8)),
+            (F(53 * 53), 53, F(1)),
+            (F(10**40), 10**20, F(1)),
+            (F(10**400, 576), 2**197 * 5**200, F(1, 9)),
+        ],
+    )
+    def test_pinned_classes(self, r, a, r0):
+        assert qseries._nome_class(r) == (a, r0)
+
+    @pytest.mark.parametrize(
+        "r", [F(10**10000), F(7**11833 * 2, 3), F(3 * 10**9999 + 1, 10**6), F(2**33216 * 3**2)]
+    )
+    def test_a_ten_thousand_digit_numerator_returns_at_once(self, r):
+        start = time.perf_counter()
+        a, r0 = qseries._nome_class(r)
+        assert time.perf_counter() - start < 0.5
+        assert a * a * r0 == r
+
+    @pytest.mark.parametrize("r", [F(36), F(169), F(3969), F(27), F(343), F(20), F(25, 7), F(5, 2304)])
+    def test_a_class_power_matches_mpmath_and_the_direct_exp(self, r):
+        import mpmath as mp
+
+        bits = 4096
+        with mp.workdps(1300):
+            ref = _mp_fraction(mp.exp(-mp.pi * mp.sqrt(mp.mpf(r.numerator) / r.denominator)))
+        fw = bits + GUARD_BITS
+        # one exp of the nome itself, as every nome was built before classes
+        direct = exp(-(precision._pi_ball(fw) * sqrt(Ball.from_fraction(r, fw)))).rescale(bits)
+        q = QPoint(1, r).to_ball(PrecCtx(bits))
+        assert q.f == bits and q.contains(ref) and q.r <= 2
+        assert q.overlaps(direct)
+        if qseries._nome_class(r)[0] == 1:
+            assert (q.m, q.r) == (direct.m, direct.r)
+
+    # a = 2^40 and 2^1600 over bases within 10^-14 and 10^-477 of 1: the
+    # power would lose 57 bits, and the second base is below the scale
+    @pytest.mark.parametrize("r", [F(2**80, 3**60), F(2**3200, 3**2000)], ids=["2^80/3^60", "2^3200/3^2000"])
+    def test_a_power_that_would_lose_a_unit_takes_the_nomes_own_exp(self, r):
+        fw = 512 + GUARD_BITS
+        direct = exp(-(precision._pi_ball(fw) * sqrt(Ball.from_fraction(r, fw)))).rescale(512)
+        q = QPoint(1, r).to_ball(PrecCtx(512))
+        assert (q.m, q.r, q.f) == (direct.m, direct.r, direct.f)
+
+    def test_a_cold_catalog_pass_makes_one_exp_per_class(self, monkeypatch):
+        # the 20 catalog nomes fall into 8 classes: r = 1, 4, 9, 25, 36, 49,
+        # 81, 169, 729, 2025 and 3969; 3 and 27; 7 and 343; then 2, 15,
+        # 5/3, 4/5 and 20 alone
+        calls = count_nome_exps(monkeypatch)
+        for entry_id in sorted(CATALOG.ids()):
+            verify_identity(CATALOG.get(entry_id), PrecCtx(4096))
+        assert len(calls) == 8
 
 
 class TestNomeHelpers:
@@ -439,6 +545,7 @@ class TestCaches:
         precision._gamma_unit,
         precision._gamma_agm,
         qseries._nome_exp,
+        qseries._nome_base,
         qseries._theta_qpoint,
     ]
 
