@@ -10,10 +10,9 @@ into the same tree the catalog uses, and `exact.eval_expr` evaluates it
 `precision.certify`: a result too wide to decide runs again at more bits,
 up to 8 times the requested precision; `prec_bits_used` reports the bits.
 
-Exit codes: 0 all checks pass, 1 a mathematical verification failed or
-stayed undecided at the cap, or an `eval` expression could not be evaluated
-(a domain error included), 2 a usage, parse or size error, or a sweep point
-outside its domain.
+Exit codes: 0 all checks pass; 1 a valid input's check failed or stayed
+undecided at the cap; 2 the input was refused.  A command raises every
+error, and `main` alone maps it to an exit code and a label (`_OUTCOMES`).
 """
 
 from __future__ import annotations
@@ -27,22 +26,25 @@ from fractions import Fraction
 from . import __version__
 from .errors import DomainError, ParseError, PowerTooLarge, ThetavalError, Undecided
 from .exact import Identity, build_catalog, eval_expr, parse_expr, render_expr, verify_identity
-from .lostnotebook import complete_evaluation, compute_p, compute_uvw, verify_quartic_relation
+from .lostnotebook import complete_evaluation, septic_residuals
 from .modular import jims_identity, verify_degree3, verify_degree15, yi_product_theorem
-from .precision import CAP_FACTOR, Ball, PrecCtx, agreement_digits, certify, decimal_str, memo
-from .precision import _log10_floor, rad_exponent, rad_shortfall
-from .qseries import phi, q_power_ball
+from .precision import CAP_FACTOR, Ball, PrecCtx, Record, agreement_digits, certify, decimal_str
+from .precision import _log10_floor, memo, rad_exponent, rad_shortfall
 
 BITS_PER_DIGIT = 3.33
 DEFAULT_BITS = 512
+MAX_BITS = 1 << 20  # a larger request is refused before any arithmetic
 
-_DEFAULT_GRIDS = {
-    "deg3": "0.05,0.1,0.2,0.3,0.4",
-    "deg15": "0.15,0.4",
-    "jims": "0.3,0.6,0.9",
-    "septic": "0.1,0.2,0.3,0.4",
-    "yi_product": "2:1:6:2:3,3:1:1:1:1,5:2:2:4:1",
-}
+# The first row that matches an error gives its exit code and stderr label;
+# Undecided comes first, since a divisor straddling zero is a DomainError too.
+_OUTCOMES = (
+    (Undecided, 1, "undecided at {cap} bits"),
+    (ParseError, 2, "parse error"),
+    (PowerTooLarge, 2, "size error"),
+    (DomainError, 2, "domain error"),
+    ((ValueError, ZeroDivisionError), 2, "usage error"),
+    (ThetavalError, 1, "evaluation error"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +60,8 @@ def _resolve_bits(args) -> int:
         bits = max(64, math.ceil(args.digits * BITS_PER_DIGIT))
     else:
         bits = DEFAULT_BITS
+    if bits > MAX_BITS:
+        raise ValueError(f"requested precision above {MAX_BITS} bits")
     return PrecCtx(bits).bits  # fewer than 64 bits is a usage error in every command
 
 
@@ -124,8 +128,7 @@ def cmd_verify(args) -> int:
     ids = sorted(known) if args.all or not args.ids else list(args.ids)
     for entry_id in ids:
         if entry_id not in known:
-            print(f"unknown catalog id: {entry_id}", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown catalog id: {entry_id}")
     ids = sorted(set(ids))
     tasks = [(catalog.get(entry_id), bits) for entry_id in ids]
     results = _map(_verify_worker, tasks, jobs)  # in id order, as the tasks
@@ -135,17 +138,7 @@ def cmd_verify(args) -> int:
 
 def cmd_eval(args) -> int:
     bits = _resolve_bits(args)
-    try:
-        value = eval_expr(parse_expr(args.expression, bits), PrecCtx(bits))
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except PowerTooLarge as exc:
-        print(f"size error: {exc}", file=sys.stderr)
-        return 2
-    except ThetavalError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return 1
+    value = eval_expr(parse_expr(args.expression, bits), PrecCtx(bits))
     implied = int(bits / 3.3219280948873626)
     rexp = rad_exponent(value)
     certified = implied
@@ -156,34 +149,37 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_point(target: str, point: str, bits: int) -> list[tuple[str, Ball]]:
-    ctx = PrecCtx(bits)
-    if target == "yi_product":
-        parts = [Fraction(p) for p in point.split(":")]
-        if len(parts) != 5:
-            raise DomainError("yi_product points are k:a:b:c:d tuples")
-        return [(point, yi_product_theorem(*parts, ctx))]
+def _q_point(point: str) -> Fraction:
     q = Fraction(point.strip())
     if not 0 < q < 1:
         raise DomainError(f"grid point {point} outside (0, 1)")
-    if target == "deg3":
-        r1, r2 = verify_degree3(q, ctx)
-        return [(f"{point}#eq", r1), (f"{point}#reciprocal", r2)]
-    if target == "deg15":
-        return [(point, verify_degree15(q, ctx))]
-    if target == "jims":
-        return [(point, jims_identity(q, ctx))]
-    if target == "septic":
-        u, v, w = compute_uvw(q, ctx)
-        p = compute_p(q, ctx)
-        work = ctx.work()
-        quot = phi(q_power_ball(q, Fraction(1, 7), work.bits), work) / phi(q**7, work)
-        return [
-            (f"{point}#p_uvw", p - u * v * w),
-            (f"{point}#quotient", (Ball.one(bits) + u + v + w) - quot),
-            (f"{point}#quartic", verify_quartic_relation(q, ctx)),
-        ]
-    raise DomainError(f"unknown sweep target {target}")
+    return q
+
+
+def _yi_point(point: str) -> list[Fraction]:
+    parts = [Fraction(p) for p in point.split(":")]
+    if len(parts) != 5:
+        raise DomainError("yi_product points are k:a:b:c:d tuples")
+    return parts
+
+
+class Sweep(Record):
+    __slots__ = ("grid", "read", "labels", "residuals")
+
+
+# Each sweep target, declared once: its default grid, how a grid point is
+# read, the label suffix of each residual row, and the residuals at a point
+# read.  The residual functions are looked up per call, like the cmd_* in `main`.
+SWEEPS = {
+    "deg3": Sweep("0.05,0.1,0.2,0.3,0.4", _q_point, ("#eq", "#reciprocal"),
+                  lambda q, ctx: verify_degree3(q, ctx)),
+    "deg15": Sweep("0.15,0.4", _q_point, ("",), lambda q, ctx: (verify_degree15(q, ctx),)),
+    "jims": Sweep("0.3,0.6,0.9", _q_point, ("",), lambda q, ctx: (jims_identity(q, ctx),)),
+    "septic": Sweep("0.1,0.2,0.3,0.4", _q_point, ("#p_uvw", "#quotient", "#quartic"),
+                    lambda q, ctx: septic_residuals(q, ctx)),
+    "yi_product": Sweep("2:1:6:2:3,3:1:1:1:1,5:2:2:4:1", _yi_point, ("",),
+                        lambda t, ctx: (yi_product_theorem(*t, ctx),)),
+}
 
 
 def _sweep_status(residual: Ball) -> str:
@@ -194,50 +190,40 @@ def _sweep_status(residual: Ball) -> str:
 
 def _sweep_worker(task: tuple[str, str, int]) -> list[dict]:
     target, point, bits = task
+    sweep = SWEEPS[target]
+    x = sweep.read(point)
     rows, used = certify(
-        lambda b: _sweep_point(target, point, b),
+        lambda b: sweep.residuals(x, PrecCtx(b)),
         bits,
-        lambda rows: [r for _, r in rows] if all(r.contains_zero() for _, r in rows) else (),
+        lambda rows: rows if all(r.contains_zero() for r in rows) else (),
     )
     return [
         _entry(
-            f"{target}@{label}",
+            f"{target}@{point}{label}",
             _sweep_status(residual),
             agreement_digits(residual, Ball(0, 0, residual.f)),
             residual,
             f"residual sweep {target}",
             used,
         )
-        for label, residual in rows
+        for label, residual in zip(sweep.labels, rows)
     ]
 
 
 def cmd_sweep(args) -> int:
     bits, jobs = _resolve_bits(args), _resolve_jobs(args)
-    grid = _DEFAULT_GRIDS[args.target] if args.grid is None else args.grid
+    grid = SWEEPS[args.target].grid if args.grid is None else args.grid
     tasks = [(args.target, point, bits) for point in grid.split(",") if point.strip()]
     if not tasks:
         raise ValueError("--grid has no points")
-    try:
-        groups = _map(_sweep_worker, tasks, jobs)
-    except Undecided as exc:
-        print(f"undecided at {CAP_FACTOR * bits} bits: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, ValueError, ZeroDivisionError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 2
+    groups = _map(_sweep_worker, tasks, jobs)
     entries = [e for group in groups for e in group]
     _emit(_report(bits, entries), args.out)
     return 0 if all(e["status"] == "pass" for e in entries) else 1
 
 
 def cmd_complete(args) -> int:
-    bits = _resolve_bits(args)
-    try:
-        result = complete_evaluation(PrecCtx(bits))
-    except ThetavalError as exc:
-        print(f"completion failed: {exc}", file=sys.stderr)
-        return 1
+    result = complete_evaluation(PrecCtx(_resolve_bits(args)))
     print(f"identity    : {render_expr(result.identity.lhs)} = {render_expr(result.identity.rhs)}")
     print(f"branch      : {result.state.branch}")
     print(f"permutation : {result.assignment.permutation_index} (of ascending roots)")
@@ -287,7 +273,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("sweep", help="verify residual identities over a grid")
-    p.add_argument("target", choices=sorted(_DEFAULT_GRIDS))
+    p.add_argument("target", choices=sorted(SWEEPS))
     p.add_argument("--grid", help="comma-separated points (k:a:b:c:d for yi_product)")
     _add_common(p, report=True)
 
@@ -305,12 +291,12 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except ValueError as exc:  # bad precision, malformed numbers, ...
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ThetavalError as exc:  # evaluation failure that escaped a command
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ThetavalError, ValueError, ZeroDivisionError) as exc:
+        code, label = next((code, label) for cls, code, label in _OUTCOMES if isinstance(exc, cls))
+        if isinstance(exc, Undecided):
+            label = label.format(cap=CAP_FACTOR * _resolve_bits(args))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -29,15 +29,16 @@ class UnsupportedArgument(DomainError):
     """Argument outside the supported range of gamma_rational."""
 
 
-class NotConvergent(ThetavalError):
-    """A q-series or q-product was asked to converge with |q| >= 1."""
+class NotConvergent(DomainError):
+    """A q-series or q-product was asked to converge with |q| >= 1, or would
+    need more terms than its limit: the input lies outside what it sums."""
 
 
 class FactorNearZero(ThetavalError):
     """A q-Pochhammer factor could not be bounded away from zero."""
 
 
-class PreconditionViolated(ThetavalError):
+class PreconditionViolated(DomainError):
     """A stated arithmetic precondition (e.g. ab = cd) does not hold."""
 
 

@@ -484,11 +484,20 @@ def _call(name: str, args: list[Expr], pos: int, bits: int) -> Expr:
     return YiH(*values, name == "hprime") if node is YiH else node(*values)
 
 
+MAX_DEPTH = 100  # levels of a parsed tree; a walk of it recurses about 3 frames a level
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, levels), levels >= the
+    node's depth.  `nested` counts the `unary` rules in progress, one per
+    parenthesis, call, sign or exponent, so neither the parser's recursion
+    nor a tree passes MAX_DEPTH levels."""
+
     def __init__(self, text: str, bits: int):
         self.tokens = _tokenize(text)
         self.i = 0
         self.bits = bits
+        self.nested = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -503,53 +512,70 @@ class _Parser:
         if kind != "sym" or val != sym:
             raise ParseError(f"expected {sym!r}", pos)
 
+    def bounded(self, levels: int, pos: int) -> int:
+        if levels > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        return levels
+
     def parse(self) -> Expr:
-        node = self.expr()
+        node, _ = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {val!r}", pos)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self) -> tuple[Expr, int]:
+        node, levels = self.term()
         while self.peek()[1] in ("+", "-"):
-            node = _BINARY[self.next()[1]](node, self.term())
-        return node
+            _, sym, pos = self.next()
+            right, right_levels = self.term()
+            node, levels = _BINARY[sym](node, right), max(levels, right_levels) + 1
+            self.bounded(levels, pos)
+        return node, levels
 
-    def term(self) -> Expr:
-        node = self.unary()
+    def term(self) -> tuple[Expr, int]:
+        node, levels = self.unary()
         while self.peek()[1] in ("*", "/"):
-            node = _BINARY[self.next()[1]](node, self.unary())
-        return node
+            _, sym, pos = self.next()
+            right, right_levels = self.unary()
+            node, levels = _BINARY[sym](node, right), max(levels, right_levels) + 1
+            self.bounded(levels, pos)
+        return node, levels
 
-    def unary(self) -> Expr:
-        kind, val, _ = self.peek()
+    def unary(self) -> tuple[Expr, int]:
+        kind, val, pos = self.peek()
+        self.nested = self.bounded(self.nested + 1, pos)
         if kind == "sym" and val in "+-":
             self.next()
-            return Neg(self.unary()) if val == "-" else self.unary()
-        return self.power()
+            node, levels = self.unary()
+            if val == "-":
+                node, levels = Neg(node), self.bounded(levels + 1, pos)
+        else:
+            node, levels = self.power()
+        self.nested -= 1
+        return node, levels
 
-    def power(self) -> Expr:
-        node = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        node, levels = self.atom()
         if self.peek()[1] == "^":
-            self.next()
+            pos = self.next()[2]
             exp_pos = self.peek()[2]
-            exponent = _fold(self.unary(), exp_pos, self.bits)
+            exponent = _fold(self.unary()[0], exp_pos, self.bits)
             if exponent is None:
                 raise ParseError("exponent must be a rational constant", exp_pos)
-            return PowRat(node, exponent)
-        return node
+            return PowRat(node, exponent), self.bounded(levels + 1, pos)
+        return node, levels
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         kind, val, pos = self.next()
         if kind == "num":
             if "." not in val:
-                return Int(int(val))
+                return Int(int(val)), 1
             v = Fraction(val)
-            return Int(v.numerator) if v.denominator == 1 else Rat(v)
+            return (Int(v.numerator) if v.denominator == 1 else Rat(v)), 1
         if kind == "name":
             if val == "pi":
-                return Pi()
+                return Pi(), 1
             if val not in _FUNCTIONS:
                 raise ParseError(f"unknown name {val!r}", pos)
             self.expect("(")
@@ -558,7 +584,8 @@ class _Parser:
                 self.next()
                 args.append(self.expr())
             self.expect(")")
-            return _call(val, args, pos, self.bits)
+            node = _call(val, [a for a, _ in args], pos, self.bits)
+            return node, self.bounded(max(levels for _, levels in args) + 1, pos)
         if kind == "sym" and val == "(":
             node = self.expr()
             self.expect(")")

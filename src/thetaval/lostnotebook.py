@@ -47,6 +47,7 @@ __all__ = [
     "compute_uvw",
     "compute_p",
     "verify_quartic_relation",
+    "septic_residuals",
     "solve_ratio4",
     "ratio4_series_oracle",
     "build_septic_state",
@@ -114,13 +115,22 @@ def ratio4_series_oracle(q, ctx: PrecCtx) -> Ball:
 
 def verify_quartic_relation(q, ctx: PrecCtx) -> Ball:
     """Residual of R^2 - (2+5p) R + (1-p)^3 with R from the series route."""
-    require_positive_nome(q, "the septic system")
-    w = ctx.work()
-    ratio = ratio4_series_oracle(q, w)
-    p = compute_p(q, w)
-    one = Ball.one(w.bits)
-    res = ipow(ratio, 2) - (p * 5 + 2) * ratio + ipow(one - p, 3)
-    return res.rescale(ctx.bits)
+    return septic_residuals(q, ctx)[2]
+
+
+def septic_residuals(q, ctx: PrecCtx) -> tuple[Ball, Ball, Ball]:
+    """The residuals p - uvw, 1 + u + v + w - phi(q^(1/7))/phi(q^7) and the
+    quartic relation at q, with p computed once, at the working scale."""
+    u, v, w = compute_uvw(q, ctx)
+    work = ctx.work()
+    p, ratio = compute_p(q, work), ratio4_series_oracle(q, work)
+    quot = phi(q_power_ball(q, Fraction(1, 7), work.bits), work) / phi(nome_pow(q, 7), work)
+    quartic = ipow(ratio, 2) - (p * 5 + 2) * ratio + ipow(Ball.one(work.bits) - p, 3)
+    return (
+        p.rescale(ctx.bits) - u * v * w,
+        (Ball.one(ctx.bits) + u + v + w) - quot,
+        quartic.rescale(ctx.bits),
+    )
 
 
 def solve_ratio4(p: Ball, q, ctx: PrecCtx) -> tuple[Ball, str]:

@@ -137,8 +137,8 @@ def as_q_ball(q, f: int) -> Ball:
     """Enclosure of a nome given as QPoint, Ball, Fraction or int."""
     if isinstance(q, QPoint):
         return _qpoint_ball(q.sign, q.r, f)
-    if isinstance(q, Ball):
-        return q.rescale(f) if q.f < f else q
+    if isinstance(q, Ball):  # a finer nome too: the kernel reads its wings at scale f
+        return q.rescale(f)
     return Ball.from_fraction(q, f)
 
 
@@ -366,13 +366,10 @@ def f_neg(q, ctx: PrecCtx) -> Ball:
 
 
 def f_neg_series(q, ctx: PrecCtx) -> Ball:
-    """Pentagonal-number series sum (-1)^n q^(n(3n-1)/2) = f(-q, -q^2), the
-    wings (-q, -q^4, q^3) for n >= 1 and (-q^2, -q^5, q^3) for n <= -1."""
+    """Pentagonal-number series sum (-1)^n q^(n(3n-1)/2) = f(-q, -q^2), whose
+    `theta_f` wings are (-q, -q^4, q^3) and (-q^2, -q^5, q^3)."""
     qb = _series_nome(q, ctx)
-    q2 = qb * qb
-    q3 = q2 * qb
-    wings = [(-qb, -(q3 * qb), q3), (-q2, -(q3 * q2), q3)]
-    return _theta_sum(wings, ctx)
+    return theta_f(-qb, -(qb * qb), ctx)
 
 
 def _chi_series(q, ctx: PrecCtx) -> Ball:

@@ -5,9 +5,10 @@ import pickle
 import re
 import subprocess
 import sys
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thetaval import cli, errors
 from thetaval.cli import main
@@ -152,9 +153,9 @@ class TestEval:
         ref = Fraction(int(ref.man)) * Fraction(2) ** int(ref.exp)
         assert abs(value - ref) <= ref / 10**150
 
-    def test_domain_error_exit_one(self, capsys):
+    def test_domain_error_exits_two(self, capsys):
         code, _, err = run(capsys, "eval", "gamma(5/2)")
-        assert code == 1 and "evaluation error" in err
+        assert code == 2 and "domain error" in err
 
     def test_grammar_coverage(self, capsys):
         cases = {
@@ -319,6 +320,10 @@ _SOUP = st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join)
 
 
 @given(text=st.one_of(_WELL_FORMED, _SOUP), bits=st.integers(64, 128))
+@example(text="(" * 300 + "1" + ")" * 300, bits=64)
+@example(text="phi(" * 200 + "0.5" + ")" * 200, bits=64)
+@example(text="+".join(["1"] * 3001), bits=64)
+@example(text="-" * 2000 + "1", bits=64)
 @settings(max_examples=150, deadline=None)
 def test_eval_fuzz_exit_codes(text, bits):
     assert main(["eval", "--prec", str(bits), "--", text]) in (0, 1, 2)
@@ -426,8 +431,8 @@ class TestSweep:
             text=True,
             timeout=30,
         )
-        assert proc.returncode == 1
-        assert "jims series needs" in proc.stderr
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("domain error: jims series needs")
         assert "Traceback" not in proc.stderr
 
     def test_jims_tiny_grid_point_is_refused(self):
@@ -438,8 +443,8 @@ class TestSweep:
             text=True,
             timeout=30,
         )
-        assert proc.returncode == 1
-        assert "jims series needs" in proc.stderr
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("domain error: jims series needs")
         assert "Traceback" not in proc.stderr
 
 
@@ -528,6 +533,52 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "cmd_catalog", lambda args: calls.append(args) or 0)
         assert main(["catalog"]) == 0
         assert len(calls) == 1
+
+
+# One row of `cli._OUTCOMES` or more each, through every command that can
+# reach it: (argv, exit code, the start of stderr).
+OUTCOME_CASES = [
+    (["sweep", "deg3", "--grid", "0.99", "--prec", "64"], 1, "undecided at 512 bits: "),
+    (["eval", "1 / (pi - pi)", "--prec", "64"], 1, "undecided at 512 bits: "),
+    (["eval", "1 +"], 2, "parse error: "),
+    (["eval", "(" * 300 + "1" + ")" * 300], 2, "parse error: expression nested deeper"),
+    (["eval", "9^9^9"], 2, "size error: "),
+    (["eval", "gamma(5/2)"], 2, "domain error: "),
+    (["eval", "phi(1.5)"], 2, "domain error: "),
+    (["sweep", "deg3", "--grid", "1.5"], 2, "domain error: "),
+    (["sweep", "yi_product", "--grid", "1:1:1:1:2"], 2, "domain error: "),
+    (["sweep", "yi_product", "--grid", "2:1:6"], 2, "domain error: "),
+    (["sweep", "jims", "--grid", "1e-30"], 2, "domain error: jims series needs"),
+    (["sweep", "deg3", "--grid", "x"], 2, "usage error: "),
+    (["sweep", "deg3", "--grid", "1/0"], 2, "usage error: "),
+    (["verify", "nope"], 2, "usage error: unknown catalog id: nope"),
+    (["verify", "r3", "--prec", "32"], 2, "usage error: "),
+    (["complete", "--prec", "0"], 2, "usage error: "),
+    (["verify", "bad", "--prec", "64"], 1, "evaluation error: bad: "),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,label", OUTCOME_CASES, ids=[" ".join(argv)[:40] for argv, _, _ in OUTCOME_CASES]
+)
+def test_each_error_maps_to_one_exit_code_and_label(capsys, monkeypatch, argv, code, label):
+    bad = Identity("bad", parse_expr("1 / (1 - 1)"), parse_expr("1"), "a zero divisor")
+    catalog = cli.build_catalog()
+    monkeypatch.setattr(cli, "build_catalog", lambda: Catalog(catalog.entries + (bad,)))
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "") and err.startswith(label), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "r3", "--prec", "99999999999999999999"], ["eval", "1", "--digits", "10000000000"]],
+)
+def test_a_precision_above_the_ceiling_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: requested precision above {cli.MAX_BITS} bits\n"
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -13,9 +13,9 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from thetaval import cli, lostnotebook, modular, precision, qseries
+from thetaval import lostnotebook, modular, precision, qseries
 from thetaval.errors import DomainError, NotConvergent, ThetavalError
 from thetaval.exact import build_catalog, verify_identity
 from thetaval.precision import Ball, PrecCtx, decimal_str, gamma_rational, ipow, pow_rational
@@ -176,6 +176,17 @@ def test_nome_near_one_takes_the_dual_route(monkeypatch):
     assert len(counts) == 2 and counts[0] <= 8 and counts[1] > 100
 
 
+def _theta_mp(name, x):
+    """phi, psi, f(-x) and chi at the mpf x, by mpmath alone."""
+    import mpmath as mp
+
+    if name == "phi":
+        return mp.jtheta(3, 0, x)
+    if name == "psi":  # (x^2; x^2) / (x; x^2)
+        return mp.qp(x * x, x * x) / mp.qp(x, x * x)
+    return mp.qp(x) if name == "f_neg" else mp.qp(-x, x * x)  # f(-x) = (x; x), chi = (-x; x^2)
+
+
 def test_dual_nome_identities_hold_in_mpmath():
     # the eight rows of the dual-nome table, by mpmath alone at 200 digits:
     # q_x = exp(-pi sqrt x), s = sqrt r
@@ -186,17 +197,9 @@ def test_dual_nome_identities_hold_in_mpmath():
         def q(x):
             return mp.exp(-mp.pi * mp.sqrt(x))
 
-        def phi_mp(x):
-            return mp.jtheta(3, 0, x)
-
-        def psi_mp(x):  # (x^2; x^2) / (x; x^2)
-            return mp.qp(x * x, x * x) / mp.qp(x, x * x)
-
-        def f_neg_mp(x):  # f(-x) = (x; x)
-            return mp.qp(x)
-
-        def chi_mp(x):  # (-x; x^2)
-            return mp.qp(-x, x * x)
+        phi_mp, psi_mp, f_neg_mp, chi_mp = (
+            functools.partial(_theta_mp, name) for name in ("phi", "psi", "f_neg", "chi")
+        )
 
         for r in (mp.mpf(1) / 20, mp.mpf(3) / 10, mp.mpf(7) / 10):
             s, e = mp.sqrt(r), mp.exp
@@ -246,6 +249,31 @@ def test_ball_nome_series_match_products_property(q, bits):
     oracles = product_oracles(qb, ctx)
     for name, fn in THETAS.items():
         assert fn(qb, ctx).overlaps(oracles[name]), name
+
+
+@given(
+    bits=st.sampled_from((64, 128, 256)),
+    scale=st.integers(-40, 600),
+    log2q=st.integers(1, 600),
+    mant=st.integers(2**47, 2**48 - 1),
+    sign=st.sampled_from((1, -1)),
+    name=st.sampled_from(sorted(THETAS)),
+)
+@example(bits=64, scale=504, log2q=559, mant=2**47, sign=1, name="phi")  # q = 2^-560 at scale 600
+@settings(max_examples=60, deadline=None)
+def test_a_ball_nome_at_any_scale_is_enclosed(bits, scale, log2q, mant, sign, name):
+    # the nome's scale lies below, at or above the working scale bits + GUARD_BITS
+    import mpmath as mp
+
+    f = bits + GUARD_BITS + scale
+    m = (mant << f) >> (48 + log2q)  # q = m / 2^f, in [2^-(log2q + 1), 2^-log2q)
+    assume(m > 0)
+    val = THETAS[name](Ball(sign * m, 0, f), PrecCtx(bits))
+    prec = max(f, bits) + 128
+    with mp.workprec(prec):
+        ref = _mp_fraction(_theta_mp(name, mp.mpf(sign * m) / mp.mpf(2) ** f))
+    eps = F(1, 2 ** (prec - 8))  # mpmath's own rounding
+    assert val.lower - eps <= ref <= val.upper + eps, (name, val.mid - ref, val.rad)
 
 
 def _mp_fraction(x) -> F:
@@ -579,7 +607,7 @@ class TestGuardRule:
         "deg3": lambda ctx: modular.verify_degree3(F(3, 10), ctx),
         "deg15": lambda ctx: modular.verify_degree15(F(2, 5), ctx),
         "yi_product": lambda ctx: modular.yi_product_theorem(2, 1, 6, 2, 3, ctx),
-        "septic": lambda ctx: cli._sweep_point("septic", "0.3", ctx.bits),
+        "septic": lambda ctx: lostnotebook.septic_residuals(F(3, 10), ctx),
         "quartic": lambda ctx: lostnotebook.verify_quartic_relation(F(3, 10), ctx),
         "complete": lambda ctx: lostnotebook.complete_evaluation(ctx),
     }
