@@ -43,6 +43,7 @@ _OUTCOMES = (
     (PowerTooLarge, 2, "size error"),
     (DomainError, 2, "domain error"),
     ((ValueError, ZeroDivisionError), 2, "usage error"),
+    (OSError, 2, "output error"),
     (ThetavalError, 1, "evaluation error"),
 )
 
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except (ThetavalError, ValueError, ZeroDivisionError) as exc:
+    except (ThetavalError, ValueError, ZeroDivisionError, OSError) as exc:
         code, label = next((code, label) for cls, code, label in _OUTCOMES if isinstance(exc, cls))
         if isinstance(exc, Undecided):
             label = label.format(cap=CAP_FACTOR * _resolve_bits(args))

@@ -415,6 +415,8 @@ class Ball:
         a, b = self.rescale(f), other.rescale(f)
         abs_b = abs(b.m)
         if abs_b <= b.r:
+            if b.r == 0:  # an exact zero: no precision decides it
+                raise DomainError("division by zero")
             raise DivisorStraddlesZero("divisor enclosure contains zero")
         q, err = _round_div(a.m << f, b.m)
         num = a.r * abs_b + abs(a.m) * b.r
@@ -538,9 +540,9 @@ def pow_rational(x: Ball, e, ctx: PrecCtx | None = None) -> Ball:
     if den == 1:
         return ipow(x, num, bits).rescale(f)
     if not x.is_strictly_positive():
-        raise NegativeBaseEvenRoot(
-            "fractional powers are defined for strictly positive bases only"
-        )
+        # an exact base: no precision decides it
+        error = DomainError if x.r == 0 else NegativeBaseEvenRoot
+        raise error("fractional powers are defined for strictly positive bases only")
     fw = f + GUARD_BITS + abs(num).bit_length() + den.bit_length()
     if den > 64:
         lg = max(abs(math.log2(x.m + s * x.r) - x.f) for s in (-1, 1))
@@ -659,6 +661,13 @@ def _series_units(x: int, f: int, a) -> tuple[int, int]:
 
 
 def exp(x: Ball, ctx: PrecCtx | None = None) -> Ball:
+    """e^x at ctx.bits (default: the scale of x), rounded once.
+
+    x is halved j times into sup|s| <= 2^-8, e^s is summed at the scale
+    g = fw + j and squared back j times on the integer midpoint v, known to
+    e units: v <- floor(v^2 2^-g) and e <- floor((2|v| e + e^2) 2^-g) + 2,
+    one unit for each floor, as (v + d)^2 - v^2 = 2vd + d^2 for |d| <= e.
+    """
     f = ctx.bits if ctx is not None else x.f
     # e^x < 2^-(f+2) once x <= -(f+2): return the certified sliver [0, 2^-f]
     if x.m + x.r <= -((f + 2) << x.f):
@@ -670,12 +679,12 @@ def exp(x: Ball, ctx: PrecCtx | None = None) -> Ball:
     # terms for more squarings; the scale fw + j adds a guard bit per squaring
     j = mag.bit_length() + max(8, _iroot(4 * fw, 3))
     # the series at sup|s| <= 2^-8, where exp' <= e^sup|s| < 1 + 2 sup|s|
-    v, err = _series_units(xw.m, fw + j, lambda k: k)
-    lip = xw.r + _ceil_div(2 * xw.r * xw.sup_units(), 1 << (fw + j))
-    y = Ball(v, err + lip, fw + j)
+    g = fw + j
+    v, err = _series_units(xw.m, g, lambda k: k)
+    e = err + xw.r + _ceil_div(2 * xw.r * xw.sup_units(), 1 << g)
     for _ in range(j):
-        y = y * y
-    return y.rescale(f)
+        v, e = (v * v) >> g, ((2 * abs(v) * e + e * e) >> g) + 2
+    return Ball(v, e, g).rescale(f)
 
 
 def _atanh_series(u: Ball) -> Ball:

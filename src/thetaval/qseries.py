@@ -253,16 +253,22 @@ def _theta_wings(wings, f: int, min_terms: int = 0) -> tuple[int, int, int, int]
 
     A wing (t1, rho1, c) of Balls at scale f with sup|c| < 1 has the terms
     t_(k+1) = t_k rho_k and the ratios rho_(k+1) = rho_k c, formed on the
-    midpoints as floored integer products.  A product of x and y, known to
-    e_x and e_y units, is then off by (|x| e_y + |y| e_x + e_x e_y) 2^-f,
-    floored, plus 2 units for the two floors; err sums these over the kept
-    terms.  A wing stops at n >= min_terms terms once sup|t_n| <= 2 and
-    sup|rho_n| <= 1/2: |rho| keeps shrinking by sup|c|, so each dropped term
-    is at most half the one before and the wing's tail is at most sup|t_n|.
-    `tail` sums these bounds and n is the longest wing's term count.  A wing
-    whose terms share the sign of t1 < 0 is summed negated, so its floored
-    terms settle at 0 instead of -1.  The series pass no min_terms; the
-    tests raise it to check that summing further stays inside the ball.
+    midpoints as floored integer products.  The terms stay at scale f, and
+    rho and c at a scale g that falls with the terms: once bits(t) + 32 lies
+    256 bits or more below g, both are floored to that scale, an error of e
+    units becoming ceil(e 2^-s) + 1 for a shift by s, and both products of a
+    term are about bits(t) wide rather than f.  (A smaller drop would not pay
+    for its shifts: below a few hundred bits, a product costs about the same
+    at any width.)  A product of x and y, known to e_x and e_y units, is off
+    by (|x| e_y + |y| e_x + e_x e_y) 2^-g, floored, plus 2 units for the two
+    floors; err sums these over the kept terms.  A wing stops at
+    n >= min_terms terms once sup|t_n| <= 2 and sup|rho_n| <= 1/2 (2^(g-1)
+    units): |rho| keeps shrinking by sup|c|, so each dropped term is at most
+    half the one before and the wing's tail is at most sup|t_n|.  `tail`
+    sums these bounds and n is the longest wing's term count.  A wing whose
+    terms share the sign of t1 < 0 is summed negated, so its floored terms
+    settle at 0 instead of -1.  The series pass no min_terms; the tests
+    raise it to check that summing further stays inside the ball.
     """
     one = 1 << f
     s = err = tail = n_max = 0
@@ -273,19 +279,27 @@ def _theta_wings(wings, f: int, min_terms: int = 0) -> tuple[int, int, int, int]
             raise NotConvergent("theta series ratio must lie strictly below 1")
         sign = -1 if t1.m < 0 <= min(rho1.m, cm) else 1
         t, et, rho, er = sign * t1.m, t1.r, rho1.m, rho1.r
-        acc, e, n = t, et, 1
-        while abs(t) + et > 2 or 2 * (abs(rho) + er) > one or n < min_terms:
+        at, arho = abs(t), abs(rho)
+        acc, e, n, g = t, et, 1, f
+        low = 1 << (g - 288) if g > 288 else 0  # |t| below it: drop to bits(t) + 32
+        while at + et > 2 or 2 * (arho + er) > 1 << g or n < min_terms:
             if n > 8 * f + 64:
                 raise NotConvergent("theta series failed to reach its tail target")
-            arho = abs(rho)
-            t, et = (t * rho) >> f, ((abs(t) * er + arho * et + et * er) >> f) + 2
-            rho, er = (rho * cm) >> f, ((arho * ec + ac * er + er * ec) >> f) + 2
+            if at < low:
+                k = g - at.bit_length() - 32
+                g -= k
+                rho, er, cm, ec = rho >> k, -(-er >> k) + 1, cm >> k, -(-ec >> k) + 1
+                arho, ac = abs(rho), abs(cm)
+                low = 1 << (g - 288) if g > 288 else 0
+            t, et = (t * rho) >> g, ((at * er + arho * et + et * er) >> g) + 2
+            rho, er = (rho * cm) >> g, ((arho * ec + ac * er + er * ec) >> g) + 2
+            at, arho = abs(t), abs(rho)
             acc += t
             e += et
             n += 1
         s += sign * acc
         err += e
-        tail += abs(t) + et
+        tail += at + et
         n_max = max(n_max, n)
     return s, err, tail, n_max
 

@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from thetaval import cli, errors
+from thetaval import cli, errors, exact
 from thetaval.cli import main
 from thetaval.errors import EvaluationError, ParseError, ThetavalError
 from thetaval.exact import Catalog, Identity, mutate_first_leaf, parse_expr
@@ -117,6 +117,27 @@ class TestVerify:
         assert code == 0 and "runtime_ms" not in entry
 
 
+# stdout of `eval "f(0.95, 0.94)" --prec 4096`: |ab| = 0.893, so each wing sums
+# 225 terms at 4128 bits, over which the theta kernel's scale falls 15 times
+F_095_094_AT_4096 = (
+    "value  = "
+    "7.452131183306408076415031524530514924240623024053884425864055062019086907872394"
+    "87532476685526381703067786880970340464660310301994864448287974739246126443783921"
+    "29875023864440222085991086069593512625465033747899866695731431424314716425655647"
+    "05320856516591360074506366314270728567022885651797292026510425124196270343851433"
+    "66974230052311041465619932688961035914360605135331292430998302047417373283783969"
+    "85911829349158469827906796671740807132881583265911314234574880514580041920076656"
+    "12981947222063773852503427564431155209934115884004153239512606024043878486261083"
+    "57161116702166858270694052819254489140853749546152547512988872143261060714892340"
+    "25376667508800654243555091835044782280606840220874036897279907192256216400313163"
+    "74727279423301710071836429286206754383121500707865236948364631853798575742236506"
+    "56749234522758468119434761029128598772184563846327286858526018821301492442191877"
+    "64739589083510177901111370154140581634724710146439498180921766729833460035714808"
+    "80480637336460352051319737726113948857689"
+    "\nradius <= 1e-1233\n"
+)
+
+
 class TestEval:
     def test_phi_digits(self, capsys):
         code, out, _ = run(capsys, "eval", "phi(qpoint(+1, 1))", "--prec", "256")
@@ -132,6 +153,19 @@ class TestEval:
     def test_negative_qpoint_r(self, capsys):
         code, _, err = run(capsys, "eval", "phi(qpoint(+1, -3))")
         assert code == 2 and "positive rational" in err
+
+    def test_a_long_theta_sum_at_4096_bits_prints_the_pinned_text(self, capsys):
+        code, out, err = run(capsys, "eval", "f(0.95, 0.94)", "--prec", "4096")
+        assert (code, out, err) == (0, F_095_094_AT_4096, "")
+
+    @pytest.mark.parametrize("expr", ["1/0", "(-1)^(1/2)", "0^(1/2)", "(-8)^(1/3)"])
+    def test_an_exact_zero_divisor_or_root_base_is_refused_at_once(self, capsys, monkeypatch, expr):
+        # no precision decides it: one attempt at 512 bits, then exit 2
+        widths, real = [], exact._eval_raw
+        monkeypatch.setattr(exact, "_eval_raw", lambda e, w, m: widths.append(w.bits) or real(e, w, m))
+        code, out, err = run(capsys, "eval", expr)
+        assert (code, out) == (2, "") and err.startswith("domain error: "), err
+        assert set(widths) == {512 + 32}
 
     def test_parse_error_position(self, capsys):
         code, _, err = run(capsys, "eval", "2 +* 3")
@@ -545,6 +579,7 @@ OUTCOME_CASES = [
     (["eval", "9^9^9"], 2, "size error: "),
     (["eval", "gamma(5/2)"], 2, "domain error: "),
     (["eval", "phi(1.5)"], 2, "domain error: "),
+    (["catalog", "--out", "missing-directory/x.json"], 2, "output error: "),
     (["sweep", "deg3", "--grid", "1.5"], 2, "domain error: "),
     (["sweep", "yi_product", "--grid", "1:1:1:1:2"], 2, "domain error: "),
     (["sweep", "yi_product", "--grid", "2:1:6"], 2, "domain error: "),
@@ -567,6 +602,16 @@ def test_each_error_maps_to_one_exit_code_and_label(capsys, monkeypatch, argv, c
     monkeypatch.setattr(cli, "build_catalog", lambda: Catalog(catalog.entries + (bad,)))
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "") and err.startswith(label), err
+
+
+@pytest.mark.parametrize(
+    "argv", [["catalog"], ["verify", "r3", "--prec", "64"], ["sweep", "jims", "--grid", "0.5"]]
+)
+def test_out_into_a_missing_directory_is_refused(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "") and not path.exists()
+    assert err.startswith("output error: ") and str(path) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -626,7 +671,7 @@ def test_a_worker_error_crosses_the_process_pool():
     # the sequential path raises EvaluationError; the pool must raise the same
     bad = Identity("bad", parse_expr("1 / (1 - 1)"), parse_expr("1"), "a zero divisor")
     for jobs in (1, 2):
-        with pytest.raises(EvaluationError, match="bad: divisor enclosure contains zero"):
+        with pytest.raises(EvaluationError, match="bad: division by zero"):
             cli._map(cli._verify_worker, [(bad, 128)], jobs)
 
 

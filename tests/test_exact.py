@@ -12,7 +12,9 @@ import pytest
 from thetaval import exact
 from thetaval.errors import (
     DivisorStraddlesZero,
+    DomainError,
     NegativeBaseEvenRoot,
+    Undecided,
     UnsupportedGammaArgument,
 )
 from thetaval.exact import (
@@ -83,12 +85,21 @@ class TestEvalExpr:
         assert eval_expr(parse_expr("2^(-1/2)"), CTX).overlaps(1 / sqrt(bf(2)))
 
     def test_division_by_zero_enclosure(self):
-        with pytest.raises(DivisorStraddlesZero):
+        # an exact zero is refused at once; a ball straddling zero is undecided
+        with pytest.raises(DomainError) as exc:
             eval_expr(Div(Int(1), Sub(Int(1), Int(1))), CTX)
+        assert not isinstance(exc.value, Undecided)
+        with pytest.raises(DivisorStraddlesZero):
+            eval_expr(Div(Int(1), Sub(Pi(), Pi())), CTX)
 
     def test_negative_even_root(self):
+        # an exact base <= 0 is refused at once; an inexact one is undecided
+        for base in (Sub(Int(1), Int(3)), Int(0)):
+            with pytest.raises(DomainError) as exc:
+                eval_expr(PowRat(base, F(1, 2)), CTX)
+            assert not isinstance(exc.value, Undecided)
         with pytest.raises(NegativeBaseEvenRoot):
-            eval_expr(PowRat(Sub(Int(1), Int(3)), F(1, 2)), CTX)
+            eval_expr(PowRat(Sub(Pi(), Int(4)), F(1, 2)), CTX)
 
     def test_gamma_domain(self):
         with pytest.raises(UnsupportedGammaArgument):
@@ -351,7 +362,7 @@ def test_memo_is_emptied_when_an_error_leaves():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(exact, "_eval_raw", lambda e, f, m: memos.append(m) or raw(e, f, m))
         with pytest.raises(DivisorStraddlesZero):
-            eval_expr(Div(Add(Int(1), Int(2)), Sub(Int(1), Int(1))), CTX)
+            eval_expr(Div(Add(Int(1), Int(2)), Sub(Pi(), Pi())), CTX)
     assert memos and all(len(m) == 0 for m in memos)
 
 

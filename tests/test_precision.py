@@ -20,6 +20,7 @@ from thetaval.errors import (
     DomainError,
     NegativeBaseEvenRoot,
     PowerTooLarge,
+    Undecided,
     UnsupportedArgument,
 )
 from thetaval import precision
@@ -98,11 +99,24 @@ def test_division_by_straddling_ball_rejected():
         Ball.exact_int(1) / mk_ball(0, F(1, 10))
 
 
+def test_division_by_an_exact_zero_is_a_plain_domain_error():
+    # no precision decides it, so it is refused rather than escalated
+    for zero in (Ball(0, 0, 256), Ball.exact_int(0)):
+        with pytest.raises(DomainError) as exc:
+            Ball.exact_int(1) / zero
+        assert not isinstance(exc.value, Undecided)
+
+
 def test_negative_base_fractional_power_rejected():
+    # an exact base <= 0 is a plain domain error; one with a radius is undecided
+    for base, e in ((-2, F(1, 2)), (-8, F(1, 3)), (0, F(1, 2))):
+        with pytest.raises(DomainError) as exc:
+            pow_rational(Ball.from_fraction(base, 256), e)
+        assert not isinstance(exc.value, Undecided)
     with pytest.raises(NegativeBaseEvenRoot):
-        pow_rational(Ball.from_fraction(-2, 256), F(1, 2))
+        pow_rational(Ball(-2 << 256, 1, 256), F(1, 2))
     with pytest.raises(NegativeBaseEvenRoot):
-        pow_rational(Ball.from_fraction(-8, 256), F(1, 3))
+        pow_rational(mk_ball(0, F(1, 10)), F(1, 3))
 
 
 def test_exp_of_zero():
@@ -135,9 +149,8 @@ EXP_ARGS += [("x", F(4) - F(1, 2**40))]
 EXP_ARGS += [("x", F(-1, 2))] + [("x", sign * F(1, 2**k)) for k in (8, 9, 30, 200) for sign in (1, -1)]
 
 
-@pytest.mark.parametrize("bits", [64, 512, 2048, 4128, 8192])
-@pytest.mark.parametrize("kind,v", EXP_ARGS, ids=str)
-def test_exp_contains_mpmath_value(kind, v, bits):
+def _exp_case(kind, v, bits):
+    """(x, e^x by mpmath) for one EXP_ARGS row, x a ball at bits + 64."""
     import mpmath as mp
 
     g = bits + 64
@@ -149,10 +162,43 @@ def test_exp_contains_mpmath_value(kind, v, bits):
             x = -(const_pi(PrecCtx(g)) * sqrt(Ball.from_fraction(v, g)))
             ref_x = -mp.pi * mp.sqrt(ref_x)
         ref = mp.exp(ref_x)
-    ref = F(int(ref.man)) * F(2) ** int(ref.exp)
+    return x, F(int(ref.man)) * F(2) ** int(ref.exp)
+
+
+@pytest.mark.parametrize("bits", [64, 512, 2048, 4128, 8192])
+@pytest.mark.parametrize("kind,v", EXP_ARGS, ids=str)
+def test_exp_contains_mpmath_value(kind, v, bits):
+    x, ref = _exp_case(kind, v, bits)
     val = exp(x, PrecCtx(bits))
     assert val.contains(ref)
     assert val.rad <= F(2) ** (8 - bits) * max(1, ref)
+
+
+def _exp_ball_squaring(x, ctx):
+    """`exp` squaring back by j `Ball` products: the reference for its
+    squarings on the integer midpoint."""
+    f = ctx.bits
+    if x.m + x.r <= -((f + 2) << x.f):
+        return Ball(1, 1, f + 1)
+    fw = f + 48
+    xw = x.rescale(fw)
+    j = ((abs(xw.m) + xw.r) >> fw).bit_length() + max(8, precision._iroot(4 * fw, 3))
+    v, err = precision._series_units(xw.m, fw + j, lambda k: k)
+    lip = xw.r + precision._ceil_div(2 * xw.r * xw.sup_units(), 1 << (fw + j))
+    y = Ball(v, err + lip, fw + j)
+    for _ in range(j):
+        y = y * y
+    return y.rescale(f)
+
+
+@pytest.mark.parametrize("bits", [64, 512, 2048, 4128, 8192])
+@pytest.mark.parametrize("kind,v", EXP_ARGS, ids=str)
+def test_exp_squaring_on_the_midpoint_matches_ball_squaring(kind, v, bits):
+    # bit-identical to the reference, or as tight and still enclosing e^x
+    x, ref = _exp_case(kind, v, bits)
+    val, old = exp(x, PrecCtx(bits)), _exp_ball_squaring(x, PrecCtx(bits))
+    if (val.m, val.r, val.f) != (old.m, old.r, old.f):
+        assert val.contains(ref) and val.f == old.f and val.r <= old.r
 
 
 # 0, +-1e-6, 10^-40 below and above k pi/2 for k = 1..4, -123/7 and 1e6

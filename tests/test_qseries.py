@@ -342,6 +342,15 @@ def _wing_sets(kind, bits, rng):
             qb, q = _dyadic(rng, bits, lo, hi)
             sets.append(_power_wings("f_neg", qb, q))
         return sets
+    if kind == "long":  # |c| >= 0.9: hundreds of terms, over which the scale of rho falls
+        sets = []
+        for lo, hi in ((F(9, 10), F(99, 100)), (F(-99, 100), F(-9, 10))):
+            (t, tv), (r, rv) = _dyadic(rng, bits, 0, 1), _dyadic(rng, bits, 0, 1)
+            c, cv = _dyadic(rng, bits, lo, hi)
+            sets.append([((t, r, c), (tv, rv, cv))])
+        q = F(rng.randrange(950, 990), 1000)
+        sets.append(_power_wings("phi", Ball.from_fraction(q, bits), q))
+        return sets + [_f_wings(F(24, 25), F(-19, 20), bits)]
     if kind == "large":  # |t1| > 1 and |rho1| > 1
         return [_f_wings(F(3, 2), F(1, 2), bits), _f_wings(F(-19, 10), F(2, 5), bits)]
     # wide: nomes whose ball has radius 2^-(f/2), its midpoint off the exact value
@@ -354,8 +363,13 @@ def _wing_sets(kind, bits, rng):
     return sets
 
 
-@pytest.mark.parametrize("bits", [64, 256, 1024, 4096])
-@pytest.mark.parametrize("kind", ["positive", "alternating", "large", "wide"])
+WING_KINDS = ["positive", "alternating", "large", "wide"]
+
+
+@pytest.mark.parametrize(
+    "kind, bits",
+    [(k, b) for b in (64, 256, 1024, 4096) for k in WING_KINDS] + [("long", 4096), ("long", 8192)],
+)
 def test_theta_wings_error_count_holds(kind, bits):
     # each wing alone: the kept terms are within err, the dropped ones within
     # tail; all wings of a set together: the whole sum is within err + tail
@@ -371,6 +385,45 @@ def test_theta_wings_error_count_holds(kind, bits):
             total += kept + dropped
         s, err, tail, _ = qseries._theta_wings([balls for balls, _ in wings], bits)
         assert abs(s - total) <= err + tail, (kind, bits)
+
+
+def _theta_wings_full_width(wings, f):
+    """The kernel with rho and c held at the full scale f throughout: the
+    reference for the falling scale of `_theta_wings`."""
+    one = 1 << f
+    s = err = tail = n_max = 0
+    for t1, rho1, c in wings:
+        cm, ec = c.m, c.r
+        ac = abs(cm)
+        sign = -1 if t1.m < 0 <= min(rho1.m, cm) else 1
+        t, et, rho, er = sign * t1.m, t1.r, rho1.m, rho1.r
+        acc, e, n = t, et, 1
+        while abs(t) + et > 2 or 2 * (abs(rho) + er) > one:
+            arho = abs(rho)
+            t, et = (t * rho) >> f, ((abs(t) * er + arho * et + et * er) >> f) + 2
+            rho, er = (rho * cm) >> f, ((arho * ec + ac * er + er * ec) >> f) + 2
+            acc += t
+            e += et
+            n += 1
+        s += sign * acc
+        err += e
+        tail += abs(t) + et
+        n_max = max(n_max, n)
+    return s, err, tail, n_max
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024, 4096, 8192])
+@pytest.mark.parametrize("kind", WING_KINDS + ["long"])
+def test_falling_scale_costs_at_most_a_few_units(kind, bits):
+    # flooring rho and c as the terms shrink keeps err + tail within a few
+    # units of the full-width kernel's, and both enclose the same sum
+    rng = random.Random(f"{kind}-{bits}")
+    for wings in _wing_sets(kind, bits, rng):
+        balls = [b for b, _ in wings]
+        s, err, tail, _ = qseries._theta_wings(balls, bits)
+        rs, rerr, rtail, _ = _theta_wings_full_width(balls, bits)
+        assert err + tail <= rerr + rtail + 4, (kind, bits, err + tail, rerr + rtail)
+        assert abs(s - rs) <= err + tail + rerr + rtail, (kind, bits)
 
 
 class TestQPoint:
