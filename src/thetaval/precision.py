@@ -198,46 +198,96 @@ def _round_div(a: int, b: int) -> tuple[int, int]:
     return (2 * a + b) // (2 * b), err
 
 
+# roots below 2^40 start from a float, good to 2^-7 units, and their exact
+# powers are short enough to test the floor directly
+_FLOAT_ROOT_BITS = 40
+
+
+def _pow_trunc(y: int, k: int, p: int) -> tuple[int, int]:
+    """(m, e) with m 2^e <= y^k < m 2^e (1 + 2^(1-p))^(k-1), for 0 < y < 2^p.
+
+    A left-to-right binary power chain that floors each product to its top
+    p bits.  A cut floors v >= 2^p to v' >= 2^(p-1), so v < v' (1 + 2^(1-p)).
+    Of the L = bit_length(k) - 1 steps, the cuts after the square and after
+    the product by y of step i each enter y^k 2^(L-i) times, the second one
+    only for a 1 bit: all cuts enter (2^L - 1) + (k - 2^L) = k - 1 times.
+    """
+    if y.bit_length() * k <= p:  # no product reaches p bits: no cuts
+        return y**k, 0
+    m, e = y, 0
+    for bit in bin(k)[3:]:
+        m = m * m
+        cut = max(m.bit_length() - p, 0)
+        m, e = m >> cut, 2 * e + cut
+        if bit == "1":
+            m *= y
+            cut = max(m.bit_length() - p, 0)
+            m, e = m >> cut, e + cut
+    return m, e
+
+
+def _root_near(n: int, k: int, b: int, g: int) -> int:
+    """The k-th root of n < 2^(k b), k >= 3, within about k 2^(3-2g) units:
+    one Newton step from the root of n >> k t, t = b/2 - g (see `_iroot`)."""
+    if b <= _FLOAT_ROOT_BITS:  # log2 is off by below b k 2^-52, so the root by b 2^-52
+        return int(2 ** (math.log2(n) / k))
+    t = b // 2 - g
+    x0 = _root_near(n >> (k * t), k, b - t, 3 + k.bit_length() // 2)
+    m, e = _pow_trunc(x0, k - 1, b + 32 + k.bit_length())
+    newton = (((k - 1) * x0) << (t + 32)) + (n << 32 >> (e + t * (k - 1))) // m
+    return newton // k >> 32
+
+
+def _floor_certified(n: int, k: int, s: int, p: int) -> bool:
+    """Whether the chain of s^k at p bits proves s^k <= n < (s+1)^k (`_iroot`)."""
+    m, e = _pow_trunc(s, k, p)
+    return m + 4 * k <= n >> e < m + m * k // s
+
+
 def _iroot(n: int, k: int) -> int:
     """Floor k-th root of n >= 0: the x with x**k <= n < (x+1)**k.
 
-    Floor roots compose, floor(floor(n**(1/a))**(1/b)) = floor(n**(1/(ab))),
-    so k runs as a chain: one `math.isqrt` per factor 2 and one
-    `_iroot_prime` per odd prime (24 is three square roots and a cube root).
+    k = 2 and 4 take `math.isqrt`, in C and faster than Newton below some
+    4 kbits of root.  Any other k takes Newton on the root's own bits, as in
+    Brent and Zimmermann, Modern Computer Arithmetic, 1.5.2 and 4.2.  For a
+    root r below 2^b, `_root_near` takes x0 near the root of n >> k t,
+    recursively, so y = x0 2^t lies within u 2^t of r for a few units u,
+    and steps to ((k-1) y + n / y^(k-1)) / k at 32 fraction bits, with
+    y^(k-1) from the chain of x0^(k-1) at p = b + 32 + bit_length(k) bits
+    (`_pow_trunc`): n is read above the chain's scale only, in one
+    2b-by-b-bit division.  Newton's error is (k-1)/2 (u 2^t)^2 / r units
+    to first order, below k u^2 2^(2t-b+1), so the margin g in t = b/2 - g
+    is 16 for the last step (k 2^-29 units: its floor s is the floor root
+    unless r lies that close to an integer) and 3 + bit_length(k)/2 below
+    it (within a unit); the chain adds below 2^-30 units.
+
+    The floor test reads the chain of s^k at p bits, m 2^e: as p >=
+    bit_length(k) + 2, (1 + 2^(1-p))^(k-1) <= exp((k-1) 2^(1-p)) <=
+    1 + (k-1) 2^(2-p), and m < 2^p, so s^k < (m + 4k) 2^e: s^k <= n once
+    m + 4k <= n >> e.  Bernoulli's (s+1)^k >= s^k (1 + k/s) >=
+    (m + floor(m k / s)) 2^e, and n < ((n >> e) + 1) 2^e, so n < (s+1)^k
+    once n >> e < m + floor(m k / s).  Only when n lies inside that band,
+    as exact powers give or take one do, or the root is below 2^40, are the
+    exact powers s^k and (s+1)^k compared and s stepped by one: the same
+    test without cuts.
     """
     if n < 0 or k < 1:
         raise ValueError("negative radicand or root order below 1")
-    while k % 2 == 0:
-        n, k = math.isqrt(n), k >> 1
-    p = 3
-    while k > 1:
-        while k % p == 0:
-            n, k = _iroot_prime(n, p), k // p
-        p += 2
-    return n
-
-
-def _iroot_prime(n: int, k: int) -> int:
-    """Floor k-th root of n >= 0 by Newton with precision doubling.
-
-    x0, the root of n >> k*s for s about half the root's bits, comes
-    recursively, and (x0 + 1) << s lies above the root.  From above,
-    integer Newton never drops below the floor (AM-GM) and falls strictly
-    until x**k <= n: two or three full-length steps.
-    """
-    if n < 2:
+    if k in (1, 2, 4):
+        while k > 1:
+            n, k = math.isqrt(n), k >> 1
         return n
-    bits = _ceil_div(n.bit_length(), k)  # the root is below 2**bits
-    s = bits >> 1
-    x = 1 << bits if bits <= 64 else (_iroot_prime(n >> (k * s), k) + 1) << s
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
+    if n.bit_length() <= k:  # 0 <= n < 2^k
+        return min(n, 1)
+    b = _ceil_div(n.bit_length(), k)  # 2 <= b, and the root is below 2^b
+    s = _root_near(n, k, b, 16)
+    if b > _FLOAT_ROOT_BITS and _floor_certified(n, k, s, b + 32 + k.bit_length()):
+        return s
+    while s**k > n:
+        s -= 1
+    while (s + 1) ** k <= n:
+        s += 1
+    return s
 
 
 # ---------------------------------------------------------------------------

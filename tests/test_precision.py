@@ -682,6 +682,60 @@ def test_iroot_refuses_negative_radicands_and_orders():
 
 
 @given(
+    y_bits=st.integers(1, 10_000),
+    k=st.integers(2, 64),
+    extra=st.integers(0, 80),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_truncated_power_chain_brackets_the_power(y_bits, k, extra, seed):
+    y = random.Random(seed).getrandbits(y_bits) | (1 << (y_bits - 1))
+    p = max(y_bits, k.bit_length() + 2) + extra
+    m, e = precision._pow_trunc(y, k, p)
+    assert m < 1 << p and e >= 0
+    # m 2^e <= y^k < m 2^e (1 + 2^(1-p))^(k-1), on integers
+    assert m << e <= y**k
+    assert (y**k) << ((p - 1) * (k - 1)) < (m << e) * ((1 << (p - 1)) + 1) ** (k - 1)
+    assert y**k < (m + 4 * k) << e  # the form the floor test reads
+
+
+def record_floor_tests(monkeypatch) -> list:
+    """Record the verdict of every truncated floor test `_iroot` makes."""
+    verdicts = []
+    real = precision._floor_certified
+
+    def recording(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(precision, "_floor_certified", recording)
+    return verdicts
+
+
+@pytest.mark.parametrize("k", [3, 5, 7, 24, 63])
+def test_iroot_decides_exact_powers_by_exact_comparison(monkeypatch, k):
+    s = random.Random(k).getrandbits(4096) | (1 << 4095)
+    verdicts = record_floor_tests(monkeypatch)
+    for n in (s**k - 1, s**k, s**k + 1, (s + 1) ** k - 1):
+        assert_floor_root(n, k)
+    # each radicand lies in the chain's error band, so the exact powers decide
+    assert verdicts == [False] * 4
+
+
+def test_a_cold_catalog_pass_decides_every_long_root_by_the_chain(monkeypatch):
+    from thetaval.exact import build_catalog, verify_identity
+
+    catalog = build_catalog()
+    verdicts = record_floor_tests(monkeypatch)
+    for entry_id in sorted(catalog.ids()):
+        verify_identity(catalog.get(entry_id), PrecCtx(4096))
+    # the 26 roots of 4163 to 4170 bits: 18 cube, 2 sixth, 3 seventh, 2 eighth
+    # and one 24th root; k = 4 takes isqrt, and exp's short cube roots compare
+    # exact powers
+    assert verdicts == [True] * 26
+
+
+@given(
     f=st.integers(64, 8224),
     m_bits=st.integers(-64, 600),
     r_bits=st.integers(1, 300),
