@@ -18,7 +18,7 @@ class DivisorStraddlesZero(DomainError, Undecided):
 
 
 class NegativeBaseEvenRoot(DomainError, Undecided):
-    """Fractional power of a ball that is not strictly positive."""
+    """Fractional power of a ball whose radius reaches 0: more bits may decide it."""
 
 
 class PowerTooLarge(DomainError):

@@ -590,8 +590,8 @@ def pow_rational(x: Ball, e, ctx: PrecCtx | None = None) -> Ball:
     if den == 1:
         return ipow(x, num, bits).rescale(f)
     if not x.is_strictly_positive():
-        # an exact base: no precision decides it
-        error = DomainError if x.r == 0 else NegativeBaseEvenRoot
+        # a base strictly below 0, or an exact one: no precision decides it
+        error = DomainError if x.r == 0 or x.is_strictly_negative() else NegativeBaseEvenRoot
         raise error("fractional powers are defined for strictly positive bases only")
     fw = f + GUARD_BITS + abs(num).bit_length() + den.bit_length()
     if den > 64:

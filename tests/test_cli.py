@@ -574,11 +574,15 @@ class TestParserReuse:
 OUTCOME_CASES = [
     (["sweep", "deg3", "--grid", "0.99", "--prec", "64"], 1, "undecided at 512 bits: "),
     (["eval", "1 / (pi - pi)", "--prec", "64"], 1, "undecided at 512 bits: "),
+    (["eval", "(pi - pi)^(1/3)", "--prec", "64"], 1, "undecided at 512 bits: "),
     (["eval", "1 +"], 2, "parse error: "),
     (["eval", "(" * 300 + "1" + ")" * 300], 2, "parse error: expression nested deeper"),
     (["eval", "9^9^9"], 2, "size error: "),
     (["eval", "gamma(5/2)"], 2, "domain error: "),
     (["eval", "phi(1.5)"], 2, "domain error: "),
+    (["eval", "(pi - 4)^(1/2)"], 2, "domain error: "),
+    (["eval", "(2 - pi)^(1/3)"], 2, "domain error: "),
+    (["eval", "(-8)^(1/3)"], 2, "domain error: "),
     (["catalog", "--out", "missing-directory/x.json"], 2, "output error: "),
     (["sweep", "deg3", "--grid", "1.5"], 2, "domain error: "),
     (["sweep", "yi_product", "--grid", "1:1:1:1:2"], 2, "domain error: "),

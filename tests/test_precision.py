@@ -108,15 +108,17 @@ def test_division_by_an_exact_zero_is_a_plain_domain_error():
 
 
 def test_negative_base_fractional_power_rejected():
-    # an exact base <= 0 is a plain domain error; one with a radius is undecided
-    for base, e in ((-2, F(1, 2)), (-8, F(1, 3)), (0, F(1, 2))):
-        with pytest.raises(DomainError) as exc:
-            pow_rational(Ball.from_fraction(base, 256), e)
-        assert not isinstance(exc.value, Undecided)
-    with pytest.raises(NegativeBaseEvenRoot):
-        pow_rational(Ball(-2 << 256, 1, 256), F(1, 2))
-    with pytest.raises(NegativeBaseEvenRoot):
-        pow_rational(mk_ball(0, F(1, 10)), F(1, 3))
+    # an exact base <= 0 or one strictly below 0 is a plain domain error; only
+    # a base with a radius that reaches 0 is undecided
+    bases = [Ball.from_fraction(v, 256) for v in (-2, -8, 0)] + [Ball(-2 << 256, 1, 256), Ball(-2, 1, 256)]
+    for base in bases:
+        for e in (F(1, 2), F(1, 3)):
+            with pytest.raises(DomainError) as exc:
+                pow_rational(base, e)
+            assert not isinstance(exc.value, Undecided)
+    for base in (mk_ball(0, F(1, 10)), Ball(-1, 1, 256), Ball(1, 1, 256)):
+        with pytest.raises(NegativeBaseEvenRoot):
+            pow_rational(base, F(1, 3))
 
 
 def test_exp_of_zero():
