@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import DomainError, FactorNearZero, NotConvergent
 from .precision import GUARD_BITS, Ball, PrecCtx, WorkCtx, check_power_size, ipow, memo, nth_root
-from .precision import Record, _pi_ball, exp, pow_rational, sqrt
+from .precision import Record, _pi_ball, _round_div, exp, pow_rational, sqrt
 
 __all__ = [
     "QPoint",
@@ -102,8 +102,16 @@ def _nome_class(r: Fraction) -> tuple[int, Fraction]:
 
 @memo
 def _nome_base(r0: Fraction, fw: int) -> Ball:
-    """exp(-pi sqrt(r0)) at the working scale fw, the base of a class of nomes."""
-    return exp(-(_pi_ball(fw) * sqrt(Ball.from_fraction(r0, fw))))
+    """exp(-pi sqrt(r0)) at the working scale fw, the base of a class of nomes.
+
+    sqrt(r0) = sqrt(s)/b for s = b r0 and b the denominator of r0: the floor
+    of sqrt(s) 2^fw is off by below one unit, so below 1/b after the division
+    by b, and the division rounds by at most 1/2 (none for b = 1): sqrt(r0)
+    is within one unit at fw, however small r0 is.
+    """
+    s, b = r0.numerator * r0.denominator, r0.denominator
+    root = Ball(_round_div(math.isqrt(s << 2 * fw), b)[0], 1, fw)
+    return exp(-(_pi_ball(fw) * root))
 
 
 @memo
@@ -114,13 +122,15 @@ def _nome_exp(r: Fraction, f: int) -> Ball:
     A product of balls in [-1, 1] is off by its factors' errors plus 2 units,
     so x^a is off by below a (rho + 2) units at fw for x off by rho.  For
     r0 >= 1/16, x <= 1/2 and every product halves the errors it carries, so
-    x^a stays within rho + 6 units for any a.  For r0 < 1/16, rho + 2 is
-    below 4/sqrt(r0) (sqrt(r0) is off by about 1/(2 sqrt(r0)) units, times
-    pi), so for a^2 < 2^58 r0 the power is off by under 2^31 units and the
-    rescale to f adds at most one unit; any other r takes its own exp.
+    x^a stays within rho + 6 units for any a.  For r0 < 1/16, sqrt(r0) is
+    off by below one unit (`_nome_base`) and pi by at most 2, so pi sqrt(r0)
+    by at most ceil(pi + 2/4) + 1 = 5 units, and x, as exp' <= 1 there, by
+    rho <= 7 with exp's own rounding: for a < 2^27 the power is off by under
+    9 a < 2^31 units and the rescale to f adds at most one unit; any other
+    r takes its own exp.
     """
     a, r0 = _nome_class(r)
-    if 16 * r0 < 1 and a * a >= r0 * 2**58:
+    if 16 * r0 < 1 and a >= 2**27:
         a, r0 = 1, r
     return ipow(_nome_base(r0, f + GUARD_BITS), a).rescale(f)
 

@@ -243,6 +243,12 @@ class TestEval:
             "radius <= 1e-154\n"
         )
 
+    @pytest.mark.parametrize("r", ["1/10^120", "1/10^200"])
+    def test_a_qpoint_of_a_tiny_r_keeps_its_precision(self, capsys, r):
+        # sqrt(r) is taken as sqrt(n d)/d, not from r at the working scale
+        code, out, _ = run(capsys, "eval", f"qpoint(+1, {r})")
+        assert code == 0 and out.splitlines()[1] == "radius <= 1e-154"
+
     def test_chi_at_a_negative_qpoint_nome_near_one(self, capsys):
         # chi(-q) = 2.83e-114 at r = 10^-6; as phi(-q)/f(-q) it read 0 +/- 1e-91
         code, out, _ = run(capsys, "eval", "chi(qpoint(-1, 1/1000000))")

@@ -567,6 +567,20 @@ class TestNomeClass:
         q = QPoint(1, r).to_ball(PrecCtx(512))
         assert (q.m, q.r, q.f) == (direct.m, direct.r, direct.f)
 
+    # r far below the scale: sqrt(r) keeps its relative precision, so the
+    # nome 1 - pi sqrt(r) + ... stays within two units at any width
+    @pytest.mark.parametrize("bits", [512, 4096])
+    @pytest.mark.parametrize(
+        "r", [F(1, 10**120), F(1, 10**200), F(7, 10**301), F(3, 2**5000)], ids=["1e-120", "1e-200", "7e-301", "3/2^5000"]
+    )
+    def test_a_nome_of_a_tiny_r_keeps_its_precision(self, r, bits):
+        import mpmath as mp
+
+        with mp.workprec(2 * bits + 64):
+            ref = _mp_fraction(mp.exp(-mp.pi * mp.sqrt(mp.mpf(r.numerator) / r.denominator)))
+        q = QPoint(1, r).to_ball(PrecCtx(bits))
+        assert q.f == bits and q.contains(ref) and q.r <= 2
+
     def test_a_cold_catalog_pass_makes_one_exp_per_class(self, monkeypatch):
         # the 20 catalog nomes fall into 8 classes: r = 1, 4, 9, 25, 36, 49,
         # 81, 169, 729, 2025 and 3969; 3 and 27; 7 and 343; then 2, 15,
