@@ -247,29 +247,25 @@ def _floor_certified(n: int, k: int, s: int, p: int) -> bool:
 def _iroot(n: int, k: int) -> int:
     """Floor k-th root of n >= 0: the x with x**k <= n < (x+1)**k.
 
-    k = 2 and 4 take `math.isqrt`, in C and faster than Newton below some
-    4 kbits of root.  Any other k takes Newton on the root's own bits, as in
-    Brent and Zimmermann, Modern Computer Arithmetic, 1.5.2 and 4.2.  For a
-    root r below 2^b, `_root_near` takes x0 near the root of n >> k t,
-    recursively, so y = x0 2^t lies within u 2^t of r for a few units u,
-    and steps to ((k-1) y + n / y^(k-1)) / k at 32 fraction bits, with
-    y^(k-1) from the chain of x0^(k-1) at p = b + 32 + bit_length(k) bits
-    (`_pow_trunc`): n is read above the chain's scale only, in one
-    2b-by-b-bit division.  Newton's error is (k-1)/2 (u 2^t)^2 / r units
-    to first order, below k u^2 2^(2t-b+1), so the margin g in t = b/2 - g
-    is 16 for the last step (k 2^-29 units: its floor s is the floor root
-    unless r lies that close to an integer) and 3 + bit_length(k)/2 below
-    it (within a unit); the chain adds below 2^-30 units.
+    k = 2 and 4 take `math.isqrt` (in C; faster than Newton below about 4
+    kbits).  Any other k takes Newton on the root's own bits (Brent and
+    Zimmermann, Modern Computer Arithmetic, 1.5.2 and 4.2): for a root
+    r < 2^b, `_root_near` steps from y = x0 2^t, x0 near the root of
+    n >> k t, to ((k-1) y + n / y^(k-1)) / k at 32 fraction bits, y^(k-1)
+    from the chain of x0^(k-1) at p = b + 32 + bit_length(k) bits
+    (`_pow_trunc`), so n is read in one 2b-by-b-bit division.  For y within
+    u 2^t of r, the step is off by about (k-1)/2 (u 2^t)^2 / r <=
+    k u^2 2^(2t-b+1) units: t = b/2 - 16 leaves k 2^-29, so the step's floor
+    s is the floor root unless r lies that close to an integer, and
+    t = b/2 - 3 - bit_length(k)/2 in the steps below it leaves a unit.
 
-    The floor test reads the chain of s^k at p bits, m 2^e: as p >=
-    bit_length(k) + 2, (1 + 2^(1-p))^(k-1) <= exp((k-1) 2^(1-p)) <=
-    1 + (k-1) 2^(2-p), and m < 2^p, so s^k < (m + 4k) 2^e: s^k <= n once
-    m + 4k <= n >> e.  Bernoulli's (s+1)^k >= s^k (1 + k/s) >=
-    (m + floor(m k / s)) 2^e, and n < ((n >> e) + 1) 2^e, so n < (s+1)^k
-    once n >> e < m + floor(m k / s).  Only when n lies inside that band,
-    as exact powers give or take one do, or the root is below 2^40, are the
-    exact powers s^k and (s+1)^k compared and s stepped by one: the same
-    test without cuts.
+    The floor test reads the chain m 2^e of s^k at p bits: as
+    p >= bit_length(k) + 2, (1 + 2^(1-p))^(k-1) <= 1 + (k-1) 2^(2-p), and
+    m < 2^p, so s^k < (m + 4k) 2^e <= n once m + 4k <= n >> e; by Bernoulli,
+    (s+1)^k >= s^k (1 + k/s) >= (m + floor(m k / s)) 2^e > n once
+    n >> e < m + floor(m k / s).  Only for n inside that band, as exact
+    powers give or take one are, or for a root below 2^40, are the exact
+    powers s^k and (s+1)^k compared and s stepped by one.
     """
     if n < 0 or k < 1:
         raise ValueError("negative radicand or root order below 1")

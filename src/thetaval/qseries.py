@@ -104,7 +104,7 @@ def _nome_class(r: Fraction) -> tuple[int, Fraction]:
 def _nome_base(r0: Fraction, fw: int) -> Ball:
     """exp(-pi sqrt(r0)) at the working scale fw, the base of a class of nomes.
 
-    sqrt(r0) = sqrt(s)/b for s = b r0 and b the denominator of r0: the floor
+    sqrt(r0) = sqrt(s)/b for b the denominator of r0 and s = b^2 r0: the floor
     of sqrt(s) 2^fw is off by below one unit, so below 1/b after the division
     by b, and the division rounds by at most 1/2 (none for b = 1): sqrt(r0)
     is within one unit at fw, however small r0 is.

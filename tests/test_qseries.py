@@ -571,7 +571,9 @@ class TestNomeClass:
     # nome 1 - pi sqrt(r) + ... stays within two units at any width
     @pytest.mark.parametrize("bits", [512, 4096])
     @pytest.mark.parametrize(
-        "r", [F(1, 10**120), F(1, 10**200), F(7, 10**301), F(3, 2**5000)], ids=["1e-120", "1e-200", "7e-301", "3/2^5000"]
+        "r",
+        [F(1, 10**120), F(1, 10**200), F(7, 10**301), F(3, 2**5000)],
+        ids=["1e-120", "1e-200", "7e-301", "3/2^5000"],
     )
     def test_a_nome_of_a_tiny_r_keeps_its_precision(self, r, bits):
         import mpmath as mp
