@@ -198,7 +198,7 @@ def _round_div(a: int, b: int) -> tuple[int, int]:
     return (2 * a + b) // (2 * b), err
 
 
-# roots below 2^40 start from a float, good to 2^-7 units, and their exact
+# roots below 2^40 start from a float, good to 2^-6 units, and their exact
 # powers are short enough to test the floor directly
 _FLOAT_ROOT_BITS = 40
 
