@@ -21,6 +21,10 @@ class NegativeBaseEvenRoot(DomainError, Undecided):
     """Fractional power of a ball whose radius reaches 0: more bits may decide it."""
 
 
+class EnclosureReachesBoundary(DomainError, Undecided):
+    """A ball reaching a domain's edge only by its radius: more bits may decide it."""
+
+
 class PowerTooLarge(DomainError):
     """An integer power or folded constant beyond the size limit of its precision."""
 

@@ -13,8 +13,8 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, NotConvergent, PreconditionViolated
-from .precision import GUARD_BITS, Ball, PrecCtx, Record, WorkCtx, agm, cos, exp, ipow, pow_rational
-from .precision import _ceil_div, _pi_ball, sin, sqrt
+from .precision import GUARD_BITS, Ball, PrecCtx, Record, WorkCtx, agm, exp, ipow, pow_rational
+from .precision import _ceil_div, _cos_sin, _pi_ball, _refuse_nonpositive, sqrt
 from .qseries import QPoint, as_q_ball, nome_neg, nome_pow, phi, require_positive_nome
 
 __all__ = [
@@ -54,8 +54,8 @@ def _hyp_raw(x: Ball, w: WorkCtx) -> Ball:
     if x.m == 0 and x.r == 0:
         return one
     comp = one - x
-    if not (x.is_strictly_positive() and comp.is_strictly_positive()):
-        raise DomainError("hyp2f1_half requires an enclosure inside (0, 1)")
+    for side in (x, comp):  # a side of positive radius reaching 0 is Undecided
+        _refuse_nonpositive(side, "hyp2f1_half requires an enclosure inside (0, 1)")
     return one / agm(one, sqrt(comp), w)
 
 
@@ -359,7 +359,7 @@ def jims_identity(x, ctx: PrecCtx) -> Ball:
       = (sqrt2 + sqrt(1+x)) / sqrt(1-x) * sum e^(-pi n^2 x) sin(...),
     for x inside (0, 1).  The sums are Re and Im of sum_{n>=1} w^(n^2) with
     the complex nome w = e^(-pi x) (cos t + i sin t), t = pi sqrt(1-x^2),
-    summed by w^(n^2) = w^((n-1)^2) w^(2n-1) from one cos and one sin;
+    summed by w^(n^2) = w^((n-1)^2) w^(2n-1) from one `_cos_sin` call;
     both tails are certified geometrically."""
     f = ctx.bits
     if isinstance(x, Ball):
@@ -386,7 +386,7 @@ def jims_identity(x, ctx: PrecCtx) -> Ball:
     pi = _pi_ball(fw)
     decay = exp(-(pi * xb))  # |w| = e^(-pi x)
     angle = pi * sqrt(one - xb * xb)
-    w = (decay * cos(angle), decay * sin(angle))
+    w = tuple(decay * v for v in _cos_sin(angle, fw))
     w2 = _cmul(w, w)
     z = u = w  # w^(n^2), w^(2n-1)
     sum_cos, sum_sin = w

@@ -23,6 +23,7 @@ from fractions import Fraction
 from .errors import (
     DivisorStraddlesZero,
     DomainError,
+    EnclosureReachesBoundary,
     NegativeBaseEvenRoot,
     PowerTooLarge,
     Undecided,
@@ -490,6 +491,13 @@ class Ball:
 # powers and roots
 
 
+def _refuse_nonpositive(x: Ball, message: str, undecided=EnclosureReachesBoundary) -> None:
+    """Refuse a ball that is not strictly positive: if exact or below 0, as a
+    `DomainError`, which no precision decides, else as the `Undecided` given."""
+    if not x.is_strictly_positive():
+        raise (DomainError if x.r == 0 or x.is_strictly_negative() else undecided)(message)
+
+
 def check_power_size(exponent, log2_base: float, f: int) -> None:
     """Refuse b**exponent for |log2 |b|| <= log2_base when its magnitude bound
     2**(|exponent| * log2_base) passes 2**(64 * max(f, 64)), the one limit
@@ -585,10 +593,7 @@ def pow_rational(x: Ball, e, ctx: PrecCtx | None = None) -> Ball:
     num, den = e.numerator, e.denominator
     if den == 1:
         return ipow(x, num, bits).rescale(f)
-    if not x.is_strictly_positive():
-        # a base strictly below 0, or an exact one: no precision decides it
-        error = DomainError if x.r == 0 or x.is_strictly_negative() else NegativeBaseEvenRoot
-        raise error("fractional powers are defined for strictly positive bases only")
+    _refuse_nonpositive(x, "fractional powers are defined for strictly positive bases only", NegativeBaseEvenRoot)
     fw = f + GUARD_BITS + abs(num).bit_length() + den.bit_length()
     if den > 64:
         lg = max(abs(math.log2(x.m + s * x.r) - x.f) for s in (-1, 1))
@@ -670,66 +675,75 @@ def _ln2_ball(f: int) -> Ball:
 
 
 def _mul_shift(a: int, b: int, f: int) -> int:
-    return (a * b) >> f  # the series kernel's one full-width product
+    return (a * b) >> f  # the one full-width product of the series and doublings
 
 
-def _series_units(x: int, f: int, a) -> tuple[int, int]:
-    """(S, err) with |S - 2^f sum_{i>=0} X^i / prod_{k<=i} a(k)| <= err for
-    X = x 2^-f, |X| <= 1 and integers a(k) >= k, by rectangular splitting.
+def _series_units(x: int, f: int) -> tuple[int, int]:
+    """(S, err) with |S - 2^f sum_{i>=0} X^i / (2i+1)!| <= err for X = x 2^-f,
+    |X| <= 1, by rectangular splitting: sinh(t)/t at X = t^2, sin(t)/t at -t^2.
 
     For |X| < 2^-k the term ratio is at most 1/2, so N terms leave a tail
-    below 2^(1-kN) / prod_{k<=N} a(k) <= 2^-f.  Powers X^r, r <= m ~ sqrt N,
-    are floored products, r - 1 units off.  Horner runs over blocks of m terms
+    below 2^(1-kN) / (2N+1)! <= 2^-f.  Powers X^r, r <= m ~ sqrt N, are
+    floored products, r - 1 units off.  Horner runs over blocks of m terms
     on their common denominator D, H_j = (sum_r c_r X^r + X^m H_{j+1}) / D
-    with c_r = prod_{k>jm+r} a(k), one product and one division each.  As
-    every multiplier is at most 1 and H_{j+1} <= e, a block loses at most
-    (sum_r c_r (r - 1) + err + 3m + 2) / D + 1 units.
+    with c_r = prod_{jm+r < i <= jm+m} 2i(2i+1) <= D 6^-r, one product and one
+    division each.  As every multiplier is at most 1 and H_{j+1} <= e, a block
+    loses at most (sum_r c_r (r - 1) + err + 3m + 2) / D + 1 units, and
+    sum_r c_r (r - 1) < D sum_r (r - 1) 6^-r = D/25.
     """
     k = f - abs(x).bit_length()  # |X| < 2^-k
-    n, big_a = 1, a(1)
+    n, big_a = 1, 6
     while k * n + big_a.bit_length() < f + 2:
         n += 1
-        big_a *= a(n)
+        big_a *= 2 * n * (2 * n + 1)
     m = max(2, math.isqrt(n))
     pw = [1 << f, x]
     for _ in range(m - 1):
         pw.append(_mul_shift(pw[-1], x, f))
     acc = err = 0
     for j in range(_ceil_div(n, m) - 1, -1, -1):
-        c, t, slack = 1, 0, 0
-        for r in range(m - 1, -1, -1):
-            c *= a(j * m + r + 1)
-            t += c * pw[r]
-            slack += c * max(r - 1, 0)
+        c, t, i = 1, 0, 2 * (j * m + m)
+        for p in pw[m - 1 :: -1]:
+            c *= i * (i + 1)
+            t += c * p
+            i -= 2
         acc = (t + _mul_shift(pw[m], acc, f)) // c
-        err = _ceil_div(slack + err + 3 * m + 2, c) + 1
+        err = _ceil_div((c >> 4) + 1 + err + 3 * m + 2, c) + 1
     return acc, err + 1
+
+
+def _odd_even(y: int, g: int, sign: int) -> tuple[int, int, int]:
+    """(s, c, e): sinh Y, cosh Y (sign 1) or sin Y, cos Y (sign -1) at scale g,
+    each within e units, for Y = y 2^-g, |Y| <= 1/2: s = y K(sign Y^2), where
+    flooring y^2 (|K'| < 1) and the product by y cost a unit each, and
+    c = sqrt(1 + sign s^2) one floor root and unit more, as |dc/ds| < 1."""
+    k, err = _series_units(sign * _mul_shift(y, y, g), g)
+    s = _mul_shift(y, k, g)
+    return s, math.isqrt((1 << 2 * g) + sign * s * s), err + 3
 
 
 def exp(x: Ball, ctx: PrecCtx | None = None) -> Ball:
     """e^x at ctx.bits (default: the scale of x), rounded once.
 
-    x is halved j times into sup|s| <= 2^-8, e^s is summed at the scale
-    g = fw + j and squared back j times on the integer midpoint v, known to
-    e units: v <- floor(v^2 2^-g) and e <- floor((2|v| e + e^2) 2^-g) + 2,
-    one unit for each floor, as (v + d)^2 - v^2 = 2vd + d^2 for |d| <= e.
+    x is halved j times into |y| <= 2^-t, t = max(8, (4 fw)^(1/3)), fw = f + 16
+    (none for an x that small), e^y = sinh y + cosh y taken at g = fw + j
+    (`_odd_even`) and squared back on the integer midpoint v, known to e units:
+    v <- floor(v^2 2^-g), e <- floor((2ve + e^2) 2^-g) + 2.  The input radius
+    enters at y, where exp' <= e^t <= 1 + t + t^2 for t = max(0, sup y).
     """
     f = ctx.bits if ctx is not None else x.f
     # e^x < 2^-(f+2) once x <= -(f+2): return the certified sliver [0, 2^-f]
     if x.m + x.r <= -((f + 2) << x.f):
         return Ball(1, 1, f + 1)
-    fw = f + 48
+    fw = f + 16
     xw = x.rescale(fw)
-    mag = (abs(xw.m) + xw.r) >> fw
-    # halve into |s| <= 2^-8, then about (4 fw)^(1/3) more times: fewer series
-    # terms for more squarings; the scale fw + j adds a guard bit per squaring
-    j = mag.bit_length() + max(8, _iroot(4 * fw, 3))
-    # the series at sup|s| <= 2^-8, where exp' <= e^sup|s| < 1 + 2 sup|s|
+    j = max(0, xw.sup_units().bit_length() - fw + max(8, _iroot(4 * fw, 3)))
     g = fw + j
-    v, err = _series_units(xw.m, g, lambda k: k)
-    e = err + xw.r + _ceil_div(2 * xw.r * xw.sup_units(), 1 << g)
-    for _ in range(j):
-        v, e = (v * v) >> g, ((2 * abs(v) * e + e * e) >> g) + 2
+    s, c, err = _odd_even(xw.m, g, 1)
+    top = max(0, xw.m + xw.r)
+    v, e = s + c, 2 * err + xw.r + _ceil_shift(xw.r * top * ((1 << g) + top), 2 * g)
+    for _ in range(j):  # v > 0
+        v, e = (v * v) >> g, ((2 * v * e + e * e) >> g) + 2
     return Ball(v, e, g).rescale(f)
 
 
@@ -765,49 +779,43 @@ def log(x: Ball, ctx: PrecCtx | None = None) -> Ball:
     return (ln_w + _ln2_ball(fw) * e).rescale(f)
 
 
-def _trig_series(s: Ball, odd: bool) -> Ball:
-    """sin s if odd else cos s for sup|s| <= 0.9, as s^odd K(-s^2) by the
-    series kernel: flooring -s^2 (K' < 1) and the product by s cost a unit
-    each; the radius enters by |sin'| <= 1 and |cos'| <= sup|s| on the ball."""
-    f = s.f
-    a = lambda k: (2 * k - 1 + odd) * (2 * k + odd)  # noqa: E731
-    v, err = _series_units(-_mul_shift(s.m, s.m, f), f, a)
-    if odd:
-        return Ball(_mul_shift(s.m, v, f), err + 2 + s.r, f)
-    return Ball(v, err + 1 + _ceil_div(s.r * s.sup_units(), 1 << f), f)
+def _cos_sin(x: Ball, f: int) -> tuple[Ball, Ball]:
+    """(cos x, sin x) at scale f, each rounded once.
 
-
-def _trig_reduce(x: Ball, f: int) -> tuple[int, Ball]:
-    """Return (k mod 4, s) with x = k*pi/2 + s and sup|s| <= 0.9.
-
-    The pi enclosure is escalated past the argument's magnitude so the
-    cancellation in x - k*pi/2 stays certified for arguments up to ~1e6.
+    x = k pi/2 + s on integers, pi at one scale per 64 bits of |x|: |s| <=
+    pi/4 + 2^-80, off by e_in units (|k| pi's error, x's radius, a floor).  s is
+    halved j <= 8 times into 2^-8, sin, cos taken at g = f + 16 + 2j and doubled
+    back by cos 2y = 2cos^2 y - 1, sin 2y = 2 sin y cos y, off by below 4E and
+    2 sqrt(2) E + 6E^2 2^-g + 1 for both off by E: E <- 4E + 3 while E^2 <=
+    2^g / 3.  e_in enters last, by |cos'| = |sin|, |sin'| = |cos| on the segment.
     """
-    mag_bits = ((abs(x.m) + x.r) >> x.f).bit_length()
-    fw = f + 64 + mag_bits
-    xw = x.rescale(fw)
-    halfpi = _pi_ball(fw).half()
-    k, _ = _round_div(2 * xw.m, halfpi.m)
-    for _ in range(4):
-        s = xw - halfpi * k
-        if 10 * (abs(s.m) + s.r) <= 9 << s.f:
-            return k % 4, s
-        k += 1 if s.m > 0 else -1
-    raise DomainError("trigonometric argument reduction failed")
+    p = f + 128 + 64 * ((x.sup_units() >> x.f).bit_length() // 64)
+    pi, pi_err = _pi_units(p)  # pi/2 at the scale p + 1
+    xr = x.rescale(p + 1)
+    k = (2 * xr.m + pi) // (2 * pi)
+    s = xr.m - k * pi
+    j = max(0, abs(s).bit_length() - p + 7)  # |s| 2^-j <= 2^-8: each doubling is two products
+    h, g = f + 16 + j, f + 16 + 2 * j
+    e_in = (_ceil_shift(abs(k) * pi_err + xr.r, p + 1 - h) + 1) << j  # units at g
+    sv, cv, e = _odd_even(s >> (p + 1 - h), g, -1)
+    one = 1 << g
+    for _ in range(j):
+        sv, cv = _mul_shift(sv, cv, g - 1), _mul_shift(cv, cv, g - 1) - one
+    err = (e + 1) << 2 * j  # E + 1 grows at most 4^j times
+    es = err + _ceil_shift(e_in * min(abs(cv) + err + e_in, one), g)
+    ec = err + _ceil_shift(e_in * min(abs(sv) + err + e_in, one), g)
+    if k & 1:  # cos(s + pi/2) = -sin s and sin(s + pi/2) = cos s
+        cv, ec, sv, es = -sv, es, cv, ec
+    sign = 1 - (k & 2)  # s + pi flips both
+    return Ball(sign * cv, ec, g).rescale(f), Ball(sign * sv, es, g).rescale(f)
 
 
 def cos(x: Ball, ctx: PrecCtx | None = None) -> Ball:
-    f = ctx.bits if ctx is not None else x.f
-    k, s = _trig_reduce(x, f)
-    v = _trig_series(s, odd=k % 2 == 1)  # cos, -sin, -cos, sin
-    return (v if k in (0, 3) else -v).rescale(f)
+    return _cos_sin(x, ctx.bits if ctx is not None else x.f)[0]
 
 
 def sin(x: Ball, ctx: PrecCtx | None = None) -> Ball:
-    f = ctx.bits if ctx is not None else x.f
-    k, s = _trig_reduce(x, f)
-    v = _trig_series(s, odd=k % 2 == 0)  # sin, cos, -sin, -cos
-    return (v if k < 2 else -v).rescale(f)
+    return _cos_sin(x, ctx.bits if ctx is not None else x.f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -815,18 +823,36 @@ def sin(x: Ball, ctx: PrecCtx | None = None) -> Ball:
 
 
 def agm(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
-    """Arithmetic-geometric mean of two strictly positive enclosures."""
+    """Arithmetic-geometric mean of two strictly positive enclosures.
+
+    On integer midpoints at fw = ctx.work().bits, as mpmath's `agm_fixed`, with
+    error units: A <- floor((A + B)/2), ea <- ceil((ea + eb + [A + B odd])/2),
+    B <- isqrt(A B), eb <- ceil((A eb + B ea + ea eb) / (2 L)) + 1, as both
+    sqrt(ab) and sqrt(AB) are at least sqrt(lo_a lo_b) >= L (lo = A - ea,
+    B - eb; L a root of their top bits).  The agm lies in [b', a'], a' - b' <=
+    (a - b)^2 / (8 lo): once that is 4 units B' is not taken; wider errors end
+    in the hull of A and B once, after a step, they agree within ea + eb + 4.
+    """
     fw = ctx.work().bits
     x, y = a.rescale(fw), b.rescale(fw)
-    if not (x.is_strictly_positive() and y.is_strictly_positive()):
-        raise DomainError("agm requires strictly positive enclosures")
+    for v in (x, y):
+        _refuse_nonpositive(v, "agm requires strictly positive enclosures")
+    big_a, ea, big_b, eb = x.m, x.r, y.m, y.r
     for _ in range(4 * fw.bit_length() + 64):
-        x1 = (x + y).half().rescale(fw)
-        y1 = sqrt(x * y).rescale(fw)
-        x, y = x1, y1
-        # after one step the true iterates bracket the limit: agm in [y, x]
-        if abs(x.m - y.m) <= x.r + y.r + 4:
-            return Ball.hull(x, y).rescale(ctx.bits)
+        lo_a, lo_b = big_a - ea, big_b - eb
+        if lo_a <= 0 or lo_b <= 0:
+            raise EnclosureReachesBoundary("agm iterates too wide to stay positive")
+        lo, gap = min(lo_a, lo_b), abs(big_a - big_b) + ea + eb
+        mean, e_mean = (big_a + big_b) >> 1, (ea + eb + ((big_a + big_b) & 1) + 1) >> 1
+        if 2 * gap.bit_length() <= lo.bit_length() + 7 and gap * gap <= lo << 5:
+            low, high = mean - e_mean - _ceil_div(gap * gap, lo << 3), mean + e_mean
+            return Ball((low + high) >> 1, high - ((low + high) >> 1), fw).rescale(ctx.bits)
+        k = max(0, lo.bit_length() - 128)  # L = isqrt(...) 2^k
+        root = math.isqrt((lo_a >> k) * (lo_b >> k))
+        eb = _ceil_div(_ceil_shift(big_a * eb + big_b * ea + ea * eb, k), 2 * root) + 1
+        big_a, ea, big_b = mean, e_mean, math.isqrt(big_a * big_b)
+        if abs(big_a - big_b) <= ea + eb + 4:  # errors too wide for the above
+            return Ball.hull(Ball(big_a, ea, fw), Ball(big_b, eb, fw)).rescale(ctx.bits)
     raise DomainError("agm iteration failed to converge")
 
 

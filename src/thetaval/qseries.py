@@ -102,7 +102,7 @@ def _nome_class(r: Fraction) -> tuple[int, Fraction]:
 
 @memo
 def _nome_base(r0: Fraction, fw: int) -> Ball:
-    """exp(-pi sqrt(r0)) at the working scale fw, the base of a class of nomes.
+    """exp(-pi sqrt(r0)) at the working scale fw: a class base, or a dual B.
 
     sqrt(r0) = sqrt(s)/b for b the denominator of r0 and s = b^2 r0: the floor
     of sqrt(s) 2^fw is off by below one unit, so below 1/b after the division
@@ -137,8 +137,8 @@ def _nome_exp(r: Fraction, f: int) -> Ball:
 
 def _qpoint_ball(sign: int, r: Fraction, f: int) -> Ball:
     """sign exp(-pi sqrt(r)): the cached `_nome_exp`, negated for sign -1, so
-    the nomes of a class, the dual nome B of `_dual_value` and the QPoints
-    of `nome_pow` share one exp of their class base."""
+    the nomes of a class and the QPoints of `nome_pow` share one exp of their
+    class base."""
     ball = _nome_exp(r, f)
     return -ball if sign == -1 else ball
 
@@ -458,7 +458,7 @@ def _dual_value(kind: str, q: QPoint, ctx: PrecCtx) -> Ball:
     r = q.r
     # guard bits for the factor (c/r)^(1/4), which scales every error
     fw = ctx.work().bits + max(0, r.denominator.bit_length() - r.numerator.bit_length()) // 4
-    big_b = _qpoint_ball(1, 1 / (576 * r), fw)
+    big_b = _nome_base(1 / (576 * r), fw)
     alg = c * r**p
     val = nth_root(Ball.from_fraction(alg, fw), 4) if alg != 1 else Ball.one(fw)
     if a:  # exp(pi (a s + b/s)) = exp(+-pi sqrt t), t = (a r + b)^2 / r

@@ -167,6 +167,24 @@ class TestEval:
         assert (code, out) == (2, "") and err.startswith("domain error: "), err
         assert set(widths) == {512 + 32}
 
+    @pytest.mark.parametrize("expr,rexp", [("agm(1/10^300, 1)", -23), ("hyp(1/10^300)", -154)])
+    def test_an_argument_below_the_working_scale_escalates(self, capsys, monkeypatch, expr, rexp):
+        # 1/10^300 rounds to 0 +- 1 at 544 bits, which is undecided, not
+        # refused: the 1056-bit attempt holds it to 59 bits, and agm(a, 1)
+        # is off by a 10^-294 of its derivative times a's 10^-318 radius
+        import mpmath as mp
+
+        widths, real = [], exact._eval_raw
+        monkeypatch.setattr(exact, "_eval_raw", lambda e, w, m: widths.append(w.bits) or real(e, w, m))
+        code, out, err = run(capsys, "eval", expr)
+        assert (code, err) == (0, "") and set(widths) == {544, 1056}
+        value, radius = (line.split()[-1] for line in out.splitlines())
+        assert radius == f"1e{rexp:+d}"
+        with mp.workdps(400):
+            a = mp.mpf(10) ** -300
+            ref = mp.agm(a, 1) if expr.startswith("agm") else mp.hyp2f1(0.5, 0.5, 1, a)
+            assert abs(mp.mpf(value) - ref) <= 2 * mp.mpf(10) ** rexp
+
     def test_parse_error_position(self, capsys):
         code, _, err = run(capsys, "eval", "2 +* 3")
         assert code == 2 and "position 3" in err
@@ -585,6 +603,11 @@ OUTCOME_CASES = [
     (["eval", "(" * 300 + "1" + ")" * 300], 2, "parse error: expression nested deeper"),
     (["eval", "9^9^9"], 2, "size error: "),
     (["eval", "gamma(5/2)"], 2, "domain error: "),
+    (["eval", "agm(0, 1)"], 2, "domain error: "),
+    (["eval", "agm(-1, 1)"], 2, "domain error: "),
+    (["eval", "hyp(1)"], 2, "domain error: "),
+    (["eval", "agm(pi - pi, 1)", "--prec", "64"], 1, "undecided at 512 bits: "),
+    (["eval", "hyp(1 + (pi - pi))", "--prec", "64"], 1, "undecided at 512 bits: "),
     (["eval", "phi(1.5)"], 2, "domain error: "),
     (["eval", "(pi - 4)^(1/2)"], 2, "domain error: "),
     (["eval", "(2 - pi)^(1/3)"], 2, "domain error: "),

@@ -18,6 +18,7 @@ from thetaval.errors import (
     BothRootsMatch,
     DivisorStraddlesZero,
     DomainError,
+    EnclosureReachesBoundary,
     NegativeBaseEvenRoot,
     PowerTooLarge,
     Undecided,
@@ -167,6 +168,84 @@ def _exp_case(kind, v, bits):
     return x, F(int(ref.man)) * F(2) ** int(ref.exp)
 
 
+# ---------------------------------------------------------------------------
+# the replaced routes of cos/sin and agm, kept as oracles: the series kernel
+# over any a(k), cos and sin summing one series at the argument reduced with
+# Ball operations, and the Ball AGM (exp's is `_exp_ball_squaring` below)
+
+
+def series_units_oracle(x: int, f: int, a) -> tuple[int, int]:
+    """(S, err) with |S - 2^f sum_{i>=0} X^i / prod_{k<=i} a(k)| <= err for
+    X = x 2^-f, |X| <= 1 and integers a(k) >= k, by rectangular splitting
+    (the term ratio is at most 1/2 for |X| < 2^-k, so N terms leave a tail
+    below 2^(1-kN) / prod a(k) <= 2^-f; see `precision._series_units`)."""
+    k = f - abs(x).bit_length()
+    n, big_a = 1, a(1)
+    while k * n + big_a.bit_length() < f + 2:
+        n += 1
+        big_a *= a(n)
+    m = max(2, math.isqrt(n))
+    pw = [1 << f, x]
+    for _ in range(m - 1):
+        pw.append((pw[-1] * x) >> f)
+    acc = err = 0
+    for j in range(-(-n // m) - 1, -1, -1):
+        c, t, slack = 1, 0, 0
+        for r in range(m - 1, -1, -1):
+            c *= a(j * m + r + 1)
+            t += c * pw[r]
+            slack += c * max(r - 1, 0)
+        acc = (t + ((pw[m] * acc) >> f)) // c
+        err = -(-(slack + err + 3 * m + 2) // c) + 1
+    return acc, err + 1
+
+
+def trig_series_oracle(s: Ball, odd: bool) -> Ball:
+    """sin s if odd else cos s for sup|s| <= 0.9, as s^odd K(-s^2): flooring
+    -s^2 (K' < 1) and the product by s cost a unit each; the radius enters by
+    |sin'| <= 1 and |cos'| <= sup|s| on the ball."""
+    f = s.f
+    v, err = series_units_oracle(-((s.m * s.m) >> f), f, lambda k: (2 * k - 1 + odd) * (2 * k + odd))
+    if odd:
+        return Ball((s.m * v) >> f, err + 2 + s.r, f)
+    return Ball(v, err + 1 + -(-(s.r * s.sup_units()) >> f), f)
+
+
+def trig_oracle(x: Ball, ctx, odd: bool) -> Ball:
+    """cos x (odd False) or sin x, reduced by Ball operations with pi at
+    f + 64 + the bits of |x| into x = k pi/2 + s, sup|s| <= 0.9."""
+    f = ctx.bits if ctx is not None else x.f
+    fw = f + 64 + ((abs(x.m) + x.r) >> x.f).bit_length()
+    xw = x.rescale(fw)
+    halfpi = precision._pi_ball(fw).half()
+    k = precision._round_div(2 * xw.m, halfpi.m)[0]
+    for _ in range(4):
+        s = xw - halfpi * k
+        if 10 * (abs(s.m) + s.r) <= 9 << s.f:
+            break
+        k += 1 if s.m > 0 else -1
+    else:
+        raise DomainError("trigonometric argument reduction failed")
+    k %= 4
+    v = trig_series_oracle(s, odd=(k % 2 == 1) != odd)
+    flip = k in (1, 2) if not odd else k >= 2
+    return (-v if flip else v).rescale(f)
+
+
+def agm_oracle(a: Ball, b: Ball, ctx) -> Ball:
+    """The AGM by Ball operations at the working scale: a sum, a halving, a
+    product and a `sqrt` per step, the hull of the last pair."""
+    fw = ctx.work().bits
+    x, y = a.rescale(fw), b.rescale(fw)
+    if not (x.is_strictly_positive() and y.is_strictly_positive()):
+        raise DomainError("agm requires strictly positive enclosures")
+    for _ in range(4 * fw.bit_length() + 64):
+        x, y = (x + y).half().rescale(fw), sqrt(x * y).rescale(fw)
+        if abs(x.m - y.m) <= x.r + y.r + 4:
+            return Ball.hull(x, y).rescale(ctx.bits)
+    raise DomainError("agm iteration failed to converge")
+
+
 @pytest.mark.parametrize("bits", [64, 512, 2048, 4128, 8192])
 @pytest.mark.parametrize("kind,v", EXP_ARGS, ids=str)
 def test_exp_contains_mpmath_value(kind, v, bits):
@@ -185,7 +264,7 @@ def _exp_ball_squaring(x, ctx):
     fw = f + 48
     xw = x.rescale(fw)
     j = ((abs(xw.m) + xw.r) >> fw).bit_length() + max(8, precision._iroot(4 * fw, 3))
-    v, err = precision._series_units(xw.m, fw + j, lambda k: k)
+    v, err = series_units_oracle(xw.m, fw + j, lambda k: k)
     lip = xw.r + precision._ceil_div(2 * xw.r * xw.sup_units(), 1 << (fw + j))
     y = Ball(v, err + lip, fw + j)
     for _ in range(j):
@@ -236,12 +315,12 @@ def test_cos_sin_contain_mpmath_value(v, fn, bits):
 @pytest.mark.parametrize("odd", [False, True], ids=["cos", "sin"])
 @pytest.mark.parametrize("v", [F(9, 10) - F(1, 2**40), F(-9, 10) + F(1, 10**30)], ids=["0.9-2^-40", "-0.9+1e-30"])
 def test_trig_series_at_its_widest_argument(v, odd, bits):
-    # sup|s| <= 0.9 is the kernel's contract; the reduction alone stays below pi/4
+    # sup|s| <= 0.9 is the oracle kernel's contract; its reduction stays below pi/4
     import mpmath as mp
 
     with mp.workprec(bits + 64):
         ref = mp_exact((mp.sin if odd else mp.cos)(mp.mpf(v.numerator) / v.denominator))
-    val = precision._trig_series(Ball.from_fraction(v, bits), odd)
+    val = trig_series_oracle(Ball.from_fraction(v, bits), odd)
     assert val.contains(ref)
     assert val.rad <= F(2) ** (8 - bits)
 
@@ -279,7 +358,7 @@ def test_series_units_error_count_holds(kind, f):
         top = (81 << f) // 100
         xs = [0, -top] + [-rng.randint(0, top) for _ in range(8)]
     for x in xs:
-        units, err = precision._series_units(x, f, SERIES_A[kind])
+        units, err = series_units_oracle(x, f, SERIES_A[kind])
         with mp.workprec(f + 80):
             ref = series_sum(kind, mp.mpf(x) / mp.mpf(2) ** f) * mp.mpf(2) ** f
             assert abs(units - ref) <= err <= 16
@@ -337,6 +416,157 @@ def test_cos_certified_for_large_arguments():
         ref = F(str(mp.nstr(mp.cos(arg), 30, strip_zeros=False)))
         assert abs(val.mid - ref) < F(1, 10**28)
         assert val.rad < F(1, 10**70)
+
+
+# exp, cos, sin and agm at the widths of their micro-table, against mpmath
+# and the moved oracles, for inputs of radius 0 and of radius > 0
+ELEM_BITS = [544, 2080, 4128, 8240]
+ELEM_ARGS = {
+    "0": F(0), "2^-1000": F(1, 2**1000), "-2^-100": -F(1, 2**100), "2^-10": F(1, 2**10),
+    "1/3": F(1, 3), "-123/7": F(-123, 7), "5": F(5), "-300": F(-300),
+}
+for k in range(1, 5):  # within 2^-50 of k pi/2
+    near = F(round(k * F(PI_50) / 2 * 2**160), 2**160)
+    ELEM_ARGS[f"{k}pi/2-2^-50"], ELEM_ARGS[f"{k}pi/2+2^-50"] = near - F(1, 2**50), near + F(1, 2**50)
+TRIG_ONLY_ARGS = {"1e6": F(10**6), "-987654.321": F(-987654321, 1000)}
+ELEM_CASES = [(fn, name, v) for fn in ("exp", "cos", "sin") for name, v in ELEM_ARGS.items()]
+ELEM_CASES += [(fn, name, v) for fn in ("cos", "sin") for name, v in TRIG_ONLY_ARGS.items()]
+ELEM_ORACLES = {
+    "exp": _exp_ball_squaring,
+    "cos": lambda x, ctx: trig_oracle(x, ctx, False),
+    "sin": lambda x, ctx: trig_oracle(x, ctx, True),
+}
+
+
+def _as_tight_as(val: Ball, old: Ball) -> bool:
+    """val's radius at most old's, give or take one unit and 2^-40 of it."""
+    return val.f == old.f and val.r <= old.r + (old.r >> 40) + 1
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["radius0", "radius>0"])
+@pytest.mark.parametrize("bits", ELEM_BITS)
+@pytest.mark.parametrize("fn,name,v", ELEM_CASES, ids=[f"{fn}-{name}" for fn, name, _ in ELEM_CASES])
+def test_elementary_functions_against_mpmath_and_the_oracle(fn, name, v, bits, wide):
+    import mpmath as mp
+
+    g = bits + 64
+    x = Ball(round(v * 2**g), 1 << (g - bits // 2) if wide else 0, g)
+    val = {"exp": exp, "cos": cos, "sin": sin}[fn](x, PrecCtx(bits))
+    points = (x.lower, x.mid, x.upper) if wide else (x.mid,)
+    with mp.workprec(g + 64):
+        refs = [mp_exact(getattr(mp, fn)(mp.mpf(p.numerator) / p.denominator)) for p in points]
+    assert all(val.contains(ref) for ref in refs)
+    size = max(1, *(abs(ref) for ref in refs))
+    assert val.rad <= (2 * x.rad + F(2) ** (8 - bits)) * size
+    old = ELEM_ORACLES[fn](x, PrecCtx(bits))
+    assert val.overlaps(old) and _as_tight_as(val, old)
+
+
+# (a, b) with a/b from 2^-1000 to 2^1000; a = 2^-1000 lies below 544 bits
+AGM_PAIRS = {
+    "1,2": (F(1), F(2)), "1.234,4.321": (F(1234, 1000), F(4321, 1000)), "3,3": (F(3), F(3)),
+    "1e-30,7": (F(1, 10**30), F(7)), "1,2^1000": (F(1), F(2**1000)), "2^-1000,1": (F(1, 2**1000), F(1)),
+}
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["radius0", "radius>0"])
+@pytest.mark.parametrize("bits", ELEM_BITS)
+@pytest.mark.parametrize("pair", list(AGM_PAIRS))
+def test_agm_against_mpmath_and_the_oracle(pair, bits, wide):
+    import mpmath as mp
+
+    (a, b), g = AGM_PAIRS[pair], bits + 64 + 1024 * (pair == "2^-1000,1")
+    rad = 1 << (g - bits // 2) if wide else 0
+    x, y = Ball(round(a * 2**g), rad, g), Ball(round(b * 2**g), rad, g)
+    ctx = PrecCtx(bits)
+    if pair == "2^-1000,1" and bits < 1000:  # a rounds to 0 +- 1 at the working scale
+        with pytest.raises(EnclosureReachesBoundary):
+            agm(x, y, ctx)
+        return
+    val, old = agm(x, y, ctx), agm_oracle(x, y, ctx)
+    with mp.workprec(2 * g + 64):  # agm is increasing in both arguments
+        ends = [mp_exact(mp.agm(mp.mpf(p.numerator) / p.denominator, mp.mpf(q.numerator) / q.denominator))
+                for p, q in ((x.lower, y.lower), (x.upper, y.upper))]
+    assert all(val.contains(e) for e in ends)
+    assert val.overlaps(old) and _as_tight_as(val, old)
+
+
+@given(
+    ea=st.integers(-200, 200),
+    eb=st.integers(-200, 200),
+    ra=st.integers(0, 80),
+    rb=st.integers(0, 80),
+    bits=st.sampled_from([64, 256, 544]),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_integer_agm_bound_encloses_the_ball_oracle_result(ea, eb, ra, rb, bits, seed):
+    # a = ma 2^-g near 2^ea, b near 2^eb, with radii of up to 2^80 units:
+    # the integer bound holds the agm of both corners, which the oracle holds
+    import mpmath as mp
+
+    rng, g = random.Random(seed), bits + 32
+    balls = []
+    for e, r in ((ea, ra), (eb, rb)):
+        m = rng.getrandbits(max(g + e, 100)) | 1 << max(g + e, 100)
+        balls.append(Ball(m, rng.getrandbits(r) if r else 0, g))
+    ctx = PrecCtx(bits)
+    val = agm(*balls, ctx)
+    try:
+        old = agm_oracle(*balls, ctx)
+    except DomainError:  # its floored product of two tiny values reaches 0
+        old = None
+    with mp.workprec(2 * g + 500):
+        for p, q in ((balls[0].lower, balls[1].lower), (balls[0].upper, balls[1].upper)):
+            ref = mp_exact(mp.agm(mp.mpf(p.numerator) / p.denominator, mp.mpf(q.numerator) / q.denominator))
+            assert val.contains(ref) and (old is None or old.contains(ref))
+    assert old is None or (val.overlaps(old) and _as_tight_as(val, old))
+
+
+def test_agm_refuses_by_what_more_bits_can_decide():
+    # an exact value at or below 0, or an enclosure strictly below it, is a
+    # plain DomainError; an enclosure of positive radius reaching 0 may be
+    # decided at more bits
+    one = Ball.one(256)
+    for bad in (Ball(0, 0, 256), Ball(-1 << 256, 0, 256), Ball(-1 << 256, 5, 256)):
+        with pytest.raises(DomainError) as exc:
+            agm(bad, one, CTX)
+        assert not isinstance(exc.value, Undecided)
+    for straddle in (Ball(0, 1, 256), Ball(3, 3, 256), Ball(-2, 3, 256)):
+        with pytest.raises(EnclosureReachesBoundary):
+            agm(one, straddle, CTX)
+
+
+def test_series_kernel_error_count_holds():
+    # the odd series sinh(t)/t at X = t^2 and sin(t)/t at X = -t^2, |X| <= 1
+    import mpmath as mp
+
+    for f in (64, 512, 2048, 4096):
+        rng = random.Random(f)
+        xs = [0, 1 << f, -(1 << f)] + [rng.randint(-(1 << f), 1 << f) for _ in range(8)]
+        xs += [rng.randint(-(1 << (f - 16)), 1 << (f - 16)) for _ in range(4)]
+        for x in xs:
+            units, err = precision._series_units(x, f)
+            with mp.workprec(f + 80):
+                t = mp.sqrt(abs(mp.mpf(x))) / mp.mpf(2) ** (f / 2)
+                ref = 1 if x == 0 else (mp.sinh(t) if x > 0 else mp.sin(t)) / t
+                assert abs(units - ref * mp.mpf(2) ** f) <= err <= 16
+
+
+@pytest.mark.parametrize("bits", [64, 512, 2048, 4096, 8192])
+@pytest.mark.parametrize("sign", [1, -1], ids=["sinh-cosh", "sin-cos"])
+@pytest.mark.parametrize("y", [F(1, 2), F(-1, 2) + F(1, 10**30), F(1, 2**200)], ids=["1/2", "-1/2+1e-30", "2^-200"])
+def test_odd_even_at_its_widest_argument(y, sign, bits):
+    # |Y| <= 1/2 is the contract: both values within the one count e
+    import mpmath as mp
+
+    units = round(y * 2**bits)
+    s, c, e = precision._odd_even(units, bits, sign)
+    with mp.workprec(bits + 64):
+        t = mp.mpf(units) / mp.mpf(2) ** bits
+        refs = (mp.sinh(t), mp.cosh(t)) if sign == 1 else (mp.sin(t), mp.cos(t))
+        assert all(abs(v - ref * mp.mpf(2) ** bits) <= e for v, ref in zip((s, c), refs))
+    assert e <= 16
 
 
 def test_const_pi_digits_and_tightness():
@@ -830,8 +1060,14 @@ def test_nth_root_takes_one_root(monkeypatch, k):
 
 
 def test_cos_takes_about_two_sqrt_n_products(monkeypatch):
-    # the 4161-bit series in -s^2 for s = 0.78 has about 280 terms, so
-    # rectangular splitting needs about 2 sqrt(280) ~ 34 full-width products
+    # cos(0.78) at 4096 bits halves s = 0.78 eight times into 2^-8 and sums
+    # the 4128-bit series in -y^2, |y^2| < 2^-16, of n = 141 terms, so
+    # rectangular splitting needs about 2 sqrt(n) full-width products, and
+    # each of the eight doublings back two more
+    g, n, fact = 4096 + 16 + 16, 1, 6
+    while 16 * n + fact.bit_length() < g + 2:
+        n += 1
+        fact *= 2 * n * (2 * n + 1)
     calls = []
     mul_shift, ball_mul = getattr(precision, "_mul_shift", None), Ball.__mul__
 
@@ -848,7 +1084,7 @@ def test_cos_takes_about_two_sqrt_n_products(monkeypatch):
     monkeypatch.setattr(precision, "_mul_shift", counted_mul_shift, raising=False)
     val = cos(Ball.from_fraction(F(78, 100), 4160), PrecCtx(4096))
     assert val.rad <= F(2) ** (8 - 4096)
-    assert 0 < len(calls) <= 2 * math.isqrt(280) + 4
+    assert 0 < len(calls) <= 2 * math.isqrt(n) + 2 * 8 + 4
 
 
 def gamma_bsplit_oracle(n: int, a: int, b: int, lo: int, hi: int) -> tuple[int, int, int]:

@@ -157,6 +157,20 @@ def test_dual_rows_agree_with_direct_series(bits):
                 assert val.r <= 2 * ref.r + 4, (r, sign, name, val.r, ref.r)
 
 
+def test_the_dual_nome_takes_its_own_exp(monkeypatch):
+    # B = q_(1/(576 r)) for r = 7/10^6 is q_(15625/63), of the class r0 = 1/63:
+    # its own exp, not the 125th power of a class base that no other nome uses
+    bases, powers = [], []
+    real_base, real_exp = qseries._nome_base, qseries._nome_exp
+    monkeypatch.setattr(qseries, "_nome_base", lambda r0, fw: bases.append(r0) or real_base(r0, fw))
+    monkeypatch.setattr(qseries, "_nome_exp", lambda r, f: powers.append(r) or real_exp(r, f))
+    r = F(7, 10**6)
+    assert qseries._nome_class(1 / (576 * r)) == (125, F(1, 63))
+    val = qseries._dual_value("phi", QPoint(1, r), PrecCtx(2048))
+    assert bases == [1 / (576 * r)] and powers == []
+    assert val.overlaps(phi_series(QPoint(1, r), PrecCtx(2048)))
+
+
 def test_nome_near_one_takes_the_dual_route(monkeypatch):
     # phi(q_(1/1000)) at 2048 bits sums about 120 terms directly and 4 at
     # the dual nome q_1000
