@@ -830,7 +830,7 @@ def agm(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
     B <- isqrt(A B), eb <- ceil((A eb + B ea + ea eb) / (2 L)) + 1, as both
     sqrt(ab) and sqrt(AB) are at least sqrt(lo_a lo_b) >= L (lo = A - ea,
     B - eb; L a root of their top bits).  The agm lies in [b', a'], a' - b' <=
-    (a - b)^2 / (8 lo): once that is 4 units B' is not taken; wider errors end
+    (a - b)^2 / (8 lo): once that is <= 4 units B' is not taken; wider errors end
     in the hull of A and B once, after a step, they agree within ea + eb + 4.
     """
     fw = ctx.work().bits
