@@ -17,12 +17,11 @@ class DivisorStraddlesZero(DomainError, Undecided):
     """Division by a ball whose enclosure contains zero."""
 
 
-class NegativeBaseEvenRoot(DomainError, Undecided):
-    """Fractional power of a ball whose radius reaches 0: more bits may decide it."""
-
-
 class EnclosureReachesBoundary(DomainError, Undecided):
     """A ball reaching a domain's edge only by its radius: more bits may decide it."""
+
+
+NegativeBaseEvenRoot = EnclosureReachesBoundary  # its name for a fractional power's base
 
 
 class PowerTooLarge(DomainError):

@@ -24,11 +24,11 @@ from .errors import (
     DivisorStraddlesZero,
     DomainError,
     EnclosureReachesBoundary,
-    NegativeBaseEvenRoot,
     PowerTooLarge,
     Undecided,
     UnsupportedArgument,
 )
+from .record import Record
 
 __all__ = [
     "Record",
@@ -74,68 +74,6 @@ memo = functools.lru_cache(maxsize=CACHE_ENTRIES)
 # above it, and rounds once to ctx.bits; a WorkCtx's work() is itself, so a
 # call tree carries the guard once.  Kernel-local guards (exp, trig, pi) stay.
 GUARD_BITS = 32
-
-
-_set_field = object.__setattr__
-
-
-class Record:
-    """An immutable value whose fields are its classes' `__slots__`.
-
-    Two records are equal when they are of one class with equal fields.  The
-    hash is computed on first use and kept, so a tree of records hashes in
-    O(1) however often it keys a memo; pickling rebuilds a record from its
-    field values, so a kept hash never crosses into another process.  A
-    subclass that validates or normalises its fields, or has defaults,
-    defines `__init__` and passes the final values to `Record.__init__`.
-    """
-
-    __slots__ = ("_hash",)
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls):
-        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
-
-    def __init__(self, *values, **named):
-        fields = self._fields
-        if named:
-            try:
-                values += tuple(named.pop(name) for name in fields[len(values) :])
-            except KeyError as exc:
-                raise TypeError(f"{type(self).__name__} needs the field {exc}") from None
-        if named or len(values) != len(fields):
-            raise TypeError(f"{type(self).__name__} takes exactly the fields {fields}")
-        for name, value in zip(fields, values):
-            _set_field(self, name, value)
-        _set_field(self, "_hash", None)
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._values() == other._values()
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.__class__, *self._values()))
-            _set_field(self, "_hash", h)
-        return h
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
-
-    def __reduce__(self):
-        return self.__class__, self._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
 
 
 class PrecCtx(Record):
@@ -491,11 +429,12 @@ class Ball:
 # powers and roots
 
 
-def _refuse_nonpositive(x: Ball, message: str, undecided=EnclosureReachesBoundary) -> None:
-    """Refuse a ball that is not strictly positive: if exact or below 0, as a
-    `DomainError`, which no precision decides, else as the `Undecided` given."""
+def _refuse_nonpositive(x: Ball, message: str) -> None:
+    """Refuse a ball that is not strictly positive: if exact or below 0 as a
+    `DomainError`, which no precision decides, else as an `Undecided` one."""
     if not x.is_strictly_positive():
-        raise (DomainError if x.r == 0 or x.is_strictly_negative() else undecided)(message)
+        decided = x.r == 0 or x.is_strictly_negative()
+        raise (DomainError if decided else EnclosureReachesBoundary)(message)
 
 
 def check_power_size(exponent, log2_base: float, f: int) -> None:
@@ -593,7 +532,7 @@ def pow_rational(x: Ball, e, ctx: PrecCtx | None = None) -> Ball:
     num, den = e.numerator, e.denominator
     if den == 1:
         return ipow(x, num, bits).rescale(f)
-    _refuse_nonpositive(x, "fractional powers are defined for strictly positive bases only", NegativeBaseEvenRoot)
+    _refuse_nonpositive(x, "fractional powers are defined for strictly positive bases only")
     fw = f + GUARD_BITS + abs(num).bit_length() + den.bit_length()
     if den > 64:
         lg = max(abs(math.log2(x.m + s * x.r) - x.f) for s in (-1, 1))
@@ -780,30 +719,34 @@ def log(x: Ball, ctx: PrecCtx | None = None) -> Ball:
 
 
 def _cos_sin(x: Ball, f: int) -> tuple[Ball, Ball]:
-    """(cos x, sin x) at scale f, each rounded once.
-
-    x = k pi/2 + s on integers, pi at one scale per 64 bits of |x|: |s| <=
-    pi/4 + 2^-80, off by e_in units (|k| pi's error, x's radius, a floor).  s is
-    halved j <= 8 times into 2^-8, sin, cos taken at g = f + 16 + 2j and doubled
-    back by cos 2y = 2cos^2 y - 1, sin 2y = 2 sin y cos y, off by below 4E and
-    2 sqrt(2) E + 6E^2 2^-g + 1 for both off by E: E <- 4E + 3 while E^2 <=
-    2^g / 3.  e_in enters last, by |cos'| = |sin|, |sin'| = |cos| on the segment.
-    """
+    """(cos x, sin x) at scale f, each rounded once.  x = k pi/2 + s on integers,
+    pi at one scale per 64 bits of |x|: |s| <= pi/4 + 2^-80, off by e_in units
+    (|k| pi's error, x's radius, a floor).  s is halved j times into |y| < 2^-t,
+    t = bits(f + 16), sin y, cos y taken at g = f + 16 + j, plus t + 3 if j > 0,
+    and cos doubled back by cos 2y = 2cos^2 y - 1, off by 4E + 3 for cos off by
+    E while E^2 <= 2^g; then sin s = sqrt(1 - cos^2 s) by one root is off by
+    E(2|cos| + E)/sin|s| + 1 <= 2^(t+3-j) E + 1, as |s| >= 2^(j-t-1).  e_in
+    enters last, by |cos'| = |sin|, |sin'| = |cos|."""
     p = f + 128 + 64 * ((x.sup_units() >> x.f).bit_length() // 64)
     pi, pi_err = _pi_units(p)  # pi/2 at the scale p + 1
     xr = x.rescale(p + 1)
     k = (2 * xr.m + pi) // (2 * pi)
     s = xr.m - k * pi
-    j = max(0, abs(s).bit_length() - p + 7)  # |s| 2^-j <= 2^-8: each doubling is two products
-    h, g = f + 16 + j, f + 16 + 2 * j
+    t = (f + 16).bit_length()
+    j = max(0, abs(s).bit_length() - p - 1 + t)
+    h = f + 16 + (j and t + 3)
+    g = h + j
     e_in = (_ceil_shift(abs(k) * pi_err + xr.r, p + 1 - h) + 1) << j  # units at g
-    sv, cv, e = _odd_even(s >> (p + 1 - h), g, -1)
-    one = 1 << g
-    for _ in range(j):
-        sv, cv = _mul_shift(sv, cv, g - 1), _mul_shift(cv, cv, g - 1) - one
-    err = (e + 1) << 2 * j  # E + 1 grows at most 4^j times
-    es = err + _ceil_shift(e_in * min(abs(cv) + err + e_in, one), g)
-    ec = err + _ceil_shift(e_in * min(abs(sv) + err + e_in, one), g)
+    sv, cv, ec = _odd_even(s >> (p + 1 - h), g, -1)
+    one, es = 1 << g, ec
+    if j:
+        for _ in range(j):  # one squaring each
+            cv = _mul_shift(cv, cv, g - 1) - one
+        ec = ((ec + 1) << 2 * j) - 1  # E + 1 grows at most 4^j times
+        sv = math.isqrt(max(0, (one << g) - cv * cv))  # the bound below holds at sv = 0 too
+        sv, es = (sv if s > 0 else -sv), _ceil_div(ec * (2 * abs(cv) + ec), max(sv, 1)) + 1
+    d_sin, d_cos = min(abs(cv) + ec + e_in, one), min(abs(sv) + es + e_in, one)  # |sin'|, |cos'|
+    es, ec = es + _ceil_shift(e_in * d_sin, g), ec + _ceil_shift(e_in * d_cos, g)
     if k & 1:  # cos(s + pi/2) = -sin s and sin(s + pi/2) = cos s
         cv, ec, sv, es = -sv, es, cv, ec
     sign = 1 - (k & 2)  # s + pi flips both
@@ -823,16 +766,13 @@ def sin(x: Ball, ctx: PrecCtx | None = None) -> Ball:
 
 
 def agm(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
-    """Arithmetic-geometric mean of two strictly positive enclosures.
-
-    On integer midpoints at fw = ctx.work().bits, as mpmath's `agm_fixed`, with
-    error units: A <- floor((A + B)/2), ea <- ceil((ea + eb + [A + B odd])/2),
-    B <- isqrt(A B), eb <- ceil((A eb + B ea + ea eb) / (2 L)) + 1, as both
-    sqrt(ab) and sqrt(AB) are at least sqrt(lo_a lo_b) >= L (lo = A - ea,
-    B - eb; L a root of their top bits).  The agm lies in [b', a'], a' - b' <=
-    (a - b)^2 / (8 lo): once that is <= 4 units B' is not taken; wider errors end
-    in the hull of A and B once, after a step, they agree within ea + eb + 4.
-    """
+    """Arithmetic-geometric mean of two strictly positive enclosures, on integer
+    midpoints at fw = ctx.work().bits with error units, as mpmath's `agm_fixed`:
+    A <- floor((A + B)/2), ea <- ceil((ea + eb + [A + B odd])/2), B <- isqrt(A B),
+    eb <- ceil((A eb + B ea + ea eb) / (2 L)) + 1, as sqrt(ab) and sqrt(AB) are
+    at least sqrt(lo_a lo_b) >= L (lo = A - ea, B - eb; L a root of their top
+    bits), and where B - eb falls below L, L is the lower end.  It ends in the
+    hull of A and B once, after a step, they agree within ea + eb + 4 units."""
     fw = ctx.work().bits
     x, y = a.rescale(fw), b.rescale(fw)
     for v in (x, y):
@@ -840,18 +780,16 @@ def agm(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
     big_a, ea, big_b, eb = x.m, x.r, y.m, y.r
     for _ in range(4 * fw.bit_length() + 64):
         lo_a, lo_b = big_a - ea, big_b - eb
-        if lo_a <= 0 or lo_b <= 0:
+        if lo_a <= 0:
             raise EnclosureReachesBoundary("agm iterates too wide to stay positive")
-        lo, gap = min(lo_a, lo_b), abs(big_a - big_b) + ea + eb
-        mean, e_mean = (big_a + big_b) >> 1, (ea + eb + ((big_a + big_b) & 1) + 1) >> 1
-        if 2 * gap.bit_length() <= lo.bit_length() + 7 and gap * gap <= lo << 5:
-            low, high = mean - e_mean - _ceil_div(gap * gap, lo << 3), mean + e_mean
-            return Ball((low + high) >> 1, high - ((low + high) >> 1), fw).rescale(ctx.bits)
-        k = max(0, lo.bit_length() - 128)  # L = isqrt(...) 2^k
-        root = math.isqrt((lo_a >> k) * (lo_b >> k))
-        eb = _ceil_div(_ceil_shift(big_a * eb + big_b * ea + ea * eb, k), 2 * root) + 1
-        big_a, ea, big_b = mean, e_mean, math.isqrt(big_a * big_b)
-        if abs(big_a - big_b) <= ea + eb + 4:  # errors too wide for the above
+        k = max(0, min(lo_a, lo_b).bit_length() - 128)
+        root = math.isqrt((lo_a >> k) * (lo_b >> k))  # L = root 2^k
+        e_root = _ceil_div(_ceil_shift(big_a * eb + big_b * ea + ea * eb, k), 2 * root) + 1
+        ea = (ea + eb + ((big_a + big_b) & 1) + 1) >> 1
+        big_a, big_b, eb, low = (big_a + big_b) >> 1, math.isqrt(big_a * big_b), e_root, root << k
+        if big_b - eb < low:
+            big_b, eb = (low + big_b + eb + 1) >> 1, (big_b + eb - low + 1) >> 1
+        if abs(big_a - big_b) <= ea + eb + 4:
             return Ball.hull(Ball(big_a, ea, fw), Ball(big_b, eb, fw)).rescale(ctx.bits)
     raise DomainError("agm iteration failed to converge")
 

@@ -1,0 +1,62 @@
+"""`Record`, the one immutable value type of the package."""
+
+_set_field = object.__setattr__
+
+
+class Record:
+    """An immutable value whose fields are its classes' `__slots__`.
+
+    Two records are equal when they are of one class with equal fields.  The
+    hash is computed on first use and kept, so a tree of records hashes in
+    O(1) however often it keys a memo; pickling rebuilds a record from its
+    field values, so a kept hash never crosses into another process.  A
+    subclass that validates or normalises its fields, or has defaults,
+    defines `__init__` and passes the final values to `Record.__init__`.
+    """
+
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:
+            try:
+                values += tuple(named.pop(name) for name in fields[len(values) :])
+            except KeyError as exc:
+                raise TypeError(f"{type(self).__name__} needs the field {exc}") from None
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes exactly the fields {fields}")
+        for name, value in zip(fields, values):
+            _set_field(self, name, value)
+        _set_field(self, "_hash", None)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.__class__, *self._values()))
+            _set_field(self, "_hash", h)
+        return h
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"

@@ -498,18 +498,21 @@ def test_agm_against_mpmath_and_the_oracle(pair, bits, wide):
     rb=st.integers(0, 80),
     bits=st.sampled_from([64, 256, 544]),
     seed=st.integers(0, 2**32),
+    wide=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_integer_agm_bound_encloses_the_ball_oracle_result(ea, eb, ra, rb, bits, seed):
-    # a = ma 2^-g near 2^ea, b near 2^eb, with radii of up to 2^80 units:
-    # the integer bound holds the agm of both corners, which the oracle holds
+def test_integer_agm_bound_encloses_the_ball_oracle_result(ea, eb, ra, rb, bits, seed, wide):
+    # a = ma 2^-g near 2^ea, b near 2^eb, with radii of up to 2^80 units, or
+    # (wide) of ma (1 - 2^-w) for w in 1..20: the integer bound holds the agm
+    # of both corners, which the oracle holds
     import mpmath as mp
 
     rng, g = random.Random(seed), bits + 32
     balls = []
-    for e, r in ((ea, ra), (eb, rb)):
+    for i, (e, r) in enumerate(((ea, ra), (eb, rb))):
         m = rng.getrandbits(max(g + e, 100)) | 1 << max(g + e, 100)
-        balls.append(Ball(m, rng.getrandbits(r) if r else 0, g))
+        r = m - (m >> rng.randint(1, 20)) if wide and i == 0 else rng.getrandbits(r) if r else 0
+        balls.append(Ball(m, r, g))
     ctx = PrecCtx(bits)
     val = agm(*balls, ctx)
     try:
@@ -521,6 +524,21 @@ def test_integer_agm_bound_encloses_the_ball_oracle_result(ea, eb, ra, rb, bits,
             ref = mp_exact(mp.agm(mp.mpf(p.numerator) / p.denominator, mp.mpf(q.numerator) / q.denominator))
             assert val.contains(ref) and (old is None or old.contains(ref))
     assert old is None or (val.overlaps(old) and _as_tight_as(val, old))
+
+
+def test_agm_root_keeps_its_certified_lower_end():
+    # a = 5 +- 4 and b = 2^20 (times 2^100 units): the first-order bound on
+    # sqrt(ab) is 2^20 4 / (2 sqrt(2^20)) = 2^11, past the root sqrt(5) 2^10,
+    # but sqrt(ab) >= sqrt(2^20) holds, so the agm stays decided
+    import mpmath as mp
+
+    g = 96
+    a, b = Ball(5 << 100, 4 << 100, g), Ball(1 << 120, 0, g)
+    val = agm(a, b, PrecCtx(64))
+    assert val.is_strictly_positive()
+    with mp.workprec(256):
+        for p in (a.lower, a.upper):
+            assert val.contains(mp_exact(mp.agm(mp.mpf(p.numerator) / p.denominator, 2**24)))
 
 
 def test_agm_refuses_by_what_more_bits_can_decide():
@@ -1060,14 +1078,9 @@ def test_nth_root_takes_one_root(monkeypatch, k):
 
 
 def test_cos_takes_about_two_sqrt_n_products(monkeypatch):
-    # cos(0.78) at 4096 bits halves s = 0.78 eight times into 2^-8 and sums
-    # the 4128-bit series in -y^2, |y^2| < 2^-16, of n = 141 terms, so
-    # rectangular splitting needs about 2 sqrt(n) full-width products, and
-    # each of the eight doublings back two more
-    g, n, fact = 4096 + 16 + 16, 1, 6
-    while 16 * n + fact.bit_length() < g + 2:
-        n += 1
-        fact *= 2 * n * (2 * n + 1)
+    # the 4161-bit series in -s^2 for s = 0.78 has about 280 terms, so
+    # rectangular splitting needs about 2 sqrt(280) ~ 34 full-width products;
+    # halving s and doubling cos back by squarings must not take more
     calls = []
     mul_shift, ball_mul = getattr(precision, "_mul_shift", None), Ball.__mul__
 
@@ -1084,7 +1097,7 @@ def test_cos_takes_about_two_sqrt_n_products(monkeypatch):
     monkeypatch.setattr(precision, "_mul_shift", counted_mul_shift, raising=False)
     val = cos(Ball.from_fraction(F(78, 100), 4160), PrecCtx(4096))
     assert val.rad <= F(2) ** (8 - 4096)
-    assert 0 < len(calls) <= 2 * math.isqrt(n) + 2 * 8 + 4
+    assert 0 < len(calls) <= 2 * math.isqrt(280) + 4
 
 
 def gamma_bsplit_oracle(n: int, a: int, b: int, lo: int, hi: int) -> tuple[int, int, int]:
