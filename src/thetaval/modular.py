@@ -13,9 +13,10 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, NotConvergent, PreconditionViolated
-from .precision import GUARD_BITS, Ball, PrecCtx, Record, WorkCtx, agm, exp, ipow, pow_rational
+from .precision import Ball, PrecCtx, Record, WorkCtx, agm, exp, ipow, pow_rational
 from .precision import _ceil_div, _cos_sin, _pi_ball, _refuse_nonpositive, sqrt
-from .qseries import QPoint, as_q_ball, nome_neg, nome_pow, phi, require_positive_nome
+from .qseries import QPoint, _Gauss, _term_limit, _theta_wings, as_q_ball, nome_neg
+from .qseries import nome_pow, phi, require_positive_nome
 
 __all__ = [
     "ModularTriple",
@@ -348,62 +349,29 @@ def yi_product_theorem(k, a, b, c, d, ctx: PrecCtx) -> Ball:
 # the JIMS series identity
 
 
-def _cmul(a: tuple[Ball, Ball], b: tuple[Ball, Ball]) -> tuple[Ball, Ball]:
-    """Product of two complex balls given as (re, im) pairs."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
 def jims_identity(x, ctx: PrecCtx) -> Ball:
     """Residual of
     1/2 + sum e^(-pi n^2 x) cos(pi n^2 sqrt(1-x^2))
       = (sqrt2 + sqrt(1+x)) / sqrt(1-x) * sum e^(-pi n^2 x) sin(...),
-    for x inside (0, 1).  The sums are Re and Im of sum_{n>=1} w^(n^2) with
-    the complex nome w = e^(-pi x) (cos t + i sin t), t = pi sqrt(1-x^2),
-    summed by w^(n^2) = w^((n-1)^2) w^(2n-1) from one `_cos_sin` call;
-    both tails are certified geometrically."""
-    f = ctx.bits
-    if isinstance(x, Ball):
-        x0, xf = x, x.to_float()
-        inside = 0.0 < xf < 1.0
-    else:  # read the exact x: rounded to f + GUARD_BITS, a tiny one is 0.0;
-        # below 1e-300 the clamped estimate is already far above the limit
-        x = Fraction(x)
-        x0, xf = as_q_ball(x, f + GUARD_BITS), max(float(x), 1e-300)
-        inside = 0 < x < 1
-    if not inside:
+    for x inside (0, 1).  The sums are Re and Im of sum_{n>=1} w^(n^2), w =
+    e^(-pi x) (cos t + i sin t), t = pi sqrt(1-x^2): 1 plus them is the theta
+    kernel's disc wing (1, w, w^2); a small x needs about ln 3/(2 pi x) terms."""
+    fw = ctx.work().bits
+    x_in = x.to_float() if isinstance(x, Ball) else Fraction(x)  # a tiny exact x may round to 0
+    if not 0 < x_in < 1:
         raise DomainError("jims_identity requires x inside (0, 1)")
-    count = int(math.sqrt((f + 48) * math.log(2) / (math.pi * xf))) + 2
-    fw = f + 64 + 2 * count.bit_length() + 4
-    limit = 8 * fw + 64  # the theta series' term limit
-    if count > limit:
-        raise NotConvergent(
-            f"jims series needs at least {count} terms, more than its limit of {limit}"
-        )
-    xb = x0.rescale(fw)
-    one = Ball.one(fw)
+    n, cap = int(math.log(3) / (2 * math.pi * max(float(x_in), 1e-300))), _term_limit(fw)
+    if n > cap:
+        raise NotConvergent(f"jims series needs at least {n} terms, more than its limit of {cap}")
+    xb, one = as_q_ball(x, fw), Ball.one(fw)
     if not (xb.is_strictly_positive() and (one - xb).is_strictly_positive()):
         raise DomainError("jims_identity requires x inside (0, 1)")
     pi = _pi_ball(fw)
     decay = exp(-(pi * xb))  # |w| = e^(-pi x)
-    angle = pi * sqrt(one - xb * xb)
-    w = tuple(decay * v for v in _cos_sin(angle, fw))
-    w2 = _cmul(w, w)
-    z = u = w  # w^(n^2), w^(2n-1)
-    sum_cos, sum_sin = w
-    for _ in range(count - 1):
-        u = _cmul(u, w2)
-        z = _cmul(z, u)
-        sum_cos, sum_sin = sum_cos + z[0], sum_sin + z[1]
-    # tail: |w|^(n^2) from n = N+1 on, falling by at least |w|^(2N+3) per step
-    tail_head = ipow(decay, (count + 1) ** 2)
-    ratio = ipow(decay, 2 * count + 3)
-    denom = one - ratio
-    if not denom.is_strictly_positive():
-        raise DomainError("jims tail bound failed")
-    tail = (tail_head / denom).sup_units() + 1
-    sum_cos = Ball(sum_cos.m, sum_cos.r + tail, fw)
-    sum_sin = Ball(sum_sin.m, sum_sin.r + tail, fw)
-    two = Ball.from_fraction(2, fw)
-    prefac = (sqrt(two) + sqrt(one + xb)) / sqrt(one - xb)
-    residual = (one.half() + sum_cos) - prefac * sum_sin
-    return residual.rescale(f)
+    re, im = (decay * v for v in _cos_sin(pi * sqrt(one - xb * xb), fw))
+    w = Ball(_Gauss(re.m, im.m), re.r + im.r, fw)
+    w2 = Ball((w.m * w.m) >> fw, ((2 * abs(w.m) + w.r) * w.r >> fw) + 2, fw)  # the kernel's rule
+    s, err, tail, _ = _theta_wings([(Ball(_Gauss(1 << fw, 0), 0, fw), w, w2)], fw)
+    prefac = (sqrt(Ball.from_fraction(2, fw)) + sqrt(one + xb)) / sqrt(one - xb)
+    residual = (Ball(s.real, err + tail, fw) - one.half()) - prefac * Ball(s.imag, err + tail, fw)
+    return residual.rescale(ctx.bits)

@@ -5,13 +5,13 @@ defining series: phi, psi and f(-q) sum O(sqrt(f/log(1/|q|))) terms, and
 chi(q) = phi(q)/f(q) with f(q) = f(-(-q)).  The infinite q-Pochhammer
 products (Berndt, Ramanujan's Notebooks III, Ch. 16 Entry 22), which need
 O(f/log(1/|q|)) factors, are kept as the independent oracle for the tests
-and for theta_f's Jacobi triple product.  All four series are 1 plus one or
-two wings sum_{k>=1} t_k with t_(k+1) = t_k rho_k and rho_(k+1) = rho_k c,
-summed by one kernel on plain integers with a counted rounding error.  Every
-truncation is covered by a proven tail bound folded into the output radius,
-never assumed from a heuristic term count.  A QPoint nome near 1 is taken to
-its dual nome by the Jacobi imaginary transformation (`_DUAL_ROWS`), where
-the same series need a few terms.
+and for theta_f's Jacobi triple product.  Each series is 1 plus one or two
+wings sum_{k>=1} t_k, t_(k+1) = t_k rho_k and rho_(k+1) = rho_k c, summed by
+one kernel on plain integers with a counted rounding error, which also sums
+the complex JIMS series as a wing of discs on Gaussian integers.  Every
+truncation is covered by a proven tail bound, never assumed from a term
+count.  A QPoint nome near 1 is taken to its dual nome by the Jacobi
+imaginary transformation (`_DUAL_ROWS`), where the series need a few terms.
 """
 
 from __future__ import annotations
@@ -258,7 +258,37 @@ def pochhammer_inf(a: Ball, q: Ball, ctx: PrecCtx) -> Ball:
 # the series: f(a, b), phi, psi and f(-q) share one integer kernel
 
 
-def _theta_wings(wings, f: int, min_terms: int = 0) -> tuple[int, int, int, int]:
+class _Gauss:
+    """A Gaussian integer, a disc's midpoint; an int operand, by .real and .imag, is one
+    too.  abs is |real| + |imag| <= sqrt2 |z|; >> rounds each part to nearest."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int):
+        self.real, self.imag = real, imag
+
+    def __add__(self, z):
+        return _Gauss(self.real + z.real, self.imag + z.imag)
+
+    def __mul__(self, z):
+        a, b, c, d = self.real, self.imag, z.real, z.imag
+        return _Gauss(a * c - b * d, a * d + b * c)
+
+    def __rshift__(self, k: int):
+        h = 1 << k >> 1
+        return _Gauss((self.real + h) >> k, (self.imag + h) >> k)
+
+    def __abs__(self) -> int:
+        return abs(self.real) + abs(self.imag)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _term_limit(f: int) -> int:
+    return 8 * f + 64  # the most terms `_theta_wings` sums in one wing at scale f
+
+
+def _theta_wings(wings, f: int, min_terms: int = 0):
     """(S, err, tail, n) for the sum over wings of sum_{k>=1} t_k at scale f.
 
     A wing (t1, rho1, c) of Balls at scale f with sup|c| < 1 has the terms
@@ -275,25 +305,26 @@ def _theta_wings(wings, f: int, min_terms: int = 0) -> tuple[int, int, int, int]
     n >= min_terms terms once sup|t_n| <= 2 and sup|rho_n| <= 1/2 (2^(g-1)
     units): |rho| keeps shrinking by sup|c|, so each dropped term is at most
     half the one before and the wing's tail is at most sup|t_n|.  `tail`
-    sums these bounds and n is the longest wing's term count.  A wing whose
-    terms share the sign of t1 < 0 is summed negated, so its floored terms
-    settle at 0 instead of -1.  The series pass no min_terms; the tests
-    raise it to check that summing further stays inside the ball.
+    sums these bounds and n is the longest wing's term count.  A wing of
+    discs (`_Gauss`) has the same rules on the modulus, and a _Gauss S.  A
+    real wing whose terms share the sign of t1 < 0 is summed negated, so its
+    floored terms settle at 0 instead of -1.  The series pass no min_terms;
+    the tests raise it to check that summing further stays inside the ball.
     """
-    one = 1 << f
+    one, limit = 1 << f, _term_limit(f)
     s = err = tail = n_max = 0
     for t1, rho1, c in wings:
         cm, ec = c.m, c.r
         ac = abs(cm)
         if ac + ec >= one:
             raise NotConvergent("theta series ratio must lie strictly below 1")
-        sign = -1 if t1.m < 0 <= min(rho1.m, cm) else 1
+        sign = -1 if isinstance(t1.m, int) and t1.m < 0 <= min(rho1.m, cm) else 1
         t, et, rho, er = sign * t1.m, t1.r, rho1.m, rho1.r
         at, arho = abs(t), abs(rho)
         acc, e, n, g = t, et, 1, f
         low = 1 << (g - 288) if g > 288 else 0  # |t| below it: drop to bits(t) + 32
         while at + et > 2 or 2 * (arho + er) > 1 << g or n < min_terms:
-            if n > 8 * f + 64:
+            if n > limit:
                 raise NotConvergent("theta series failed to reach its tail target")
             if at < low:
                 k = g - at.bit_length() - 32

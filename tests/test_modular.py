@@ -303,12 +303,52 @@ class TestJims:
         with pytest.raises(DomainError):
             jims_identity(bf(F(3, 2)), CTX)
 
-    @pytest.mark.parametrize("bits", [512, 2048])
+    @pytest.mark.parametrize("bits", [512, 2048, 8192])
     @pytest.mark.parametrize("x", [F(201, 10000), F(9499, 10000)])
     def test_residual_tight_at_grid_edges(self, x, bits):
         res = jims_identity(x, PrecCtx(bits))
         assert res.contains_zero()
         assert res.rad <= F(2) ** (8 - bits)
+
+    @staticmethod
+    def _kernel_sums(monkeypatch, x, bits):
+        """jims at x, and every `_theta_wings` result it saw, through a spy."""
+        real, sums = modular._theta_wings, []
+
+        def spy(wings, f, min_terms=0):
+            sums.append((real(wings, f, min_terms), f))
+            return sums[-1][0]
+
+        monkeypatch.setattr(modular, "_theta_wings", spy)
+        return jims_identity(x, PrecCtx(bits)), sums
+
+    @pytest.mark.parametrize("bits", [512, 2048, 8192])
+    @pytest.mark.parametrize("x", ["0.02", "0.05", "0.3", "0.9", "0.9499"])
+    def test_kernel_sum_matches_mpmath_jtheta(self, monkeypatch, x, bits):
+        # referee: (phi(w) - 1)/2 = sum_{n>=1} w^(n^2) by mpmath's jtheta(3, 0, w)
+        import mpmath as mp
+
+        _, [((s, err, tail, _), f)] = self._kernel_sums(monkeypatch, F(x), bits)
+        with mp.workprec(bits + 96):
+            xm = mp.mpf(F(x).numerator) / F(x).denominator
+            w = mp.exp(-mp.pi * xm) * mp.expjpi(mp.sqrt(1 - xm * xm))
+            ref = (mp.jtheta(3, 0, w) - 1) / 2 * mp.ldexp(1, f)
+            for got, want in ((s.real - (1 << f), ref.real), (s.imag, ref.imag)):
+                assert abs(got - want) <= err + tail, (x, bits, float(got - want), err + tail)
+        assert err + tail < 2**20  # a few units per term, not a loss of bits
+
+    def test_one_kernel_call_per_call(self, monkeypatch):
+        # the series is the theta kernel's: no loop of its own
+        res, sums = self._kernel_sums(monkeypatch, F(3, 10), 512)
+        assert len(sums) == 1 and res.contains_zero()
+
+    def test_refusal_reads_the_kernels_term_count(self):
+        # the kernel stops once |w|^(2n-1) < 1/3: at 512 bits x = 5e-5 takes
+        # about 3,500 of its 4,416 terms, and x = 3e-5 is refused before the loop
+        assert jims_identity(F(5, 10**5), PrecCtx(512)).contains_zero()
+        refusal = "^jims series needs at least 5828 terms, more than its limit of 4416$"
+        with pytest.raises(DomainError, match=refusal):
+            jims_identity(F(3, 10**5), PrecCtx(512))
 
     def test_one_cos_and_one_sin_per_call(self, monkeypatch):
         # both from one reduction and one series: a single `_cos_sin` call

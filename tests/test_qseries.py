@@ -296,15 +296,58 @@ def _mp_fraction(x) -> F:
     return int(mp.sign(x)) * F(int(x.man)) * F(2) ** int(x.exp)  # man is unsigned
 
 
+class _ExactC:
+    """An exact complex rational, the referee's value of a disc wing.  abs is
+    the modulus rounded up to a multiple of 2^-64, so a bound checked on it holds."""
+
+    def __init__(self, real, imag):
+        self.real, self.imag = F(real), F(imag)
+
+    def __add__(self, z):
+        return _ExactC(self.real + z.real, self.imag + z.imag)
+
+    __radd__ = __add__
+
+    def __sub__(self, z):
+        return _ExactC(self.real - z.real, self.imag - z.imag)
+
+    def __rsub__(self, z):
+        return _ExactC(z.real - self.real, z.imag - self.imag)
+
+    def __mul__(self, z):
+        a, b, c, d = self.real, self.imag, z.real, z.imag
+        return _ExactC(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __abs__(self):
+        norm = math.ceil((self.real**2 + self.imag**2) * 4**64)
+        root = math.isqrt(norm)
+        return F(root + (root * root < norm), 2**64)
+
+
+def _exact(s):
+    """A kernel sum as an exact value: a `_Gauss` as an `_ExactC`, an int as is."""
+    return _ExactC(s.real, s.imag) if isinstance(s, qseries._Gauss) else s
+
+
 def _wing_terms(t, rho, c, f):
-    """The terms of one wing with exact rational inputs, by mpmath at f + 80 bits."""
+    """The terms of one wing with exact rational inputs, by mpmath at f + 80 bits;
+    a disc wing's `_ExactC` inputs by mpmath's mpc."""
     import mpmath as mp
 
+    disc = isinstance(t, _ExactC)
     with mp.workprec(f + 80):
-        t, rho, c = (mp.mpf(v.numerator) / v.denominator for v in (t, rho, c))
+        if disc:
+            t, rho, c = (mp.mpc(*(mp.mpf(p.numerator) / p.denominator for p in (v.real, v.imag)))
+                         for v in (t, rho, c))
+        else:
+            t, rho, c = (mp.mpf(v.numerator) / v.denominator for v in (t, rho, c))
         terms = []
         while abs(t) > mp.ldexp(1, -(f + 90)) or abs(rho) > 0.5:
-            terms.append(_mp_fraction(t))
+            terms.append(
+                _ExactC(_mp_fraction(t.real), _mp_fraction(t.imag)) if disc else _mp_fraction(t)
+            )
             t, rho = t * rho, rho * c
         return terms
 
@@ -313,6 +356,22 @@ def _dyadic(rng, f, lo, hi):
     """An exact point ball at scale f, drawn uniformly from (lo, hi)."""
     m = rng.randrange(int(lo * 2**f) + 1, int(hi * 2**f))
     return Ball(m, 0, f), F(m, 2**f)
+
+
+def _gauss_dyadic(f, mod, turns):
+    """The exact disc of the Gaussian dyadic nearest mod e^(2 pi i turns) at scale f."""
+    import mpmath as mp
+
+    with mp.workprec(f + 16):
+        z = mp.mpf(F(mod).numerator) / F(mod).denominator * mp.expjpi(2 * mp.mpf(turns)) * 2**f
+        re, im = int(mp.nint(z.real)), int(mp.nint(z.imag))
+    return Ball(qseries._Gauss(re, im), 0, f), _ExactC(F(re, 2**f), F(im, 2**f))
+
+
+def _disc_wing(f, t, rho, c):
+    """(balls, exact values) of a disc wing, each given as (modulus, turns)."""
+    (tb, tv), (rb, rv), (cb, cv) = (_gauss_dyadic(f, *v) for v in (t, rho, c))
+    return (tb, rb, cb), (tv, rv, cv)
 
 
 def _power_wings(kind, qb, q):
@@ -367,6 +426,22 @@ def _wing_sets(kind, bits, rng):
         return sets + [_f_wings(F(24, 25), F(-19, 20), bits)]
     if kind == "large":  # |t1| > 1 and |rho1| > 1
         return [_f_wings(F(3, 2), F(1, 2), bits), _f_wings(F(-19, 10), F(2, 5), bits)]
+    if kind == "complex":  # disc wings, |re| + |im| of c below 1 as the kernel needs
+        turn = rng.random()
+        return [
+            [_disc_wing(bits, (rng.random(), turn), (rng.uniform(0.5, 1), turn / 2), (0.95, 1e-3))],
+            [_disc_wing(bits, (0.9, 0.3), (0.99, 0.1), (rng.uniform(0.9, 0.95), 0.499))],
+            # near +-pi/4, where |re| + |im| is furthest above the modulus
+            [_disc_wing(bits, (0.7, 1 / 8 + 1e-3), (0.7, -1 / 8), (0.7, 1 / 8 - 1e-3))],
+            [_disc_wing(bits, (0.5, 0.6), (0.7, -1 / 8 + 1e-3), (0.7, 3 / 8))],
+            # a term midpoint of exactly 0 after one product: the wing must stop
+            [_disc_wing(bits, (F(4, 2**bits), 0.3), (0.05, 0.2), (0.5, 0.7))],
+            # two wings in one set, the first of jims' shape (1, w, w^2)
+            [
+                _disc_wing(bits, (1, 0), (0.8, turn), (0.64, 2 * turn)),
+                _disc_wing(bits, (0.6, 0.9), (0.8, 0.45), (0.9, 2e-3)),
+            ],
+        ]
     # wide: nomes whose ball has radius 2^-(f/2), its midpoint off the exact value
     sets = []
     for name in ("phi", "psi", "f_neg"):
@@ -382,7 +457,9 @@ WING_KINDS = ["positive", "alternating", "large", "wide"]
 
 @pytest.mark.parametrize(
     "kind, bits",
-    [(k, b) for b in (64, 256, 1024, 4096) for k in WING_KINDS] + [("long", 4096), ("long", 8192)],
+    [(k, b) for b in (64, 256, 1024, 4096) for k in WING_KINDS]
+    + [("long", 4096), ("long", 8192)]
+    + [("complex", b) for b in (64, 256, 1024, 4096)],
 )
 def test_theta_wings_error_count_holds(kind, bits):
     # each wing alone: the kept terms are within err, the dropped ones within
@@ -409,7 +486,7 @@ def _theta_wings_full_width(wings, f):
     for t1, rho1, c in wings:
         cm, ec = c.m, c.r
         ac = abs(cm)
-        sign = -1 if t1.m < 0 <= min(rho1.m, cm) else 1
+        sign = -1 if isinstance(t1.m, int) and t1.m < 0 <= min(rho1.m, cm) else 1
         t, et, rho, er = sign * t1.m, t1.r, rho1.m, rho1.r
         acc, e, n = t, et, 1
         while abs(t) + et > 2 or 2 * (abs(rho) + er) > one:
@@ -427,7 +504,7 @@ def _theta_wings_full_width(wings, f):
 
 
 @pytest.mark.parametrize("bits", [64, 256, 1024, 4096, 8192])
-@pytest.mark.parametrize("kind", WING_KINDS + ["long"])
+@pytest.mark.parametrize("kind", WING_KINDS + ["long", "complex"])
 def test_falling_scale_costs_at_most_a_few_units(kind, bits):
     # flooring rho and c as the terms shrink keeps err + tail within a few
     # units of the full-width kernel's, and both enclose the same sum
@@ -436,8 +513,22 @@ def test_falling_scale_costs_at_most_a_few_units(kind, bits):
         balls = [b for b, _ in wings]
         s, err, tail, _ = qseries._theta_wings(balls, bits)
         rs, rerr, rtail, _ = _theta_wings_full_width(balls, bits)
+        s = _exact(s)  # a disc sum exactly, so that s - rs is a difference of values
         assert err + tail <= rerr + rtail + 4, (kind, bits, err + tail, rerr + rtail)
         assert abs(s - rs) <= err + tail + rerr + rtail, (kind, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(2**300), 2**300), st.integers(-(2**300), 2**300), st.integers(1, 400))
+def test_gauss_abs_and_shift_keep_the_kernel_rules(re, im, k):
+    # abs bounds the modulus from above, within sqrt2, and is 0 only at 0 (the
+    # stop rule needs it); >> puts each part within 1/2 unit of the exact shift
+    z = qseries._Gauss(re, im)
+    norm = re * re + im * im
+    assert norm <= abs(z) ** 2 <= 2 * norm
+    y = z >> k
+    assert abs((y.real << (k + 1)) - 2 * re) <= 1 << k
+    assert abs((y.imag << (k + 1)) - 2 * im) <= 1 << k
 
 
 class TestQPoint:
