@@ -36,7 +36,7 @@ from .exact import (
     ln7_rhs_from_terms,
     verify_identity,
 )
-from .precision import Ball, PrecCtx, Record, certify, ipow, pow_rational, sqrt
+from .precision import Ball, PrecCtx, Record, _refuse_nonpositive, certify, ipow, pow_rational, sqrt
 from .qseries import QPoint, as_q_ball, chi, nome_pow, phi, phi_series, q_power_ball, theta_f
 from .qseries import require_positive_nome
 
@@ -147,8 +147,7 @@ def solve_ratio4(p: Ball, q, ctx: PrecCtx) -> tuple[Ball, str]:
     disc = ipow(b, 2) - ipow(one - pw, 3) * 4
     if disc.m == 0 and disc.r == 0:
         return (b.half().rescale(ctx.bits), "double")
-    if not disc.is_strictly_positive():
-        raise DomainError("quadratic discriminant enclosure is not positive")
+    _refuse_nonpositive(disc, "quadratic discriminant enclosure is not positive")
     root = sqrt(disc)
     x_plus = ((b + root).half()).rescale(ctx.bits)
     x_minus = ((b - root).half()).rescale(ctx.bits)

@@ -136,19 +136,15 @@ def transform(t: ModularTriple, kind: str, ctx: PrecCtx) -> ModularTriple:
         q2 = q * q
         z2 = (z * (one + s)).half()
     elif kind == "dimidiation":
-        if not x.is_strictly_positive():
-            raise DomainError("dimidiation requires x > 0")
-        if not q.is_strictly_positive():
-            raise DomainError("dimidiation requires a positive nome")
+        _refuse_nonpositive(x, "dimidiation requires x > 0")
+        _refuse_nonpositive(q, "dimidiation requires a positive nome")
         s = sqrt(x)
         x2 = (s * 4) / ipow(one + s, 2)
         q2 = sqrt(q)
         z2 = z * (one + s)
     elif kind == "change_of_sign":
-        den = x - one
-        if not den.is_strictly_negative():
-            raise DomainError("change_of_sign requires x < 1")
-        x2 = x / den
+        _refuse_nonpositive(one - x, "change_of_sign requires x < 1")
+        x2 = x / (x - one)
         q2 = -q
         z2 = z * sqrt(one - x)
     else:
@@ -356,16 +352,18 @@ def jims_identity(x, ctx: PrecCtx) -> Ball:
     for x inside (0, 1).  The sums are Re and Im of sum_{n>=1} w^(n^2), w =
     e^(-pi x) (cos t + i sin t), t = pi sqrt(1-x^2): 1 plus them is the theta
     kernel's disc wing (1, w, w^2); a small x needs about ln 3/(2 pi x) terms."""
-    fw = ctx.work().bits
-    x_in = x.to_float() if isinstance(x, Ball) else Fraction(x)  # a tiny exact x may round to 0
-    if not 0 < x_in < 1:
-        raise DomainError("jims_identity requires x inside (0, 1)")
-    n, cap = int(math.log(3) / (2 * math.pi * max(float(x_in), 1e-300))), _term_limit(fw)
-    if n > cap:
-        raise NotConvergent(f"jims series needs at least {n} terms, more than its limit of {cap}")
+    fw, refusal = ctx.work().bits, "jims_identity requires x inside (0, 1)"
+    if not isinstance(x, Ball):  # an exact x is decided, and its terms counted, before rounding
+        if not 0 < x < 1:
+            raise DomainError(refusal)
+        n, cap = int(math.log(3) / (2 * math.pi * max(float(x), 1e-300))), _term_limit(fw)
+        if n > cap:
+            raise NotConvergent(
+                f"jims series needs at least {n} terms, more than its limit of {cap}"
+            )
     xb, one = as_q_ball(x, fw), Ball.one(fw)
-    if not (xb.is_strictly_positive() and (one - xb).is_strictly_positive()):
-        raise DomainError("jims_identity requires x inside (0, 1)")
+    for side in (xb, one - xb):  # an x rounding to, or a ball reaching, 0 or 1: more bits decide
+        _refuse_nonpositive(side, refusal)
     pi = _pi_ball(fw)
     decay = exp(-(pi * xb))  # |w| = e^(-pi x)
     re, im = (decay * v for v in _cos_sin(pi * sqrt(one - xb * xb), fw))

@@ -477,8 +477,7 @@ def ipow(x: Ball, k: int, bits: int | None = None) -> Ball:
 def sqrt(x: Ball, ctx: PrecCtx | None = None) -> Ball:
     f = ctx.bits if ctx is not None else x.f
     a = x.rescale(f)
-    if not a.is_strictly_positive():
-        raise DomainError("sqrt requires a strictly positive enclosure")
+    _refuse_nonpositive(a, "sqrt requires a strictly positive enclosure")
     s = math.isqrt(a.m << f)
     if a.r == 0:
         return Ball(s, 1, f)
@@ -513,8 +512,7 @@ def nth_root(x: Ball, n: int, ctx: PrecCtx | None = None) -> Ball:
     a = x.rescale(f)
     if a.is_strictly_negative() and n % 2 == 1:
         return -nth_root(-a, n)
-    if not a.is_strictly_positive():
-        raise DomainError("nth_root requires a strictly positive enclosure")
+    _refuse_nonpositive(a, "nth_root requires a strictly positive enclosure")
     s = _iroot(a.m << (f * (n - 1)), n)
     lo = a.m - a.r
     return Ball(s, _ceil_div(a.r * (s + 1), n * lo) + 1, f)
@@ -707,13 +705,12 @@ def log(x: Ball, ctx: PrecCtx | None = None) -> Ball:
     f = ctx.bits if ctx is not None else x.f
     fw = f + 48
     a = x.rescale(fw)
-    if not a.is_strictly_positive():
-        raise DomainError("log requires a strictly positive enclosure")
+    _refuse_nonpositive(a, "log requires a strictly positive enclosure")
     e = a.m.bit_length() - fw - 1  # x / 2^e lands in [1, 2)
     w = Ball(a.m, a.r, fw + e)
     u = (w - 1) / (w + 1)
     if 20 * (abs(u.m) + u.r) > 8 << u.f:  # sup|u| > 0.4: enclosure too wide
-        raise DomainError("log input enclosure is too wide")
+        raise Undecided("log input enclosure is too wide")
     ln_w = _atanh_series(u) * 2
     return (ln_w + _ln2_ball(fw) * e).rescale(f)
 

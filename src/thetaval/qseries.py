@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import DomainError, FactorNearZero, NotConvergent
 from .precision import GUARD_BITS, Ball, PrecCtx, WorkCtx, check_power_size, ipow, memo, nth_root
-from .precision import Record, _pi_ball, _round_div, exp, pow_rational, sqrt
+from .precision import Record, _pi_ball, _refuse_nonpositive, _round_div, exp, pow_rational, sqrt
 
 __all__ = [
     "QPoint",
@@ -171,15 +171,14 @@ def nome_neg(q):
 
 
 def require_positive_nome(q, what: str) -> None:
-    """Raise DomainError unless the nome q is known to lie in (0, 1)."""
-    if isinstance(q, QPoint):
-        inside = q.sign == 1
-    elif isinstance(q, Ball):
-        inside = q.is_strictly_positive() and q.mag_lt_one()
-    else:
-        inside = 0 < Fraction(q) < 1
-    if not inside:
-        raise DomainError(f"{what} requires a nome 0 < q < 1")
+    """Raise DomainError unless the nome q is known to lie in (0, 1); a ball
+    reaching 0 or 1 by its radius alone is `Undecided` (`_refuse_nonpositive`)."""
+    refusal = f"{what} requires a nome 0 < q < 1"
+    if isinstance(q, Ball):
+        for side in (q, 1 - q):
+            _refuse_nonpositive(side, refusal)
+    elif not (q.sign == 1 if isinstance(q, QPoint) else 0 < Fraction(q) < 1):
+        raise DomainError(refusal)
 
 
 def q_power_ball(q, k, f: int) -> Ball:
@@ -375,19 +374,20 @@ def theta_f(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
 
 
 def _theta_cached(kind: str, q, ctx: PrecCtx, compute) -> Ball:
-    """compute(q, ctx), memoized by `_theta_qpoint` on the working scale for a
-    QPoint nome, so a direct call and one inside a composite share an entry."""
-    if isinstance(q, QPoint):
-        return _theta_qpoint(kind, compute, q.sign, q.r, ctx.work().bits).rescale(ctx.bits)
+    """compute(q, ctx), memoized by `_theta_exact` on the working scale for an
+    exact nome (QPoint, Fraction or int), so a direct call and one inside a
+    composite share an entry; a Ball nome is computed every time."""
+    if isinstance(q, (QPoint, Fraction, int)):
+        return _theta_exact(kind, compute, q, ctx.work().bits).rescale(ctx.bits)
     return compute(q, ctx)
 
 
 @memo
-def _theta_qpoint(kind: str, compute, sign: int, r: Fraction, f: int) -> Ball:
-    """kind(q) = compute(q, ctx) at the QPoint q = sign q_r and the working
-    scale f; a nome near 1 goes through its dual nome instead (`_dual_value`)."""
-    q, ctx = QPoint(sign, r), WorkCtx(f)
-    if r < 1 and float(r) <= _DUAL_BELOW[kind] * ctx.requested**2:
+def _theta_exact(kind: str, compute, q, f: int) -> Ball:
+    """kind(q) = compute(q, ctx) at the exact nome q and the working scale f;
+    a QPoint nome near 1 goes through its dual nome instead (`_dual_value`)."""
+    ctx = WorkCtx(f)
+    if isinstance(q, QPoint) and q.r < 1 and float(q.r) <= _DUAL_BELOW[kind] * ctx.requested**2:
         return _dual_value(kind, q, ctx)
     return compute(q, ctx)
 

@@ -401,6 +401,25 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "deg3", "--grid", "1.5")
         assert code == 2 and "outside (0, 1)" in err
 
+    @pytest.mark.parametrize("grid,bits", [("1e-100", 2048), ("1e-200", 4096)])
+    def test_deg3_at_a_tiny_nome_escalates_past_a_root_of_0_plus_minus_units(
+        self, capsys, grid, bits
+    ):
+        # beta/alpha ~ q^2 rounds into 0 +- a few units below `bits`: undecided, not refused
+        code, out, _ = run(capsys, "sweep", "deg3", "--grid", grid)
+        entries = json.loads(out)["entries"]
+        assert code == 0 and len(entries) == 2
+        assert all(e["status"] == "pass" and e["prec_bits_used"] == bits for e in entries)
+
+    def test_deg3_at_a_tiny_nome_and_a_low_cap_is_undecided(self, capsys):
+        code, _, err = run(capsys, "sweep", "deg3", "--grid", "1e-40", "--prec", "64")
+        assert code == 1 and "domain error" not in err
+
+    def test_jims_at_an_x_rounding_to_1_escalates(self, capsys):
+        code, out, _ = run(capsys, "sweep", "jims", "--grid", "0." + "9" * 200)
+        (entry,) = json.loads(out)["entries"]
+        assert code == 0 and entry["status"] == "pass"
+
     def test_jims_default_grid(self, capsys):
         code, out, _ = run(capsys, "sweep", "jims", "--prec", "192")
         assert code == 0
@@ -608,6 +627,7 @@ OUTCOME_CASES = [
     (["eval", "hyp(1)"], 2, "domain error: "),
     (["eval", "agm(pi - pi, 1)", "--prec", "64"], 1, "undecided at 512 bits: "),
     (["eval", "hyp(1 + (pi - pi))", "--prec", "64"], 1, "undecided at 512 bits: "),
+    (["eval", "classinv(1/10^200)"], 2, "size error: "),
     (["eval", "phi(1.5)"], 2, "domain error: "),
     (["eval", "(pi - 4)^(1/2)"], 2, "domain error: "),
     (["eval", "(2 - pi)^(1/3)"], 2, "domain error: "),

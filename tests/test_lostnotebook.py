@@ -9,10 +9,12 @@ from thetaval.errors import (
     BothRootsMatch,
     ComplexRootsDetected,
     DomainError,
+    EnclosureReachesBoundary,
     MultiplePermutationsMatch,
     NoPermutationMatches,
     NoRootMatches,
     RootsNotSeparable,
+    Undecided,
 )
 from thetaval.exact import CosPiRat, Int, Mul, PowRat, build_catalog, eval_expr, verify_identity
 from thetaval.precision import Ball, PrecCtx, ipow, pow_rational
@@ -109,6 +111,15 @@ class TestQuadratic:
     def test_degenerate_p_zero(self):
         root, branch = solve_ratio4(Ball(0, 0, 256), F(1, 100), CTX)
         assert root.contains(1) and branch == "double"
+
+    def test_a_discriminant_reaching_0_by_its_radius_is_undecided(self):
+        # disc = (2 + 5p)^2 - 4(1 - p)^3 is 0 at p = 0 and -23 at p = -1
+        with pytest.raises(EnclosureReachesBoundary):
+            solve_ratio4(Ball(0, 1, 256), F(3, 10), CTX)
+        for p in (Ball(-1 << 256, 0, 256), Ball(-1 << 256, 5, 256)):
+            with pytest.raises(DomainError) as exc:
+                solve_ratio4(p, F(3, 10), CTX)
+            assert not isinstance(exc.value, Undecided)
 
     def test_no_root_matches(self):
         with pytest.raises(NoRootMatches):

@@ -15,6 +15,7 @@ from thetaval.precision import Ball, PrecCtx, decimal_str, ipow, pow_rational, s
 from thetaval.modular import (
     DEGREE3_PRIMARY,
     ModularEquation,
+    ModularTriple,
     SqrtTerm,
     YiQuotient,
     class_invariant,
@@ -143,6 +144,33 @@ class TestTransforms:
         t = transform(triple_from_x(bf(F(1, 2)), CTX), "change_of_sign", CTX)
         with pytest.raises(DomainError):
             transform(t, "dimidiation", CTX)
+
+    @pytest.mark.parametrize(
+        "kind,x,q",
+        [
+            ("dimidiation", Ball(0, 1, 256), bf(F(1, 2))),
+            ("dimidiation", bf(F(1, 2)), Ball(-2, 3, 256)),
+            ("change_of_sign", Ball(1 << 256, 1, 256), bf(F(1, 2))),
+        ],
+    )
+    def test_a_boundary_reached_only_by_the_radius_is_undecided(self, kind, x, q):
+        with pytest.raises(EnclosureReachesBoundary):
+            transform(ModularTriple(x, q, Ball.one(256)), kind, CTX)
+
+    @pytest.mark.parametrize(
+        "kind,x,q",
+        [
+            ("dimidiation", Ball(0, 0, 256), bf(F(1, 2))),
+            ("dimidiation", Ball(-1 << 256, 5, 256), bf(F(1, 2))),
+            ("dimidiation", bf(F(1, 2)), Ball(-1 << 250, 3, 256)),
+            ("change_of_sign", Ball(1 << 256, 0, 256), bf(F(1, 2))),
+            ("change_of_sign", Ball(2 << 256, 5, 256), bf(F(1, 2))),
+        ],
+    )
+    def test_an_exact_or_outside_argument_is_a_domain_error(self, kind, x, q):
+        with pytest.raises(DomainError) as exc:
+            transform(ModularTriple(x, q, Ball.one(256)), kind, CTX)
+        assert not isinstance(exc.value, Undecided)
 
 
 class TestMultiplier:
@@ -349,6 +377,19 @@ class TestJims:
         refusal = "^jims series needs at least 5828 terms, more than its limit of 4416$"
         with pytest.raises(DomainError, match=refusal):
             jims_identity(F(3, 10**5), PrecCtx(512))
+
+    def test_a_boundary_reached_only_by_the_radius_is_undecided(self):
+        for x in (Ball(1 << 255, 1 << 255, 256), Ball(3 << 254, 1 << 254, 256), Ball(-1, 3, 256)):
+            with pytest.raises(EnclosureReachesBoundary):
+                jims_identity(x, CTX)
+        # an exact x inside (0, 1) that rounds to 1 at the working scale
+        with pytest.raises(EnclosureReachesBoundary):
+            jims_identity(1 - F(1, 10**200), PrecCtx(512))
+        exact = (F(0), F(1), F(-1, 2), Ball(0, 0, 256))
+        for x in exact + (Ball(-1 << 256, 5, 256), Ball(2 << 256, 5, 256)):
+            with pytest.raises(DomainError) as exc:
+                jims_identity(x, CTX)
+            assert not isinstance(exc.value, Undecided)
 
     def test_one_cos_and_one_sin_per_call(self, monkeypatch):
         # both from one reduction and one series: a single `_cos_sin` call

@@ -122,6 +122,38 @@ def test_negative_base_fractional_power_rejected():
             pow_rational(base, F(1, 3))
 
 
+ROOT_AND_LOG = {
+    "sqrt": sqrt,
+    "cube root": lambda x: nth_root(x, 3),
+    "4th root": lambda x: nth_root(x, 4),
+    "log": log,
+}
+
+
+@pytest.mark.parametrize("name", list(ROOT_AND_LOG))
+def test_roots_and_log_escalate_a_boundary_reached_only_by_the_radius(name):
+    # one boundary rule: a positive radius reaching 0 may be decided at more
+    # bits; an exact 0, or a ball strictly below 0, is decided (an odd root
+    # takes the latter)
+    refuse = ROOT_AND_LOG[name]
+    for straddle in (Ball(0, 1, 256), Ball(3, 3, 256), Ball(-2, 3, 256)):
+        with pytest.raises(EnclosureReachesBoundary):
+            refuse(straddle)
+    below = (Ball(-1 << 256, 0, 256), Ball(-1 << 256, 5, 256)) if name != "cube root" else ()
+    for bad in (Ball(0, 0, 256),) + below:
+        with pytest.raises(DomainError) as exc:
+            refuse(bad)
+        assert not isinstance(exc.value, Undecided)
+
+
+def test_log_of_a_positive_ball_too_wide_for_its_series_is_undecided():
+    # (2^-256, 2 - 2^-256) is strictly positive, but |u| = |(w - 1)/(w + 1)|
+    # may pass 0.4 on it: more bits narrow it, so it is no domain error
+    with pytest.raises(Undecided, match="too wide") as exc:
+        log(Ball(1 << 256, (1 << 256) - 1, 256))
+    assert not isinstance(exc.value, DomainError)
+
+
 def test_exp_of_zero():
     val = exp(Ball(0, 0, 256))
     assert val.contains(1) and val.rad < F(1, 2**240)

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from thetaval import lostnotebook, modular, precision, qseries
-from thetaval.errors import DomainError, NotConvergent, ThetavalError
+from thetaval.errors import DomainError, EnclosureReachesBoundary, NotConvergent, ThetavalError
+from thetaval.errors import Undecided
 from thetaval.exact import build_catalog, verify_identity
 from thetaval.precision import Ball, PrecCtx, decimal_str, gamma_rational, ipow, pow_rational
 from thetaval.precision import CACHE_ENTRIES, GUARD_BITS, const_pi, exp, sqrt
@@ -182,7 +183,7 @@ def test_nome_near_one_takes_the_dual_route(monkeypatch):
         counts.append(out[3])
         return out
 
-    qseries._theta_qpoint.cache_clear()
+    qseries._theta_exact.cache_clear()
     monkeypatch.setattr(qseries, "_theta_wings", spy)
     ctx = PrecCtx(2048)
     phi(QPoint(1, F(1, 1000)), ctx)
@@ -585,7 +586,7 @@ def count_nome_exps(monkeypatch) -> list:
         calls.append(args)
         return real_exp(*args, **kwargs)
 
-    for table in (qseries._nome_exp, qseries._nome_base, qseries._theta_qpoint):
+    for table in (qseries._nome_exp, qseries._nome_base, qseries._theta_exact):
         table.cache_clear()
     monkeypatch.setattr(qseries, "exp", counting_exp)
     return calls
@@ -735,6 +736,16 @@ class TestNomeHelpers:
         with pytest.raises(DomainError, match="requires a nome 0 < q < 1"):
             require_positive_nome(q, "this")
 
+    def test_require_positive_nome_escalates_a_ball_reaching_0_or_1_by_its_radius(self):
+        one = 1 << 64
+        for q in (Ball(0, 5, 64), Ball(-1, 3, 64), Ball(one, 1, 64), Ball(one - 1, 2, 64)):
+            with pytest.raises(EnclosureReachesBoundary, match="requires a nome 0 < q < 1"):
+                require_positive_nome(q, "this")
+        for q in (Ball(0, 0, 64), Ball(one, 0, 64), Ball(-5, 1, 64), Ball(3 * one, 1, 64)):
+            with pytest.raises(DomainError) as exc:
+                require_positive_nome(q, "this")
+            assert not isinstance(exc.value, Undecided)
+
     @pytest.mark.parametrize("q", [QPoint(1, F(1, 1000)), F(1, 2), Ball(1 << 63, 1, 64)])
     def test_require_positive_nome_accepts(self, q):
         require_positive_nome(q, "this")
@@ -748,7 +759,7 @@ class TestCaches:
         precision._gamma_agm,
         qseries._nome_exp,
         qseries._nome_base,
-        qseries._theta_qpoint,
+        qseries._theta_exact,
     ]
 
     def test_every_table_is_bounded_by_the_one_constant(self):
@@ -761,15 +772,34 @@ class TestCaches:
             phi(QPoint(1, 1 + F(i, CACHE_ENTRIES)), ctx)
         for table in self.TABLES:
             assert table.cache_info().currsize <= CACHE_ENTRIES
-        assert qseries._theta_qpoint.cache_info().currsize == CACHE_ENTRIES
+        assert qseries._theta_exact.cache_info().currsize == CACHE_ENTRIES
         assert qseries._nome_exp.cache_info().currsize == CACHE_ENTRIES
+
+    def test_deg3_at_a_rational_nome_takes_one_kernel_call_per_value(self, monkeypatch):
+        # phi(+-q) and phi(+-q^3): the multiplier's phi(q) and phi(q^3) are hits
+        real, calls = qseries._theta_wings, []
+
+        def spy(wings, f, min_terms=0):
+            calls.append(f)
+            return real(wings, f, min_terms)
+
+        qseries._theta_exact.cache_clear()
+        monkeypatch.setattr(qseries, "_theta_wings", spy)
+        modular.verify_degree3(F(3, 10), PrecCtx(512))
+        assert len(calls) == 4
+
+    def test_a_ball_nome_is_computed_every_time(self):
+        qseries._theta_exact.cache_clear()
+        q = bf(F(3, 10))
+        assert phi(q, CTX).encloses(phi(q, CTX))
+        assert qseries._theta_exact.cache_info().currsize == 0
 
     def test_a_repeated_call_is_a_hit_with_the_same_enclosure(self):
         q, ctx = QPoint(-1, F(1234, 567)), PrecCtx(320)
         first = chi(q, ctx)
-        hits = qseries._theta_qpoint.cache_info().hits
+        hits = qseries._theta_exact.cache_info().hits
         again = chi(q, ctx)
-        assert qseries._theta_qpoint.cache_info().hits == hits + 1
+        assert qseries._theta_exact.cache_info().hits == hits + 1
         assert (again.m, again.r, again.f) == (first.m, first.r, first.f)
 
 
@@ -794,17 +824,17 @@ class TestGuardRule:
             widths.append(f)
             return real(wings, f, min_terms)
 
-        qseries._theta_qpoint.cache_clear()
+        qseries._theta_exact.cache_clear()
         monkeypatch.setattr(qseries, "_theta_wings", spy)
         self.COMPOSITES[name](PrecCtx(512))
         assert widths and set(widths) == {544}
 
     def test_a_direct_call_and_a_working_one_share_a_memo_entry(self):
         q, ctx = QPoint(1, F(5, 3)), PrecCtx(512)
-        qseries._theta_qpoint.cache_clear()
+        qseries._theta_exact.cache_clear()
         direct = phi(q, ctx)
         inner = phi(q, ctx.work())
-        info = qseries._theta_qpoint.cache_info()
+        info = qseries._theta_exact.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert direct.f == 512 and inner.f == 544 and direct.encloses(inner.rescale(512))
 
