@@ -22,12 +22,11 @@ import json
 import math
 import sys
 from fractions import Fraction
+from importlib import import_module
 
 from . import __version__
 from .errors import DomainError, ParseError, PowerTooLarge, ThetavalError, Undecided
 from .exact import Identity, build_catalog, eval_expr, parse_expr, render_expr, verify_identity
-from .lostnotebook import complete_evaluation, septic_residuals
-from .modular import jims_identity, verify_degree3, verify_degree15, yi_product_theorem
 from .precision import CAP_FACTOR, Ball, PrecCtx, Record, agreement_digits, certify, decimal_str
 from .precision import _log10_floor, memo, rad_exponent, rad_shortfall
 
@@ -150,11 +149,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _q_point(point: str) -> Fraction:
+def _q_point(point: str) -> tuple[Fraction]:
     q = Fraction(point.strip())
     if not 0 < q < 1:
         raise DomainError(f"grid point {point} outside (0, 1)")
-    return q
+    return (q,)
 
 
 def _yi_point(point: str) -> list[Fraction]:
@@ -169,17 +168,18 @@ class Sweep(Record):
 
 
 # Each sweep target, declared once: its default grid, how a grid point is
-# read, the label suffix of each residual row, and the residuals at a point
-# read.  The residual functions are looked up per call, like the cmd_* in `main`.
+# read into the residual function's arguments, the label suffix of each
+# residual row, and that function as "module.name".  The module is imported,
+# and the function looked up, per call: a command loads only the layer it runs.
 SWEEPS = {
     "deg3": Sweep("0.05,0.1,0.2,0.3,0.4", _q_point, ("#eq", "#reciprocal"),
-                  lambda q, ctx: verify_degree3(q, ctx)),
-    "deg15": Sweep("0.15,0.4", _q_point, ("",), lambda q, ctx: (verify_degree15(q, ctx),)),
-    "jims": Sweep("0.3,0.6,0.9", _q_point, ("",), lambda q, ctx: (jims_identity(q, ctx),)),
+                  "modular.verify_degree3"),
+    "deg15": Sweep("0.15,0.4", _q_point, ("",), "modular.verify_degree15"),
+    "jims": Sweep("0.3,0.6,0.9", _q_point, ("",), "modular.jims_identity"),
     "septic": Sweep("0.1,0.2,0.3,0.4", _q_point, ("#p_uvw", "#quotient", "#quartic"),
-                    lambda q, ctx: septic_residuals(q, ctx)),
+                    "lostnotebook.septic_residuals"),
     "yi_product": Sweep("2:1:6:2:3,3:1:1:1:1,5:2:2:4:1", _yi_point, ("",),
-                        lambda t, ctx: (yi_product_theorem(*t, ctx),)),
+                        "modular.yi_product_theorem"),
 }
 
 
@@ -192,9 +192,16 @@ def _sweep_status(residual: Ball) -> str:
 def _sweep_worker(task: tuple[str, str, int]) -> list[dict]:
     target, point, bits = task
     sweep = SWEEPS[target]
-    x = sweep.read(point)
+    args = sweep.read(point)
+    module, name = sweep.residuals.split(".")
+    residuals = getattr(import_module(f"{__package__}.{module}"), name)
+
+    def rows_at(bits: int) -> tuple:
+        rows = residuals(*args, PrecCtx(bits))
+        return rows if isinstance(rows, tuple) else (rows,)
+
     rows, used = certify(
-        lambda b: sweep.residuals(x, PrecCtx(b)),
+        rows_at,
         bits,
         lambda rows: rows if all(r.contains_zero() for r in rows) else (),
     )
@@ -224,6 +231,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_complete(args) -> int:
+    from .lostnotebook import complete_evaluation  # the one command that runs it
+
     result = complete_evaluation(PrecCtx(_resolve_bits(args)))
     print(f"identity    : {render_expr(result.identity.lhs)} = {render_expr(result.identity.rhs)}")
     print(f"branch      : {result.state.branch}")

@@ -45,7 +45,6 @@ from .precision import (
 )
 from .precision import _pi_ball
 from .qseries import QPoint, chi, f_neg, phi, psi, theta_f
-from . import modular
 
 __all__ = [
     # nodes: closed forms, function leaves and theta leaves
@@ -66,8 +65,9 @@ __all__ = [
 # `_ball(w, memo)` is its enclosure at the working context w, each subtree
 # evaluated through `_eval_raw` and the caller's memo.  The evaluator,
 # renderer, folder, parser and `mutate_first_leaf` read these declarations.
-# Calls into qseries, modular and precision go through this module's names,
-# so rebinding one of them reaches every call.
+# Calls into qseries and precision go through this module's names, so
+# rebinding one of them reaches every call; `modular` is imported by the
+# three nodes that call it, on first use, and read by its module's names.
 
 
 class Expr(Record):
@@ -205,6 +205,8 @@ class Hyp(Function):
     name = "hyp"
 
     def _ball(self, w, memo):
+        from . import modular
+
         return modular.hyp2f1_half(_eval_raw(self.x, w, memo), w)
 
 
@@ -271,6 +273,8 @@ class YiH(ThetaExpr):
         Record.__init__(self, k, n, primed)
 
     def _ball(self, w, memo):
+        from . import modular
+
         return modular.yi_h(modular.YiQuotient(self.k, self.n, self.primed), w)
 
 
@@ -279,6 +283,8 @@ class ClassInv(ThetaExpr):
     name, rational = "classinv", True
 
     def _ball(self, w, memo):
+        from . import modular
+
         return modular.class_invariant(self.n, w)
 
 

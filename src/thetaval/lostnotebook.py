@@ -37,8 +37,8 @@ from .exact import (
     verify_identity,
 )
 from .precision import Ball, PrecCtx, Record, _refuse_nonpositive, certify, ipow, pow_rational, sqrt
-from .qseries import QPoint, as_q_ball, chi, nome_pow, phi, phi_series, q_power_ball, theta_f
-from .qseries import require_positive_nome
+from .qseries import QPoint, as_q_ball, chi, nome_pow, phi, q_power_ball, theta_f
+from .qseries import _phi_direct, require_positive_nome
 
 __all__ = [
     "SepticState",
@@ -108,8 +108,8 @@ def compute_p(q, ctx: PrecCtx) -> Ball:
 def ratio4_series_oracle(q, ctx: PrecCtx) -> Ball:
     """phi^4(q)/phi^4(q^7) evaluated purely by the series route."""
     w = ctx.work()
-    num = phi_series(q, w)
-    den = phi_series(nome_pow(q, 7), w)
+    num = _phi_direct(q, w)
+    den = _phi_direct(nome_pow(q, 7), w)
     return ipow(num / den, 4).rescale(ctx.bits)
 
 

@@ -351,12 +351,19 @@ def jims_identity(x, ctx: PrecCtx) -> Ball:
       = (sqrt2 + sqrt(1+x)) / sqrt(1-x) * sum e^(-pi n^2 x) sin(...),
     for x inside (0, 1).  The sums are Re and Im of sum_{n>=1} w^(n^2), w =
     e^(-pi x) (cos t + i sin t), t = pi sqrt(1-x^2): 1 plus them is the theta
-    kernel's disc wing (1, w, w^2); a small x needs about ln 3/(2 pi x) terms."""
+    kernel's disc wing (1, w, w^2).  The kernel stops once |w|^(2n-1) < 1/3, or
+    once its term has rounded to 0: |w|^((n-1)^2) is below a unit at scale f
+    and, as a small x leaves the terms nearly real, |w|^(2n-1) < 1/2 (a
+    rounded unit times a larger ratio stays a unit).  So a small x needs
+    about min(ln 3/(2 pi x), max(sqrt(f ln 2/(pi x)), ln 2/(2 pi x))) terms."""
     fw, refusal = ctx.work().bits, "jims_identity requires x inside (0, 1)"
     if not isinstance(x, Ball):  # an exact x is decided, and its terms counted, before rounding
         if not 0 < x < 1:
             raise DomainError(refusal)
-        n, cap = int(math.log(3) / (2 * math.pi * max(float(x), 1e-300))), _term_limit(fw)
+        rate = math.pi * max(float(x), 1e-300)  # |w| = e^(-rate)
+        vanish = max(math.sqrt(fw * math.log(2) / rate), math.log(2) / (2 * rate))
+        n = int(min(math.log(3) / (2 * rate), vanish))
+        cap = _term_limit(fw)
         if n > cap:
             raise NotConvergent(
                 f"jims series needs at least {n} terms, more than its limit of {cap}"

@@ -303,8 +303,12 @@ def _theta_wings(wings, f: int, min_terms: int = 0):
     floors; err sums these over the kept terms.  A wing stops at
     n >= min_terms terms once sup|t_n| <= 2 and sup|rho_n| <= 1/2 (2^(g-1)
     units): |rho| keeps shrinking by sup|c|, so each dropped term is at most
-    half the one before and the wing's tail is at most sup|t_n|.  `tail`
-    sums these bounds and n is the longest wing's term count.  A wing of
+    half the one before and the wing's tail is at most sup|t_n|.  A wing
+    whose floored term is 0 before that, with sup|rho_n| < 1, stops too, its
+    tail at most ceil(sup|t_n| / (1 - sup|rho_n|)): a ratio c near 1 would
+    otherwise sum terms that add nothing but their 2 error units until |rho|
+    falls below about 1/3.  `tail` sums these bounds and n is the longest
+    wing's term count.  A wing of
     discs (`_Gauss`) has the same rules on the modulus, and a _Gauss S.  A
     real wing whose terms share the sign of t1 < 0 is summed negated, so its
     floored terms settle at 0 instead of -1.  The series pass no min_terms;
@@ -322,7 +326,10 @@ def _theta_wings(wings, f: int, min_terms: int = 0):
         at, arho = abs(t), abs(rho)
         acc, e, n, g = t, et, 1, f
         low = 1 << (g - 288) if g > 288 else 0  # |t| below it: drop to bits(t) + 32
-        while at + et > 2 or 2 * (arho + er) > 1 << g or n < min_terms:
+        # on until sup|t| <= 2 and sup|rho| <= 1/2, or until t = 0 and sup|rho| < 1
+        while (at + et > 2 or 2 * (arho + er) > 1 << g) and (at or arho + er >= 1 << g) or (
+            n < min_terms
+        ):
             if n > limit:
                 raise NotConvergent("theta series failed to reach its tail target")
             if at < low:
@@ -339,7 +346,10 @@ def _theta_wings(wings, f: int, min_terms: int = 0):
             n += 1
         s += sign * acc
         err += e
-        tail += at + et
+        if at + et <= 2 and 2 * (arho + er) <= 1 << g:
+            tail += at + et
+        else:  # the terms vanished first
+            tail += -(-(at + et << g) // ((1 << g) - arho - er))
         n_max = max(n_max, n)
     return s, err, tail, n_max
 
@@ -382,14 +392,20 @@ def _theta_cached(kind: str, q, ctx: PrecCtx, compute) -> Ball:
     return compute(q, ctx)
 
 
+def _takes_dual(kind: str, q, f: int) -> bool:
+    """Whether kind(q) at the working scale f goes through its dual nome: a
+    QPoint nome near 1 (`_DUAL_BELOW`)."""
+    bits = WorkCtx(f).requested
+    return isinstance(q, QPoint) and q.r < 1 and float(q.r) <= _DUAL_BELOW[kind] * bits**2
+
+
 @memo
 def _theta_exact(kind: str, compute, q, f: int) -> Ball:
     """kind(q) = compute(q, ctx) at the exact nome q and the working scale f;
     a QPoint nome near 1 goes through its dual nome instead (`_dual_value`)."""
-    ctx = WorkCtx(f)
-    if isinstance(q, QPoint) and q.r < 1 and float(q.r) <= _DUAL_BELOW[kind] * ctx.requested**2:
-        return _dual_value(kind, q, ctx)
-    return compute(q, ctx)
+    if _takes_dual(kind, q, f):
+        return _dual_value(kind, q, WorkCtx(f))
+    return compute(q, WorkCtx(f))
 
 
 def phi(q, ctx: PrecCtx) -> Ball:
@@ -402,6 +418,15 @@ def phi_series(q, ctx: PrecCtx) -> Ball:
     qb = _series_nome(q, ctx)
     q2 = qb * qb
     return _theta_sum([(qb, q2 * qb, q2)], ctx, 2)
+
+
+def _phi_direct(q, ctx: PrecCtx) -> Ball:
+    """`phi_series`, read through phi's memo wherever the series is phi's own
+    route (every nome but a QPoint that phi takes to its dual nome), so a
+    composite and a direct call share one sum."""
+    if _takes_dual("phi", q, ctx.work().bits):
+        return phi_series(q, ctx)
+    return phi(q, ctx)
 
 
 def psi(q, ctx: PrecCtx) -> Ball:
@@ -430,7 +455,7 @@ def f_neg_series(q, ctx: PrecCtx) -> Ball:
 def _chi_series(q, ctx: PrecCtx) -> Ball:
     # phi(q) = (-q; q^2)^2 (q^2; q^2) and f(q) = (-q; -q) = (-q; q^2)(q^2; q^2)
     w = ctx.work()
-    return (phi_series(q, w) / f_neg_series(nome_neg(q), w)).rescale(ctx.bits)
+    return (_phi_direct(q, w) / f_neg_series(nome_neg(q), w)).rescale(ctx.bits)
 
 
 def chi(q, ctx: PrecCtx) -> Ball:

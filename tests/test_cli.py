@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, report stability, parallel runs."""
 
+import hashlib
 import json
 import pickle
 import re
@@ -242,6 +243,25 @@ class TestEval:
         assert code == 0
         exponent = re.search(r"^radius <= 1e(-\d+)$", out, re.M).group(1)
         assert int(exponent) <= -100
+
+    def test_phi_whose_terms_vanish_before_its_ratio_halves(self, capsys):
+        # at q = 0.9999 the wing's floored terms are 0 after 1,941 terms, and it
+        # stops there: waiting for |rho| <= 1/2 would pass the 4,416-term limit
+        import mpmath as mp
+
+        code, out, err = run(capsys, "eval", "phi(0.9999)")
+        assert (code, err) == (0, "")
+        value, radius = (line.split()[-1] for line in out.splitlines())
+        assert radius == "1e-154"
+        with mp.workdps(200):
+            ref = mp.jtheta(3, 0, mp.mpf(9999) / 10000)
+            assert abs(mp.mpf(value) - ref) <= mp.mpf(radius) + mp.mpf(10) ** -150
+
+    def test_phi_still_nearer_one_passes_the_term_limit(self, capsys):
+        # q = 0.99999 needs about 6,100 terms before they vanish
+        code, out, err = run(capsys, "eval", "phi(0.99999)")
+        assert (code, out) == (2, "")
+        assert err == "domain error: theta series failed to reach its tail target\n"
 
     def test_phi_at_a_qpoint_nome_very_near_one(self, capsys):
         # r = 10^-12: the direct series needs about 4,800 terms at 512 bits,
@@ -756,3 +776,67 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_process_pool():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+LAYERS = ("thetaval.modular", "thetaval.lostnotebook")
+
+
+def _fresh(*argv) -> tuple[int, bytes, list[str]]:
+    """main(argv) in a new interpreter: exit code, stdout, and which of
+    `LAYERS` it loaded."""
+    code = (
+        "import sys; from thetaval.cli import main; rc = main(sys.argv[1:]); "
+        "import json; "
+        f"print(json.dumps(sorted(set({LAYERS!r}) & set(sys.modules))), file=sys.stderr); "
+        "sys.exit(rc)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout, json.loads(proc.stderr.decode().splitlines()[-1])
+
+
+def test_the_cli_and_the_catalog_load_neither_layer():
+    code = (
+        "import sys, thetaval.cli; from thetaval.exact import build_catalog; build_catalog(); "
+        f"loaded = set({LAYERS!r}) & set(sys.modules); assert not loaded, loaded"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("eval", "classinv(9)"), ["thetaval.modular"]),
+        (("eval", "gamma(1/4) + 1"), []),
+        (("catalog",), []),
+        (("complete",), ["thetaval.lostnotebook"]),
+    ],
+)
+def test_a_command_loads_only_the_layers_it_runs(argv, loaded):
+    code, out, layers = _fresh(*argv)
+    assert code == 0 and out and layers == loaded
+
+
+# sha256 of each default sweep report, as written while every layer was
+# imported with the CLI
+SWEEP_REPORTS = {
+    "deg3": "2ca7f867d39321761ad12ffaf6645414279a5145c19528d45f794539f7ee0085",
+    "deg15": "f48beb266267f1a211f701e55d7e389503a0b4f61024998d3997131f2de9c33e",
+    "jims": "4e7c464637b45cf3c019262d31039662da0fa4414951cdd90a2680acc4950bd0",
+    "septic": "b002af22cc7d4b6411cb99e5461b1a432cc077d5edb515659325bfcc25c65011",
+    "yi_product": "1de9ae2236fc7e27823abfc750fd8b7202e1bdcf5b1b84b7922db5276bfa60ca",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("sweep", t) for t in sorted(SWEEP_REPORTS)] + [("sweep", "deg3", "--jobs", "2")],
+    ids=" ".join,
+)
+def test_a_sweep_in_a_fresh_process_loads_its_layer_and_keeps_its_bytes(argv):
+    # under --jobs the workers load the layer, and the parent neither
+    assert set(SWEEP_REPORTS) == set(cli.SWEEPS)
+    code, out, layers = _fresh(*argv)
+    layer = "lostnotebook" if argv[1] == "septic" else "modular"
+    assert code == 0 and layers == ([] if "--jobs" in argv else [f"thetaval.{layer}"])
+    assert hashlib.sha256(out).hexdigest() == SWEEP_REPORTS[argv[1]]

@@ -371,12 +371,13 @@ class TestJims:
         assert len(sums) == 1 and res.contains_zero()
 
     def test_refusal_reads_the_kernels_term_count(self):
-        # the kernel stops once |w|^(2n-1) < 1/3: at 512 bits x = 5e-5 takes
-        # about 3,500 of its 4,416 terms, and x = 3e-5 is refused before the loop
-        assert jims_identity(F(5, 10**5), PrecCtx(512)).contains_zero()
-        refusal = "^jims series needs at least 5828 terms, more than its limit of 4416$"
+        # a small x's terms round to 0 once |w|^(2n-1) < 1/2, where the kernel
+        # stops: at 512 bits x = 2.5e-5 takes 4,415 of its 4,416 terms, and
+        # x = 2.4e-5, which needs about 4,596, is refused before the loop
+        assert jims_identity(F(25, 10**6), PrecCtx(512)).contains_zero()
+        refusal = "^jims series needs at least 4596 terms, more than its limit of 4416$"
         with pytest.raises(DomainError, match=refusal):
-            jims_identity(F(3, 10**5), PrecCtx(512))
+            jims_identity(F(24, 10**6), PrecCtx(512))
 
     def test_a_boundary_reached_only_by_the_radius_is_undecided(self):
         for x in (Ball(1 << 255, 1 << 255, 256), Ball(3 << 254, 1 << 254, 256), Ball(-1, 3, 256)):

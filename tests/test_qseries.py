@@ -425,6 +425,12 @@ def _wing_sets(kind, bits, rng):
         q = F(rng.randrange(950, 990), 1000)
         sets.append(_power_wings("phi", Ball.from_fraction(q, bits), q))
         return sets + [_f_wings(F(24, 25), F(-19, 20), bits)]
+    if kind == "vanishing":  # c near 1: the floored terms can reach 0 while |rho| > 1/2
+        q = F(rng.randrange(9990, 9996), 10000)
+        return [
+            _power_wings("phi", Ball.from_fraction(q, bits), q),
+            [_disc_wing(bits, (1, 0), (0.999, 1 / 2 + 1e-4), (0.995, 1e-5))],  # jims' shape
+        ]
     if kind == "large":  # |t1| > 1 and |rho1| > 1
         return [_f_wings(F(3, 2), F(1, 2), bits), _f_wings(F(-19, 10), F(2, 5), bits)]
     if kind == "complex":  # disc wings, |re| + |im| of c below 1 as the kernel needs
@@ -453,7 +459,7 @@ def _wing_sets(kind, bits, rng):
     return sets
 
 
-WING_KINDS = ["positive", "alternating", "large", "wide"]
+WING_KINDS = ["positive", "alternating", "large", "wide", "vanishing"]
 
 
 @pytest.mark.parametrize(
@@ -477,6 +483,20 @@ def test_theta_wings_error_count_holds(kind, bits):
             total += kept + dropped
         s, err, tail, _ = qseries._theta_wings([balls for balls, _ in wings], bits)
         assert abs(s - total) <= err + tail, (kind, bits)
+
+
+def test_a_wing_whose_terms_have_vanished_stops():
+    # phi(0.9999) at 544 bits: the floored terms are 0 after 1,941 terms, while
+    # |rho| = q^(2n+1) is still about 2/3; sup|rho| <= 1/2 and sup|t| <= 2
+    # alone would take about 5,500 terms, past the limit of 4,416
+    q = F(9999, 10000)
+    ((balls, exact),) = _power_wings("phi", Ball.from_fraction(q, 544), q)
+    s, err, tail, n = qseries._theta_wings([balls], 544)
+    assert n == 1941 and n < qseries._term_limit(544)
+    terms = _wing_terms(*exact, 544)
+    kept, dropped = sum(terms[:n]) * 2**544, sum(terms[n:]) * 2**544
+    assert abs(s - kept) <= err and abs(dropped) <= tail
+    assert err + tail < 2**GUARD_BITS  # within the guard of a 512-bit call
 
 
 def _theta_wings_full_width(wings, f):
@@ -787,6 +807,33 @@ class TestCaches:
         monkeypatch.setattr(qseries, "_theta_wings", spy)
         modular.verify_degree3(F(3, 10), PrecCtx(512))
         assert len(calls) == 4
+
+    def test_septic_at_a_rational_nome_takes_one_kernel_call_per_value(self, monkeypatch):
+        # phi(q^7), three f(a, b), f(-q^7), phi(q), f(-q) and phi(q^(1/7)): chi
+        # and the ratio oracle read phi(q) and phi(q^7) through the memo
+        real, calls = qseries._theta_wings, []
+
+        def spy(wings, f, min_terms=0):
+            calls.append(f)
+            return real(wings, f, min_terms)
+
+        qseries._theta_exact.cache_clear()
+        monkeypatch.setattr(qseries, "_theta_wings", spy)
+        lostnotebook.septic_residuals(F(3, 10), PrecCtx(512))
+        assert len(calls) == 8
+
+    def test_phi_direct_is_the_series_through_the_memo_where_that_is_phis_route(self):
+        # a QPoint that phi takes to its dual nome, r = 1/60 at 512 bits, where
+        # chi still sums its series, keeps the series value and its own sum
+        ctx = PrecCtx(512)
+        for q in (F(3, 10), QPoint(1, 2), QPoint(-1, F(1, 40)), QPoint(1, F(1, 60))):
+            qseries._theta_exact.cache_clear()
+            a, b = qseries._phi_direct(q, ctx), qseries.phi_series(q, ctx)
+            assert (a.m, a.r, a.f) == (b.m, b.r, b.f)
+            dual = qseries._takes_dual("phi", q, ctx.work().bits)
+            assert dual == (q == QPoint(1, F(1, 60)))
+            assert qseries._theta_exact.cache_info().currsize == (0 if dual else 1)
+        assert not qseries._takes_dual("chi", QPoint(1, F(1, 60)), ctx.work().bits)
 
     def test_a_ball_nome_is_computed_every_time(self):
         qseries._theta_exact.cache_clear()
