@@ -26,7 +26,6 @@ from importlib import import_module
 
 from . import __version__
 from .errors import DomainError, ParseError, PowerTooLarge, ThetavalError, Undecided
-from .exact import Identity, build_catalog, eval_expr, parse_expr, render_expr, verify_identity
 from .precision import CAP_FACTOR, Ball, PrecCtx, Record, agreement_digits, certify, decimal_str
 from .precision import _log10_floor, memo, rad_exponent, rad_shortfall
 
@@ -109,7 +108,9 @@ def _map(worker, tasks: list, jobs: int) -> list:
         return list(pool.map(worker, tasks))
 
 
-def _verify_worker(task: tuple[Identity, int]) -> dict:
+def _verify_worker(task: tuple) -> dict:  # (exact.Identity, bits)
+    from .exact import verify_identity
+
     ident, bits = task
     rep = verify_identity(ident, PrecCtx(bits))
     return _entry(
@@ -122,6 +123,8 @@ def _verify_worker(task: tuple[Identity, int]) -> dict:
 
 
 def cmd_verify(args) -> int:
+    from .exact import build_catalog
+
     bits, jobs = _resolve_bits(args), _resolve_jobs(args)
     catalog = build_catalog()
     known = set(catalog.ids())
@@ -137,6 +140,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .exact import eval_expr, parse_expr
+
     bits = _resolve_bits(args)
     value = eval_expr(parse_expr(args.expression, bits), PrecCtx(bits))
     implied = int(bits / 3.3219280948873626)
@@ -231,6 +236,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_complete(args) -> int:
+    from .exact import render_expr
     from .lostnotebook import complete_evaluation  # the one command that runs it
 
     result = complete_evaluation(PrecCtx(_resolve_bits(args)))
@@ -244,6 +250,8 @@ def cmd_complete(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .exact import build_catalog
+
     catalog = build_catalog()
     _emit(json.dumps(catalog.json_entries(), indent=2) + "\n", args.out)
     return 0

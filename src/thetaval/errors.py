@@ -21,9 +21,6 @@ class EnclosureReachesBoundary(DomainError, Undecided):
     """A ball reaching a domain's edge only by its radius: more bits may decide it."""
 
 
-NegativeBaseEvenRoot = EnclosureReachesBoundary  # its name for a fractional power's base
-
-
 class PowerTooLarge(DomainError):
     """An integer power or folded constant beyond the size limit of its precision."""
 
@@ -58,7 +55,7 @@ class EvaluationError(ThetavalError):
 
 
 class UnsupportedGammaArgument(UnsupportedArgument):
-    """Expression-tree gamma node with argument outside (0, 2]."""
+    """`gamma_rational` at an argument outside (0, 2]."""
 
 
 class NoRootMatches(ThetavalError):

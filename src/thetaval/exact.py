@@ -26,7 +26,6 @@ from .errors import (
     ParseError,
     PowerTooLarge,
     ThetavalError,
-    UnsupportedGammaArgument,
 )
 from .precision import (
     D_TARGET_DIGITS,
@@ -42,8 +41,9 @@ from .precision import (
     gamma_rational,
     pow_rational,
     rad_shortfall,
+    sin,
 )
-from .precision import _pi_ball
+from .precision import TRIG_PI_GUARD, _pi_ball
 from .qseries import QPoint, chi, f_neg, phi, psi, theta_f
 
 __all__ = [
@@ -130,7 +130,7 @@ class PowRat(Expr):
     __slots__ = ("base", "exponent")
 
     def _ball(self, w, memo):  # under the power limit of the requested bits
-        return pow_rational(_eval_raw(self.base, w, memo), self.exponent, w)
+        return pow_rational(_eval_raw(self.base, w, memo), self.exponent, w.requested)
 
 
 class Neg(Expr):
@@ -170,14 +170,11 @@ class GammaRat(Function):
     name, rational = "gamma", True
 
     def _ball(self, w, memo):
-        if not 0 < self.arg <= 2:
-            raise UnsupportedGammaArgument(f"gamma argument {self.arg} outside (0, 2]")
         return gamma_rational(self.arg, w)
 
 
-# cos(t pi) at the t in [0, 2) where it is rational
-_EXACT_COSPI = {Fraction(k, 3): Fraction(c, 2) for k, c in enumerate((2, 1, -1, -2, -1, 1))}
-_EXACT_COSPI.update({Fraction(1, 2): Fraction(0), Fraction(3, 2): Fraction(0)})
+# cos(t pi) at the t = n/d in [0, 1/2] where it is rational (Niven), by (n, d)
+_EXACT_COSPI = {(0, 1): Fraction(1), (1, 3): Fraction(1, 2), (1, 2): Fraction(0)}
 
 
 class CosPiRat(Function):
@@ -185,11 +182,17 @@ class CosPiRat(Function):
     name, rational = "cospi", True
 
     def _ball(self, w, memo):
-        t = self.arg % 2
-        exact = _EXACT_COSPI.get(t)
-        if exact is not None:
-            return Ball.from_fraction(exact, w.bits)
-        return cos(_pi_ball(w.bits) * Ball.from_fraction(t, w.bits))
+        d = self.arg.denominator  # t = n/d, reduced at every step
+        n = self.arg.numerator % (2 * d)
+        n = min(n, 2 * d - n)  # cos is even with period 2: t in [0, 1]
+        sign = 1 if 2 * n <= d else -1
+        n = min(n, d - n)  # cos(t pi) = -cos((1 - t) pi): t in [0, 1/2]
+        if (n, d) in _EXACT_COSPI:
+            return Ball.from_fraction(sign * _EXACT_COSPI[n, d], w.bits)
+        s = min(2 * n, d - 2 * n)  # cos(t pi) = sin((1/2 - t) pi): s/2d in [0, 1/4]
+        pi = _pi_ball(w.bits + TRIG_PI_GUARD)  # the pi that cos and sin read for |x| < 1
+        x = Ball(pi.m * s, pi.r * s, pi.f).div_int(2 * d)
+        return sign * (cos if s == 2 * n else sin)(x.rescale(w.bits))
 
 
 class Agm(Function):
@@ -296,12 +299,8 @@ def _eval_raw(e: Expr, w: WorkCtx, memo: dict) -> Ball:
     key = e, w.bits  # nodes are records: equal trees hash alike, each once
     val = memo.get(key)
     if val is None:
-        val = memo[key] = _eval_node(e, w, memo)
+        val = memo[key] = e._ball(w, memo)
     return val
-
-
-def _eval_node(e: Expr, w: WorkCtx, memo: dict) -> Ball:
-    return e._ball(w, memo)
 
 
 def eval_expr(e: Expr, ctx: PrecCtx) -> Ball:
@@ -322,7 +321,7 @@ def eval_expr(e: Expr, ctx: PrecCtx) -> Ball:
 
 def eval_theta(t: ThetaExpr, ctx: PrecCtx) -> Ball:
     """Enclosure of one theta leaf, as `eval_expr` evaluates it in a tree."""
-    return _eval_node(t, ctx.work(), {}).rescale(ctx.bits)
+    return t._ball(ctx.work(), {}).rescale(ctx.bits)
 
 
 def render_expr(e: Expr) -> str:

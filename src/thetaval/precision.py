@@ -10,8 +10,10 @@ construction; nothing relies on a library's "usually correctly rounded"
 promise.
 
 Binary operations between balls work at the finer of the two scales
-(coarser operands are rescaled exactly), so precision is set where leaf
-values are created, normally from a :class:`PrecCtx`.
+(coarser operands are rescaled exactly), and `sqrt`, `nth_root`, `exp`,
+`log`, `cos`, `sin` and `pow_rational` at the scale of their argument, so
+precision is set where leaf values are created, normally from a
+:class:`PrecCtx`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     EnclosureReachesBoundary,
     PowerTooLarge,
     Undecided,
-    UnsupportedArgument,
+    UnsupportedGammaArgument,
 )
 from .record import Record
 
@@ -414,13 +416,6 @@ class Ball:
             return NotImplemented
         return other / self
 
-    def __pow__(self, e):
-        if isinstance(e, int):
-            return ipow(self, e)
-        if isinstance(e, Fraction):
-            return pow_rational(self, e)
-        return NotImplemented
-
     def __repr__(self):
         return f"Ball({decimal_str(self, 12)} +/- {rad_exponent_str(self)})"
 
@@ -474,62 +469,62 @@ def ipow(x: Ball, k: int, bits: int | None = None) -> Ball:
     return Ball.one(x.f) if result is None else result
 
 
-def sqrt(x: Ball, ctx: PrecCtx | None = None) -> Ball:
-    f = ctx.bits if ctx is not None else x.f
-    a = x.rescale(f)
-    _refuse_nonpositive(a, "sqrt requires a strictly positive enclosure")
-    s = math.isqrt(a.m << f)
-    if a.r == 0:
+def sqrt(x: Ball) -> Ball:
+    """Square root at the scale f of x."""
+    f = x.f
+    _refuse_nonpositive(x, "sqrt requires a strictly positive enclosure")
+    s = math.isqrt(x.m << f)
+    if x.r == 0:
         return Ball(s, 1, f)
     # the radius is r / (2 sqrt(lo)) over a lower bound of isqrt(lo << f), for
-    # lo = a.m - a.r: isqrt((lo << f) >> 2k) << k is one, and it moves the
+    # lo = m - r: isqrt((lo << f) >> 2k) << k is one, and it moves the
     # quotient by about r 2^k / lo units, below 2^-64 when k keeps lo 65 bits
     # above r and the short root at least 65 bits
-    lo = a.m - a.r
+    lo = x.m - x.r
     big = lo << f
-    k = max(0, min(lo.bit_length() - a.r.bit_length(), big.bit_length() >> 1) - 65)
+    k = max(0, min(lo.bit_length() - x.r.bit_length(), big.bit_length() >> 1) - 65)
     slo = math.isqrt(big >> 2 * k) << k
-    return Ball(s, _ceil_div(a.r << f, 2 * slo) + 1, f)
+    return Ball(s, _ceil_div(x.r << f, 2 * slo) + 1, f)
 
 
-def nth_root(x: Ball, n: int, ctx: PrecCtx | None = None) -> Ball:
-    """n-th root of a strictly positive ball, or of a negative one for odd n.
+def nth_root(x: Ball, n: int) -> Ball:
+    """n-th root at the scale f of x, of a strictly positive ball, or of a
+    negative one for odd n.
 
-    The midpoint s is the one floor root of a.m * 2**(f*(n-1)), so the
-    root of a.m lies in [s, s + 1) units.  Above lo = a.m - a.r the root's
-    derivative is at most lo**(1/n) / (n * lo) < (s + 1) / (n * lo), as
-    lo <= a.m; so a.r * (s + 1) / (n * lo) + 1 units bound the radius
-    without a second root at lo.  (`sqrt` takes a short root at lo, a lower
-    bound in the denominator, from the top bits of lo alone.)
+    The midpoint s is the one floor root of m * 2**(f*(n-1)), so the root
+    of m lies in [s, s + 1) units.  Above lo = m - r the root's derivative
+    is at most lo**(1/n) / (n * lo) < (s + 1) / (n * lo), as lo <= m; so
+    r * (s + 1) / (n * lo) + 1 units bound the radius without a second root
+    at lo.  (`sqrt` takes a short root at lo, a lower bound in the
+    denominator, from the top bits of lo alone.)
     """
     if n < 1:
         raise DomainError("root order must be positive")
     if n == 1:
-        return x if ctx is None else x.rescale(ctx.bits)
+        return x
     if n == 2:
-        return sqrt(x, ctx)
-    f = ctx.bits if ctx is not None else x.f
-    a = x.rescale(f)
-    if a.is_strictly_negative() and n % 2 == 1:
-        return -nth_root(-a, n)
-    _refuse_nonpositive(a, "nth_root requires a strictly positive enclosure")
-    s = _iroot(a.m << (f * (n - 1)), n)
-    lo = a.m - a.r
-    return Ball(s, _ceil_div(a.r * (s + 1), n * lo) + 1, f)
+        return sqrt(x)
+    if x.is_strictly_negative() and n % 2 == 1:
+        return -nth_root(-x, n)
+    _refuse_nonpositive(x, "nth_root requires a strictly positive enclosure")
+    s = _iroot(x.m << (x.f * (n - 1)), n)
+    lo = x.m - x.r
+    return Ball(s, _ceil_div(x.r * (s + 1), n * lo) + 1, x.f)
 
 
-def pow_rational(x: Ball, e, ctx: PrecCtx | None = None) -> Ball:
-    """x**(p/q).  Fractional exponents require a strictly positive base.
+def pow_rational(x: Ball, e, bits: int | None = None) -> Ball:
+    """x**(p/q) at the scale f of x.  Fractional exponents require a strictly
+    positive base.
 
     Small root orders go through the integer root (tight); large ones
-    through the certified exp(e log x) route, which stays cheap.  The power
-    limit is that of the requested precision of ctx (default: the scale of x).
+    through the certified exp(e log x) route, which stays cheap.  As in
+    `ipow`, a power past the limit of `bits` (default: f) is refused.
     """
     e = Fraction(e)
-    f, bits = (ctx.bits, ctx.requested) if ctx is not None else (x.f, x.f)
+    f, bits = x.f, x.f if bits is None else bits
     num, den = e.numerator, e.denominator
     if den == 1:
-        return ipow(x, num, bits).rescale(f)
+        return ipow(x, num, bits)
     _refuse_nonpositive(x, "fractional powers are defined for strictly positive bases only")
     fw = f + GUARD_BITS + abs(num).bit_length() + den.bit_length()
     if den > 64:
@@ -659,8 +654,8 @@ def _odd_even(y: int, g: int, sign: int) -> tuple[int, int, int]:
     return s, math.isqrt((1 << 2 * g) + sign * s * s), err + 3
 
 
-def exp(x: Ball, ctx: PrecCtx | None = None) -> Ball:
-    """e^x at ctx.bits (default: the scale of x), rounded once.
+def exp(x: Ball) -> Ball:
+    """e^x at the scale f of x, rounded once.
 
     x is halved j times into |y| <= 2^-t, t = max(8, (4 fw)^(1/3)), fw = f + 16
     (none for an x that small), e^y = sinh y + cosh y taken at g = fw + j
@@ -668,7 +663,7 @@ def exp(x: Ball, ctx: PrecCtx | None = None) -> Ball:
     v <- floor(v^2 2^-g), e <- floor((2ve + e^2) 2^-g) + 2.  The input radius
     enters at y, where exp' <= e^t <= 1 + t + t^2 for t = max(0, sup y).
     """
-    f = ctx.bits if ctx is not None else x.f
+    f = x.f
     # e^x < 2^-(f+2) once x <= -(f+2): return the certified sliver [0, 2^-f]
     if x.m + x.r <= -((f + 2) << x.f):
         return Ball(1, 1, f + 1)
@@ -701,9 +696,8 @@ def _atanh_series(u: Ball) -> Ball:
     return Ball(acc.m, acc.r + tail, f)
 
 
-def log(x: Ball, ctx: PrecCtx | None = None) -> Ball:
-    f = ctx.bits if ctx is not None else x.f
-    fw = f + 48
+def log(x: Ball) -> Ball:
+    fw = x.f + 48
     a = x.rescale(fw)
     _refuse_nonpositive(a, "log requires a strictly positive enclosure")
     e = a.m.bit_length() - fw - 1  # x / 2^e lands in [1, 2)
@@ -712,7 +706,10 @@ def log(x: Ball, ctx: PrecCtx | None = None) -> Ball:
     if 20 * (abs(u.m) + u.r) > 8 << u.f:  # sup|u| > 0.4: enclosure too wide
         raise Undecided("log input enclosure is too wide")
     ln_w = _atanh_series(u) * 2
-    return (ln_w + _ln2_ball(fw) * e).rescale(f)
+    return (ln_w + _ln2_ball(fw) * e).rescale(x.f)
+
+
+TRIG_PI_GUARD = 128  # bits above f at which `_cos_sin` reads pi for |x| < 1, +64 per 64 bits of |x|
 
 
 def _cos_sin(x: Ball, f: int) -> tuple[Ball, Ball]:
@@ -724,7 +721,7 @@ def _cos_sin(x: Ball, f: int) -> tuple[Ball, Ball]:
     E while E^2 <= 2^g; then sin s = sqrt(1 - cos^2 s) by one root is off by
     E(2|cos| + E)/sin|s| + 1 <= 2^(t+3-j) E + 1, as |s| >= 2^(j-t-1).  e_in
     enters last, by |cos'| = |sin|, |sin'| = |cos|."""
-    p = f + 128 + 64 * ((x.sup_units() >> x.f).bit_length() // 64)
+    p = f + TRIG_PI_GUARD + 64 * ((x.sup_units() >> x.f).bit_length() // 64)
     pi, pi_err = _pi_units(p)  # pi/2 at the scale p + 1
     xr = x.rescale(p + 1)
     k = (2 * xr.m + pi) // (2 * pi)
@@ -750,12 +747,12 @@ def _cos_sin(x: Ball, f: int) -> tuple[Ball, Ball]:
     return Ball(sign * cv, ec, g).rescale(f), Ball(sign * sv, es, g).rescale(f)
 
 
-def cos(x: Ball, ctx: PrecCtx | None = None) -> Ball:
-    return _cos_sin(x, ctx.bits if ctx is not None else x.f)[0]
+def cos(x: Ball) -> Ball:
+    return _cos_sin(x, x.f)[0]
 
 
-def sin(x: Ball, ctx: PrecCtx | None = None) -> Ball:
-    return _cos_sin(x, ctx.bits if ctx is not None else x.f)[1]
+def sin(x: Ball) -> Ball:
+    return _cos_sin(x, x.f)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -914,7 +911,7 @@ def gamma_rational(p, ctx: PrecCtx) -> Ball:
     """
     p = Fraction(p)
     if not 0 < p <= 2:
-        raise UnsupportedArgument("gamma_rational requires 0 < p <= 2")
+        raise UnsupportedGammaArgument(f"gamma argument {p} outside (0, 2]")
     if p == 1 or p == 2:
         return Ball.one(ctx.bits)
     z = p - 1 if p > 1 else p
@@ -946,26 +943,22 @@ def ball_arith(a: Ball, b, op: str, ctx: PrecCtx) -> Ball:
         return (a * b).rescale(f)
     if op == "div":
         return (a / b).rescale(f)
-    if op == "pow_rational":
-        return pow_rational(a, b, ctx)
+    if op == "pow_rational":  # as `elementary`, under the power limit of ctx
+        return pow_rational(a.rescale(max(a.f, f)), b, ctx.requested).rescale(f)
     raise ValueError(f"unknown ball operation {op!r}")
 
 
 def elementary(x: Ball, fn: str, ctx: PrecCtx, n: int = 2) -> Ball:
-    """Dispatch {exp, log, sqrt, nth_root, cos, sin} at the context precision."""
-    if fn == "exp":
-        return exp(x, ctx)
-    if fn == "log":
-        return log(x, ctx)
-    if fn == "sqrt":
-        return sqrt(x, ctx)
+    """Dispatch {exp, log, sqrt, nth_root, cos, sin} at the context precision:
+    each works at the scale of x, raised to ctx.bits if coarser, and the
+    result is rounded once to ctx.bits."""
+    x = x.rescale(max(x.f, ctx.bits))
     if fn == "nth_root":
-        return nth_root(x, n, ctx)
-    if fn == "cos":
-        return cos(x, ctx)
-    if fn == "sin":
-        return sin(x, ctx)
-    raise ValueError(f"unknown elementary function {fn!r}")
+        return nth_root(x, n).rescale(ctx.bits)
+    unary = {"exp": exp, "log": log, "sqrt": sqrt, "cos": cos, "sin": sin}
+    if fn not in unary:
+        raise ValueError(f"unknown elementary function {fn!r}")
+    return unary[fn](x).rescale(ctx.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,19 +1024,21 @@ def rad_exponent_str(ball: Ball) -> str:
     return "0" if e is None else f"1e{e:+d}"
 
 
-def agreement_digits(lhs: Ball, rhs: Ball, cap: int = 10**6) -> int:
-    """floor(-log10(|lhs.mid - rhs.mid| + lhs.rad + rhs.rad)).
+AGREEMENT_CAP = 10**6  # the digits of two equal exact balls
 
-    Returns `cap` when the quantity is exactly zero; may be negative when
-    the balls are farther than 1 apart.
+
+def agreement_digits(lhs: Ball, rhs: Ball) -> int:
+    """floor(-log10(|lhs.mid - rhs.mid| + lhs.rad + rhs.rad)), at most
+    AGREEMENT_CAP, which it returns when the quantity is exactly zero; may
+    be negative when the balls are farther than 1 apart.
     """
     f = max(lhs.f, rhs.f)
     a, b = lhs.rescale(f), rhs.rescale(f)
     x = abs(a.m - b.m) + a.r + b.r
     if x == 0:
-        return cap
+        return AGREEMENT_CAP
     fl, exact = _log10_floor(x, f)
-    return min(cap, -fl if exact else -fl - 1)
+    return min(AGREEMENT_CAP, -fl if exact else -fl - 1)
 
 
 # ---------------------------------------------------------------------------

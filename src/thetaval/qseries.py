@@ -287,7 +287,7 @@ def _term_limit(f: int) -> int:
     return 8 * f + 64  # the most terms `_theta_wings` sums in one wing at scale f
 
 
-def _theta_wings(wings, f: int, min_terms: int = 0):
+def _theta_wings(wings, f: int):
     """(S, err, tail, n) for the sum over wings of sum_{k>=1} t_k at scale f.
 
     A wing (t1, rho1, c) of Balls at scale f with sup|c| < 1 has the terms
@@ -300,19 +300,17 @@ def _theta_wings(wings, f: int, min_terms: int = 0):
     for its shifts: below a few hundred bits, a product costs about the same
     at any width.)  A product of x and y, known to e_x and e_y units, is off
     by (|x| e_y + |y| e_x + e_x e_y) 2^-g, floored, plus 2 units for the two
-    floors; err sums these over the kept terms.  A wing stops at
-    n >= min_terms terms once sup|t_n| <= 2 and sup|rho_n| <= 1/2 (2^(g-1)
-    units): |rho| keeps shrinking by sup|c|, so each dropped term is at most
-    half the one before and the wing's tail is at most sup|t_n|.  A wing
-    whose floored term is 0 before that, with sup|rho_n| < 1, stops too, its
-    tail at most ceil(sup|t_n| / (1 - sup|rho_n|)): a ratio c near 1 would
-    otherwise sum terms that add nothing but their 2 error units until |rho|
-    falls below about 1/3.  `tail` sums these bounds and n is the longest
-    wing's term count.  A wing of
-    discs (`_Gauss`) has the same rules on the modulus, and a _Gauss S.  A
-    real wing whose terms share the sign of t1 < 0 is summed negated, so its
-    floored terms settle at 0 instead of -1.  The series pass no min_terms;
-    the tests raise it to check that summing further stays inside the ball.
+    floors; err sums these over the kept terms.  A wing stops at the n-th
+    term once sup|t_n| <= 2 and sup|rho_n| <= 1/2 (2^(g-1) units): |rho|
+    keeps shrinking by sup|c|, so each dropped term is at most half the one
+    before and the wing's tail is at most sup|t_n|.  A wing whose floored
+    term is 0 before that, with sup|rho_n| < 1, stops too, its tail at most
+    ceil(sup|t_n| / (1 - sup|rho_n|)): a ratio c near 1 would otherwise sum
+    terms that add nothing but their 2 error units until |rho| falls below
+    about 1/3.  `tail` sums these bounds and n is the longest wing's term
+    count.  A wing of discs (`_Gauss`) has the same rules on the modulus,
+    and a _Gauss S.  A real wing whose terms share the sign of t1 < 0 is
+    summed negated, so its floored terms settle at 0 instead of -1.
     """
     one, limit = 1 << f, _term_limit(f)
     s = err = tail = n_max = 0
@@ -327,9 +325,7 @@ def _theta_wings(wings, f: int, min_terms: int = 0):
         acc, e, n, g = t, et, 1, f
         low = 1 << (g - 288) if g > 288 else 0  # |t| below it: drop to bits(t) + 32
         # on until sup|t| <= 2 and sup|rho| <= 1/2, or until t = 0 and sup|rho| < 1
-        while (at + et > 2 or 2 * (arho + er) > 1 << g) and (at or arho + er >= 1 << g) or (
-            n < min_terms
-        ):
+        while (at + et > 2 or 2 * (arho + er) > 1 << g) and (at or arho + er >= 1 << g):
             if n > limit:
                 raise NotConvergent("theta series failed to reach its tail target")
             if at < low:

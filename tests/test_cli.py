@@ -49,9 +49,9 @@ class TestVerify:
 
     def test_verification_failure_exit_code(self, capsys, monkeypatch):
         # a right side moved by 1e-6 is disjoint from the left: exit 1, no escalation
-        r3 = cli.build_catalog().get("r3")
+        r3 = exact.build_catalog().get("r3")
         bad = Identity("r3", r3.lhs, mutate_first_leaf(r3.rhs), r3.provenance)
-        monkeypatch.setattr(cli, "build_catalog", lambda: Catalog((bad,)))
+        monkeypatch.setattr(exact, "build_catalog", lambda: Catalog((bad,)))
         code, out, _ = run(capsys, "verify", "r3", "--prec", "64")
         assert code == 1
         entry = json.loads(out)["entries"][0]
@@ -82,8 +82,8 @@ class TestVerify:
     def test_catalog_is_built_once_per_run(self, capsys, monkeypatch):
         # the workers get the parsed entries; they do not build the catalog again
         calls = []
-        build = cli.build_catalog
-        monkeypatch.setattr(cli, "build_catalog", lambda: calls.append(1) or build())
+        build = exact.build_catalog
+        monkeypatch.setattr(exact, "build_catalog", lambda: calls.append(1) or build())
         code, _, _ = run(capsys, "verify", "--all")
         assert code == 0 and len(calls) == 1
 
@@ -671,8 +671,8 @@ OUTCOME_CASES = [
 )
 def test_each_error_maps_to_one_exit_code_and_label(capsys, monkeypatch, argv, code, label):
     bad = Identity("bad", parse_expr("1 / (1 - 1)"), parse_expr("1"), "a zero divisor")
-    catalog = cli.build_catalog()
-    monkeypatch.setattr(cli, "build_catalog", lambda: Catalog(catalog.entries + (bad,)))
+    catalog = exact.build_catalog()
+    monkeypatch.setattr(exact, "build_catalog", lambda: Catalog(catalog.entries + (bad,)))
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "") and err.startswith(label), err
 
@@ -771,10 +771,19 @@ def test_python_dash_m_runs_the_cli():
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_process_pool():
     code = (
         "import sys, thetaval.cli; "
-        "loaded = {'dataclasses', 'inspect', 'concurrent.futures'} & set(sys.modules); "
+        "loaded = {'dataclasses', 'inspect', 'concurrent.futures', 'thetaval.exact'} & set(sys.modules); "
         "assert not loaded, loaded"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_sweep_does_not_load_the_expression_tree():
+    code = (
+        "import sys; from thetaval.cli import main; rc = main(['sweep', 'deg15']); "
+        "assert 'thetaval.exact' not in sys.modules; sys.exit(rc)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -9,11 +9,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from thetaval import exact
+from thetaval import exact, precision
 from thetaval.errors import (
     DivisorStraddlesZero,
     DomainError,
-    NegativeBaseEvenRoot,
+    EnclosureReachesBoundary,
     Undecided,
     UnsupportedGammaArgument,
 )
@@ -69,6 +69,24 @@ class TestEvalExpr:
         ref = F(str(mp.nstr(mp.cos(2 * mp.pi / 7), 40, strip_zeros=False)))
         assert abs(val.mid - ref) < F(1, 10**38)
 
+    # every branch of the exact reduction to |s| <= 1/4: both signs, past the
+    # period, each side of 1/4, 1/2 and 3/4, and the rational values
+    @pytest.mark.parametrize("t", sorted({F(k, 7) for k in range(-15, 16)} | {F(k, 12) for k in range(-25, 26)}))
+    def test_cospi_against_mpmath_in_every_octant(self, t):
+        import mpmath as mp
+
+        with mp.workprec(600):
+            ref = mp.cos(mp.pi * mp.mpf(t.numerator) / t.denominator)
+        val = eval_expr(CosPiRat(t), CTX)
+        ref = F(mp.nstr(ref, 170, strip_zeros=False))
+        assert abs(val.mid - ref) <= val.rad + F(1, 10**160) and val.rad <= F(2) ** (1 - CTX.bits)
+
+    def test_cospi_reads_pi_at_one_scale(self):
+        # s pi is built from the pi that cos and sin read, so a cold cospi takes one
+        precision._pi_units.cache_clear()
+        eval_expr(CosPiRat(F(1, 7)), PrecCtx(512))
+        assert precision._pi_units.cache_info().misses == 1
+
     def test_g9_sixth_power_difference(self):
         g9 = CATALOG.get("g9").rhs
         val = eval_expr(g9, CTX)
@@ -99,7 +117,7 @@ class TestEvalExpr:
             with pytest.raises(DomainError) as exc:
                 eval_expr(PowRat(base, F(1, 2)), CTX)
             assert not isinstance(exc.value, Undecided)
-        with pytest.raises(NegativeBaseEvenRoot):
+        with pytest.raises(EnclosureReachesBoundary):
             eval_expr(PowRat(Sub(Pi(), Pi()), F(1, 2)), CTX)
 
     def test_gamma_domain(self):
@@ -314,9 +332,15 @@ def test_shared_subtrees_are_evaluated_once_per_call(monkeypatch, entry_id):
     catalog = entry_id in CATALOG.ids()
     rhs = CATALOG.get(entry_id).rhs if catalog else parse_expr(entry_id)
     computed, memos = [], []
-    node, raw = exact._eval_node, exact._eval_raw
-    monkeypatch.setattr(exact, "_eval_node", lambda e, f, m: computed.append((e, f)) or node(e, f, m))
-    monkeypatch.setattr(exact, "_eval_raw", lambda e, f, m: memos.append(m) or raw(e, f, m))
+    raw = exact._eval_raw
+
+    def spy(e, w, m):  # a memo miss is a subtree computed
+        if (e, w.bits) not in m:
+            computed.append((e, w))
+        memos.append(m)
+        return raw(e, w, m)
+
+    monkeypatch.setattr(exact, "_eval_raw", spy)
     for _ in range(2):  # a second call starts from an empty memo
         computed.clear()
         val = eval_expr(rhs, PrecCtx(512))

@@ -343,8 +343,8 @@ class TestJims:
         """jims at x, and every `_theta_wings` result it saw, through a spy."""
         real, sums = modular._theta_wings, []
 
-        def spy(wings, f, min_terms=0):
-            sums.append((real(wings, f, min_terms), f))
+        def spy(wings, f):
+            sums.append((real(wings, f), f))
             return sums[-1][0]
 
         monkeypatch.setattr(modular, "_theta_wings", spy)

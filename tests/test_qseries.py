@@ -5,7 +5,6 @@ oracles here are the infinite products through pochhammer_inf, direct
 finite products at doubled precision, and exact special-case identities.
 """
 
-import collections
 import functools
 import math
 import random
@@ -57,25 +56,33 @@ def bf(x, f=256):
     return Ball.from_fraction(F(x), f)
 
 
-# one `_theta_wings` result: the sum, its error and tail bound in units, and
-# the longest wing's term count
-WingSum = collections.namedtuple("WingSum", "s err tail terms_used")
+def remainders_within_tails(monkeypatch, series, q):
+    """(sup of its remainder, its tail) for each wing that series(q, CTX)
+    hands the kernel, both in units of 2^-(f + 64) for the kernel's scale f.
 
+    After a wing's n kept terms the remainder is itself a wing,
+    (t_(n+1), rho_(n+1), c) = (t1 rho1^n c^(n(n-1)/2), rho1 c^n, c), formed
+    from the wing's balls at the finer scale and summed by the kernel there.
+    The wings' tails add up to the tail of the call the spy saw."""
+    real, seen = qseries._theta_wings, []
 
-def series_with_tail(monkeypatch, series, q, min_terms=0):
-    """series(q, CTX), its wings summed to at least min_terms terms through
-    a `_theta_wings` spy, and the one `WingSum` that the spy saw."""
-    real, sums = qseries._theta_wings, []
-
-    def spy(wings, f, _=0):
-        sums.append(real(wings, f, min_terms))
-        return sums[-1]
+    def spy(wings, f):
+        seen.append((wings, f, real(wings, f)))
+        return seen[-1][2]
 
     with monkeypatch.context() as mp:
         mp.setattr(qseries, "_theta_wings", spy)
-        val = series(q, CTX)
-    (wing_sum,) = sums
-    return val, WingSum(*wing_sum)
+        series(q, CTX)
+    ((wings, f, (_, _, total, _)),) = seen
+    out, extra = [], 64
+    for wing in wings:
+        _, _, tail, n = real([wing], f)
+        t1, rho1, c = (b.rescale(f + extra) for b in wing)
+        rest = (t1 * ipow(rho1, n) * ipow(c, n * (n - 1) // 2), rho1 * ipow(c, n), c)
+        s, err, rest_tail, _ = real([rest], f + extra)
+        out.append((abs(s) + err + rest_tail, tail << extra))
+    assert sum(tail for _, tail in out) == total << extra
+    return out
 
 
 def product_oracles(q, ctx):
@@ -178,8 +185,8 @@ def test_nome_near_one_takes_the_dual_route(monkeypatch):
     counts = []
     real = qseries._theta_wings
 
-    def spy(wings, f, min_terms=0):
-        out = real(wings, f, min_terms)
+    def spy(wings, f):
+        out = real(wings, f)
         counts.append(out[3])
         return out
 
@@ -799,9 +806,9 @@ class TestCaches:
         # phi(+-q) and phi(+-q^3): the multiplier's phi(q) and phi(q^3) are hits
         real, calls = qseries._theta_wings, []
 
-        def spy(wings, f, min_terms=0):
+        def spy(wings, f):
             calls.append(f)
-            return real(wings, f, min_terms)
+            return real(wings, f)
 
         qseries._theta_exact.cache_clear()
         monkeypatch.setattr(qseries, "_theta_wings", spy)
@@ -813,9 +820,9 @@ class TestCaches:
         # and the ratio oracle read phi(q) and phi(q^7) through the memo
         real, calls = qseries._theta_wings, []
 
-        def spy(wings, f, min_terms=0):
+        def spy(wings, f):
             calls.append(f)
-            return real(wings, f, min_terms)
+            return real(wings, f)
 
         qseries._theta_exact.cache_clear()
         monkeypatch.setattr(qseries, "_theta_wings", spy)
@@ -867,9 +874,9 @@ class TestGuardRule:
     def test_every_theta_kernel_runs_at_one_working_width(self, name, monkeypatch):
         real, widths = qseries._theta_wings, []
 
-        def spy(wings, f, min_terms=0):
+        def spy(wings, f):
             widths.append(f)
-            return real(wings, f, min_terms)
+            return real(wings, f)
 
         qseries._theta_exact.cache_clear()
         monkeypatch.setattr(qseries, "_theta_wings", spy)
@@ -969,13 +976,8 @@ class TestPhi:
         assert phi(q, CTX).overlaps(phi_series(q, CTX))
 
     def test_tail_soundness(self, monkeypatch):
-        val1, tail1 = series_with_tail(monkeypatch, phi_series, bf(F(3, 10)))
-        val2, tail2 = series_with_tail(
-            monkeypatch, phi_series, bf(F(3, 10)), min_terms=tail1.terms_used + 10
-        )
-        assert tail1.tail >= 0
-        assert tail2.terms_used >= tail1.terms_used + 10
-        assert val1.encloses(val2)
+        pairs = remainders_within_tails(monkeypatch, phi_series, bf(F(3, 10)))
+        assert len(pairs) == 1 and all(0 < rest <= tail for rest, tail in pairs)
 
 
 class TestPsi:
@@ -991,9 +993,8 @@ class TestPsi:
         assert psi(q, CTX).overlaps(theta_f(q, ipow(q, 3), CTX))
 
     def test_tail_soundness(self, monkeypatch):
-        v1, t1 = series_with_tail(monkeypatch, psi_series, bf(F(2, 5)))
-        v2, _ = series_with_tail(monkeypatch, psi_series, bf(F(2, 5)), min_terms=t1.terms_used + 10)
-        assert v1.encloses(v2)
+        pairs = remainders_within_tails(monkeypatch, psi_series, bf(F(2, 5)))
+        assert len(pairs) == 1 and all(0 < rest <= tail for rest, tail in pairs)
 
 
 class TestFNeg:
@@ -1014,9 +1015,8 @@ class TestFNeg:
         assert f_neg(q, CTX).overlaps(f_neg_series(q, CTX))
 
     def test_tail_soundness(self, monkeypatch):
-        v1, t1 = series_with_tail(monkeypatch, f_neg_series, bf(F(1, 2)))
-        v2, _ = series_with_tail(monkeypatch, f_neg_series, bf(F(1, 2)), min_terms=t1.terms_used + 10)
-        assert v1.encloses(v2)
+        pairs = remainders_within_tails(monkeypatch, f_neg_series, bf(F(1, 2)))
+        assert len(pairs) == 2 and all(0 < rest <= tail for rest, tail in pairs)
 
 
 class TestChi:
