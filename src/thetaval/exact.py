@@ -39,11 +39,12 @@ from .precision import (
     check_power_size,
     cos,
     gamma_rational,
+    memo,
     pow_rational,
     rad_shortfall,
     sin,
 )
-from .precision import TRIG_PI_GUARD, _pi_ball
+from .precision import GUARD_BITS, TRIG_PI_GUARD, _pi_ball
 from .qseries import QPoint, chi, f_neg, phi, psi, theta_f
 
 __all__ = [
@@ -62,9 +63,9 @@ __all__ = [
 # the nodes
 #
 # Each node kind is declared once: its fields are its `__slots__`, and
-# `_ball(w, memo)` is its enclosure at the working context w, each subtree
-# evaluated through `_eval_raw` and the caller's memo.  The evaluator,
-# renderer, folder, parser and `mutate_first_leaf` read these declarations.
+# `_ball(bits)` is its enclosure at the working scale bits, each subtree read
+# through `_eval_raw`, the one tree cache, and a kernel given `WorkCtx(bits)`.
+# The evaluator, renderer, folder, parser and `mutate_first_leaf` read these.
 # Calls into qseries and precision go through this module's names, so
 # rebinding one of them reaches every call; `modular` is imported by the
 # three nodes that call it, on first use, and read by its module's names.
@@ -79,22 +80,22 @@ class Expr(Record):
 class Int(Expr):
     __slots__ = ("value",)
 
-    def _ball(self, w, memo):
-        return Ball.exact_int(self.value).rescale(w.bits)
+    def _ball(self, bits):
+        return Ball.exact_int(self.value).rescale(bits)
 
 
 class Rat(Expr):
     __slots__ = ("value",)
 
-    def _ball(self, w, memo):
-        return Ball.from_fraction(self.value, w.bits)
+    def _ball(self, bits):
+        return Ball.from_fraction(self.value, bits)
 
 
 class Pi(Expr):
     __slots__ = ()
 
-    def _ball(self, w, memo):
-        return _pi_ball(w.bits)
+    def _ball(self, bits):
+        return _pi_ball(bits)
 
 
 class Infix(Expr):
@@ -102,8 +103,8 @@ class Infix(Expr):
 
     __slots__ = ("left", "right")
 
-    def _ball(self, w, memo):
-        return self.op(_eval_raw(self.left, w, memo), _eval_raw(self.right, w, memo))
+    def _ball(self, bits):
+        return self.op(_eval_raw(self.left, bits), _eval_raw(self.right, bits))
 
 
 class Add(Infix):
@@ -129,15 +130,15 @@ class Div(Infix):
 class PowRat(Expr):
     __slots__ = ("base", "exponent")
 
-    def _ball(self, w, memo):  # under the power limit of the requested bits
-        return pow_rational(_eval_raw(self.base, w, memo), self.exponent, w.requested)
+    def _ball(self, bits):  # under the power limit of the requested bits
+        return pow_rational(_eval_raw(self.base, bits), self.exponent, bits - GUARD_BITS)
 
 
 class Neg(Expr):
     __slots__ = ("arg",)
 
-    def _ball(self, w, memo):
-        return -_eval_raw(self.arg, w, memo)
+    def _ball(self, bits):
+        return -_eval_raw(self.arg, bits)
 
 
 _FUNCTIONS: dict[str, type] = {}  # grammar name -> node class
@@ -161,16 +162,16 @@ class Nome(Function):
     __slots__ = ("q",)  # the value sign * e^(-pi sqrt r) as a ball
     name, rational = "qpoint", True  # written qpoint(sign, r)
 
-    def _ball(self, w, memo):
-        return self.q.to_ball(w)
+    def _ball(self, bits):
+        return self.q.to_ball(WorkCtx(bits))
 
 
 class GammaRat(Function):
     __slots__ = ("arg",)
     name, rational = "gamma", True
 
-    def _ball(self, w, memo):
-        return gamma_rational(self.arg, w)
+    def _ball(self, bits):
+        return gamma_rational(self.arg, WorkCtx(bits))
 
 
 # cos(t pi) at the t = n/d in [0, 1/2] where it is rational (Niven), by (n, d)
@@ -181,36 +182,36 @@ class CosPiRat(Function):
     __slots__ = ("arg",)  # cos(arg * pi)
     name, rational = "cospi", True
 
-    def _ball(self, w, memo):
+    def _ball(self, bits):
         d = self.arg.denominator  # t = n/d, reduced at every step
         n = self.arg.numerator % (2 * d)
         n = min(n, 2 * d - n)  # cos is even with period 2: t in [0, 1]
         sign = 1 if 2 * n <= d else -1
         n = min(n, d - n)  # cos(t pi) = -cos((1 - t) pi): t in [0, 1/2]
         if (n, d) in _EXACT_COSPI:
-            return Ball.from_fraction(sign * _EXACT_COSPI[n, d], w.bits)
+            return Ball.from_fraction(sign * _EXACT_COSPI[n, d], bits)
         s = min(2 * n, d - 2 * n)  # cos(t pi) = sin((1/2 - t) pi): s/2d in [0, 1/4]
-        pi = _pi_ball(w.bits + TRIG_PI_GUARD)  # the pi that cos and sin read for |x| < 1
+        pi = _pi_ball(bits + TRIG_PI_GUARD)  # the pi that cos and sin read for |x| < 1
         x = Ball(pi.m * s, pi.r * s, pi.f).div_int(2 * d)
-        return sign * (cos if s == 2 * n else sin)(x.rescale(w.bits))
+        return sign * (cos if s == 2 * n else sin)(x.rescale(bits))
 
 
 class Agm(Function):
     __slots__ = ("a", "b")
     name = "agm"
 
-    def _ball(self, w, memo):
-        return agm(_eval_raw(self.a, w, memo), _eval_raw(self.b, w, memo), w)
+    def _ball(self, bits):
+        return agm(_eval_raw(self.a, bits), _eval_raw(self.b, bits), WorkCtx(bits))
 
 
 class Hyp(Function):
     __slots__ = ("x",)  # 2F1(1/2, 1/2; 1; x)
     name = "hyp"
 
-    def _ball(self, w, memo):
+    def _ball(self, bits):
         from . import modular
 
-        return modular.hyp2f1_half(_eval_raw(self.x, w, memo), w)
+        return modular.hyp2f1_half(_eval_raw(self.x, bits), WorkCtx(bits))
 
 
 class ThetaExpr(Function):
@@ -224,48 +225,48 @@ class _NomeTheta(ThetaExpr):
 
     __slots__ = ("q",)
 
-    def _q(self, w, memo):
-        return self.q if isinstance(self.q, QPoint) else _eval_raw(self.q, w, memo)
+    def _q(self, bits):
+        return self.q if isinstance(self.q, QPoint) else _eval_raw(self.q, bits)
 
 
 class Phi(_NomeTheta):
     __slots__ = ()
     name = "phi"
 
-    def _ball(self, w, memo):
-        return phi(self._q(w, memo), w)
+    def _ball(self, bits):
+        return phi(self._q(bits), WorkCtx(bits))
 
 
 class Psi(_NomeTheta):
     __slots__ = ()
     name = "psi"
 
-    def _ball(self, w, memo):
-        return psi(self._q(w, memo), w)
+    def _ball(self, bits):
+        return psi(self._q(bits), WorkCtx(bits))
 
 
 class FNeg(_NomeTheta):
     __slots__ = ()
     name = "fneg"
 
-    def _ball(self, w, memo):
-        return f_neg(self._q(w, memo), w)
+    def _ball(self, bits):
+        return f_neg(self._q(bits), WorkCtx(bits))
 
 
 class Chi(_NomeTheta):
     __slots__ = ()
     name = "chi"
 
-    def _ball(self, w, memo):
-        return chi(self._q(w, memo), w)
+    def _ball(self, bits):
+        return chi(self._q(bits), WorkCtx(bits))
 
 
 class ThetaF(ThetaExpr):
     __slots__ = ("a", "b")  # Ramanujan's general theta function f(a, b)
     name = "f"
 
-    def _ball(self, w, memo):
-        return theta_f(_eval_raw(self.a, w, memo), _eval_raw(self.b, w, memo), w)
+    def _ball(self, bits):
+        return theta_f(_eval_raw(self.a, bits), _eval_raw(self.b, bits), WorkCtx(bits))
 
 
 class YiH(ThetaExpr):
@@ -275,32 +276,31 @@ class YiH(ThetaExpr):
     def __init__(self, k: Fraction, n: Fraction, primed: bool = False):
         Record.__init__(self, k, n, primed)
 
-    def _ball(self, w, memo):
+    def _ball(self, bits):
         from . import modular
 
-        return modular.yi_h(modular.YiQuotient(self.k, self.n, self.primed), w)
+        return modular.yi_h(modular.YiQuotient(self.k, self.n, self.primed), WorkCtx(bits))
 
 
 class ClassInv(ThetaExpr):
     __slots__ = ("n",)
     name, rational = "classinv", True
 
-    def _ball(self, w, memo):
+    def _ball(self, bits):
         from . import modular
 
-        return modular.class_invariant(self.n, w)
+        return modular.class_invariant(self.n, WorkCtx(bits))
 
 
 _FUNCTIONS["hprime"] = YiH
 
 
-def _eval_raw(e: Expr, w: WorkCtx, memo: dict) -> Ball:
-    """Unrounded enclosure of e; every leaf gets the working context w."""
-    key = e, w.bits  # nodes are records: equal trees hash alike, each once
-    val = memo.get(key)
-    if val is None:
-        val = memo[key] = e._ball(w, memo)
-    return val
+@memo
+def _eval_raw(e: Expr, bits: int) -> Ball:
+    """Unrounded enclosure of e at the working scale bits: the one tree cache,
+    so each distinct subtree (equal trees hash alike) is computed once per
+    scale in the process, whichever tree reads it.  A failure leaves no entry."""
+    return e._ball(bits)
 
 
 def eval_expr(e: Expr, ctx: PrecCtx) -> Ball:
@@ -308,20 +308,15 @@ def eval_expr(e: Expr, ctx: PrecCtx) -> Ball:
 
     The tree runs at `ctx.work()` and is rounded once, to ctx.bits.  A divisor
     or fractional-power base that straddles zero runs the tree again at more
-    bits, through `certify`.  Each distinct subtree is evaluated once per
-    scale, through a memo cleared on exit (an error's traceback would keep it).
+    bits, through `certify`.
     """
-    memo: dict[tuple[Expr, int], Ball] = {}
-    try:
-        value, _ = certify(lambda b: _eval_raw(e, PrecCtx(b).work(), memo), ctx.bits)
-        return value.rescale(ctx.bits)
-    finally:
-        memo.clear()
+    value, _ = certify(lambda b: _eval_raw(e, PrecCtx(b).work().bits), ctx.bits)
+    return value.rescale(ctx.bits)
 
 
 def eval_theta(t: ThetaExpr, ctx: PrecCtx) -> Ball:
     """Enclosure of one theta leaf, as `eval_expr` evaluates it in a tree."""
-    return t._ball(ctx.work(), {}).rescale(ctx.bits)
+    return _eval_raw(t, ctx.work().bits).rescale(ctx.bits)
 
 
 def render_expr(e: Expr) -> str:
@@ -802,18 +797,14 @@ def verify_identity(ident: Identity, ctx: PrecCtx) -> VerifyReport:
     sides again at more bits through `certify`; disjoint enclosures fail at
     once (inclusion makes that definitive).
     """
-    memo: dict[tuple[Expr, int], Ball] = {}
-
     def sides(bits: int) -> tuple[Ball, ...]:
-        w = PrecCtx(bits).work()
-        return tuple(_eval_raw(e, w, memo).rescale(bits) for e in (ident.lhs, ident.rhs))
+        fw = PrecCtx(bits).work().bits
+        return tuple(_eval_raw(e, fw).rescale(bits) for e in (ident.lhs, ident.rhs))
 
     try:
         (lhs, rhs), used = certify(sides, ctx.bits, lambda s: s if s[0].overlaps(s[1]) else ())
     except ThetavalError as exc:
         raise EvaluationError(ident.id, str(exc)) from exc
-    finally:
-        memo.clear()
     verified = lhs.overlaps(rhs) and rad_shortfall(lhs) == rad_shortfall(rhs) == 0
     status = "verified" if verified else "unverified"
     return VerifyReport(ident.id, lhs, rhs, agreement_digits(lhs, rhs), status, used)

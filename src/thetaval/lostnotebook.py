@@ -82,18 +82,24 @@ class CompletionResult(Record):
     __slots__ = ("identity", "report", "state", "roots", "assignment", "cos_pairs")
 
 
+def _uvw(q, wctx: PrecCtx) -> tuple[tuple[Ball, Ball, Ball], Ball]:
+    """(u, v, w) and q^(1/7) at the working context wctx: the q^(k/7) of a QPoint
+    by exact bookkeeping, of any other nome from r = q^(1/7) as r^4 and q r^2."""
+    f = wctx.bits
+    if isinstance(q, QPoint):
+        roots = [q_power_ball(q, Fraction(k, 7), f) for k in (1, 4, 9)]
+    else:
+        r = q_power_ball(q, Fraction(1, 7), f)
+        roots = [r, ipow(r, 4), as_q_ball(q, f) * (r * r)]
+    den, ab = phi(nome_pow(q, 7), wctx), ((5, 9), (3, 11), (1, 13))  # 2 q^(k/7) f(q^a, q^b) / den
+    parts = [theta_f(q_power_ball(q, a, f), q_power_ball(q, b, f), wctx) for a, b in ab]
+    return tuple((x * 2) * t / den for x, t in zip(roots, parts)), roots[0]
+
+
 def compute_uvw(q, ctx: PrecCtx) -> tuple[Ball, Ball, Ball]:
     """u = 2 q^(1/7) f(q^5,q^9)/phi(q^7), and the q^(4/7), q^(9/7) mates."""
     require_positive_nome(q, "the septic system")
-    wctx = ctx.work()
-    den = phi(nome_pow(q, 7), wctx)
-    q5, q9 = q_power_ball(q, 5, wctx.bits), q_power_ball(q, 9, wctx.bits)
-    q3, q11 = q_power_ball(q, 3, wctx.bits), q_power_ball(q, 11, wctx.bits)
-    q1, q13 = as_q_ball(q, wctx.bits), q_power_ball(q, 13, wctx.bits)
-    u = (q_power_ball(q, Fraction(1, 7), wctx.bits) * 2) * theta_f(q5, q9, wctx) / den
-    v = (q_power_ball(q, Fraction(4, 7), wctx.bits) * 2) * theta_f(q3, q11, wctx) / den
-    w = (q_power_ball(q, Fraction(9, 7), wctx.bits) * 2) * theta_f(q1, q13, wctx) / den
-    return u.rescale(ctx.bits), v.rescale(ctx.bits), w.rescale(ctx.bits)
+    return tuple(x.rescale(ctx.bits) for x in _uvw(q, ctx.work())[0])
 
 
 def compute_p(q, ctx: PrecCtx) -> Ball:
@@ -120,11 +126,13 @@ def verify_quartic_relation(q, ctx: PrecCtx) -> Ball:
 
 def septic_residuals(q, ctx: PrecCtx) -> tuple[Ball, Ball, Ball]:
     """The residuals p - uvw, 1 + u + v + w - phi(q^(1/7))/phi(q^7) and the
-    quartic relation at q, with p computed once, at the working scale."""
-    u, v, w = compute_uvw(q, ctx)
+    quartic relation at q, with p and q^(1/7) computed once, at the working scale."""
+    require_positive_nome(q, "the septic system")
     work = ctx.work()
+    uvw, root = _uvw(q, work)
+    u, v, w = (x.rescale(ctx.bits) for x in uvw)
     p, ratio = compute_p(q, work), ratio4_series_oracle(q, work)
-    quot = phi(q_power_ball(q, Fraction(1, 7), work.bits), work) / phi(nome_pow(q, 7), work)
+    quot = phi(root, work) / phi(nome_pow(q, 7), work)
     quartic = ipow(ratio, 2) - (p * 5 + 2) * ratio + ipow(Ball.one(work.bits) - p, 3)
     return (
         p.rescale(ctx.bits) - u * v * w,

@@ -351,18 +351,16 @@ def jims_identity(x, ctx: PrecCtx) -> Ball:
       = (sqrt2 + sqrt(1+x)) / sqrt(1-x) * sum e^(-pi n^2 x) sin(...),
     for x inside (0, 1).  The sums are Re and Im of sum_{n>=1} w^(n^2), w =
     e^(-pi x) (cos t + i sin t), t = pi sqrt(1-x^2): 1 plus them is the theta
-    kernel's disc wing (1, w, w^2).  The kernel stops once |w|^(2n-1) < 1/3, or
-    once its term has rounded to 0: |w|^((n-1)^2) is below a unit at scale f
-    and, as a small x leaves the terms nearly real, |w|^(2n-1) < 1/2 (a
-    rounded unit times a larger ratio stays a unit).  So a small x needs
-    about min(ln 3/(2 pi x), max(sqrt(f ln 2/(pi x)), ln 2/(2 pi x))) terms."""
+    kernel's disc wing (1, w, w^2).  The kernel stops once its term has rounded
+    to 0: it rounds each part of a disc toward zero, so that happens once
+    |w|^((n-1)^2) is below a unit at scale f, after about sqrt(f ln 2/(pi x))
+    terms."""
     fw, refusal = ctx.work().bits, "jims_identity requires x inside (0, 1)"
     if not isinstance(x, Ball):  # an exact x is decided, and its terms counted, before rounding
         if not 0 < x < 1:
             raise DomainError(refusal)
         rate = math.pi * max(float(x), 1e-300)  # |w| = e^(-rate)
-        vanish = max(math.sqrt(fw * math.log(2) / rate), math.log(2) / (2 * rate))
-        n = int(min(math.log(3) / (2 * rate), vanish))
+        n = int(math.sqrt(fw * math.log(2) / rate))
         cap = _term_limit(fw)
         if n > cap:
             raise NotConvergent(
@@ -375,7 +373,7 @@ def jims_identity(x, ctx: PrecCtx) -> Ball:
     decay = exp(-(pi * xb))  # |w| = e^(-pi x)
     re, im = (decay * v for v in _cos_sin(pi * sqrt(one - xb * xb), fw))
     w = Ball(_Gauss(re.m, im.m), re.r + im.r, fw)
-    w2 = Ball((w.m * w.m) >> fw, ((2 * abs(w.m) + w.r) * w.r >> fw) + 2, fw)  # the kernel's rule
+    w2 = Ball((w.m * w.m) >> fw, ((2 * abs(w.m) + w.r) * w.r >> fw) + 3, fw)  # the kernel's rule
     s, err, tail, _ = _theta_wings([(Ball(_Gauss(1 << fw, 0), 0, fw), w, w2)], fw)
     prefac = (sqrt(Ball.from_fraction(2, fw)) + sqrt(one + xb)) / sqrt(one - xb)
     residual = (Ball(s.real, err + tail, fw) - one.half()) - prefac * Ball(s.imag, err + tail, fw)

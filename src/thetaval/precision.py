@@ -65,9 +65,9 @@ __all__ = [
 
 # The one cache rule: every memo table is an lru_cache of a pure function of
 # (value, scale), at most CACHE_ENTRIES entries each, so a loop over distinct
-# nomes or precisions cannot grow memory without bound.  A pass of the
-# catalog, a theta batch or a CLI run keys at most a few hundred entries per
-# table, so none of them evicts.  cache_info() gives the hits and misses.
+# nomes, trees or precisions cannot grow memory without bound; a full table
+# drops its least recently used entry (hundreds of CLI commands fill the tree
+# and theta tables).  cache_info() gives the hits and misses.
 CACHE_ENTRIES = 1024
 memo = functools.lru_cache(maxsize=CACHE_ENTRIES)
 

@@ -259,7 +259,7 @@ def pochhammer_inf(a: Ball, q: Ball, ctx: PrecCtx) -> Ball:
 
 class _Gauss:
     """A Gaussian integer, a disc's midpoint; an int operand, by .real and .imag, is one
-    too.  abs is |real| + |imag| <= sqrt2 |z|; >> rounds each part to nearest."""
+    too.  abs is |real| + |imag| <= sqrt2 |z|; >> rounds each part toward zero."""
 
     __slots__ = ("real", "imag")
 
@@ -274,8 +274,8 @@ class _Gauss:
         return _Gauss(a * c - b * d, a * d + b * c)
 
     def __rshift__(self, k: int):
-        h = 1 << k >> 1
-        return _Gauss((self.real + h) >> k, (self.imag + h) >> k)
+        a, b = self.real, self.imag
+        return _Gauss(a >> k if a >= 0 else -(-a >> k), b >> k if b >= 0 else -(-b >> k))
 
     def __abs__(self) -> int:
         return abs(self.real) + abs(self.imag)
@@ -285,6 +285,11 @@ class _Gauss:
 
 def _term_limit(f: int) -> int:
     return 8 * f + 64  # the most terms `_theta_wings` sums in one wing at scale f
+
+
+def _drop(x, e: int, k: int):
+    """(x >> k, its error) for x known to e units: ceil(e 2^-k) + 1, or + 2 for a disc."""
+    return x >> k, -(-e >> k) + (2 if type(x) is _Gauss else 1)
 
 
 def _theta_wings(wings, f: int):
@@ -309,8 +314,10 @@ def _theta_wings(wings, f: int):
     terms that add nothing but their 2 error units until |rho| falls below
     about 1/3.  `tail` sums these bounds and n is the longest wing's term
     count.  A wing of discs (`_Gauss`) has the same rules on the modulus,
-    and a _Gauss S.  A real wing whose terms share the sign of t1 < 0 is
-    summed negated, so its floored terms settle at 0 instead of -1.
+    and a _Gauss S; a shift rounds each part toward zero, below sqrt2 units
+    off, so it counts 2 units where a floor counts 1, and a term below a unit
+    becomes 0.  A real wing whose terms share the sign of t1 < 0 is summed
+    negated, so its floored terms settle at 0 instead of -1.
     """
     one, limit = 1 << f, _term_limit(f)
     s = err = tail = n_max = 0
@@ -320,6 +327,8 @@ def _theta_wings(wings, f: int):
         if ac + ec >= one:
             raise NotConvergent("theta series ratio must lie strictly below 1")
         sign = -1 if isinstance(t1.m, int) and t1.m < 0 <= min(rho1.m, cm) else 1
+        # the rounded product, below 1 unit or a disc's sqrt2, and the floored error bound
+        product_units = 3 if _Gauss in (type(t1.m), type(rho1.m), type(cm)) else 2
         t, et, rho, er = sign * t1.m, t1.r, rho1.m, rho1.r
         at, arho = abs(t), abs(rho)
         acc, e, n, g = t, et, 1, f
@@ -331,11 +340,11 @@ def _theta_wings(wings, f: int):
             if at < low:
                 k = g - at.bit_length() - 32
                 g -= k
-                rho, er, cm, ec = rho >> k, -(-er >> k) + 1, cm >> k, -(-ec >> k) + 1
+                (rho, er), (cm, ec) = _drop(rho, er, k), _drop(cm, ec, k)
                 arho, ac = abs(rho), abs(cm)
                 low = 1 << (g - 288) if g > 288 else 0
-            t, et = (t * rho) >> g, ((at * er + arho * et + et * er) >> g) + 2
-            rho, er = (rho * cm) >> g, ((arho * ec + ac * er + er * ec) >> g) + 2
+            t, et = (t * rho) >> g, ((at * er + arho * et + et * er) >> g) + product_units
+            rho, er = (rho * cm) >> g, ((arho * ec + ac * er + er * ec) >> g) + product_units
             at, arho = abs(t), abs(rho)
             acc += t
             e += et
@@ -391,7 +400,7 @@ def _theta_cached(kind: str, q, ctx: PrecCtx, compute) -> Ball:
 def _takes_dual(kind: str, q, f: int) -> bool:
     """Whether kind(q) at the working scale f goes through its dual nome: a
     QPoint nome near 1 (`_DUAL_BELOW`)."""
-    bits = WorkCtx(f).requested
+    bits = f - GUARD_BITS  # requested
     return isinstance(q, QPoint) and q.r < 1 and float(q.r) <= _DUAL_BELOW[kind] * bits**2
 
 

@@ -1,5 +1,7 @@
 """`Record`, the one immutable value type of the package."""
 
+from operator import attrgetter
+
 _set_field = object.__setattr__
 
 
@@ -16,9 +18,12 @@ class Record:
 
     __slots__ = ("_hash",)
     _fields: tuple[str, ...] = ()
+    _setters: tuple = ()  # the __set__ of each field's slot descriptor
 
     def __init_subclass__(cls):
         cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+        cls._key = attrgetter(*cls._fields or ["_fields"])  # a field's value, or a tuple
 
     def __init__(self, *values, **named):
         fields = self._fields
@@ -29,8 +34,8 @@ class Record:
                 raise TypeError(f"{type(self).__name__} needs the field {exc}") from None
         if named or len(values) != len(fields):
             raise TypeError(f"{type(self).__name__} takes exactly the fields {fields}")
-        for name, value in zip(fields, values):
-            _set_field(self, name, value)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
         _set_field(self, "_hash", None)
 
     def _values(self) -> tuple:
@@ -39,12 +44,12 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or self._values() == other._values()
+        return self is other or self._key(self) == other._key(other)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.__class__, *self._values()))
+            h = hash((self.__class__, self._key(self)))
             _set_field(self, "_hash", h)
         return h
 

@@ -163,7 +163,7 @@ class TestEval:
     def test_an_exact_zero_divisor_or_root_base_is_refused_at_once(self, capsys, monkeypatch, expr):
         # no precision decides it: one attempt at 512 bits, then exit 2
         widths, real = [], exact._eval_raw
-        monkeypatch.setattr(exact, "_eval_raw", lambda e, w, m: widths.append(w.bits) or real(e, w, m))
+        monkeypatch.setattr(exact, "_eval_raw", lambda e, bits: widths.append(bits) or real(e, bits))
         code, out, err = run(capsys, "eval", expr)
         assert (code, out) == (2, "") and err.startswith("domain error: "), err
         assert set(widths) == {512 + 32}
@@ -176,7 +176,7 @@ class TestEval:
         import mpmath as mp
 
         widths, real = [], exact._eval_raw
-        monkeypatch.setattr(exact, "_eval_raw", lambda e, w, m: widths.append(w.bits) or real(e, w, m))
+        monkeypatch.setattr(exact, "_eval_raw", lambda e, bits: widths.append(bits) or real(e, bits))
         code, out, err = run(capsys, "eval", expr)
         assert (code, err) == (0, "") and set(widths) == {544, 1056}
         value, radius = (line.split()[-1] for line in out.splitlines())

@@ -14,6 +14,7 @@ from thetaval.errors import (
     DivisorStraddlesZero,
     DomainError,
     EnclosureReachesBoundary,
+    ParseError,
     Undecided,
     UnsupportedGammaArgument,
 )
@@ -81,9 +82,8 @@ class TestEvalExpr:
         ref = F(mp.nstr(ref, 170, strip_zeros=False))
         assert abs(val.mid - ref) <= val.rad + F(1, 10**160) and val.rad <= F(2) ** (1 - CTX.bits)
 
-    def test_cospi_reads_pi_at_one_scale(self):
+    def test_cospi_reads_pi_at_one_scale(self, cold_caches):
         # s pi is built from the pi that cos and sin read, so a cold cospi takes one
-        precision._pi_units.cache_clear()
         eval_expr(CosPiRat(F(1, 7)), PrecCtx(512))
         assert precision._pi_units.cache_info().misses == 1
 
@@ -327,27 +327,63 @@ SHARED_SUBTREE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("entry_id", SHARED_SUBTREE_CASES)
-def test_shared_subtrees_are_evaluated_once_per_call(monkeypatch, entry_id):
-    catalog = entry_id in CATALOG.ids()
-    rhs = CATALOG.get(entry_id).rhs if catalog else parse_expr(entry_id)
-    computed, memos = [], []
-    raw = exact._eval_raw
+def spy_computed(monkeypatch) -> list:
+    """Record each (subtree, bits) that `_eval_raw` computes: a cache miss."""
+    computed, raw = [], exact._eval_raw
 
-    def spy(e, w, m):  # a memo miss is a subtree computed
-        if (e, w.bits) not in m:
-            computed.append((e, w))
-        memos.append(m)
-        return raw(e, w, m)
+    def spy(e, bits):  # the miss is counted before the subtrees are read
+        misses = raw.cache_info().misses
+        val = raw(e, bits)
+        if raw.cache_info().misses > misses:
+            computed.append((e, bits))
+        return val
 
     monkeypatch.setattr(exact, "_eval_raw", spy)
-    for _ in range(2):  # a second call starts from an empty memo
-        computed.clear()
-        val = eval_expr(rhs, PrecCtx(512))
-        assert len(computed) == len(set(computed)) == len(set(subtrees(rhs)))
+    return computed
+
+
+@pytest.mark.parametrize("entry_id", SHARED_SUBTREE_CASES)
+def test_shared_subtrees_are_evaluated_once_per_call(monkeypatch, entry_id):
+    # after a clear the first call computes each distinct subtree once, and a
+    # second call computes none
+    catalog = entry_id in CATALOG.ids()
+    rhs = CATALOG.get(entry_id).rhs if catalog else parse_expr(entry_id)
+    exact._eval_raw.cache_clear()
+    computed = spy_computed(monkeypatch)
+    val = eval_expr(rhs, PrecCtx(512))
+    assert len(computed) == len(set(computed)) == len(set(subtrees(rhs)))
+    computed.clear()
+    again = eval_expr(rhs, PrecCtx(512))
+    assert computed == [] and (again.m, again.r, again.f) == (val.m, val.r, val.f)
     if catalog:
         assert val.overlaps(verify_identity(CATALOG.get(entry_id), PrecCtx(512)).rhs)
-    assert memos and all(len(m) == 0 for m in memos)
+
+
+@pytest.mark.parametrize("entry_id", ["cb13", "ln7", "g169"])
+def test_an_equal_but_distinct_tree_is_all_hits(entry_id):
+    text = exact._CATALOG_ROWS[CATALOG.ids().index(entry_id)][2]
+    exact._eval_raw.cache_clear()
+    first = eval_expr(parse_expr(text), PrecCtx(512))
+    before = exact._eval_raw.cache_info()
+    again = eval_expr(parse_expr(text), PrecCtx(512))
+    after = exact._eval_raw.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    assert (again.m, again.r, again.f) == (first.m, first.r, first.f)
+
+
+@pytest.mark.parametrize("text", ["agm(1/10^300, 1)", "hyp(1/10^300)"])
+def test_a_value_after_an_undecided_attempt_is_that_of_a_fresh_process(text):
+    # the 544-bit attempt is undecided and leaves its decided subtrees cached;
+    # the 1056-bit one succeeds with the ball a fresh interpreter computes
+    val = eval_expr(parse_expr(text), PrecCtx(512))
+    code = (
+        "from thetaval.exact import eval_expr, parse_expr\n"
+        "from thetaval.precision import PrecCtx\n"
+        f"v = eval_expr(parse_expr({text!r}), PrecCtx(512))\n"
+        "print(v.m, v.r, v.f)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [str(val.m), str(val.r), str(val.f)]
 
 
 # one tree of each node kind and the text it prints as
@@ -381,14 +417,17 @@ def test_each_node_kind_renders_to_its_pinned_text(tree, text):
         assert exact.render_theta(tree) == text
 
 
-def test_memo_is_emptied_when_an_error_leaves():
-    memos = []
-    raw = exact._eval_raw
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "_eval_raw", lambda e, f, m: memos.append(m) or raw(e, f, m))
-        with pytest.raises(DivisorStraddlesZero):
-            eval_expr(Div(Add(Int(1), Int(2)), Sub(Pi(), Pi())), CTX)
-    assert memos and all(len(m) == 0 for m in memos)
+def test_a_failed_call_caches_no_entry_for_the_failing_node():
+    tree = Div(Add(Int(1), Int(2)), Sub(Pi(), Pi()))
+    with pytest.raises(DivisorStraddlesZero):
+        eval_expr(tree, CTX)
+    before = exact._eval_raw.cache_info()
+    with pytest.raises(DivisorStraddlesZero):
+        exact._eval_raw(tree, CTX.work().bits)
+    after = exact._eval_raw.cache_info()
+    # the division is computed again; its two operands are read from the cache
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 2)
+    assert after.currsize == before.currsize
 
 
 # records: immutable, equal by class and fields, hashed once, rebuilt by pickle
@@ -418,6 +457,82 @@ def test_a_record_takes_each_field_once_by_position_or_name():
     for args, named in [((Int(1),), {}), ((Int(1),) * 3, {}), ((Int(1),), {"rihgt": Int(2)})]:
         with pytest.raises(TypeError):
             Add(*args, **named)
+
+
+# every ParseError site, one text each (more for a site with several
+# messages): (text, message, position)
+PARSE_ERRORS = [
+    ("2 $ 3", "unexpected character '$'", 2),  # _tokenize
+    ("é", "unexpected character 'é'", 0),
+    ("3 .", "unexpected character '.'", 2),
+    ("(1 + 2", "expected ')'", 6),  # _Parser.expect
+    ("phi(1", "expected ')'", 5),
+    ("1 2", "unexpected trailing input '2'", 2),  # _Parser.parse
+    ("1 + 2 )", "unexpected trailing input ')'", 6),
+    ("(" * 101 + "1" + ")" * 101, "expression nested deeper than 100 levels", 100),  # bounded
+    ("-" * 101 + "1", "expression nested deeper than 100 levels", 100),
+    ("2^pi", "exponent must be a rational constant", 2),  # _Parser.power
+    ("foo(1)", "unknown name 'foo'", 0),  # _Parser.atom
+    ("cospi(x)", "unknown name 'x'", 6),
+    ("1 +", "expected a value", 3),
+    ("2 +* 3", "expected a value", 3),
+    ("", "expected a value", 0),
+    ("phi(1, 2)", "phi takes 1 argument(s)", 0),  # _call
+    ("h(1)", "h takes 2 argument(s)", 0),
+    ("f(0.1)", "f takes 2 argument(s)", 0),
+    ("qpoint(2, 1)", "qpoint sign must be +1 or -1", 0),
+    ("qpoint(+1, -3)", "qpoint r must be a positive rational", 0),
+    ("qpoint(+1, pi)", "qpoint r must be a positive rational", 0),
+    ("gamma(pi)", "gamma needs a rational argument", 0),
+    ("1/0 + gamma(1/0)", "division by zero in a constant", 6),  # _fold
+    ("2^(1/0)", "division by zero in a constant", 2),
+    (
+        "gamma(2^(10^30))",
+        "a power of magnitude up to 2^(2^99.7) passes the limit of 2^32768 at 512 bits",
+        0,
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message, pos", PARSE_ERRORS, ids=[t[:12] for t, _, _ in PARSE_ERRORS])
+def test_each_parse_error_site_keeps_its_message_and_position(text, message, pos):
+    with pytest.raises(ParseError) as info:
+        parse_expr(text)
+    assert (info.value.message, info.value.pos) == (message, pos)
+    assert str(info.value) == f"{message} (at position {pos})"
+
+
+# the TypeErrors of a record built with a missing field, an extra value or
+# an unknown keyword: (class, values, keywords, message)
+RECORD_ERRORS = [
+    (Add, (Int(1),), {}, "Add takes exactly the fields ('left', 'right')"),
+    (Add, (Int(1),) * 3, {}, "Add takes exactly the fields ('left', 'right')"),
+    (Add, (), {}, "Add takes exactly the fields ('left', 'right')"),
+    (Add, (Int(1),), {"rihgt": Int(2)}, "Add needs the field 'right'"),
+    (Add, (Int(1),), {"left": Int(2)}, "Add needs the field 'right'"),
+    (Add, (Int(1), Int(2)), {"rihgt": 3}, "Add takes exactly the fields ('left', 'right')"),
+    (Add, (), {"left": Int(1), "right": Int(2), "x": 1}, "Add takes exactly the fields ('left', 'right')"),
+    (Pi, (1,), {}, "Pi takes exactly the fields ()"),
+    (Pi, (), {"x": 1}, "Pi takes exactly the fields ()"),
+    (Identity, ("a", Int(1), Int(2)), {}, "Identity takes exactly the fields ('id', 'lhs', 'rhs', 'provenance')"),
+    (exact.YiH, (F(1),), {}, "YiH.__init__() missing 1 required positional argument: 'n'"),
+    (Catalog, (), {}, "Catalog.__init__() missing 1 required positional argument: 'entries'"),
+    (PrecCtx, (64, 65), {}, "PrecCtx.__init__() takes from 1 to 2 positional arguments but 3 were given"),
+    (PrecCtx, (), {"bitz": 64}, "PrecCtx.__init__() got an unexpected keyword argument 'bitz'"),
+    (precision.WorkCtx, (96, 1), {}, "PrecCtx.__init__() takes from 1 to 2 positional arguments but 3 were given"),
+    (QPoint, (1,), {}, "QPoint.__init__() missing 1 required positional argument: 'r'"),
+    (QPoint, (1, 2, 3), {}, "QPoint.__init__() takes 3 positional arguments but 4 were given"),
+    (QPoint, (), {"sign": 1, "r": 2, "x": 3}, "QPoint.__init__() got an unexpected keyword argument 'x'"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, values, named, message", RECORD_ERRORS, ids=[f"{c.__name__}-{i}" for i, (c, *_) in enumerate(RECORD_ERRORS)]
+)
+def test_each_record_constructor_error_keeps_its_text(cls, values, named, message):
+    with pytest.raises(TypeError) as info:
+        cls(*values, **named)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("row", exact._CATALOG_ROWS, ids=lambda row: row[0])

@@ -353,6 +353,27 @@ class TestJims:
     @pytest.mark.parametrize("bits", [512, 2048, 8192])
     @pytest.mark.parametrize("x", ["0.02", "0.05", "0.3", "0.9", "0.9499"])
     def test_kernel_sum_matches_mpmath_jtheta(self, monkeypatch, x, bits):
+        self.check_kernel_sum_against_jtheta(monkeypatch, x, bits)
+
+    def test_kernel_sum_at_a_tiny_x_matches_mpmath(self, monkeypatch):
+        # x = 2e-5 at 512 bits: 2,448 terms, where jtheta's own series is slow;
+        # referee: sum_{n>=1} w^(n^2), summed by mpmath until a term is below
+        # 2^-(bits + 96)
+        import mpmath as mp
+
+        _, [((s, err, tail, n), f)] = self._kernel_sums(monkeypatch, F(2, 10**5), 512)
+        with mp.workprec(512 + 96):
+            xm = mp.mpf(2) / 10**5
+            w = mp.exp(-mp.pi * xm) * mp.expjpi(mp.sqrt(1 - xm * xm))
+            ref, term, ratio, w2 = mp.mpc(0), w, w * w * w, w * w
+            while abs(term) > mp.ldexp(1, -(512 + 96)):
+                ref, term, ratio = ref + term, term * ratio, ratio * w2
+            ref *= mp.ldexp(1, f)
+            for got, want in ((s.real - (1 << f), ref.real), (s.imag, ref.imag)):
+                assert abs(got - want) <= err + tail, (float(got - want), err + tail)
+        assert n == 2448 and err + tail < 2**26
+
+    def check_kernel_sum_against_jtheta(self, monkeypatch, x, bits):
         # referee: (phi(w) - 1)/2 = sum_{n>=1} w^(n^2) by mpmath's jtheta(3, 0, w)
         import mpmath as mp
 
@@ -370,14 +391,17 @@ class TestJims:
         res, sums = self._kernel_sums(monkeypatch, F(3, 10), 512)
         assert len(sums) == 1 and res.contains_zero()
 
-    def test_refusal_reads_the_kernels_term_count(self):
-        # a small x's terms round to 0 once |w|^(2n-1) < 1/2, where the kernel
-        # stops: at 512 bits x = 2.5e-5 takes 4,415 of its 4,416 terms, and
-        # x = 2.4e-5, which needs about 4,596, is refused before the loop
-        assert jims_identity(F(25, 10**6), PrecCtx(512)).contains_zero()
-        refusal = "^jims series needs at least 4596 terms, more than its limit of 4416$"
+    def test_refusal_reads_the_kernels_term_count(self, monkeypatch):
+        # a small x's terms round to 0 once |w|^((n-1)^2) is below a unit, where
+        # the kernel stops: at 512 bits x = 2e-5 takes 2,448 terms, x = 6.2e-6
+        # 4,393 of its 4,416, and x = 6.1e-6, which needs about 4,435, is
+        # refused before the loop
+        for x, terms in ((F(2, 10**5), 2448), (F(62, 10**7), 4393)):
+            res, [((_, _, _, n), _)] = self._kernel_sums(monkeypatch, x, 512)
+            assert res.contains_zero() and n == terms
+        refusal = "^jims series needs at least 4435 terms, more than its limit of 4416$"
         with pytest.raises(DomainError, match=refusal):
-            jims_identity(F(24, 10**6), PrecCtx(512))
+            jims_identity(F(61, 10**7), PrecCtx(512))
 
     def test_a_boundary_reached_only_by_the_radius_is_undecided(self):
         for x in (Ball(1 << 255, 1 << 255, 256), Ball(3 << 254, 1 << 254, 256), Ball(-1, 3, 256)):

@@ -1020,11 +1020,12 @@ def test_iroot_decides_exact_powers_by_exact_comparison(monkeypatch, k):
 
 
 def test_a_cold_catalog_pass_decides_every_long_root_by_the_chain(monkeypatch):
-    from thetaval.exact import build_catalog, verify_identity
+    from thetaval.exact import _eval_raw, build_catalog, verify_identity
 
     catalog = build_catalog()
     verdicts = record_floor_tests(monkeypatch)
-    for entry_id in sorted(catalog.ids()):
+    for entry_id in sorted(catalog.ids()):  # each entry cold: no root read from another's
+        _eval_raw.cache_clear()
         verify_identity(catalog.get(entry_id), PrecCtx(4096))
     # the 26 roots of 4163 to 4170 bits: 18 cube, 2 sixth, 3 seventh, 2 eighth
     # and one 24th root; k = 4 takes isqrt, and exp's short cube roots compare

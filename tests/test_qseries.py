@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from thetaval import lostnotebook, modular, precision, qseries
+from thetaval import exact, lostnotebook, modular, precision, qseries
 from thetaval.errors import DomainError, EnclosureReachesBoundary, NotConvergent, ThetavalError
 from thetaval.errors import Undecided
 from thetaval.exact import build_catalog, verify_identity
@@ -56,29 +56,50 @@ def bf(x, f=256):
     return Ball.from_fraction(F(x), f)
 
 
-def remainders_within_tails(monkeypatch, series, q):
+def _disc_mul(a, b):
+    """a * b for two disc balls of one scale, by the kernel's rule for discs."""
+    f = a.f
+    return Ball((a.m * b.m) >> f, ((abs(a.m) * b.r + abs(b.m) * a.r + a.r * b.r) >> f) + 3, f)
+
+
+def _disc_pow(x, k):
+    result, base = Ball(qseries._Gauss(1 << x.f, 0), 0, x.f), x
+    while k:
+        result = _disc_mul(result, base) if k & 1 else result
+        k, base = k >> 1, _disc_mul(base, base)
+    return result
+
+
+def remainders_within_tails(monkeypatch, series, q, module=qseries):
     """(sup of its remainder, its tail) for each wing that series(q, CTX)
-    hands the kernel, both in units of 2^-(f + 64) for the kernel's scale f.
+    hands the kernel (`_theta_wings` as `module` reads it), both in units of
+    2^-(f + 64) for the kernel's scale f.
 
     After a wing's n kept terms the remainder is itself a wing,
     (t_(n+1), rho_(n+1), c) = (t1 rho1^n c^(n(n-1)/2), rho1 c^n, c), formed
-    from the wing's balls at the finer scale and summed by the kernel there.
-    The wings' tails add up to the tail of the call the spy saw."""
-    real, seen = qseries._theta_wings, []
+    from the wing's balls at the finer scale and summed by the kernel there;
+    a disc wing's by `_disc_mul`.  The wings' tails add up to the tail of
+    the call the spy saw."""
+    real, seen = module._theta_wings, []
 
     def spy(wings, f):
         seen.append((wings, f, real(wings, f)))
         return seen[-1][2]
 
     with monkeypatch.context() as mp:
-        mp.setattr(qseries, "_theta_wings", spy)
+        mp.setattr(module, "_theta_wings", spy)
         series(q, CTX)
     ((wings, f, (_, _, total, _)),) = seen
     out, extra = [], 64
     for wing in wings:
         _, _, tail, n = real([wing], f)
-        t1, rho1, c = (b.rescale(f + extra) for b in wing)
-        rest = (t1 * ipow(rho1, n) * ipow(c, n * (n - 1) // 2), rho1 * ipow(c, n), c)
+        if isinstance(wing[0].m, qseries._Gauss):
+            t1, rho1, c = (Ball(b.m * (1 << extra), b.r << extra, f + extra) for b in wing)
+            mul, power = _disc_mul, _disc_pow
+        else:
+            t1, rho1, c = (b.rescale(f + extra) for b in wing)
+            mul, power = Ball.__mul__, ipow
+        rest = (mul(mul(t1, power(rho1, n)), power(c, n * (n - 1) // 2)), mul(rho1, power(c, n)), c)
         s, err, rest_tail, _ = real([rest], f + extra)
         out.append((abs(s) + err + rest_tail, tail << extra))
     assert sum(tail for _, tail in out) == total << extra
@@ -179,7 +200,7 @@ def test_the_dual_nome_takes_its_own_exp(monkeypatch):
     assert val.overlaps(phi_series(QPoint(1, r), PrecCtx(2048)))
 
 
-def test_nome_near_one_takes_the_dual_route(monkeypatch):
+def test_nome_near_one_takes_the_dual_route(monkeypatch, cold_caches):
     # phi(q_(1/1000)) at 2048 bits sums about 120 terms directly and 4 at
     # the dual nome q_1000
     counts = []
@@ -190,7 +211,6 @@ def test_nome_near_one_takes_the_dual_route(monkeypatch):
         counts.append(out[3])
         return out
 
-    qseries._theta_exact.cache_clear()
     monkeypatch.setattr(qseries, "_theta_wings", spy)
     ctx = PrecCtx(2048)
     phi(QPoint(1, F(1, 1000)), ctx)
@@ -506,6 +526,13 @@ def test_a_wing_whose_terms_have_vanished_stops():
     assert err + tail < 2**GUARD_BITS  # within the guard of a 512-bit call
 
 
+@pytest.mark.parametrize("x", [F(3, 10), F(1, 1000)])
+def test_tail_soundness_of_a_disc_wing(monkeypatch, x):
+    # jims' wing (1, w, w^2): at x = 1/1000 its terms vanish while |rho| > 1/2
+    pairs = remainders_within_tails(monkeypatch, modular.jims_identity, x, modular)
+    assert len(pairs) == 1 and all(0 < rest <= tail for rest, tail in pairs)
+
+
 def _theta_wings_full_width(wings, f):
     """The kernel with rho and c held at the full scale f throughout: the
     reference for the falling scale of `_theta_wings`."""
@@ -515,12 +542,15 @@ def _theta_wings_full_width(wings, f):
         cm, ec = c.m, c.r
         ac = abs(cm)
         sign = -1 if isinstance(t1.m, int) and t1.m < 0 <= min(rho1.m, cm) else 1
+        # a disc's parts are rounded toward 0: 3 units a product, and a
+        # vanished term still carries 3
+        units = 3 if isinstance(t1.m, qseries._Gauss) else 2
         t, et, rho, er = sign * t1.m, t1.r, rho1.m, rho1.r
         acc, e, n = t, et, 1
-        while abs(t) + et > 2 or 2 * (abs(rho) + er) > one:
+        while abs(t) + et > units or 2 * (abs(rho) + er) > one:
             arho = abs(rho)
-            t, et = (t * rho) >> f, ((abs(t) * er + arho * et + et * er) >> f) + 2
-            rho, er = (rho * cm) >> f, ((arho * ec + ac * er + er * ec) >> f) + 2
+            t, et = (t * rho) >> f, ((abs(t) * er + arho * et + et * er) >> f) + units
+            rho, er = (rho * cm) >> f, ((arho * ec + ac * er + er * ec) >> f) + units
             acc += t
             e += et
             n += 1
@@ -550,13 +580,49 @@ def test_falling_scale_costs_at_most_a_few_units(kind, bits):
 @given(st.integers(-(2**300), 2**300), st.integers(-(2**300), 2**300), st.integers(1, 400))
 def test_gauss_abs_and_shift_keep_the_kernel_rules(re, im, k):
     # abs bounds the modulus from above, within sqrt2, and is 0 only at 0 (the
-    # stop rule needs it); >> puts each part within 1/2 unit of the exact shift
+    # stop rule needs it); >> rounds each part toward zero, within one unit
     z = qseries._Gauss(re, im)
     norm = re * re + im * im
     assert norm <= abs(z) ** 2 <= 2 * norm
     y = z >> k
-    assert abs((y.real << (k + 1)) - 2 * re) <= 1 << k
-    assert abs((y.imag << (k + 1)) - 2 * im) <= 1 << k
+    for part, exact in ((y.real, re), (y.imag, im)):
+        assert abs(part) << k <= abs(exact) < (abs(part) + 1) << k and part * exact >= 0
+
+
+# d sqrt2 just below the integer E: a Gaussian error (d, d) of modulus within E
+PELL_D, PELL_E = 80782, 114243
+assert PELL_E**2 == 2 * PELL_D**2 + 1
+
+
+def test_one_disc_product_at_its_worst_case_is_within_its_counted_units():
+    # t1 = 1 - 2^-64 exact, rho1 = (1, 1) known to E units, c = 0: the wing's
+    # one product t1 rho1 has both parts truncated to 0 by almost a unit, its
+    # error bound T E 2^-64 is floored by almost a unit, and the true rho1 may
+    # lie at (1 + d, 1 + d), so the second term is off by about E - 1 + 1 +
+    # sqrt2 units: 3 units for the product cover that, 2 would not
+    f, big = 64, (1 << 64) - 1
+    wing = (Ball(qseries._Gauss(big, 0), 0, f), Ball(qseries._Gauss(1, 1), PELL_E, f),
+            Ball(qseries._Gauss(0, 0), 0, f))
+    s, err, tail, n = qseries._theta_wings([wing], f)
+    assert n == 2 and (s.real, s.imag) == (big, 0)  # the second term is (0, 0)
+    off = F(big * (1 + PELL_D), 2**f)  # each part of the true second term
+    assert 2 * off**2 <= err**2
+    assert 2 * off**2 > (err - 1) ** 2  # the worst case: one unit fewer misses it
+
+
+@pytest.mark.parametrize("k", [2, 20, 300])
+def test_one_disc_scale_drop_at_its_worst_case_is_within_its_counted_units(k):
+    # a disc whose parts lose almost a unit each to the shift, known to E 2^k
+    # units, its true value (d 2^k, d 2^k) off: off by about E + sqrt2 units
+    # after the drop, which counts E + 2; an int's floor counts E + 1
+    low = (1 << k) - 1
+    x, e = qseries._Gauss((5 << k) + low, (7 << k) + low), PELL_E << k
+    y, ey = qseries._drop(x, e, k)
+    assert (y.real, y.imag) == (5, 7)
+    off = F(low + (PELL_D << k), 2**k)  # each part of the true value minus y
+    assert 2 * off**2 <= ey**2 and 2 * off**2 > (ey - 1) ** 2
+    z, ez = qseries._drop((5 << k) + low, e, k)
+    assert z == 5 and F(low + (PELL_E << k), 2**k) <= ez
 
 
 class TestQPoint:
@@ -593,8 +659,8 @@ class TestQPoint:
         neg, pos = QPoint(-1, r).to_ball(CTX), -QPoint(1, r).to_ball(CTX)
         assert (neg.m, neg.r, neg.f) == (pos.m, pos.r, pos.f)
 
-    def test_both_signs_share_one_exp(self, monkeypatch):
-        calls = count_nome_exps(monkeypatch)
+    def test_both_signs_share_one_exp(self, nome_exps):
+        calls = nome_exps
         QPoint(1, F(11, 3)).to_ball(CTX)
         QPoint(-1, F(11, 3)).to_ball(CTX)
         assert len(calls) == 1
@@ -604,8 +670,9 @@ class TestQPoint:
         assert len(calls) == 2
 
 
-def count_nome_exps(monkeypatch) -> list:
-    """Empty the nome tables and record each exp that qseries makes."""
+@pytest.fixture
+def nome_exps(monkeypatch, cold_caches) -> list:
+    """Each exp that qseries makes, from a cold process on."""
     calls = []
     real_exp = qseries.exp
 
@@ -613,8 +680,6 @@ def count_nome_exps(monkeypatch) -> list:
         calls.append(args)
         return real_exp(*args, **kwargs)
 
-    for table in (qseries._nome_exp, qseries._nome_base, qseries._theta_exact):
-        table.cache_clear()
     monkeypatch.setattr(qseries, "exp", counting_exp)
     return calls
 
@@ -716,11 +781,11 @@ class TestNomeClass:
         q = QPoint(1, r).to_ball(PrecCtx(bits))
         assert q.f == bits and q.contains(ref) and q.r <= 2
 
-    def test_a_cold_catalog_pass_makes_one_exp_per_class(self, monkeypatch):
+    def test_a_cold_catalog_pass_makes_one_exp_per_class(self, nome_exps):
         # the 20 catalog nomes fall into 8 classes: r = 1, 4, 9, 25, 36, 49,
         # 81, 169, 729, 2025 and 3969; 3 and 27; 7 and 343; then 2, 15,
         # 5/3, 4/5 and 20 alone
-        calls = count_nome_exps(monkeypatch)
+        calls = nome_exps
         for entry_id in sorted(CATALOG.ids()):
             verify_identity(CATALOG.get(entry_id), PrecCtx(4096))
         assert len(calls) == 8
@@ -779,30 +844,26 @@ class TestNomeHelpers:
 
 
 class TestCaches:
-    TABLES = [
-        precision._pi_units,
-        precision._ln2_ball,
-        precision._gamma_unit,
-        precision._gamma_agm,
-        qseries._nome_exp,
-        qseries._nome_base,
-        qseries._theta_exact,
-    ]
-
-    def test_every_table_is_bounded_by_the_one_constant(self):
-        for table in self.TABLES:
+    def test_every_table_is_bounded_by_the_one_constant(self, cold_caches):
+        for table in cold_caches:
             assert table.cache_parameters()["maxsize"] == CACHE_ENTRIES
 
-    def test_a_loop_over_more_nomes_than_entries_stays_bounded(self):
+    def test_a_loop_over_more_nomes_than_entries_stays_bounded(self, cold_caches):
         ctx = PrecCtx(64)
         for i in range(CACHE_ENTRIES + 1):
             phi(QPoint(1, 1 + F(i, CACHE_ENTRIES)), ctx)
-        for table in self.TABLES:
+        for table in cold_caches:
             assert table.cache_info().currsize <= CACHE_ENTRIES
         assert qseries._theta_exact.cache_info().currsize == CACHE_ENTRIES
         assert qseries._nome_exp.cache_info().currsize == CACHE_ENTRIES
 
-    def test_deg3_at_a_rational_nome_takes_one_kernel_call_per_value(self, monkeypatch):
+    def test_a_loop_over_more_trees_than_entries_stays_bounded(self):
+        ctx = PrecCtx(64)
+        for i in range(CACHE_ENTRIES + 1):
+            exact.eval_expr(exact.Rat(1 + F(i, CACHE_ENTRIES)), ctx)
+        assert exact._eval_raw.cache_info().currsize == CACHE_ENTRIES
+
+    def test_deg3_at_a_rational_nome_takes_one_kernel_call_per_value(self, monkeypatch, cold_caches):
         # phi(+-q) and phi(+-q^3): the multiplier's phi(q) and phi(q^3) are hits
         real, calls = qseries._theta_wings, []
 
@@ -810,12 +871,11 @@ class TestCaches:
             calls.append(f)
             return real(wings, f)
 
-        qseries._theta_exact.cache_clear()
         monkeypatch.setattr(qseries, "_theta_wings", spy)
         modular.verify_degree3(F(3, 10), PrecCtx(512))
         assert len(calls) == 4
 
-    def test_septic_at_a_rational_nome_takes_one_kernel_call_per_value(self, monkeypatch):
+    def test_septic_at_a_rational_nome_takes_one_kernel_call_per_value(self, monkeypatch, cold_caches):
         # phi(q^7), three f(a, b), f(-q^7), phi(q), f(-q) and phi(q^(1/7)): chi
         # and the ratio oracle read phi(q) and phi(q^7) through the memo
         real, calls = qseries._theta_wings, []
@@ -824,7 +884,6 @@ class TestCaches:
             calls.append(f)
             return real(wings, f)
 
-        qseries._theta_exact.cache_clear()
         monkeypatch.setattr(qseries, "_theta_wings", spy)
         lostnotebook.septic_residuals(F(3, 10), PrecCtx(512))
         assert len(calls) == 8
@@ -871,21 +930,19 @@ class TestGuardRule:
     }
 
     @pytest.mark.parametrize("name", list(COMPOSITES))
-    def test_every_theta_kernel_runs_at_one_working_width(self, name, monkeypatch):
+    def test_every_theta_kernel_runs_at_one_working_width(self, name, monkeypatch, cold_caches):
         real, widths = qseries._theta_wings, []
 
         def spy(wings, f):
             widths.append(f)
             return real(wings, f)
 
-        qseries._theta_exact.cache_clear()
         monkeypatch.setattr(qseries, "_theta_wings", spy)
         self.COMPOSITES[name](PrecCtx(512))
         assert widths and set(widths) == {544}
 
-    def test_a_direct_call_and_a_working_one_share_a_memo_entry(self):
+    def test_a_direct_call_and_a_working_one_share_a_memo_entry(self, cold_caches):
         q, ctx = QPoint(1, F(5, 3)), PrecCtx(512)
-        qseries._theta_exact.cache_clear()
         direct = phi(q, ctx)
         inner = phi(q, ctx.work())
         info = qseries._theta_exact.cache_info()
