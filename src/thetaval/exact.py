@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 
 from .errors import (
@@ -35,6 +36,7 @@ from .precision import (
     WorkCtx,
     agm,
     agreement_digits,
+    as_fraction,
     certify,
     check_power_size,
     cos,
@@ -397,200 +399,189 @@ def mutate_first_leaf(e: Expr, delta: Fraction = Fraction(1, 10**6)) -> Expr:
 # ---------------------------------------------------------------------------
 # the text grammar, read back into trees
 #
-#   expr   := term (('+' | '-') term)*
-#   term   := unary (('*' | '/') unary)*
-#   unary  := ('-' | '+') unary | power
-#   power  := atom ('^' unary)?          exponent must fold to a rational
+#   expr   := unary (('+' | '-' | '*' | '/') unary)*    * and / bind tighter
+#   unary  := ('-' | '+') unary | atom ('^' unary)?      exponent must fold to a rational
 #   atom   := NUMBER | 'pi' | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 #
-# A NAME is the `name` of a `Function` node (or hprime); qpoint(sign, r)
-# denotes sign * e^(-pi sqrt r) and stays a structured QPoint inside
-# phi/psi/fneg/chi.  Exponents and the arguments of a `rational` function
-# fold to exact rationals while parsing.
+# So + - * / group to the left, ^ binds tightest and groups to the right,
+# and -2^2 is -(2^2).  A NAME is the `name` of a `Function` node (or
+# hprime); qpoint(sign, r) denotes sign * e^(-pi sqrt r) and stays a
+# structured QPoint inside phi/psi/fneg/chi.  Exponents and the arguments
+# of a `rational` function fold to exact rationals while parsing.
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.))", re.DOTALL)
-_TOKEN_KINDS = (None, "num", "name", "sym")
+_END = ("", "", "")  # the (number, name, symbol) token after the last one
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}  # how tightly each infix symbol binds
 _BINARY = {node.sym: node for node in Infix.__subclasses__()}
+_ARITY = {name: 2 if f in (Nome, YiH) else len(f._fields) for name, f in _FUNCTIONS.items()}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):  # the last alternative matches any character
-        group = m.lastindex
-        val = m[group]
-        if group == 3:
-            if val.isspace():
-                continue
-            if val not in "+-*/^(),":
-                raise ParseError(f"unexpected character {val!r}", m.start(3))
-        tokens.append((_TOKEN_KINDS[group], val, m.start(group)))
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _literal(text: str) -> Expr:
+    """The node of a decimal literal; int() refuses one past its digit limit."""
+    whole, _, frac = text.partition(".")
+    v = Fraction(int(whole + frac), 10 ** len(frac))
+    return Int(v.numerator) if v.denominator == 1 else Rat(v)
 
 
-def _const_value(e: Expr, bits: int) -> Fraction | None:
-    """Exact value of a subtree of rationals, or None if it has other leaves.
-
-    A power is refused by `check_power_size` at `bits` before it is formed.
-    """
-    if isinstance(e, Int):
-        return Fraction(e.value)
-    if isinstance(e, Rat):
+def _const_value(e: Expr, bits: int) -> int | Fraction | None:
+    """Exact value of a subtree of rationals, or None if it has other leaves:
+    an int, or a Fraction where a division or a negative power makes one.  A
+    power is refused by `check_power_size` at `bits` before it is formed."""
+    if isinstance(e, (Int, Rat)):
         return e.value
     if isinstance(e, Neg):
         v = _const_value(e.arg, bits)
         return None if v is None else -v
     if isinstance(e, Infix):
         a, b = _const_value(e.left, bits), _const_value(e.right, bits)
-        return None if a is None or b is None else e.op(a, b)
+        if a is None or b is None:
+            return None
+        return Fraction(a, b) if isinstance(e, Div) else e.op(a, b)
     if isinstance(e, PowRat) and e.exponent.denominator == 1:
         base = _const_value(e.base, bits)
         if base is None:
             return None
         n = e.exponent.numerator
         check_power_size(n, math.log2(max(abs(base.numerator), base.denominator)), bits)
-        return base**n
+        return base**n if n >= 0 else as_fraction(base) ** n
     return None
 
 
-def _fold(e: Expr, pos: int, bits: int) -> Fraction | None:
-    try:
-        return _const_value(e, bits)
-    except ZeroDivisionError:
-        raise ParseError("division by zero in a constant", pos) from None
-    except PowerTooLarge as exc:
-        raise ParseError(str(exc), pos) from None
-
-
-def _call(name: str, args: list[Expr], pos: int, bits: int) -> Expr:
-    node = _FUNCTIONS[name]
-    arity = 2 if node in (Nome, YiH) else len(node._fields)
-    if len(args) != arity:
-        raise ParseError(f"{name} takes {arity} argument(s)", pos)
-    if not node.rational:
-        if issubclass(node, _NomeTheta) and isinstance(args[0], Nome):
-            return node(args[0].q)
-        return node(*args)
-    values = [_fold(a, pos, bits) for a in args]
-    if node is Nome:
-        sign, r = values
-        if sign not in (1, -1):
-            raise ParseError("qpoint sign must be +1 or -1", pos)
-        if r is None or r <= 0:
-            raise ParseError("qpoint r must be a positive rational", pos)
-        return Nome(QPoint(int(sign), r))
-    if None in values:
-        raise ParseError(f"{name} needs a rational argument", pos)
-    return YiH(*values, name == "hprime") if node is YiH else node(*values)
-
-
 MAX_DEPTH = 100  # levels of a parsed tree; a walk of it recurses about 3 frames a level
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 
 class _Parser:
-    """Recursive descent; each rule returns (node, levels), levels >= the
-    node's depth.  `nested` counts the `unary` rules in progress, one per
-    parenthesis, call, sign or exponent, so neither the parser's recursion
-    nor a tree passes MAX_DEPTH levels."""
+    """Precedence climbing over the (number, name, symbol) tokens of one
+    `findall`.  Each rule returns (node, levels), levels >= the node's depth,
+    and is passed `nested`, the `unary` rules in progress (one per parenthesis,
+    call, sign or exponent), so neither the recursion nor a tree passes
+    MAX_DEPTH levels.  Only `error` looks up a token's position."""
 
     def __init__(self, text: str, bits: int):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.bits = bits
-        self.nested = 0
+        self.text, self.bits, self.i = text, bits, 0
+        # trailing blanks stripped: the pattern's last group takes a blank only there
+        self.tokens = _TOKEN_RE.findall(text.rstrip()) + [_END]
 
-    def peek(self):
-        return self.tokens[self.i]
+    def error(self, message: str, i: int) -> ParseError:
+        """The error at token i, unless the text has an unexpected character:
+        then that one, as a parse never reads past it."""
+        matches = list(_TOKEN_RE.finditer(self.text.rstrip()))
+        for m in matches:
+            if m[3] and m[3] not in "+-*/^(),":
+                return ParseError(f"unexpected character {m[3]!r}", m.start(3))
+        pos = matches[i].start(matches[i].lastindex) if i < len(matches) else len(self.text)
+        return ParseError(message, pos)
 
-    def next(self):
-        tok = self.tokens[self.i]
+    def expect(self, sym: str) -> None:
+        if self.tokens[self.i][2] != sym:
+            raise self.error(f"expected {sym!r}", self.i)
         self.i += 1
-        return tok
-
-    def expect(self, sym: str):
-        kind, val, pos = self.next()
-        if kind != "sym" or val != sym:
-            raise ParseError(f"expected {sym!r}", pos)
-
-    def bounded(self, levels: int, pos: int) -> int:
-        if levels > MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
-        return levels
 
     def parse(self) -> Expr:
-        node, _ = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", pos)
+        node, _ = self.expr(1, 0)
+        if self.tokens[self.i] is not _END:
+            raise self.error(f"unexpected trailing input {''.join(self.tokens[self.i])!r}", self.i)
         return node
 
-    def expr(self) -> tuple[Expr, int]:
-        node, levels = self.term()
-        while self.peek()[1] in ("+", "-"):
-            _, sym, pos = self.next()
-            right, right_levels = self.term()
+    def expr(self, floor: int, nested: int) -> tuple[Expr, int]:
+        """Operands joined by the infix symbols that bind at least floor tightly."""
+        node, levels = self.unary(nested)
+        while (binding := _BINDING.get(sym := self.tokens[self.i][2], 0)) >= floor:
+            i = self.i
+            self.i = i + 1
+            right, right_levels = self.expr(binding + 1, nested)
             node, levels = _BINARY[sym](node, right), max(levels, right_levels) + 1
-            self.bounded(levels, pos)
+            if levels > MAX_DEPTH:
+                raise self.error(_TOO_DEEP, i)
         return node, levels
 
-    def term(self) -> tuple[Expr, int]:
-        node, levels = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            _, sym, pos = self.next()
-            right, right_levels = self.unary()
-            node, levels = _BINARY[sym](node, right), max(levels, right_levels) + 1
-            self.bounded(levels, pos)
-        return node, levels
-
-    def unary(self) -> tuple[Expr, int]:
-        kind, val, pos = self.peek()
-        self.nested = self.bounded(self.nested + 1, pos)
-        if kind == "sym" and val in "+-":
-            self.next()
-            node, levels = self.unary()
-            if val == "-":
-                node, levels = Neg(node), self.bounded(levels + 1, pos)
+    def unary(self, nested: int) -> tuple[Expr, int]:
+        i = self.i
+        number, name, sym = self.tokens[i]
+        nested += 1
+        if nested > MAX_DEPTH:
+            raise self.error(_TOO_DEEP, i)
+        self.i = i + 1
+        if sym == "-" or sym == "+":
+            node, levels = self.unary(nested)
+            if sym == "-":
+                node, levels = Neg(node), levels + 1
+                if levels > MAX_DEPTH:
+                    raise self.error(_TOO_DEEP, i)
+            return node, levels
+        if number:
+            try:
+                node, levels = Int(int(number)) if "." not in number else _literal(number), 1
+            except ValueError:  # more digits than int() takes from a string
+                limit = sys.get_int_max_str_digits()
+                raise self.error(f"number has more than {limit} digits", i) from None
+        elif name == "pi":
+            node, levels = Pi(), 1
+        elif name:
+            node, levels = self.call(name, i, nested)
+        elif sym == "(":
+            node, levels = self.expr(1, nested)
+            self.expect(")")
         else:
-            node, levels = self.power()
-        self.nested -= 1
-        return node, levels
-
-    def power(self) -> tuple[Expr, int]:
-        node, levels = self.atom()
-        if self.peek()[1] == "^":
-            pos = self.next()[2]
-            exp_pos = self.peek()[2]
-            exponent = _fold(self.unary()[0], exp_pos, self.bits)
+            raise self.error("expected a value", i)
+        if self.tokens[self.i][2] == "^":
+            self.i = i = self.i + 1  # the exponent's first token
+            exponent = self.fold(self.unary(nested)[0], i)
             if exponent is None:
-                raise ParseError("exponent must be a rational constant", exp_pos)
-            return PowRat(node, exponent), self.bounded(levels + 1, pos)
+                raise self.error("exponent must be a rational constant", i)
+            node, levels = PowRat(node, exponent), levels + 1
+            if levels > MAX_DEPTH:
+                raise self.error(_TOO_DEEP, i - 1)
         return node, levels
 
-    def atom(self) -> tuple[Expr, int]:
-        kind, val, pos = self.next()
-        if kind == "num":
-            if "." not in val:
-                return Int(int(val)), 1
-            v = Fraction(val)
-            return (Int(v.numerator) if v.denominator == 1 else Rat(v)), 1
-        if kind == "name":
-            if val == "pi":
-                return Pi(), 1
-            if val not in _FUNCTIONS:
-                raise ParseError(f"unknown name {val!r}", pos)
-            self.expect("(")
-            args = [self.expr()]
-            while self.peek()[1] == ",":
-                self.next()
-                args.append(self.expr())
-            self.expect(")")
-            node = _call(val, [a for a, _ in args], pos, self.bits)
-            return node, self.bounded(max(levels for _, levels in args) + 1, pos)
-        if kind == "sym" and val == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ParseError("expected a value", pos)
+    def call(self, name: str, i: int, nested: int) -> tuple[Expr, int]:
+        """The node of name(argument, ...) at token i."""
+        node = _FUNCTIONS.get(name)
+        if node is None:
+            raise self.error(f"unknown name {name!r}", i)
+        self.expect("(")
+        arg, levels = self.expr(1, nested)
+        args = [arg]
+        while self.tokens[self.i][2] == ",":
+            self.i += 1
+            arg, arg_levels = self.expr(1, nested)
+            args.append(arg)
+            levels = max(levels, arg_levels)
+        self.expect(")")
+        levels += 1
+        if len(args) != _ARITY[name]:
+            raise self.error(f"{name} takes {_ARITY[name]} argument(s)", i)
+        if not node.rational:
+            if issubclass(node, _NomeTheta) and isinstance(args[0], Nome):
+                args = [args[0].q]
+            tree = node(*args)
+        else:
+            values = [self.fold(arg, i) for arg in args]
+            if node is Nome:
+                sign, r = values
+                if sign not in (1, -1):
+                    raise self.error("qpoint sign must be +1 or -1", i)
+                if r is None or r <= 0:
+                    raise self.error("qpoint r must be a positive rational", i)
+                tree = Nome(QPoint(int(sign), r))
+            elif None in values:
+                raise self.error(f"{name} needs a rational argument", i)
+            else:
+                tree = YiH(*values, name == "hprime") if node is YiH else node(*values)
+        if levels > MAX_DEPTH:
+            raise self.error(_TOO_DEEP, i)
+        return tree, levels
+
+    def fold(self, e: Expr, i: int) -> Fraction | None:
+        """Exact value of e, or None; a failure to fold is an error at token i."""
+        try:
+            v = _const_value(e, self.bits)
+        except ZeroDivisionError:
+            raise self.error("division by zero in a constant", i) from None
+        except PowerTooLarge as exc:
+            raise self.error(str(exc), i) from None
+        return None if v is None else as_fraction(v)
 
 
 def parse_expr(text: str, bits: int = 512) -> Expr:

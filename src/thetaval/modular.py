@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, NotConvergent, PreconditionViolated
-from .precision import Ball, PrecCtx, Record, WorkCtx, agm, exp, ipow, pow_rational
+from .precision import Ball, PrecCtx, Record, WorkCtx, agm, as_fraction, exp, ipow, pow_rational
 from .precision import _ceil_div, _cos_sin, _pi_ball, _refuse_nonpositive, sqrt
 from .qseries import QPoint, _Gauss, _term_limit, _theta_wings, as_q_ball, nome_neg
 from .qseries import nome_pow, phi, require_positive_nome
@@ -180,7 +180,7 @@ def class_invariant(n, ctx: PrecCtx) -> Ball:
     """
     from .qseries import chi
 
-    n = Fraction(n)
+    n = as_fraction(n)
     if n <= 0:
         raise DomainError("class invariant index must be positive")
     w = ctx.work()
@@ -309,7 +309,7 @@ class YiQuotient(Record):
     __slots__ = ("k", "n", "primed")
 
     def __init__(self, k, n, primed: bool = False):
-        k, n = Fraction(k), Fraction(n)
+        k, n = as_fraction(k), as_fraction(n)
         if k <= 0 or n <= 0:
             raise DomainError("Yi quotient parameters must be positive")
         Record.__init__(self, k, n, primed)
@@ -332,7 +332,7 @@ def yi_h(hq: YiQuotient, ctx: PrecCtx) -> Ball:
 
 def yi_product_theorem(k, a, b, c, d, ctx: PrecCtx) -> Ball:
     """Residual of h_{a,b} h_{kc,kd} - h_{ka,kb} h_{c,d}, requiring ab = cd."""
-    k, a, b, c, d = (Fraction(v) for v in (k, a, b, c, d))
+    k, a, b, c, d = (as_fraction(v) for v in (k, a, b, c, d))
     if a * b != c * d:
         raise PreconditionViolated("the product theorem requires ab = cd")
     w = ctx.work()

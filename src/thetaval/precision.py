@@ -30,7 +30,7 @@ from .errors import (
     Undecided,
     UnsupportedGammaArgument,
 )
-from .record import Record
+from .record import Record, as_fraction
 
 __all__ = [
     "Record",
@@ -256,7 +256,7 @@ class Ball:
     @staticmethod
     def from_fraction(x, bits: int) -> "Ball":
         """Round a Fraction (or int) to the given scale; radius <= 1 ulp."""
-        x = Fraction(x)
+        x = as_fraction(x)
         m, err = _round_div(x.numerator << bits, x.denominator)
         return Ball(m, err, bits)
 
@@ -520,7 +520,7 @@ def pow_rational(x: Ball, e, bits: int | None = None) -> Ball:
     through the certified exp(e log x) route, which stays cheap.  As in
     `ipow`, a power past the limit of `bits` (default: f) is refused.
     """
-    e = Fraction(e)
+    e = as_fraction(e)
     f, bits = x.f, x.f if bits is None else bits
     num, den = e.numerator, e.denominator
     if den == 1:
@@ -909,7 +909,7 @@ def gamma_rational(p, ctx: PrecCtx) -> Ball:
     Arguments in (1, 2) go through Gamma(p) = (p-1) Gamma(p-1), so a value
     never depends on the order of calls.
     """
-    p = Fraction(p)
+    p = as_fraction(p)
     if not 0 < p <= 2:
         raise UnsupportedGammaArgument(f"gamma argument {p} outside (0, 2]")
     if p == 1 or p == 2:

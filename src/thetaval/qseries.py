@@ -20,8 +20,9 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError, FactorNearZero, NotConvergent
-from .precision import GUARD_BITS, Ball, PrecCtx, WorkCtx, check_power_size, ipow, memo, nth_root
-from .precision import Record, _pi_ball, _refuse_nonpositive, _round_div, exp, pow_rational, sqrt
+from .precision import GUARD_BITS, Ball, PrecCtx, WorkCtx, as_fraction, check_power_size, ipow
+from .precision import Record, _pi_ball, _refuse_nonpositive, _round_div, exp, memo, nth_root
+from .precision import pow_rational, sqrt
 
 __all__ = [
     "QPoint",
@@ -50,14 +51,14 @@ class QPoint(Record):
     def __init__(self, sign: int, r):
         if sign not in (1, -1):
             raise DomainError("QPoint sign must be +1 or -1")
-        r = Fraction(r)
+        r = as_fraction(r)
         if r <= 0:
             raise DomainError("QPoint exponent parameter r must be positive")
         Record.__init__(self, sign, r)
 
     def pow(self, k) -> "QPoint":
         """q**k by exact bookkeeping on r; fractional k needs sign = +1."""
-        k = Fraction(k)
+        k = as_fraction(k)
         if k <= 0:
             raise DomainError("QPoint powers must be positive")
         if k.denominator != 1 and self.sign == -1:
@@ -155,13 +156,13 @@ def as_q_ball(q, f: int) -> Ball:
 def nome_pow(q, k):
     """q**k, kept exact where it can be: bookkeeping on r for a QPoint, the
     exact power of a rational for integer k, a certified power of a Ball."""
-    k = Fraction(k)
+    k = as_fraction(k)
     if isinstance(q, QPoint):
         return q.pow(k)
     if isinstance(q, Ball):
         return ipow(q, k.numerator) if k.denominator == 1 else pow_rational(q, k)
     if k.denominator == 1:
-        return Fraction(q) ** k.numerator
+        return as_fraction(q) ** k.numerator
     raise DomainError("fractional powers of a plain rational nome need a ball")
 
 
@@ -177,14 +178,14 @@ def require_positive_nome(q, what: str) -> None:
     if isinstance(q, Ball):
         for side in (q, 1 - q):
             _refuse_nonpositive(side, refusal)
-    elif not (q.sign == 1 if isinstance(q, QPoint) else 0 < Fraction(q) < 1):
+    elif not (q.sign == 1 if isinstance(q, QPoint) else 0 < as_fraction(q) < 1):
         raise DomainError(refusal)
 
 
 def q_power_ball(q, k, f: int) -> Ball:
     """Enclosure of q**k at scale f by `nome_pow`; a fractional power of a
     rational nome is taken of its enclosure at scale f."""
-    k = Fraction(k)
+    k = as_fraction(k)
     if k.denominator != 1 and not isinstance(q, (QPoint, Ball)):
         q = as_q_ball(q, f)
     return as_q_ball(nome_pow(q, k), f)

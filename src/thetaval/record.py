@@ -1,5 +1,7 @@
-"""`Record`, the one immutable value type of the package."""
+"""`Record`, the one immutable value type of the package, and `as_fraction`,
+here so that `precision.py` stays below the about 8,192 tokens it is held to."""
 
+from fractions import Fraction
 from operator import attrgetter
 
 _set_field = object.__setattr__
@@ -65,3 +67,9 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+def as_fraction(x) -> Fraction:
+    """x itself if its type is Fraction, else Fraction(x) (a subclass too):
+    Fraction(x) of a Fraction is a copy, made through a slow Rational check."""
+    return x if type(x) is Fraction else Fraction(x)

@@ -190,6 +190,13 @@ class TestEval:
         code, _, err = run(capsys, "eval", "2 +* 3")
         assert code == 2 and "position 3" in err
 
+    def test_a_literal_past_the_int_digit_limit_is_a_parse_error(self, capsys):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if not limit:
+            pytest.skip("int() takes a string of any length here")
+        code, out, err = run(capsys, "eval", "1 + " + "7" * (limit + 1))
+        assert (code, out, err) == (2, "", f"parse error: number has more than {limit} digits (at position 4)\n")
+
     @pytest.mark.parametrize(
         "text, num, den", [("1/10^400", 1, 10**400), ("1/2^2000", 1, 2**2000)], ids=["1/10^400", "1/2^2000"]
     )

@@ -3,11 +3,13 @@ mutation sensitivity, and the cross-form consistency checks."""
 
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from thetaval import exact, precision
 from thetaval.errors import (
@@ -459,47 +461,140 @@ def test_a_record_takes_each_field_once_by_position_or_name():
             Add(*args, **named)
 
 
+# int() refuses a string of more digits than this, unless it is 0
+INT_DIGITS = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+LONG_LITERAL = "1" * (INT_DIGITS + 1)
+
 # every ParseError site, one text each (more for a site with several
 # messages): (text, message, position)
 PARSE_ERRORS = [
-    ("2 $ 3", "unexpected character '$'", 2),  # _tokenize
+    ("2 $ 3", "unexpected character '$'", 2),  # _Parser.error, before any other error
     ("é", "unexpected character 'é'", 0),
     ("3 .", "unexpected character '.'", 2),
+    ("1 2 $", "unexpected character '$'", 4),
+    ("gamma(1/0) + #", "unexpected character '#'", 13),
     ("(1 + 2", "expected ')'", 6),  # _Parser.expect
     ("phi(1", "expected ')'", 5),
     ("1 2", "unexpected trailing input '2'", 2),  # _Parser.parse
     ("1 + 2 )", "unexpected trailing input ')'", 6),
-    ("(" * 101 + "1" + ")" * 101, "expression nested deeper than 100 levels", 100),  # bounded
+    ("(" * 101 + "1" + ")" * 101, "expression nested deeper than 100 levels", 100),  # _TOO_DEEP
     ("-" * 101 + "1", "expression nested deeper than 100 levels", 100),
-    ("2^pi", "exponent must be a rational constant", 2),  # _Parser.power
-    ("foo(1)", "unknown name 'foo'", 0),  # _Parser.atom
-    ("cospi(x)", "unknown name 'x'", 6),
+    ("2^pi", "exponent must be a rational constant", 2),  # _Parser.unary
     ("1 +", "expected a value", 3),
     ("2 +* 3", "expected a value", 3),
     ("", "expected a value", 0),
-    ("phi(1, 2)", "phi takes 1 argument(s)", 0),  # _call
+    ("foo(1)", "unknown name 'foo'", 0),  # _Parser.call
+    ("cospi(x)", "unknown name 'x'", 6),
+    ("phi(1, 2)", "phi takes 1 argument(s)", 0),
     ("h(1)", "h takes 2 argument(s)", 0),
     ("f(0.1)", "f takes 2 argument(s)", 0),
     ("qpoint(2, 1)", "qpoint sign must be +1 or -1", 0),
     ("qpoint(+1, -3)", "qpoint r must be a positive rational", 0),
     ("qpoint(+1, pi)", "qpoint r must be a positive rational", 0),
     ("gamma(pi)", "gamma needs a rational argument", 0),
-    ("1/0 + gamma(1/0)", "division by zero in a constant", 6),  # _fold
+    ("1/0 + gamma(1/0)", "division by zero in a constant", 6),  # _Parser.fold
     ("2^(1/0)", "division by zero in a constant", 2),
     (
         "gamma(2^(10^30))",
         "a power of magnitude up to 2^(2^99.7) passes the limit of 2^32768 at 512 bits",
         0,
     ),
+    # errors inside nested constructs, and at the end of the text
+    ("phi(qpoint(+1, 2^(1/0)))", "division by zero in a constant", 17),
+    ("f(1, )", "expected a value", 5),
+    ("cospi(1/7", "expected ')'", 9),
+    ("1 +  \t", "expected a value", 6),
+    # a numeric literal past int()'s digit limit (_Parser.unary)
+    (LONG_LITERAL, f"number has more than {INT_DIGITS} digits", 0),
+    ("2 * 0." + LONG_LITERAL, f"number has more than {INT_DIGITS} digits", 4),
 ]
 
 
 @pytest.mark.parametrize("text, message, pos", PARSE_ERRORS, ids=[t[:12] for t, _, _ in PARSE_ERRORS])
 def test_each_parse_error_site_keeps_its_message_and_position(text, message, pos):
+    if message.startswith("number has more than") and not INT_DIGITS:
+        pytest.skip("int() takes a string of any length here")
     with pytest.raises(ParseError) as info:
         parse_expr(text)
     assert (info.value.message, info.value.pos) == (message, pos)
     assert str(info.value) == f"{message} (at position {pos})"
+
+
+# the deepest text of each nesting kind that parses, and the first one
+# refused: (deepest, refused, position of the refusal)
+DEPTH_LIMITS = {
+    "parentheses": ("(" * 99 + "1" + ")" * 99, "(" * 100 + "1" + ")" * 100, 100),
+    "signs": ("-" * 99 + "1", "-" * 100 + "1", 100),
+    "exponents": ("1" + "^1" * 99, "1" + "^1" * 100, 200),
+    "calls": ("phi(" * 99 + "1" + ")" * 99, "phi(" * 100 + "1" + ")" * 100, 400),
+    "a + chain": ("1" + "+1" * 99, "1" + "+1" * 100, 199),
+}
+
+
+@pytest.mark.parametrize("deepest, refused, pos", DEPTH_LIMITS.values(), ids=DEPTH_LIMITS)
+def test_each_nesting_kind_stops_at_max_depth(deepest, refused, pos):
+    assert isinstance(parse_expr(deepest), exact.Expr)
+    with pytest.raises(ParseError) as info:
+        parse_expr(refused)
+    assert (info.value.message, info.value.pos) == (f"expression nested deeper than {exact.MAX_DEPTH} levels", pos)
+
+
+# how the grammar binds and groups, which no rendered text shows, since
+# `render_expr` parenthesizes every infix node: (text, tree)
+PRECEDENCE = [
+    ("1 - 2 - 3", Sub(Sub(Int(1), Int(2)), Int(3))),
+    ("8 / 4 / 2", Div(Div(Int(8), Int(4)), Int(2))),
+    ("1 + 2 * 3", Add(Int(1), Mul(Int(2), Int(3)))),
+    ("1 * 2 - 3 / 4 + 5", Add(Sub(Mul(Int(1), Int(2)), Div(Int(3), Int(4))), Int(5))),
+    ("(1 + 2) * 3", Mul(Add(Int(1), Int(2)), Int(3))),
+    ("2^3^2", PowRat(Int(2), F(9))),
+    ("2^(1/2)^2", PowRat(Int(2), F(1, 4))),
+    ("-2^2", Neg(PowRat(Int(2), F(2)))),
+    ("2^-1", PowRat(Int(2), F(-1))),
+    ("- -1", Neg(Neg(Int(1)))),
+    ("+1", Int(1)),
+    ("+-+1", Neg(Int(1))),
+    ("2 * -3", Mul(Int(2), Neg(Int(3)))),
+    ("-pi * 2", Mul(Neg(Pi()), Int(2))),
+    ("2.50 + .5 - 3.", Sub(Add(Rat(F(5, 2)), Rat(F(1, 2))), Int(3))),
+]
+
+
+@pytest.mark.parametrize("text, tree", PRECEDENCE, ids=[text for text, _ in PRECEDENCE])
+def test_precedence_and_associativity(text, tree):
+    assert parse_expr(text) == tree and repr(parse_expr(text)) == repr(tree)
+
+
+_int_texts = st.recursive(
+    st.integers(0, 9).map(str),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join),
+        st.tuples(st.sampled_from("+-"), inner).map("".join),
+        st.tuples(inner, st.integers(-2, 2)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(inner, st.integers(-2, 2), st.integers(0, 2)).map(lambda t: f"({t[0]})^{t[1]}^{t[2]}"),
+        inner.map("({})".format),
+    ),
+    max_leaves=6,
+)
+
+
+@given(text=_int_texts)
+@settings(max_examples=300, deadline=None)
+def test_int_texts_fold_to_the_value_python_gives_them(text):
+    """The folded value of an int text is Python's value of the same text,
+    with ^ as ** and each int a Fraction: both languages bind and group alike.
+    Every exponent is an integer, so the value is a Fraction."""
+    python_text = re.sub(r"\d+", r"Fraction(\g<0>)", text).replace("^", "**")
+    try:
+        folded = parse_expr(f"classinv({text})")
+    except ParseError as exc:
+        if exc.message.startswith("a power of magnitude"):
+            reject()  # past the folding limit at 512 bits, and too big to eval
+        assert exc.message == "division by zero in a constant"
+        with pytest.raises(ZeroDivisionError):
+            eval(python_text, {"Fraction": F})
+        return
+    assert folded == ClassInv(eval(python_text, {"Fraction": F}))
 
 
 # the TypeErrors of a record built with a missing field, an extra value or

@@ -66,6 +66,17 @@ def test_exact_addition():
     assert two.contains(2) and two.rad <= F(1, 2**250)
 
 
+def test_as_fraction_keeps_a_fraction_and_converts_anything_else():
+    class Half(F):
+        pass
+
+    x = F(3, 7)
+    assert precision.as_fraction(x) is x
+    for value, want in [(5, F(5)), (Half(1, 2), F(1, 2)), ("0.25", F(1, 4))]:
+        got = precision.as_fraction(value)
+        assert type(got) is F and got == want
+
+
 def test_root_square_round_trip():
     root = pow_rational(Ball.from_fraction(2, 256), F(1, 2))
     assert (root * root).contains(2)
