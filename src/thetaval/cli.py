@@ -27,7 +27,7 @@ from importlib import import_module
 from . import __version__
 from .errors import DomainError, ParseError, PowerTooLarge, ThetavalError, Undecided
 from .precision import CAP_FACTOR, Ball, PrecCtx, Record, agreement_digits, certify, decimal_str
-from .precision import _log10_floor, memo, rad_exponent, rad_shortfall
+from .precision import _log10_floor, memo, rad_exponent_str, rad_shortfall
 
 BITS_PER_DIGIT = 3.33
 DEFAULT_BITS = 512
@@ -145,12 +145,12 @@ def cmd_eval(args) -> int:
     bits = _resolve_bits(args)
     value = eval_expr(parse_expr(args.expression, bits), PrecCtx(bits))
     implied = int(bits / 3.3219280948873626)
-    rexp = rad_exponent(value)
+    radius = rad_exponent_str(value)  # "0", or "1e<k>" for the least k with radius <= 10^k
     certified = implied
-    if value.m and rexp is not None:
-        certified = max(1, _log10_floor(abs(value.m), value.f)[0] - rexp + 1)
+    if value.m and value.r:
+        certified = max(1, _log10_floor(abs(value.m), value.f)[0] - int(radius[2:]) + 1)
     print(f"value  = {decimal_str(value, max(1, min(implied, 1000, certified)))}")
-    print(f"radius <= {'0' if rexp is None else f'1e{rexp:+d}'}")
+    print(f"radius <= {radius}")
     return 0
 
 
@@ -287,7 +287,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_common(p, report=True)
 
     p = sub.add_parser("eval", help="evaluate an expression to certified digits")
-    p.add_argument("expression")
+    p.add_argument("expression", nargs="?")  # a text starting with "-" is filled in by `main`
     _add_common(p)
 
     p = sub.add_parser("sweep", help="verify residual identities over a grid")
@@ -304,7 +304,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    parser = build_arg_parser()
+    args, rest = parser.parse_known_args(argv)  # as parse_args does
+    if getattr(args, "expression", "") is None and len(rest) == 1:
+        args.expression = rest.pop()  # an eval text starting with "-", read as an unknown option
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    if getattr(args, "expression", "") is None:
+        parser.error("the following arguments are required: expression")
     # looked up per call, so a cmd_* replaced after the parser was built still runs
     command = globals()[f"cmd_{args.command}"]
     try:

@@ -25,8 +25,8 @@ class PowerTooLarge(DomainError):
     """An integer power or folded constant beyond the size limit of its precision."""
 
 
-class UnsupportedArgument(DomainError):
-    """Argument outside the supported range of gamma_rational."""
+class UnsupportedGammaArgument(DomainError):
+    """`gamma_rational` at an argument outside (0, 2]."""
 
 
 class NotConvergent(DomainError):
@@ -52,10 +52,6 @@ class EvaluationError(ThetavalError):
 
     def __reduce__(self):  # rebuilt from both fields, so it crosses a process pool
         return type(self), (self.entry_id, self.message)
-
-
-class UnsupportedGammaArgument(UnsupportedArgument):
-    """`gamma_rational` at an argument outside (0, 2]."""
 
 
 class NoRootMatches(ThetavalError):

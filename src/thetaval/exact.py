@@ -53,7 +53,7 @@ __all__ = [
     # nodes: closed forms, function leaves and theta leaves
     "Expr", "Int", "Rat", "Pi", "Infix", "Add", "Sub", "Mul", "Div", "PowRat", "Neg",
     "Function", "Nome", "GammaRat", "CosPiRat", "Agm", "Hyp",
-    "ThetaExpr", "Phi", "Psi", "FNeg", "Chi", "ThetaF", "YiH", "ClassInv",
+    "ThetaExpr", "Phi", "Psi", "FNeg", "Chi", "ThetaF", "YiH", "YiHPrime", "ClassInv",
     # the tree both ways, and the catalog
     "eval_expr", "eval_theta", "render_expr", "render_theta", "parse_expr", "mutate_first_leaf",
     "Identity", "Catalog", "VerifyReport", "build_catalog", "catalog_entry", "verify_identity",
@@ -272,16 +272,18 @@ class ThetaF(ThetaExpr):
 
 
 class YiH(ThetaExpr):
-    __slots__ = ("k", "n", "primed")
-    name, rational = "h", True  # written h(k, n), or hprime(k, n) if primed
-
-    def __init__(self, k: Fraction, n: Fraction, primed: bool = False):
-        Record.__init__(self, k, n, primed)
+    __slots__ = ("k", "n")
+    name, rational, primed = "h", True, False
 
     def _ball(self, bits):
         from . import modular
 
         return modular.yi_h(modular.YiQuotient(self.k, self.n, self.primed), WorkCtx(bits))
+
+
+class YiHPrime(YiH):
+    __slots__ = ()
+    name, primed = "hprime", True
 
 
 class ClassInv(ThetaExpr):
@@ -292,9 +294,6 @@ class ClassInv(ThetaExpr):
         from . import modular
 
         return modular.class_invariant(self.n, WorkCtx(bits))
-
-
-_FUNCTIONS["hprime"] = YiH
 
 
 @memo
@@ -340,8 +339,6 @@ def render_expr(e: Expr) -> str:
         return f"(-{render_expr(e.arg)})"
     if isinstance(e, Nome):
         return _render_arg(e.q)
-    if isinstance(e, YiH):
-        return f"{'hprime' if e.primed else 'h'}({e.k}, {e.n})"
     return f"{e.name}({', '.join(map(_render_arg, e._values()))})"
 
 
@@ -404,8 +401,8 @@ def mutate_first_leaf(e: Expr, delta: Fraction = Fraction(1, 10**6)) -> Expr:
 #   atom   := NUMBER | 'pi' | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 #
 # So + - * / group to the left, ^ binds tightest and groups to the right,
-# and -2^2 is -(2^2).  A NAME is the `name` of a `Function` node (or
-# hprime); qpoint(sign, r) denotes sign * e^(-pi sqrt r) and stays a
+# and -2^2 is -(2^2).  A NAME is the `name` of a `Function` node;
+# qpoint(sign, r) denotes sign * e^(-pi sqrt r) and stays a
 # structured QPoint inside phi/psi/fneg/chi.  Exponents and the arguments
 # of a `rational` function fold to exact rationals while parsing.
 
@@ -413,7 +410,7 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(.)
 _END = ("", "", "")  # the (number, name, symbol) token after the last one
 _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}  # how tightly each infix symbol binds
 _BINARY = {node.sym: node for node in Infix.__subclasses__()}
-_ARITY = {name: 2 if f in (Nome, YiH) else len(f._fields) for name, f in _FUNCTIONS.items()}
+_ARITY = {name: 2 if f is Nome else len(f._fields) for name, f in _FUNCTIONS.items()}
 
 
 def _literal(text: str) -> Expr:
@@ -568,7 +565,7 @@ class _Parser:
             elif None in values:
                 raise self.error(f"{name} needs a rational argument", i)
             else:
-                tree = YiH(*values, name == "hprime") if node is YiH else node(*values)
+                tree = node(*values)
         if levels > MAX_DEPTH:
             raise self.error(_TOO_DEEP, i)
         return tree, levels
@@ -638,25 +635,24 @@ class VerifyReport(Record):
     __slots__ = ("id", "lhs", "rhs", "agreement_digits", "status", "prec_bits_used")
 
 
+# The ln7 right side 7^(-3/4) (1 + t1 + t2 + t3) and its terms, the shape that
+# the completion pipeline emits, as templates in the grammar of `parse_expr`.
+_LN7_TERM = "(cospi({}/7) / (2 * cospi({}/7)^2))^(2/7)"
+_LN7_RHS = "7^(-3/4) * (1 + ({} + ({} + {})))"
+
+
+def _ln7_text(pairs: tuple[tuple[int, int], ...]) -> str:
+    return _LN7_RHS.format(*(_LN7_TERM.format(a, b) for a, b in pairs))
+
+
 def ln7_cos_term(num_k: int, den_k: int) -> Expr:
-    """(cos(num_k pi/7) / (2 cos^2(den_k pi/7)))^(2/7), the shape of the terms
-    that the completion pipeline emits for the ln7 entry."""
-    return PowRat(
-        Div(
-            CosPiRat(Fraction(num_k, 7)),
-            Mul(Int(2), PowRat(CosPiRat(Fraction(den_k, 7)), Fraction(2))),
-        ),
-        Fraction(2, 7),
-    )
+    """(cos(num_k pi/7) / (2 cos^2(den_k pi/7)))^(2/7), read from its template."""
+    return parse_expr(_LN7_TERM.format(num_k, den_k))
 
 
 def ln7_rhs_from_terms(pairs: tuple[tuple[int, int], ...]) -> Expr:
-    """7^(-3/4) (1 + t1 + t2 + t3) with the given cosine index pairs."""
-    t1, t2, t3 = (ln7_cos_term(a, b) for a, b in pairs)
-    return Mul(
-        PowRat(Int(7), Fraction(-3, 4)),
-        Add(Int(1), Add(t1, Add(t2, t3))),
-    )
+    """7^(-3/4) (1 + t1 + t2 + t3) with the given cosine index pairs, read from its template."""
+    return parse_expr(_ln7_text(pairs))
 
 
 # G_169, the right side of g169, and y = x^3 + 7x at x = G_169 - 1/G_169,
@@ -746,8 +742,7 @@ _CATALOG_ROWS = (
      "Yi and coauthors (sign-corrected form)"),
     ("ln7",
      "phi(qpoint(+1, 343)) / phi(qpoint(+1, 7))",
-     "7^(-3/4) * (1 + ((cospi(1/7) / (2 * cospi(2/7)^2))^(2/7)"
-     " + ((cospi(2/7) / (2 * cospi(3/7)^2))^(2/7) + (cospi(3/7) / (2 * cospi(1/7)^2))^(2/7))))",
+     _ln7_text(((1, 2), (2, 3), (3, 1))),
      "lost notebook p.206, completed by Rebak"),
     ("g9",
      "classinv(9)",

@@ -25,7 +25,6 @@ from .errors import (
     RootsNotSeparable,
 )
 from .exact import (
-    CosPiRat,
     Identity,
     Int,
     Mul,
@@ -34,6 +33,7 @@ from .exact import (
     catalog_entry,
     eval_expr,
     ln7_rhs_from_terms,
+    parse_expr,
     verify_identity,
 )
 from .precision import Ball, PrecCtx, Record, _refuse_nonpositive, certify, ipow, pow_rational, sqrt
@@ -291,8 +291,8 @@ def septic_pipeline(q, ctx: PrecCtx) -> tuple[SepticState, tuple[Ball, Ball, Bal
 
 
 def _cos_root_expr(k: int):
-    """1 / (2 cos(k pi/7))^2 as an exact expression."""
-    return PowRat(Mul(Int(2), CosPiRat(Fraction(k, 7))), Fraction(-2))
+    """1 / (2 cos(k pi/7))^2 as an exact expression, read from its text."""
+    return parse_expr(f"(2 * cospi({k}/7))^(-2)")
 
 
 def complete_evaluation(ctx: PrecCtx) -> CompletionResult:

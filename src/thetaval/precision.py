@@ -536,7 +536,7 @@ def pow_rational(x: Ball, e, bits: int | None = None) -> Ball:
 
 
 # ---------------------------------------------------------------------------
-# pi (Chudnovsky's series by binary splitting), ln 2
+# pi (Chudnovsky's series by binary splitting)
 
 _CHUD_A, _CHUD_B, _CHUD_C3 = 13591409, 545140134, 640320**3
 
@@ -594,12 +594,6 @@ def const_pi(ctx: PrecCtx) -> Ball:
 def _pi_ball(f: int) -> Ball:
     m, r = _pi_units(f)
     return Ball(m, r, f)
-
-
-@memo
-def _ln2_ball(f: int) -> Ball:
-    third = Ball.from_fraction(Fraction(1, 3), f + 16)
-    return (_atanh_series(third) * 2).rescale(f)
 
 
 # ---------------------------------------------------------------------------
@@ -679,34 +673,27 @@ def exp(x: Ball) -> Ball:
     return Ball(v, e, g).rescale(f)
 
 
-def _atanh_series(u: Ball) -> Ball:
-    """atanh of a ball with sup|u| <= 0.4 via the odd series."""
-    acc = u
-    t = u
-    u2 = u * u
-    f = u.f
-    for i in range(1, 8 * f + 64):
-        t = t * u2
-        term = t.div_int(2 * i + 1)
-        acc = acc + term
-        if abs(term.m) + term.r <= 2:
-            break
-    # ratio of successive terms <= sup(u)^2 <= 0.16: tail < term / 4
-    tail = _ceil_div(abs(term.m) + term.r, 4) + 1
-    return Ball(acc.m, acc.r + tail, f)
-
-
 def log(x: Ball) -> Ball:
-    fw = x.f + 48
-    a = x.rescale(fw)
-    _refuse_nonpositive(a, "log requires a strictly positive enclosure")
-    e = a.m.bit_length() - fw - 1  # x / 2^e lands in [1, 2)
-    w = Ball(a.m, a.r, fw + e)
-    u = (w - 1) / (w + 1)
-    if 20 * (abs(u.m) + u.r) > 8 << u.f:  # sup|u| > 0.4: enclosure too wide
-        raise Undecided("log input enclosure is too wide")
-    ln_w = _atanh_series(u) * 2
-    return (ln_w + _ln2_ball(fw) * e).rescale(x.f)
+    """ln x at the scale f of x: ln v = L(v 2^m) - L(2^m) for L(s) = pi / (2 agm(1, k)),
+    k = 4/s, where |ln s - L(s)| <= 4k^2 (8 + |ln k|) (Borwein & Borwein, Pi and the
+    AGM, Thm 7.2), below (8 + n) 2^(2-2n) <= 2^-(f+8) for k <= 2^-n.  x in
+    [2^(a-1), 2^b) and m = n + 3 + max(0, -a) keep every k below 2^-n.  L is taken
+    at both ends of x, as ln is increasing, and each 4/(v 2^m) at W = max(f, 48) +
+    16 + m + max(b, 0) bits keeps f + 16 bits, its relative error being L's error."""
+    f = x.f
+    _refuse_nonpositive(x, "log requires a strictly positive enclosure")
+    n = (f + (f + 16).bit_length() + 11) // 2
+    a, b = ((x.m + s * x.r).bit_length() - f for s in (-1, 1))
+    m = n + 3 + max(0, -a)
+    w = max(f, 48) + 16 + m + max(b, 0)
+    one, pi, ctx, k = Ball.one(w), _pi_ball(w), PrecCtx(w), Ball(1 << (w + 2 - m), 0, w)
+
+    def big_l(v: int) -> Ball:  # L(v 2^(m-f)); k is 4/2^m
+        return pi / (agm(one, k / Ball(v, 0, f), ctx) * 2)
+
+    lo = big_l(x.m - x.r)
+    diff = (Ball.hull(lo, big_l(x.m + x.r)) if x.r else lo) - big_l(1 << f)
+    return Ball(diff.m, diff.r + ((8 + n) << (w + 3 - 2 * n)), w).rescale(f)
 
 
 TRIG_PI_GUARD = 128  # bits above f at which `_cos_sin` reads pi for |x| < 1, +64 per 64 bits of |x|

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import DomainError, FactorNearZero, NotConvergent
 from .precision import GUARD_BITS, Ball, PrecCtx, WorkCtx, as_fraction, check_power_size, ipow
 from .precision import Record, _pi_ball, _refuse_nonpositive, _round_div, exp, memo, nth_root
-from .precision import pow_rational, sqrt
+from .precision import pow_rational
 
 __all__ = [
     "QPoint",
@@ -102,17 +102,22 @@ def _nome_class(r: Fraction) -> tuple[int, Fraction]:
 
 
 @memo
-def _nome_base(r0: Fraction, fw: int) -> Ball:
-    """exp(-pi sqrt(r0)) at the working scale fw: a class base, or a dual B.
+def _nome_base(t: Fraction, sign: int, fw: int) -> Ball:
+    """exp(sign pi sqrt(t)) at the working scale fw, the one place that forms
+    one: a class base or a dual B (sign -1), a dual row's factor, or a class
+    invariant's q^(-1/24).  For sign +1 a value past the power limit of the
+    requested bits fw - GUARD_BITS is refused before it is formed.
 
-    sqrt(r0) = sqrt(s)/b for b the denominator of r0 and s = b^2 r0: the floor
+    sqrt(t) = sqrt(s)/b for b the denominator of t and s = b^2 t: the floor
     of sqrt(s) 2^fw is off by below one unit, so below 1/b after the division
-    by b, and the division rounds by at most 1/2 (none for b = 1): sqrt(r0)
-    is within one unit at fw, however small r0 is.
+    by b, and the division rounds by at most 1/2 (none for b = 1): sqrt(t)
+    is within one unit at fw, however small t is.
     """
-    s, b = r0.numerator * r0.denominator, r0.denominator
+    if sign > 0:
+        check_power_size(1, math.pi / math.log(2) * math.sqrt(min(t, 10**300)), fw - GUARD_BITS)
+    s, b = t.numerator * t.denominator, t.denominator
     root = Ball(_round_div(math.isqrt(s << 2 * fw), b)[0], 1, fw)
-    return exp(-(_pi_ball(fw) * root))
+    return exp(_pi_ball(fw) * root * sign)
 
 
 @memo
@@ -133,7 +138,7 @@ def _nome_exp(r: Fraction, f: int) -> Ball:
     a, r0 = _nome_class(r)
     if 16 * r0 < 1 and a >= 2**27:
         a, r0 = 1, r
-    return ipow(_nome_base(r0, f + GUARD_BITS), a).rescale(f)
+    return ipow(_nome_base(r0, -1, f + GUARD_BITS), a).rescale(f)
 
 
 def _qpoint_ball(sign: int, r: Fraction, f: int) -> Ball:
@@ -518,17 +523,15 @@ def _dual_value(kind: str, q: QPoint, ctx: PrecCtx) -> Ball:
     """kind(q) for a QPoint nome q = sign q_r by its `_DUAL_ROWS` row."""
     c, p, a, b, series = _DUAL_ROWS[kind, q.sign]
     r = q.r
-    # guard bits for the factor (c/r)^(1/4), which scales every error
-    fw = ctx.work().bits + max(0, r.denominator.bit_length() - r.numerator.bit_length()) // 4
-    big_b = _nome_base(1 / (576 * r), fw)
+    # guard bits for the factor (c/r)^(1/4) of the rows with p = -1, which scales every
+    # error; the chi rows' factor is a constant, and they run at the working scale
+    fw = ctx.work().bits + (p and max(0, r.denominator.bit_length() - r.numerator.bit_length()) // 4)
+    big_b = _nome_base(1 / (576 * r), -1, fw)
     alg = c * r**p
     val = nth_root(Ball.from_fraction(alg, fw), 4) if alg != 1 else Ball.one(fw)
-    if a:  # exp(pi (a s + b/s)) = exp(+-pi sqrt t), t = (a r + b)^2 / r
+    if a:  # exp(pi (a s + b/s)) = exp(+-pi sqrt t), t = (a r + b)^2 / r; a huge chi(q) near 1 is refused
         x = a * r + b
-        t = x * x / r
-        if x > 0:  # chi(q) near 1 is huge: refuse 2^(pi sqrt(t) / ln 2) past the power limit
-            check_power_size(1, math.pi / math.log(2) * math.sqrt(min(t, 10**300)), ctx.requested)
-        val = val * exp(_pi_ball(fw) * sqrt(Ball.from_fraction(t, fw)) * (1 if x > 0 else -1))
+        val = val * _nome_base(x * x / r, 1 if x > 0 else -1, fw)
     elif b:
         val = val * ipow(big_b, int(-24 * b))
     for fn, k, e in series:

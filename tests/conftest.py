@@ -16,7 +16,6 @@ def value_caches() -> list:
 
     return [
         precision._pi_units,
-        precision._ln2_ball,
         precision._gamma_unit,
         precision._gamma_agm,
         qseries._nome_exp,

@@ -308,6 +308,38 @@ class TestEval:
         code, _, err = run(capsys, "eval", "chi(qpoint(+1, 1/1000000000000))")
         assert code == 2 and "passes the limit of 2^" in err
 
+    @pytest.mark.parametrize("n", ["10^16", "10^40", "10^12"])
+    def test_a_class_invariant_past_the_power_limit_is_refused_at_once(self, n):
+        # q^(-1/24) = e^(pi sqrt(n)/24) is about 2^(2^17.5) at n = 10^12, past the limit
+        # 2^32768: refused before its exp, which at 10^16 or 10^40 would not end
+        proc = subprocess.run(
+            [sys.executable, "-m", "thetaval", "eval", f"classinv({n})"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("size error: ") and "passes the limit of 2^32768 at 512 bits" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, plain",
+        [
+            (["eval", "-pi"], ["eval", "--", "-pi"]),
+            (["eval", "-2^2", "--prec", "128"], ["eval", "--prec", "128", "--", "-2^2"]),
+            (["eval", "--prec", "128", "-pi"], ["eval", "--prec", "128", "--", "-pi"]),
+            (["eval", "-qpoint(+1, 2)"], ["eval", "--", "-qpoint(+1, 2)"]),
+        ],
+    )
+    def test_an_eval_text_starting_with_a_dash_is_the_text(self, capsys, argv, plain):
+        expected = run(capsys, *plain)
+        assert expected[0] == 0 and run(capsys, *argv) == expected
+
+    @pytest.mark.parametrize("argv", [["eval", "1", "--nosuch"], ["eval", "-pi", "-pi"], ["eval"]])
+    def test_an_unknown_option_or_a_missing_text_is_still_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and "error: " in capsys.readouterr().err
+
     def test_negative_power_of_a_value_below_the_scale(self, capsys):
         # q^27 = 2^-774 at q = e^(-pi sqrt 40): resolved at the 1024-bit cap,
         # where its square is not, so q^-54 is taken as (1/q^27)^2

@@ -405,7 +405,7 @@ RENDERED = [
     (exact.Chi(QPoint(-1, F(2))), "chi(qpoint(-1, 2))"),
     (exact.ThetaF(Rat(F(1, 5)), Rat(F(3, 10))), "f(0.2, 0.3)"),
     (exact.YiH(F(3), F(9)), "h(3, 9)"),
-    (exact.YiH(F(2), F(3, 2), True), "hprime(2, 3/2)"),
+    (exact.YiHPrime(F(2), F(3, 2)), "hprime(2, 3/2)"),
     (ClassInv(F(169)), "classinv(169)"),
     (exact.Agm(Int(1), PowRat(Int(2), F(1, 2))), "agm(1, 2^(1/2))"),
     (exact.Hyp(Rat(F(7, 3))), "hyp((7/3))"),
@@ -610,7 +610,7 @@ RECORD_ERRORS = [
     (Pi, (1,), {}, "Pi takes exactly the fields ()"),
     (Pi, (), {"x": 1}, "Pi takes exactly the fields ()"),
     (Identity, ("a", Int(1), Int(2)), {}, "Identity takes exactly the fields ('id', 'lhs', 'rhs', 'provenance')"),
-    (exact.YiH, (F(1),), {}, "YiH.__init__() missing 1 required positional argument: 'n'"),
+    (exact.YiH, (F(1),), {}, "YiH takes exactly the fields ('k', 'n')"),
     (Catalog, (), {}, "Catalog.__init__() missing 1 required positional argument: 'entries'"),
     (PrecCtx, (64, 65), {}, "PrecCtx.__init__() takes from 1 to 2 positional arguments but 3 were given"),
     (PrecCtx, (), {"bitz": 64}, "PrecCtx.__init__() got an unexpected keyword argument 'bitz'"),
@@ -618,6 +618,7 @@ RECORD_ERRORS = [
     (QPoint, (1,), {}, "QPoint.__init__() missing 1 required positional argument: 'r'"),
     (QPoint, (1, 2, 3), {}, "QPoint.__init__() takes 3 positional arguments but 4 were given"),
     (QPoint, (), {"sign": 1, "r": 2, "x": 3}, "QPoint.__init__() got an unexpected keyword argument 'x'"),
+    (exact.YiHPrime, (F(1), F(2), True), {}, "YiHPrime takes exactly the fields ('k', 'n')"),
 ]
 
 

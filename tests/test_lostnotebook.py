@@ -16,7 +16,8 @@ from thetaval.errors import (
     RootsNotSeparable,
     Undecided,
 )
-from thetaval.exact import CosPiRat, Int, Mul, PowRat, build_catalog, eval_expr, verify_identity
+from thetaval.exact import Add, CosPiRat, Div, Int, Mul, PowRat, build_catalog, eval_expr, verify_identity
+from thetaval.exact import ln7_cos_term, ln7_rhs_from_terms
 from thetaval.precision import Ball, PrecCtx, ipow, pow_rational
 from thetaval.qseries import QPoint, phi, q_power_ball
 from thetaval import lostnotebook
@@ -234,3 +235,23 @@ class TestCompletion:
         catalog = build_catalog()
         with pytest.raises(ValueError):
             misprint_variant(catalog.get("r3"))
+
+
+def _ln7_term_tree(a: int, b: int) -> PowRat:
+    """(cos(a pi/7) / (2 cos^2(b pi/7)))^(2/7), written out in constructors."""
+    cos_b_squared = PowRat(CosPiRat(F(b, 7)), F(2))
+    return PowRat(Div(CosPiRat(F(a, 7)), Mul(Int(2), cos_b_squared)), F(2, 7))
+
+
+def test_the_ln7_templates_read_the_trees_written_out_in_constructors():
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            assert ln7_cos_term(a, b) == _ln7_term_tree(a, b)
+    for pairs in (((1, 2), (2, 3), (3, 1)), ((3, 1), (1, 2), (2, 3))):
+        t1, t2, t3 = (_ln7_term_tree(a, b) for a, b in pairs)
+        tree = Mul(PowRat(Int(7), F(-3, 4)), Add(Int(1), Add(t1, Add(t2, t3))))
+        assert ln7_rhs_from_terms(pairs) == tree
+    t1, t2, t3 = (_ln7_term_tree(a, b) for a, b in ((1, 2), (2, 3), (3, 1)))
+    assert build_catalog().get("ln7").rhs == Mul(PowRat(Int(7), F(-3, 4)), Add(Int(1), Add(t1, Add(t2, t3))))
+    for k in (1, 2, 3):  # 1 / (2 cos(k pi/7))^2
+        assert lostnotebook._cos_root_expr(k) == PowRat(Mul(Int(2), CosPiRat(F(k, 7))), F(-2))

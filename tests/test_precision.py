@@ -21,7 +21,7 @@ from thetaval.errors import (
     EnclosureReachesBoundary,
     PowerTooLarge,
     Undecided,
-    UnsupportedArgument,
+    UnsupportedGammaArgument,
 )
 from thetaval import precision
 from thetaval.precision import (
@@ -47,7 +47,7 @@ from thetaval.precision import (
     sin,
     sqrt,
 )
-from thetaval.precision import _gamma_agm, _gamma_unit, _ln2_ball, _pi_units
+from thetaval.precision import _gamma_agm, _gamma_unit, _pi_units
 
 CTX = PrecCtx(256)
 PI_50 = "3.1415926535897932384626433832795028841971693993751"
@@ -156,12 +156,28 @@ def test_roots_and_log_escalate_a_boundary_reached_only_by_the_radius(name):
         assert not isinstance(exc.value, Undecided)
 
 
-def test_log_of_a_positive_ball_too_wide_for_its_series_is_undecided():
-    # (2^-256, 2 - 2^-256) is strictly positive, but |u| = |(w - 1)/(w + 1)|
-    # may pass 0.4 on it: more bits narrow it, so it is no domain error
-    with pytest.raises(Undecided, match="too wide") as exc:
-        log(Ball(1 << 256, (1 << 256) - 1, 256))
-    assert not isinstance(exc.value, DomainError)
+WIDE_LOG_BALLS = {
+    "(2^-256,2-2^-256)": Ball(1 << 256, (1 << 256) - 1, 256),
+    "(1/8,9/8)@3bits": Ball(5, 4, 3),
+    "(2^-64,2e50/2^64)": Ball(10**50, 10**50 - 1, 64),
+    "3+-2": Ball(3 << 100, 1 << 101, 100),
+    "1+-2^-50": Ball(1 << 300, 1 << 250, 300),
+    "7+-5/1024": Ball(7 << 200, 5 << 190, 200),
+    "3+-2^-12": Ball(3 << 512, 1 << 500, 512),
+}
+
+
+@pytest.mark.parametrize("x", WIDE_LOG_BALLS.values(), ids=WIDE_LOG_BALLS)
+def test_log_of_a_wide_positive_ball_encloses_both_ends(x):
+    # a strictly positive ball, however wide, has a log: L is taken at both
+    # ends, so the radius is the half width of [ln lower, ln upper] and a few units
+    import mpmath as mp
+
+    with mp.workprec(x.f + 1200):
+        ends = [mp_exact(mp.log(mp.mpf(p.numerator) / p.denominator)) for p in (x.lower, x.upper)]
+    val = log(x)
+    assert val.f == x.f and all(val.contains(e) for e in ends)
+    assert val.rad <= (ends[1] - ends[0]) / 2 + F(3, 2**x.f)
 
 
 def test_exp_of_zero():
@@ -549,6 +565,62 @@ def test_agm_against_mpmath_and_the_oracle(pair, bits, wide):
     assert val.overlaps(old) and _as_tight_as(val, old)
 
 
+def log_series_oracle(x: Ball) -> Ball:
+    """The replaced route of `log`, kept as an oracle: x = 2^e w, w in [1, 2),
+    ln w = 2 atanh(u) for u = (w - 1)/(w + 1) and ln 2 = 2 atanh(1/3), each by
+    the odd series in Ball operations at f + 48 (f + 64 for ln 2), the term
+    ratio at most u^2 <= 0.16, so the tail is below a quarter of the last term."""
+
+    def atanh(u: Ball) -> Ball:
+        acc, t, u2, i = u, u, u * u, 0
+        while True:
+            i += 1
+            t = t * u2
+            term = t.div_int(2 * i + 1)
+            acc = acc + term
+            if term.sup_units() <= 2:
+                return Ball(acc.m, acc.r + -(-term.sup_units() // 4) + 1, u.f)
+
+    fw = x.f + 48
+    a = x.rescale(fw)
+    e = a.m.bit_length() - fw - 1
+    w = Ball(a.m, a.r, fw + e)
+    u = (w - 1) / (w + 1)
+    if 20 * u.sup_units() > 8 << u.f:
+        raise Undecided("log input enclosure is too wide for the series")
+    ln2 = (atanh(Ball.from_fraction(F(1, 3), fw + 16)) * 2).rescale(fw)
+    return (atanh(u) * 2 + ln2 * e).rescale(x.f)
+
+
+# x from 2^-1000 to 2^1000, each at a scale that keeps `bits` bits of it
+LOG_ARGS = {
+    "5/3": F(5, 3), "7/8": F(7, 8), "1+1e-6": 1 + F(1, 10**6), "1-1e-6": 1 - F(1, 10**6),
+    "1e-300": F(1, 10**300), "1e300": F(10**300), "2^1000": F(2**1000), "2^-1000": F(1, 2**1000),
+}
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["radius0", "radius>0"])
+@pytest.mark.parametrize("bits", [64, 512, 2048, 8192, 16384])
+@pytest.mark.parametrize("name", list(LOG_ARGS))
+def test_log_against_mpmath_and_the_oracle(name, bits, wide):
+    # radius at most the half width of ln over the ball and 2 units, and at
+    # most the series route's and 2 units (that route runs up to 2048 bits only, for time)
+    import mpmath as mp
+
+    v = LOG_ARGS[name]
+    g = bits + max(0, v.denominator.bit_length() - v.numerator.bit_length())
+    m = round(v * 2**g)
+    x = Ball(m, m >> (bits // 2) if wide else 0, g)
+    val = log(x)
+    with mp.workprec(g + 1100):
+        ends = [mp_exact(mp.log(mp.mpf(p.numerator) / p.denominator)) for p in (x.lower, x.upper)]
+    assert val.f == g and all(val.contains(e) for e in ends)
+    assert val.rad <= x.rad / x.lower + F(2, 2**g)
+    if bits <= 2048:
+        old = log_series_oracle(x)
+        assert val.overlaps(old) and val.r <= old.r + 2
+
+
 @given(
     ea=st.integers(-200, 200),
     eb=st.integers(-200, 200),
@@ -882,7 +954,7 @@ def test_gamma_at_a_tiny_argument_against_mpmath(p):
 
 def test_gamma_domain():
     for bad in (F(0), F(5, 2), F(-1)):
-        with pytest.raises(UnsupportedArgument):
+        with pytest.raises(UnsupportedGammaArgument):
             gamma_rational(bad, CTX)
 
 
@@ -1267,7 +1339,6 @@ def test_certify_returns_a_wide_result_at_the_cap():
     "table, call",
     [
         (_pi_units, lambda: const_pi(PrecCtx(333))),
-        (_ln2_ball, lambda: log(Ball.from_fraction(F(5, 3), 333))),
         (_gamma_unit, lambda: gamma_rational(F(2, 9), PrecCtx(333))),
         (_gamma_agm, lambda: gamma_rational(F(7, 8), PrecCtx(333))),
     ],

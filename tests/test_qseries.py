@@ -15,7 +15,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from thetaval import exact, lostnotebook, modular, precision, qseries
-from thetaval.errors import DomainError, EnclosureReachesBoundary, NotConvergent, ThetavalError
+from thetaval.errors import DomainError, EnclosureReachesBoundary, NotConvergent, PowerTooLarge
+from thetaval.errors import ThetavalError
 from thetaval.errors import Undecided
 from thetaval.exact import build_catalog, verify_identity
 from thetaval.precision import Ball, PrecCtx, decimal_str, gamma_rational, ipow, pow_rational
@@ -191,13 +192,43 @@ def test_the_dual_nome_takes_its_own_exp(monkeypatch):
     # its own exp, not the 125th power of a class base that no other nome uses
     bases, powers = [], []
     real_base, real_exp = qseries._nome_base, qseries._nome_exp
-    monkeypatch.setattr(qseries, "_nome_base", lambda r0, fw: bases.append(r0) or real_base(r0, fw))
+    monkeypatch.setattr(
+        qseries, "_nome_base", lambda t, sign, fw: bases.append((t, sign)) or real_base(t, sign, fw)
+    )
     monkeypatch.setattr(qseries, "_nome_exp", lambda r, f: powers.append(r) or real_exp(r, f))
     r = F(7, 10**6)
     assert qseries._nome_class(1 / (576 * r)) == (125, F(1, 63))
     val = qseries._dual_value("phi", QPoint(1, r), PrecCtx(2048))
-    assert bases == [1 / (576 * r)] and powers == []
+    assert bases == [(1 / (576 * r), -1)] and powers == []
     assert val.overlaps(phi_series(QPoint(1, r), PrecCtx(2048)))
+
+
+NOME_BASE_TS = [F(1, 10**300), F(1, 10**12), F(1, 576), F(169, 576), F(7, 3), F(10**6), F(10**8 + 7, 3)]
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("t", NOME_BASE_TS, ids=str)
+def test_nome_base_against_mpmath(t, sign):
+    # exp(sign pi sqrt t) for t from 10^-300 up to near the power limit at 2048 bits
+    import mpmath as mp
+
+    fw = 2048 + GUARD_BITS
+    val = qseries._nome_base(t, sign, fw)
+    with mp.workprec(fw + 64 + 5 * math.isqrt(t.numerator // t.denominator + 1)):
+        ref = mp.exp(sign * mp.pi * mp.sqrt(mp.mpf(t.numerator) / t.denominator))
+        ref = F(int(ref.man)) * F(2) ** int(ref.exp)
+    assert val.contains(ref)  # at scale fw, or the sliver [0, 2^-fw] of exp at fw + 1
+    # the argument is off by pi's and sqrt(t)'s few units, times e^x' <= 1 + |ref|
+    assert val.rad <= (8 + math.isqrt(t.numerator // t.denominator)) * F(2) ** -fw * (1 + ref)
+
+
+def test_nome_base_refuses_a_power_past_the_limit_before_forming_it():
+    # e^(pi sqrt t) < 2^(4.54 sqrt t): at 2048 bits the limit 2^131072 passes at t near 8.3e8
+    fw = 2048 + GUARD_BITS
+    assert qseries._nome_base(F(8 * 10**8), 1, fw).f == fw
+    with pytest.raises(PowerTooLarge, match="passes the limit of 2\\^131072 at 2048 bits"):
+        qseries._nome_base(F(9 * 10**8), 1, fw)
+    assert qseries._nome_base(F(9 * 10**8), -1, fw).contains(0)  # e^(-pi sqrt t) is no power
 
 
 def test_nome_near_one_takes_the_dual_route(monkeypatch, cold_caches):
@@ -784,11 +815,12 @@ class TestNomeClass:
     def test_a_cold_catalog_pass_makes_one_exp_per_class(self, nome_exps):
         # the 20 catalog nomes fall into 8 classes: r = 1, 4, 9, 25, 36, 49,
         # 81, 169, 729, 2025 and 3969; 3 and 27; 7 and 343; then 2, 15,
-        # 5/3, 4/5 and 20 alone
+        # 5/3, 4/5 and 20 alone; the two more exps, of positive argument, are
+        # the q^(-1/24) of G_9 and G_169, which `_nome_base` forms too
         calls = nome_exps
         for entry_id in sorted(CATALOG.ids()):
             verify_identity(CATALOG.get(entry_id), PrecCtx(4096))
-        assert len(calls) == 8
+        assert sorted(x.m > 0 for x, *_ in calls) == [False] * 8 + [True] * 2
 
 
 class TestNomeHelpers:

@@ -38,6 +38,7 @@ from thetaval.exact import (
     Sub,
     ThetaF,
     YiH,
+    YiHPrime,
     eval_expr,
     parse_expr,
     render_expr,
@@ -154,7 +155,10 @@ _function_leaf = st.one_of(
     st.builds(lambda a, b: ThetaF(Rat(a), Rat(b)), _unit, _unit),
     st.builds(Hyp, st.builds(Rat, _unit)),
     st.builds(lambda r: Nome(QPoint(1, r)), _rat),
-    st.builds(YiH, st.builds(F, st.integers(1, 6)), st.builds(F, st.integers(1, 6)), st.booleans()),
+    st.builds(
+        lambda node, k, n: node(k, n), st.sampled_from([YiH, YiHPrime]),
+        st.builds(F, st.integers(1, 6)), st.builds(F, st.integers(1, 6)),
+    ),
     st.builds(ClassInv, st.builds(F, st.integers(1, 200))),
 )
 _exponent = st.sampled_from([F(-2), F(-1), F(2), F(3), F(1, 2), F(1, 3), F(-1, 2), F(3, 2)])
