@@ -47,7 +47,7 @@ from .precision import (
     sin,
 )
 from .precision import GUARD_BITS, TRIG_PI_GUARD, _pi_ball
-from .qseries import QPoint, chi, f_neg, phi, psi, theta_f
+from .qseries import QPoint, chi, class_invariant, f_neg, phi, psi, theta_f
 
 __all__ = [
     # nodes: closed forms, function leaves and theta leaves
@@ -70,7 +70,8 @@ __all__ = [
 # The evaluator, renderer, folder, parser and `mutate_first_leaf` read these.
 # Calls into qseries and precision go through this module's names, so
 # rebinding one of them reaches every call; `modular` is imported by the
-# three nodes that call it, on first use, and read by its module's names.
+# two node kinds that call it (`Hyp`, and `YiH`/`YiHPrime`), on first use,
+# and read by its module's names.
 
 
 class Expr(Record):
@@ -291,9 +292,7 @@ class ClassInv(ThetaExpr):
     name, rational = "classinv", True
 
     def _ball(self, bits):
-        from . import modular
-
-        return modular.class_invariant(self.n, WorkCtx(bits))
+        return class_invariant(self.n, WorkCtx(bits))
 
 
 @memo

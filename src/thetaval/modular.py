@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import DomainError, NotConvergent, PreconditionViolated
 from .precision import Ball, PrecCtx, Record, WorkCtx, agm, as_fraction, exp, ipow, pow_rational
 from .precision import _ceil_div, _cos_sin, _pi_ball, _refuse_nonpositive, sqrt
-from .qseries import QPoint, _Gauss, _nome_base, _term_limit, _theta_wings, as_q_ball, nome_neg
+from .qseries import QPoint, _Gauss, _term_limit, _theta_wings, as_q_ball, class_invariant, nome_neg
 from .qseries import nome_pow, phi, require_positive_nome
 
 __all__ = [
@@ -170,24 +170,6 @@ def singular_modulus_sq(n, ctx: PrecCtx) -> Ball:
     if n <= 0:
         raise DomainError("singular modulus index must be positive")
     return modulus_from_q(QPoint(1, n), ctx)
-
-
-def class_invariant(n, ctx: PrecCtx) -> Ball:
-    """G_n = 2^(-1/4) q^(-1/24) chi(q) at q = e^(-pi sqrt(n)).
-
-    q^(-1/24) = exp(pi sqrt(n/576)) is taken from the exact exponent by
-    `_nome_base`, not from a root of the tiny nome enclosure, and refused
-    there past the power limit.
-    """
-    from .qseries import chi
-
-    n = as_fraction(n)
-    if n <= 0:
-        raise DomainError("class invariant index must be positive")
-    w = ctx.work()
-    q_pow = _nome_base(n / 576, 1, w.bits)
-    two_qtr = pow_rational(Ball.from_fraction(2, w.bits), Fraction(-1, 4))
-    return (two_qtr * q_pow * chi(QPoint(1, n), w)).rescale(ctx.bits)
 
 
 # ---------------------------------------------------------------------------

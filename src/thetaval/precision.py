@@ -132,16 +132,23 @@ def _ceil_shift(v: int, s: int) -> int:
 
 
 def _round_div(a: int, b: int) -> tuple[int, int]:
-    """Round a / b (b != 0) to nearest; returns (quotient, 0-or-1 error)."""
+    """Round a / b (b != 0) to nearest; returns (quotient, 0-or-1 error).
+
+    One long division: 2a + b = 2b q + rem, and a / b is exact (q) just
+    when rem = b."""
     if b < 0:
         a, b = -a, -b
-    err = 0 if a % b == 0 else 1
-    return (2 * a + b) // (2 * b), err
+    q, rem = divmod(2 * a + b, 2 * b)
+    return q, 0 if rem == b else 1
 
 
 # roots below 2^40 start from a float, good to 2^-6 units, and their exact
 # powers are short enough to test the floor directly
 _FLOAT_ROOT_BITS = 40
+# a fourth root above this many bits takes Newton, below it isqrt of isqrt:
+# timed on random radicands, Newton is 2% slower at 1400 bits, 2% faster at
+# 1450, 19% at 2112 and 35% at 4165
+_ISQRT4_ROOT_BITS = 1450
 
 
 def _pow_trunc(y: int, k: int, p: int) -> tuple[int, int]:
@@ -188,8 +195,9 @@ def _floor_certified(n: int, k: int, s: int, p: int) -> bool:
 def _iroot(n: int, k: int) -> int:
     """Floor k-th root of n >= 0: the x with x**k <= n < (x+1)**k.
 
-    k = 2 and 4 take `math.isqrt` (in C; faster than Newton below about 4
-    kbits).  Any other k takes Newton on the root's own bits (Brent and
+    k = 2 takes `math.isqrt` (in C), and so does k = 4, as isqrt of isqrt,
+    for a root of at most `_ISQRT4_ROOT_BITS` bits, where that is faster
+    than Newton.  Any other k takes Newton on the root's own bits (Brent and
     Zimmermann, Modern Computer Arithmetic, 1.5.2 and 4.2): for a root
     r < 2^b, `_root_near` steps from y = x0 2^t, x0 near the root of
     n >> k t, to ((k-1) y + n / y^(k-1)) / k at 32 fraction bits, y^(k-1)
@@ -210,7 +218,7 @@ def _iroot(n: int, k: int) -> int:
     """
     if n < 0 or k < 1:
         raise ValueError("negative radicand or root order below 1")
-    if k in (1, 2, 4):
+    if k in (1, 2) or k == 4 and n.bit_length() <= 4 * _ISQRT4_ROOT_BITS:
         while k > 1:
             n, k = math.isqrt(n), k >> 1
         return n

@@ -35,6 +35,7 @@ __all__ = [
     "f_neg",
     "f_neg_series",
     "chi",
+    "class_invariant",
     "as_q_ball",
     "q_power_ball",
     "nome_pow",
@@ -101,6 +102,13 @@ def _nome_class(r: Fraction) -> tuple[int, Fraction]:
     return c // g, Fraction(s, (d // g) ** 2)
 
 
+def _exp_pi_sqrt_log2(t: Fraction, bits: int) -> float:
+    """log2 exp(pi sqrt t), refused past the power limit of bits."""
+    lg = math.pi / math.log(2) * math.sqrt(min(t, 10**300))
+    check_power_size(1, lg, bits)
+    return lg
+
+
 @memo
 def _nome_base(t: Fraction, sign: int, fw: int) -> Ball:
     """exp(sign pi sqrt(t)) at the working scale fw, the one place that forms
@@ -114,7 +122,7 @@ def _nome_base(t: Fraction, sign: int, fw: int) -> Ball:
     is within one unit at fw, however small t is.
     """
     if sign > 0:
-        check_power_size(1, math.pi / math.log(2) * math.sqrt(min(t, 10**300)), fw - GUARD_BITS)
+        _exp_pi_sqrt_log2(t, fw - GUARD_BITS)
     s, b = t.numerator * t.denominator, t.denominator
     root = Ball(_round_div(math.isqrt(s << 2 * fw), b)[0], 1, fw)
     return exp(_pi_ball(fw) * root * sign)
@@ -474,6 +482,22 @@ def chi(q, ctx: PrecCtx) -> Ball:
     return _theta_cached("chi", q, ctx, _chi_series)
 
 
+def class_invariant(n, ctx: PrecCtx) -> Ball:
+    """G_n = 2^(-1/4) q^(-1/24) chi(q) at q = e^(-pi sqrt(n)).
+
+    q^(-1/24) = exp(pi sqrt(n/576)) is taken from the exact exponent by
+    `_nome_base`, not from a root of the tiny nome enclosure, and refused
+    there past the power limit.
+    """
+    n = as_fraction(n)
+    if n <= 0:
+        raise DomainError("class invariant index must be positive")
+    w = ctx.work()
+    q_pow = _nome_base(n / 576, 1, w.bits)
+    two_qtr = pow_rational(Ball.from_fraction(2, w.bits), Fraction(-1, 4))
+    return (two_qtr * q_pow * chi(QPoint(1, n), w)).rescale(ctx.bits)
+
+
 # ---------------------------------------------------------------------------
 # QPoint nomes near 1: the Jacobi imaginary transformation
 
@@ -523,14 +547,18 @@ def _dual_value(kind: str, q: QPoint, ctx: PrecCtx) -> Ball:
     """kind(q) for a QPoint nome q = sign q_r by its `_DUAL_ROWS` row."""
     c, p, a, b, series = _DUAL_ROWS[kind, q.sign]
     r = q.r
-    # guard bits for the factor (c/r)^(1/4) of the rows with p = -1, which scales every
-    # error; the chi rows' factor is a constant, and they run at the working scale
-    fw = ctx.work().bits + (p and max(0, r.denominator.bit_length() - r.numerator.bit_length()) // 4)
+    x = a * r + b  # exp(pi (a s + b/s)) = exp(+-pi sqrt t), t = x^2 / r
+    # guard bits for the factors that scale every error: (c/r)^(1/4) for p = -1, and
+    # M = exp(pi sqrt t) for x > 0 (chi(+q_r) near 1), whose power limit is that of the
+    # requested bits, so a huge chi(q) is refused before the raised scale could pass it
+    guard = p and max(0, r.denominator.bit_length() - r.numerator.bit_length()) // 4
+    if a and x > 0:
+        guard += int(_exp_pi_sqrt_log2(x * x / r, ctx.requested))
+    fw = ctx.work().bits + guard
     big_b = _nome_base(1 / (576 * r), -1, fw)
     alg = c * r**p
     val = nth_root(Ball.from_fraction(alg, fw), 4) if alg != 1 else Ball.one(fw)
-    if a:  # exp(pi (a s + b/s)) = exp(+-pi sqrt t), t = (a r + b)^2 / r; a huge chi(q) near 1 is refused
-        x = a * r + b
+    if a:
         val = val * _nome_base(x * x / r, 1 if x > 0 else -1, fw)
     elif b:
         val = val * ipow(big_b, int(-24 * b))

@@ -854,10 +854,11 @@ def test_the_cli_and_the_catalog_load_neither_layer():
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (("eval", "classinv(9)"), ["thetaval.modular"]),
+        (("eval", "classinv(9)"), []),
         (("eval", "gamma(1/4) + 1"), []),
         (("catalog",), []),
         (("complete",), ["thetaval.lostnotebook"]),
+        (("verify", "--all"), []),
     ],
 )
 def test_a_command_loads_only_the_layers_it_runs(argv, loaded):

@@ -1026,6 +1026,46 @@ def assert_floor_root(n: int, k: int):
     assert x**k <= n < (x + 1) ** k
 
 
+@given(
+    a_bits=st.integers(64, 8224),
+    b_bits=st.integers(64, 8224),
+    kind=st.sampled_from(("any", "multiple", "tie")),
+    a_sign=st.sampled_from((1, -1)),
+    b_sign=st.sampled_from((1, -1)),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=300, deadline=None)
+def test_round_div_rounds_to_nearest_and_flags_an_inexact_quotient(
+    a_bits, b_bits, kind, a_sign, b_sign, seed
+):
+    # one divmod against Fraction rounding: floor(a/b + 1/2), exact just when b | a
+    rng = random.Random(seed)
+    b = rng.getrandbits(b_bits) | (1 << (b_bits - 1))
+    if kind == "any":
+        a = rng.getrandbits(a_bits)
+    else:  # k b, or the tie k b + b/2 of an even b
+        b += kind == "tie" and b % 2
+        a = rng.getrandbits(max(1, a_bits - b_bits)) * b + (b // 2 if kind == "tie" else 0)
+    a, b = a_sign * a, b_sign * b
+    q, err = precision._round_div(a, b)
+    assert q == math.floor(F(a, b) + F(1, 2))
+    assert err == (0 if a % b == 0 else 1)
+    assert err == (0 if F(a, b).denominator == 1 else 1)
+
+
+@pytest.mark.parametrize("root_bits", [1088, 1449, 1450, 1451, 2112, 4165, 8261])
+def test_a_fourth_root_takes_isqrt_up_to_the_crossover_and_newton_above(monkeypatch, root_bits):
+    rng = random.Random(root_bits)
+    s = rng.getrandbits(root_bits) | (1 << (root_bits - 1))
+    radicands = (s**4 - 1, s**4, s**4 + 1, (s + 1) ** 4 - 1, s**4 + rng.getrandbits(3 * root_bits - 2))
+    verdicts = record_floor_tests(monkeypatch)
+    for n in radicands:
+        assert _iroot(n, 4) == math.isqrt(math.isqrt(n))
+    # exact powers give or take one lie in the chain's error band; the last does not
+    newton = root_bits > precision._ISQRT4_ROOT_BITS
+    assert verdicts == ([False] * 4 + [True] if newton else [])
+
+
 @pytest.mark.parametrize("k", range(1, 65))
 def test_iroot_small_and_exact_powers(k):
     for n in (0, 1, 2, 3, 2**k - 1, 2**k, 2**k + 1):
@@ -1102,7 +1142,7 @@ def test_iroot_decides_exact_powers_by_exact_comparison(monkeypatch, k):
     assert verdicts == [False] * 4
 
 
-def test_a_cold_catalog_pass_decides_every_long_root_by_the_chain(monkeypatch):
+def test_a_cold_catalog_pass_decides_every_long_root_by_the_chain(monkeypatch, cold_caches):
     from thetaval.exact import _eval_raw, build_catalog, verify_identity
 
     catalog = build_catalog()
@@ -1110,10 +1150,10 @@ def test_a_cold_catalog_pass_decides_every_long_root_by_the_chain(monkeypatch):
     for entry_id in sorted(catalog.ids()):  # each entry cold: no root read from another's
         _eval_raw.cache_clear()
         verify_identity(catalog.get(entry_id), PrecCtx(4096))
-    # the 26 roots of 4163 to 4170 bits: 18 cube, 2 sixth, 3 seventh, 2 eighth
-    # and one 24th root; k = 4 takes isqrt, and exp's short cube roots compare
-    # exact powers
-    assert verdicts == [True] * 26
+    # the 41 roots of 4129 to 4170 bits: 18 cube, 15 fourth, 2 sixth, 3 seventh,
+    # 2 eighth and one 24th root; a fourth root this long takes Newton, and
+    # exp's short cube roots compare exact powers
+    assert verdicts == [True] * 41
 
 
 @given(

@@ -203,6 +203,37 @@ def test_the_dual_nome_takes_its_own_exp(monkeypatch):
     assert val.overlaps(phi_series(QPoint(1, r), PrecCtx(2048)))
 
 
+CHI_NEAR_ONE_RS = [F(869, 25000000), F(3, 10**5), F(1, 30000), F(1, 10**5), F(1, 10**6)]
+
+
+@pytest.mark.parametrize("bits", [512, 2048])
+@pytest.mark.parametrize("r", CHI_NEAR_ONE_RS, ids=str)
+def test_chi_near_one_keeps_its_radius_through_the_factor_of_its_row(r, bits):
+    # chi(q_r) = M chi(q_(1/r)) with M = e^(pi (1 - r) / (24 sqrt r)), up to 2^189:
+    # the row runs at bits(M) more bits, so its value keeps a few units of radius
+    import mpmath as mp
+
+    q = QPoint(1, r)
+    assert qseries._takes_dual("chi", q, bits + GUARD_BITS)
+    val = chi(q, PrecCtx(bits))
+    # by theta constants: chi(q) = 2^(1/6) (alpha (1 - alpha) / q)^(-1/24), alpha =
+    # theta2^4 / theta3^4 and 1 - alpha = theta4^4 / theta3^4, where theta4 is near
+    # e^(-pi / (4 sqrt r)) and loses that many bits of mpmath's precision
+    with mp.workprec(bits + 128 + 2 * math.ceil(1.2 / math.sqrt(r))):
+        nome = mp.exp(-mp.pi * mp.sqrt(mp.mpf(r.numerator) / r.denominator))
+        t2, t3, t4 = (mp.jtheta(k, 0, nome) for k in (2, 3, 4))
+        ref = mp.mpf(2) ** (mp.mpf(1) / 6) * (t2**4 * t4**4 / t3**8 / nome) ** (-mp.mpf(1) / 24)
+        ref = F(int(ref.man)) * F(2) ** int(ref.exp)
+    assert val.f == bits and val.contains(ref) and val.r <= 9
+
+
+def test_chi_near_one_is_refused_at_the_power_limit_of_the_requested_bits():
+    # M = e^(pi (1 - r) / (24 sqrt r)) < 2^(0.189 / sqrt r) passes 2^32768, the
+    # limit at 512 bits, for r = 10^-11; the row's raised scale must not lift it
+    with pytest.raises(PowerTooLarge, match="at 512 bits"):
+        chi(QPoint(1, F(1, 10**11)), PrecCtx(512))
+
+
 NOME_BASE_TS = [F(1, 10**300), F(1, 10**12), F(1, 576), F(169, 576), F(7, 3), F(10**6), F(10**8 + 7, 3)]
 
 
