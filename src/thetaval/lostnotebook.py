@@ -17,7 +17,6 @@ from fractions import Fraction
 from .errors import (
     BothRootsMatch,
     ComplexRootsDetected,
-    DomainError,
     EvaluationError,
     MultiplePermutationsMatch,
     NoPermutationMatches,
@@ -29,14 +28,13 @@ from .exact import (
     Int,
     Mul,
     PowRat,
-    VerifyReport,
     catalog_entry,
     eval_expr,
     ln7_rhs_from_terms,
     parse_expr,
     verify_identity,
 )
-from .precision import Ball, PrecCtx, Record, _refuse_nonpositive, certify, ipow, pow_rational, sqrt
+from .precision import Ball, PrecCtx, Record, _refuse_nonpositive, certify, ipow, sqrt
 from .qseries import QPoint, as_q_ball, chi, nome_pow, phi, q_power_ball, theta_f
 from .qseries import _phi_direct, require_positive_nome
 
@@ -174,13 +172,13 @@ def solve_ratio4(p: Ball, q, ctx: PrecCtx) -> tuple[Ball, str]:
 
 
 def build_septic_state(q, ctx: PrecCtx) -> SepticState:
-    u, v, w = compute_uvw(q, ctx)
-    p = compute_p(q, ctx)
-    ratio4, branch = solve_ratio4(p, q, ctx)
-    one = Ball.one(ctx.bits)
-    c2 = (one + p * 3 - ratio4) * 2
-    c1 = ipow(p, 2) * (p + 4)
-    c0 = -ipow(p, 4)
+    """The state at ctx.work(), rounded once to ctx.bits."""
+    work = ctx.work()
+    u, v, w = compute_uvw(q, work)
+    p = compute_p(q, work)
+    ratio4, branch = solve_ratio4(p, q, work)
+    c2, c1, c0 = (p * 3 + 1 - ratio4) * 2, ipow(p, 2) * (p + 4), -ipow(p, 4)
+    p, u, v, w, ratio4, c2, c1, c0 = (x.rescale(ctx.bits) for x in (p, u, v, w, ratio4, c2, c1, c0))
     return SepticState(q, p, u, v, w, ratio4, (c2, c1, c0), branch)
 
 
@@ -246,27 +244,21 @@ def cubic_roots(state: SepticState, ctx: PrecCtx) -> tuple[Ball, Ball, Ball]:
     for a, b in itertools.combinations(enclosures, 2):
         if a.overlaps(b):
             raise RootsNotSeparable("certified root enclosures overlap")
-    r1, r2, r3 = (e.rescale(f) for e in enclosures)
-    return r1, r2, r3
+    return tuple(e.rescale(f) for e in enclosures)
 
 
 def assign_roots(
     state: SepticState, roots: tuple[Ball, Ball, Ball], ctx: PrecCtx
 ) -> RootAssignment:
     """Find the unique ordering (alpha, beta, gamma) of the roots for which
-    (alpha^2 p / beta)^(1/7), (beta^2 p / gamma)^(1/7), (gamma^2 p / alpha)^(1/7)
-    reproduce (u, v, w)."""
-    p = state.p
+    alpha^2 p / beta, beta^2 p / gamma and gamma^2 p / alpha overlap u^7, v^7
+    and w^7.  Each ordering divides by every root, so a root enclosure that
+    holds 0 raises `DivisorStraddlesZero`, and more bits decide."""
+    p, sevenths = state.p, [ipow(x, 7) for x in (state.u, state.v, state.w)]
     matches = []
-    for idx, perm in enumerate(itertools.permutations(range(3))):
-        a, b, c = roots[perm[0]], roots[perm[1]], roots[perm[2]]
-        try:
-            uc = pow_rational(ipow(a, 2) * p / b, Fraction(1, 7))
-            vc = pow_rational(ipow(b, 2) * p / c, Fraction(1, 7))
-            wc = pow_rational(ipow(c, 2) * p / a, Fraction(1, 7))
-        except DomainError:
-            continue
-        if uc.overlaps(state.u) and vc.overlaps(state.v) and wc.overlaps(state.w):
+    for idx, (a, b, c) in enumerate(itertools.permutations(roots)):
+        sides = (ipow(a, 2) * p / b, ipow(b, 2) * p / c, ipow(c, 2) * p / a)
+        if all(side.overlaps(x) for side, x in zip(sides, sevenths)):
             matches.append(RootAssignment(a, b, c, idx))
     if not matches:
         raise NoPermutationMatches("no root ordering reproduces (u, v, w)")

@@ -15,8 +15,8 @@ from fractions import Fraction
 from .errors import DomainError, NotConvergent, PreconditionViolated
 from .precision import Ball, PrecCtx, Record, WorkCtx, agm, as_fraction, exp, ipow, pow_rational
 from .precision import _ceil_div, _cos_sin, _pi_ball, _refuse_nonpositive, sqrt
-from .qseries import QPoint, _Gauss, _term_limit, _theta_wings, as_q_ball, class_invariant, nome_neg
-from .qseries import nome_pow, phi, require_positive_nome
+from .qseries import QPoint, _term_limit, as_q_ball, class_invariant, disc_theta, nome_neg, nome_pow
+from .qseries import phi, require_positive_nome
 
 __all__ = [
     "ModularTriple",
@@ -332,11 +332,11 @@ def jims_identity(x, ctx: PrecCtx) -> Ball:
     1/2 + sum e^(-pi n^2 x) cos(pi n^2 sqrt(1-x^2))
       = (sqrt2 + sqrt(1+x)) / sqrt(1-x) * sum e^(-pi n^2 x) sin(...),
     for x inside (0, 1).  The sums are Re and Im of sum_{n>=1} w^(n^2), w =
-    e^(-pi x) (cos t + i sin t), t = pi sqrt(1-x^2): 1 plus them is the theta
-    kernel's disc wing (1, w, w^2).  The kernel stops once its term has rounded
-    to 0: it rounds each part of a disc toward zero, so that happens once
-    |w|^((n-1)^2) is below a unit at scale f, after about sqrt(f ln 2/(pi x))
-    terms."""
+    e^(-pi x) (cos t + i sin t), t = pi sqrt(1-x^2): 1 plus them is
+    `disc_theta`'s wing of discs (1, w, w^2).  The kernel stops once its term
+    has rounded to 0: it rounds each part of a disc toward zero, so that
+    happens once |w|^((n-1)^2) is below a unit at scale f, after about
+    sqrt(f ln 2/(pi x)) terms."""
     fw, refusal = ctx.work().bits, "jims_identity requires x inside (0, 1)"
     if not isinstance(x, Ball):  # an exact x is decided, and its terms counted, before rounding
         if not 0 < x < 1:
@@ -354,9 +354,7 @@ def jims_identity(x, ctx: PrecCtx) -> Ball:
     pi = _pi_ball(fw)
     decay = exp(-(pi * xb))  # |w| = e^(-pi x)
     re, im = (decay * v for v in _cos_sin(pi * sqrt(one - xb * xb), fw))
-    w = Ball(_Gauss(re.m, im.m), re.r + im.r, fw)
-    w2 = Ball((w.m * w.m) >> fw, ((2 * abs(w.m) + w.r) * w.r >> fw) + 3, fw)  # the kernel's rule
-    s, err, tail, _ = _theta_wings([(Ball(_Gauss(1 << fw, 0), 0, fw), w, w2)], fw)
+    real, imag = disc_theta(re, im, fw)
     prefac = (sqrt(Ball.from_fraction(2, fw)) + sqrt(one + xb)) / sqrt(one - xb)
-    residual = (Ball(s.real, err + tail, fw) - one.half()) - prefac * Ball(s.imag, err + tail, fw)
+    residual = (real - one.half()) - prefac * imag
     return residual.rescale(ctx.bits)

@@ -524,9 +524,9 @@ def pow_rational(x: Ball, e, bits: int | None = None) -> Ball:
     """x**(p/q) at the scale f of x.  Fractional exponents require a strictly
     positive base.
 
-    Small root orders go through the integer root (tight); large ones
-    through the certified exp(e log x) route, which stays cheap.  As in
-    `ipow`, a power past the limit of `bits` (default: f) is refused.
+    Root orders up to 1000, radicands up to 2^26 bits, take the integer
+    root, the faster route there by measurement; others exp(e log x).  As
+    in `ipow`, a power past the limit of `bits` (default: f) is refused.
     """
     e = as_fraction(e)
     f, bits = x.f, x.f if bits is None else bits
@@ -535,7 +535,7 @@ def pow_rational(x: Ball, e, bits: int | None = None) -> Ball:
         return ipow(x, num, bits)
     _refuse_nonpositive(x, "fractional powers are defined for strictly positive bases only")
     fw = f + GUARD_BITS + abs(num).bit_length() + den.bit_length()
-    if den > 64:
+    if den > 1000 or den * fw > 1 << 26:
         lg = max(abs(math.log2(x.m + s * x.r) - x.f) for s in (-1, 1))
         check_power_size(e, lg, bits)
         return exp(log(x.rescale(fw)) * Ball.from_fraction(e, fw)).rescale(f)

@@ -28,6 +28,7 @@ __all__ = [
     "QPoint",
     "pochhammer_inf",
     "theta_f",
+    "disc_theta",
     "phi",
     "phi_series",
     "psi",
@@ -371,6 +372,15 @@ def _theta_wings(wings, f: int):
             tail += -(-(at + et << g) // ((1 << g) - arho - er))
         n_max = max(n_max, n)
     return s, err, tail, n_max
+
+
+def disc_theta(re: Ball, im: Ball, f: int) -> tuple[Ball, Ball]:
+    """Re and Im of 1 + sum_{n>=1} w^(n^2), radius err + tail, for w = re + i im at
+    scale f: the wing of discs (1, w, w^2), w^2 by the kernel's product rule for discs."""
+    w = Ball(_Gauss(re.m, im.m), re.r + im.r, f)
+    w2 = Ball((w.m * w.m) >> f, ((2 * abs(w.m) + w.r) * w.r >> f) + 3, f)
+    s, err, tail, _ = _theta_wings([(Ball(_Gauss(1 << f, 0), 0, f), w, w2)], f)
+    return Ball(s.real, err + tail, f), Ball(s.imag, err + tail, f)
 
 
 def _theta_sum(wings, ctx: PrecCtx, scale: int = 1) -> Ball:

@@ -1,6 +1,7 @@
 """Septic-system tests: the recorded relations on a nome grid, certified
 root solving, ordering search, and the completed evaluation."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from thetaval.errors import (
 )
 from thetaval.exact import Add, CosPiRat, Div, Int, Mul, PowRat, build_catalog, eval_expr, verify_identity
 from thetaval.exact import ln7_cos_term, ln7_rhs_from_terms
-from thetaval.precision import Ball, PrecCtx, ipow, pow_rational
+from thetaval.precision import GUARD_BITS, Ball, PrecCtx, ipow, pow_rational
 from thetaval.qseries import QPoint, phi, q_power_ball
 from thetaval import lostnotebook
 from thetaval.lostnotebook import (
@@ -136,6 +137,21 @@ class TestQuadratic:
 
 
 class TestCubic:
+    def test_the_state_is_built_at_the_working_scale_and_rounded_once(self, monkeypatch):
+        # u, v, w, p and the quadratic's root at ctx.bits + GUARD_BITS; the
+        # cubic formed there, and every field rounded to ctx.bits at the end
+        real, seen = lostnotebook.solve_ratio4, []
+
+        def spy(p, q, ctx):
+            seen.append((p.f, ctx.bits))
+            return real(p, q, ctx)
+
+        monkeypatch.setattr(lostnotebook, "solve_ratio4", spy)
+        state = build_septic_state(F(3, 10), CTX)
+        assert seen == [(256 + GUARD_BITS, 256 + GUARD_BITS)]
+        fields = (state.p, state.u, state.v, state.w, state.ratio4) + state.cubic
+        assert all(x.f == 256 for x in fields)
+
     def test_pivot_coefficients(self):
         state = build_septic_state(Q7, CTX)
         c2, c1, c0 = state.cubic
@@ -205,6 +221,46 @@ class TestAssignment:
         fake = tuple(Ball.from_fraction(k, 256) for k in (2, 3, 4))
         with pytest.raises(NoPermutationMatches):
             assign_roots(state, fake, CTX)
+
+    def test_a_root_reaching_0_by_its_radius_is_undecided(self):
+        # every ordering divides by every root: a root enclosure that holds 0
+        # only by its radius leaves the ordering to more bits
+        state = build_septic_state(F(3, 10), CTX)
+        r1, r2, r3 = cubic_roots(state, CTX)
+        with pytest.raises(Undecided):
+            assign_roots(state, (Ball(r1.m, r1.m + 1, r1.f), r2, r3), CTX)
+
+    def test_a_root_too_wide_at_the_first_attempt_escalates(self, monkeypatch):
+        real = lostnotebook.cubic_roots
+
+        def widened(state, ctx):
+            r1, r2, r3 = real(state, ctx)
+            return (Ball(r1.m, r1.m + 1, r1.f) if ctx.bits == 256 else r1), r2, r3
+
+        expected = septic_pipeline(F(3, 10), CTX)[2].permutation_index
+        monkeypatch.setattr(lostnotebook, "cubic_roots", widened)
+        assert septic_pipeline(F(3, 10), CTX)[2].permutation_index == expected
+
+
+def _orderings_by_seventh_roots(state, roots) -> list[int]:
+    """The orderings whose (alpha^2 p/beta)^(1/7), (beta^2 p/gamma)^(1/7) and
+    (gamma^2 p/alpha)^(1/7) overlap (u, v, w): the rule by roots, as an oracle."""
+    found = []
+    for idx, (a, b, c) in enumerate(itertools.permutations(roots)):
+        try:
+            sides = [pow_rational(ipow(x, 2) * state.p / y, F(1, 7)) for x, y in ((a, b), (b, c), (c, a))]
+        except DomainError:
+            continue
+        if all(s.overlaps(t) for s, t in zip(sides, (state.u, state.v, state.w))):
+            found.append(idx)
+    return found
+
+
+@pytest.mark.parametrize("bits", [64, 128, 512, 2048])
+@pytest.mark.parametrize("q", [Q7] + [F(k, 20) for k in range(1, 17)], ids=str)
+def test_seventh_powers_pick_the_ordering_of_the_seventh_roots(q, bits):
+    state, roots, assignment = septic_pipeline(q, PrecCtx(bits))
+    assert _orderings_by_seventh_roots(state, roots) == [assignment.permutation_index]
 
 
 class TestCompletion:

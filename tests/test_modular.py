@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from thetaval import modular
+from thetaval import modular, qseries
 from thetaval.errors import DomainError, EnclosureReachesBoundary, PreconditionViolated, Undecided
 from thetaval.precision import Ball, PrecCtx, decimal_str, ipow, pow_rational, sqrt
 from thetaval.modular import (
@@ -341,13 +341,13 @@ class TestJims:
     @staticmethod
     def _kernel_sums(monkeypatch, x, bits):
         """jims at x, and every `_theta_wings` result it saw, through a spy."""
-        real, sums = modular._theta_wings, []
+        real, sums = qseries._theta_wings, []
 
         def spy(wings, f):
             sums.append((real(wings, f), f))
             return sums[-1][0]
 
-        monkeypatch.setattr(modular, "_theta_wings", spy)
+        monkeypatch.setattr(qseries, "_theta_wings", spy)
         return jims_identity(x, PrecCtx(bits)), sums
 
     @pytest.mark.parametrize("bits", [512, 2048, 8192])

@@ -656,6 +656,29 @@ def test_integer_agm_bound_encloses_the_ball_oracle_result(ea, eb, ra, rb, bits,
     assert old is None or (val.overlaps(old) and _as_tight_as(val, old))
 
 
+@pytest.mark.parametrize("f", [544, 2080])
+@pytest.mark.parametrize("width", [10, 50, 200])
+def test_agm_of_wide_balls_is_at_most_twice_as_wide_as_its_exact_range(width, f):
+    # agm stops once |A - B| <= ea + eb + 4 and returns the hull of A and B:
+    # on balls of relative width 2^-width, 200 seeded pairs at working scale f,
+    # the radius must stay within twice the half width of the hull of the agms
+    # of both corners (agm is increasing in both arguments)
+    import mpmath as mp
+
+    rng, ctx = random.Random(1000 * f + width), PrecCtx(f - precision.GUARD_BITS)
+    for _ in range(200):
+        balls = []
+        for _ in range(2):
+            m = rng.randrange(1 << (f - 4), 1 << (f + 4))
+            balls.append(Ball(m, m >> width, f))
+        val = agm(*balls, ctx)
+        with mp.workprec(f + 64):
+            lo, hi = (mp_exact(mp.agm(mp.mpf(p.numerator) / p.denominator, mp.mpf(q.numerator) / q.denominator))
+                      for p, q in ((balls[0].lower, balls[1].lower), (balls[0].upper, balls[1].upper)))
+        assert val.contains(lo) and val.contains(hi)
+        assert val.rad <= hi - lo
+
+
 def test_agm_root_keeps_its_certified_lower_end():
     # a = 5 +- 4 and b = 2^20 (times 2^100 units): the first-order bound on
     # sqrt(ab) is 2^20 4 / (2 sqrt(2^20)) = 2^11, past the root sqrt(5) 2^10,
@@ -1222,10 +1245,11 @@ def test_nth_root_radius_covers_both_ends(v, k, bits):
 
 
 POW_EXPONENTS = [F(1, 3), F(2, 3), F(-1, 4), F(5, 6), F(1, 7), F(3, 8), F(11, 24), F(-13, 24)]
+POW_ROOT_ROUTE = [F(1, 65), F(3, 100), F(1, 1000), F(-7, 999)]  # root orders above 64
 
 
 @pytest.mark.parametrize("bits", ROOT_BITS)
-@pytest.mark.parametrize("e", POW_EXPONENTS, ids=str)
+@pytest.mark.parametrize("e", POW_EXPONENTS + POW_ROOT_ROUTE, ids=str)
 @pytest.mark.parametrize("v", [F(2), F(7, 3), F(1, 10**6)], ids=["2", "7/3", "1e-6"])
 def test_pow_rational_contains_mpmath_value(v, e, bits):
     import mpmath as mp
@@ -1237,6 +1261,21 @@ def test_pow_rational_contains_mpmath_value(v, e, bits):
     val = pow_rational(Ball.from_fraction(v, g), e, bits).rescale(bits)
     assert val.contains(ref)
     assert val.rad <= F(2) ** (8 - bits) * max(1, ref)
+
+
+@pytest.mark.parametrize("bits", [544, 2080, 8224])
+def test_pow_rational_takes_the_root_up_to_order_1000(monkeypatch, bits):
+    # measured: a root of order 1000 costs 0.1-2 ms from 544 to 8224 bits, and
+    # exp(e log x) 0.5-30 ms; an order of 10000 at 544 bits costs 1 ms as a root
+    calls = []
+    monkeypatch.setattr(precision, "log", lambda x: calls.append(x.f) or log(x))
+    x = Ball.from_fraction(F(7, 3), bits)
+    for e in POW_ROOT_ROUTE:
+        pow_rational(x, e)
+    assert calls == []
+    if bits == 544:
+        pow_rational(x, F(1, 10000))
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("k", [3, 4, 6, 24])

@@ -591,8 +591,24 @@ def test_a_wing_whose_terms_have_vanished_stops():
 @pytest.mark.parametrize("x", [F(3, 10), F(1, 1000)])
 def test_tail_soundness_of_a_disc_wing(monkeypatch, x):
     # jims' wing (1, w, w^2): at x = 1/1000 its terms vanish while |rho| > 1/2
-    pairs = remainders_within_tails(monkeypatch, modular.jims_identity, x, modular)
+    pairs = remainders_within_tails(monkeypatch, modular.jims_identity, x, qseries)
     assert len(pairs) == 1 and all(0 < rest <= tail for rest, tail in pairs)
+
+
+def test_disc_theta_hands_the_kernel_w_squared_by_its_rule_for_discs(monkeypatch):
+    # the wing (1, w, w^2), w^2 the disc product `_disc_mul` of w with itself
+    real, seen = qseries._theta_wings, []
+    monkeypatch.setattr(qseries, "_theta_wings", lambda wings, f: seen.append(wings) or real(wings, f))
+    f = 544
+    re, im = Ball(Ball.from_fraction(F(3, 10), f).m, 5, f), Ball(Ball.from_fraction(F(-2, 5), f).m, 7, f)
+    re_sum, im_sum = qseries.disc_theta(re, im, f)
+    [[(one, w, w2)]] = seen
+    square = _disc_mul(w, w)
+    assert (one.m.real, one.m.imag, one.r) == (1 << f, 0, 0)
+    assert (w.m.real, w.m.imag, w.r) == (re.m, im.m, 12)
+    assert (w2.m.real, w2.m.imag, w2.r) == (square.m.real, square.m.imag, square.r)
+    s, err, tail, _ = real([(one, w, w2)], f)
+    assert (re_sum.m, im_sum.m, re_sum.r, im_sum.r, re_sum.f) == (s.real, s.imag, err + tail, err + tail, f)
 
 
 def _theta_wings_full_width(wings, f):
