@@ -34,7 +34,7 @@ from .exact import (
     parse_expr,
     verify_identity,
 )
-from .precision import Ball, PrecCtx, Record, _refuse_nonpositive, certify, ipow, sqrt
+from .precision import Ball, PrecCtx, Record, _ceil_div, _refuse_nonpositive, certify, ipow, sqrt
 from .qseries import QPoint, as_q_ball, chi, nome_pow, phi, q_power_ball, theta_f
 from .qseries import _phi_direct, require_positive_nome
 
@@ -205,41 +205,37 @@ def _poly(x: Ball, c2: Ball, c1: Ball, c0: Ball) -> Ball:
 def cubic_roots(state: SepticState, ctx: PrecCtx) -> tuple[Ball, Ball, Ball]:
     """Three certified, pairwise disjoint real-root enclosures, ascending.
 
-    Newton refinement runs on midpoints; each enclosure is then certified
-    by a sign change of the full interval polynomial over the bracket, so
-    every cubic inside the coefficient balls has exactly one root there.
+    From each float seed, Newton runs on the coefficients' integer midpoints,
+    one step per scale g as g doubles from 52 bits to fw = ctx.bits + 48.  One
+    interval cubic at the Newton point x sizes the one bracket x +- delta,
+    delta = 2 ceil((|p(x)| + rad p(x)) / |p'(x)|) + 2 units at fw.  A sign change
+    of the interval cubic across each of three disjoint brackets leaves every
+    cubic inside the coefficient balls one root in each.  A derivative of 0 or
+    no sign change is `RootsNotSeparable`, so `certify` tries more bits.
     """
-    f = ctx.bits
-    fw = f + 48
+    f, fw = ctx.bits, ctx.bits + 48
     c2, c1, c0 = (c.rescale(fw) for c in state.cubic)
     seeds = _float_cubic_roots(c2.to_float(), c1.to_float(), c0.to_float())
-    c2m, c1m, c0m = (Ball(c.m, 0, fw) for c in (c2, c1, c0))
     enclosures = []
     for seed in sorted(seeds):
-        x = Ball(Ball.from_fraction(Fraction(seed), fw).m, 0, fw)
-        for _ in range(80):
-            fx = _poly(x, c2m, c1m, c0m)
-            dfx = (x * 3 + c2m * 2) * x + c1m
-            step = fx / dfx
-            x = Ball((x - step).m, 0, fw)
-            if abs(step.m) <= 1 << 24:
+        g, x = 52, round(math.ldexp(seed, 52))
+        while True:
+            a2, a1, a0 = (c.m >> (fw - g) for c in (c2, c1, c0))
+            px = ((((x + a2) * x >> g) + a1) * x >> g) + a0
+            dp = ((3 * x + 2 * a2) * x >> g) + a1
+            if dp == 0:
+                raise RootsNotSeparable("the cubic's derivative is 0 at a Newton point")
+            x -= (px << g) // dp
+            if g == fw:
                 break
-        delta = 1 << 28
-        certified = None
-        while delta < (1 << fw):  # bracket radius up to ~1
-            lo = Ball(x.m - delta, 0, fw)
-            hi = Ball(x.m + delta, 0, fw)
-            rl = _poly(lo, c2, c1, c0)
-            rh = _poly(hi, c2, c1, c0)
-            if (rl.is_strictly_negative() and rh.is_strictly_positive()) or (
-                rl.is_strictly_positive() and rh.is_strictly_negative()
-            ):
-                certified = Ball(x.m, delta, fw)
-                break
-            delta <<= 3
-        if certified is None:
+            x, g = x << (min(2 * g, fw) - g), min(2 * g, fw)
+        px = _poly(Ball(x, 0, fw), c2, c1, c0)
+        delta = 2 * _ceil_div((abs(px.m) + px.r) << fw, abs(dp)) + 2  # p' one step back
+        rl, rh = (_poly(Ball(x + d, 0, fw), c2, c1, c0) for d in (-delta, delta))
+        if not (rl.is_strictly_negative() and rh.is_strictly_positive()
+                or rl.is_strictly_positive() and rh.is_strictly_negative()):
             raise RootsNotSeparable("could not certify a sign change around a root")
-        enclosures.append(certified)
+        enclosures.append(Ball(x, delta, fw))
     enclosures.sort(key=lambda b: b.m)
     for a, b in itertools.combinations(enclosures, 2):
         if a.overlaps(b):

@@ -532,6 +532,16 @@ class TestSweep:
         assert eq["status"] == "undecided" and eq["prec_bits_used"] == 512
         assert reciprocal["status"] == "pass"
 
+    def test_a_residual_excluding_zero_fails_without_escalating(self, capsys, monkeypatch):
+        from thetaval import modular
+        from thetaval.precision import Ball
+
+        monkeypatch.setattr(modular, "verify_degree15", lambda q, ctx: Ball(1 << ctx.bits, 1, ctx.bits))
+        code, out, _ = run(capsys, "sweep", "deg15", "--grid", "0.15")
+        (entry,) = json.loads(out)["entries"]
+        assert code == 1
+        assert entry["status"] == "fail" and entry["prec_bits_used"] == 512
+
     def test_divisor_straddling_zero_at_the_cap_exits_one(self, capsys):
         # 1 - alpha at q = 0.99 is below 2^-512: an undecided result, not a domain error
         code, out, err = run(capsys, "sweep", "deg3", "--grid", "0.99", "--prec", "64")

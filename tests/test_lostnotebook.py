@@ -135,6 +135,17 @@ class TestQuadratic:
         with pytest.raises(BothRootsMatch):
             solve_ratio4(p, F(3, 10), CTX)
 
+    def test_an_oracle_on_the_minus_root_picks_the_minus_branch(self, monkeypatch):
+        # the roots of x^2 - (2+5p)x + (1-p)^3 sum to 2 + 5p
+        p = compute_p(F(3, 10), CTX)
+        plus, branch = solve_ratio4(p, F(3, 10), CTX)
+        assert branch == "plus"
+        minus = p * 5 + 2 - plus
+        assert not minus.overlaps(plus)
+        monkeypatch.setattr(lostnotebook, "ratio4_series_oracle", lambda q, ctx: minus)
+        root, branch = solve_ratio4(p, F(3, 10), CTX)
+        assert branch == "minus" and root.overlaps(minus) and not root.overlaps(plus)
+
 
 class TestCubic:
     def test_the_state_is_built_at_the_working_scale_and_rounded_once(self, monkeypatch):
@@ -188,6 +199,51 @@ class TestCubic:
         one = Ball.one(256)
         with pytest.raises(ComplexRootsDetected):
             cubic_roots(replace(state, cubic=(Ball(0, 0, 256), one, one)), CTX)
+
+    @pytest.mark.parametrize("bits", [512, 2048, 8192])
+    @pytest.mark.parametrize("q", [Q7, F(3, 10)], ids=str)
+    def test_each_root_takes_three_interval_cubics_on_the_coefficient_balls(self, monkeypatch, q, bits):
+        # one at the Newton point sizes the bracket, one at each of its ends
+        ctx = PrecCtx(bits)
+        state = build_septic_state(q, ctx)
+        real, seen = lostnotebook._poly, []
+
+        def spy(x, c2, c1, c0):
+            seen.append(all(c.r == 0 for c in (c2, c1, c0)))
+            return real(x, c2, c1, c0)
+
+        monkeypatch.setattr(lostnotebook, "_poly", spy)
+        cubic_roots(state, ctx)
+        assert seen == [False] * 9
+
+    @pytest.mark.parametrize("bits", [64, 512, 2048])
+    @pytest.mark.parametrize("q", [Q7, F(1, 10), F(3, 10), F(4, 5)], ids=str)
+    def test_each_enclosure_holds_the_roots_of_every_corner_cubic(self, q, bits):
+        # referee: mpmath's polyroots at fw + 64 bits, fw = bits + 48, on the
+        # midpoint cubic and on the 8 cubics with each coefficient at m +- r
+        import mpmath as mp
+
+        ctx = PrecCtx(bits)
+        state = build_septic_state(q, ctx)
+        roots = cubic_roots(state, ctx)
+        corners = [(0, 0, 0)] + list(itertools.product((-1, 1), repeat=3))
+        with mp.workprec(bits + 48 + 64):
+            for signs in corners:
+                coeffs = [mp.mpf(1)] + [
+                    mp.mpf(c.m + s * c.r) / 2**c.f for c, s in zip(state.cubic, signs)
+                ]
+                found = sorted(mp.re(z) for z in mp.polyroots(coeffs, maxsteps=200, extraprec=64))
+                for enclosure, z in zip(roots, found):
+                    man, exp = z.man_exp
+                    assert enclosure.contains(F(man) * F(2) ** exp)
+
+    def test_a_newton_derivative_of_0_is_not_separable(self, monkeypatch):
+        # xi^3 - 3 xi has p'(1) = 0 exactly at the first Newton scale
+        state = build_septic_state(F(3, 10), CTX)
+        zero, three = Ball(0, 0, 256), Ball(-3 << 256, 0, 256)
+        monkeypatch.setattr(lostnotebook, "_float_cubic_roots", lambda c2, c1, c0: [-1.7, 1.0, 1.7])
+        with pytest.raises(RootsNotSeparable):
+            cubic_roots(replace(state, cubic=(zero, three, zero)), CTX)
 
 
 class TestAssignment:

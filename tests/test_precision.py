@@ -25,6 +25,7 @@ from thetaval.errors import (
 )
 from thetaval import precision
 from thetaval.precision import (
+    AGREEMENT_CAP,
     Ball,
     PrecCtx,
     _gamma_series,
@@ -1335,6 +1336,10 @@ def test_agreement_digits_scale():
     a = mk_ball(1, F(1, 10**60))
     b = mk_ball(1 + F(1, 10**40), F(1, 10**60))
     assert 39 <= agreement_digits(a, b) <= 40
+
+
+def test_agreement_digits_of_two_equal_exact_balls_is_the_cap():
+    assert agreement_digits(Ball(5 << 64, 0, 64), Ball(5 << 32, 0, 32)) == AGREEMENT_CAP
 
 
 def test_prec_ctx_validation():
