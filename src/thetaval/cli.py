@@ -27,7 +27,7 @@ from importlib import import_module
 from . import __version__
 from .errors import DomainError, ParseError, PowerTooLarge, ThetavalError, Undecided
 from .precision import CAP_FACTOR, Ball, PrecCtx, Record, agreement_digits, certify, decimal_str
-from .precision import _log10_floor, memo, rad_exponent_str, rad_shortfall
+from .precision import _log10_floor, memo, rad_exponent, rad_exponent_str, rad_shortfall
 
 BITS_PER_DIGIT = 3.33
 DEFAULT_BITS = 512
@@ -145,12 +145,11 @@ def cmd_eval(args) -> int:
     bits = _resolve_bits(args)
     value = eval_expr(parse_expr(args.expression, bits), PrecCtx(bits))
     implied = int(bits / 3.3219280948873626)
-    radius = rad_exponent_str(value)  # "0", or "1e<k>" for the least k with radius <= 10^k
     certified = implied
     if value.m and value.r:
-        certified = max(1, _log10_floor(abs(value.m), value.f)[0] - int(radius[2:]) + 1)
+        certified = max(1, _log10_floor(abs(value.m), value.f)[0] - rad_exponent(value) + 1)
     print(f"value  = {decimal_str(value, max(1, min(implied, 1000, certified)))}")
-    print(f"radius <= {radius}")
+    print(f"radius <= {rad_exponent_str(value)}")
     return 0
 
 

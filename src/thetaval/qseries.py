@@ -10,8 +10,11 @@ wings sum_{k>=1} t_k, t_(k+1) = t_k rho_k and rho_(k+1) = rho_k c, summed by
 one kernel on plain integers with a counted rounding error, which also sums
 the complex JIMS series as a wing of discs on Gaussian integers.  Every
 truncation is covered by a proven tail bound, never assumed from a term
-count.  A QPoint nome near 1 is taken to its dual nome by the Jacobi
-imaginary transformation (`_DUAL_ROWS`), where the series need a few terms.
+count, and the kernel's ratio test is every series' one |q| < 1 rule.
+phi, psi, f(-q) and chi each take their kind's route in `_SERIES` through
+`_theta`, cached per exact nome by `_theta_exact`: the series, or for a
+QPoint nome near 1 its dual nome by the Jacobi imaginary transformation
+(`_DUAL_ROWS`), where the series need a few terms.
 """
 
 from __future__ import annotations
@@ -129,7 +132,6 @@ def _nome_base(t: Fraction, sign: int, fw: int) -> Ball:
     return exp(_pi_ball(fw) * root * sign)
 
 
-@memo
 def _nome_exp(r: Fraction, f: int) -> Ball:
     """exp(-pi sqrt(r)) at scale f: x^a for the class base x = exp(-pi sqrt(r0))
     at fw = f + GUARD_BITS, r = a^2 r0 (`_nome_class`); for a = 1 that is x.
@@ -151,8 +153,8 @@ def _nome_exp(r: Fraction, f: int) -> Ball:
 
 
 def _qpoint_ball(sign: int, r: Fraction, f: int) -> Ball:
-    """sign exp(-pi sqrt(r)): the cached `_nome_exp`, negated for sign -1, so
-    the nomes of a class and the QPoints of `nome_pow` share one exp of their
+    """sign exp(-pi sqrt(r)): `_nome_exp`, negated for sign -1, so the nomes
+    of a class and the QPoints of `nome_pow` share one cached exp of their
     class base."""
     ball = _nome_exp(r, f)
     return -ball if sign == -1 else ball
@@ -209,11 +211,6 @@ def q_power_ball(q, k, f: int) -> Ball:
 # q-Pochhammer products
 
 
-def _check_q(qb: Ball):
-    if not qb.mag_lt_one():
-        raise NotConvergent("|q| enclosure must lie strictly below 1")
-
-
 def _pochhammer_raw(a: Ball, q: Ball, fw: int) -> Ball:
     """(a; q)_inf at working scale fw with a certified product tail.
 
@@ -222,7 +219,8 @@ def _pochhammer_raw(a: Ball, q: Ball, fw: int) -> Ball:
     """
     a = a.rescale(fw)
     q = q.rescale(fw)
-    _check_q(q)
+    if not q.mag_lt_one():  # no kernel here to refuse it
+        raise NotConvergent("|q| enclosure must lie strictly below 1")
     qmag = q.mag_upper()
     amag = a.mag_upper()
     one = Ball.one(fw)
@@ -339,6 +337,8 @@ def _theta_wings(wings, f: int):
     for t1, rho1, c in wings:
         cm, ec = c.m, c.r
         ac = abs(cm)
+        # the one |q| < 1 rule of every series: c is q^2, q, q^3 or ab, and a
+        # rounded Ball product of factors of sup >= 1 has sup >= 2^f units
         if ac + ec >= one:
             raise NotConvergent("theta series ratio must lie strictly below 1")
         sign = -1 if isinstance(t1.m, int) and t1.m < 0 <= min(rho1.m, cm) else 1
@@ -390,12 +390,6 @@ def _theta_sum(wings, ctx: PrecCtx, scale: int = 1) -> Ball:
     return Ball((1 << fw) + scale * s, scale * (err + tail), fw).rescale(ctx.bits)
 
 
-def _series_nome(q, ctx: PrecCtx) -> Ball:
-    qb = as_q_ball(q, ctx.work().bits)
-    _check_q(qb)
-    return qb
-
-
 def theta_f(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
     """Certified enclosure of sum_n a^(n(n+1)/2) b^(n(n-1)/2), |ab| < 1:
     the wings (a, a ab, ab) for n >= 1 and (b, b ab, ab) for n <= -1."""
@@ -403,8 +397,6 @@ def theta_f(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
     a = a.rescale(fw)
     b = b.rescale(fw)
     ab = a * b
-    if not ab.mag_lt_one():
-        raise NotConvergent("|ab| enclosure must lie strictly below 1")
     return _theta_sum([(a, a * ab, ab), (b, b * ab, ab)], ctx)
 
 
@@ -412,39 +404,42 @@ def theta_f(a: Ball, b: Ball, ctx: PrecCtx) -> Ball:
 # special cases: phi, psi, f(-q), chi
 
 
-def _theta_cached(kind: str, q, ctx: PrecCtx, compute) -> Ball:
-    """compute(q, ctx), memoized by `_theta_exact` on the working scale for an
-    exact nome (QPoint, Fraction or int), so a direct call and one inside a
-    composite share an entry; a Ball nome is computed every time."""
+def _theta(kind: str, q, ctx: PrecCtx) -> Ball:
+    """kind(q) by its route in `_SERIES`, memoised by `_theta_exact` on the
+    working scale for an exact nome (QPoint, Fraction or int), so a direct
+    call and one inside a composite share an entry; a Ball nome is summed
+    every time."""
     if isinstance(q, (QPoint, Fraction, int)):
-        return _theta_exact(kind, compute, q, ctx.work().bits).rescale(ctx.bits)
-    return compute(q, ctx)
+        return _theta_exact(kind, q, ctx.work().bits).rescale(ctx.bits)
+    return _SERIES[kind][0](q, ctx)
 
 
 def _takes_dual(kind: str, q, f: int) -> bool:
     """Whether kind(q) at the working scale f goes through its dual nome: a
-    QPoint nome near 1 (`_DUAL_BELOW`)."""
+    QPoint nome near 1, by kind's crossover in `_SERIES`."""
+    _, w, t = _SERIES[kind]
     bits = f - GUARD_BITS  # requested
-    return isinstance(q, QPoint) and q.r < 1 and float(q.r) <= _DUAL_BELOW[kind] * bits**2
+    below = (math.log(2) / (math.pi * w * t * t)) ** 2 * bits**2
+    return isinstance(q, QPoint) and q.r < 1 and float(q.r) <= below
 
 
 @memo
-def _theta_exact(kind: str, compute, q, f: int) -> Ball:
-    """kind(q) = compute(q, ctx) at the exact nome q and the working scale f;
-    a QPoint nome near 1 goes through its dual nome instead (`_dual_value`)."""
+def _theta_exact(kind: str, q, f: int) -> Ball:
+    """kind(q) at the exact nome q and the working scale f by its series, or
+    for a QPoint nome near 1 through its dual nome (`_dual_value`)."""
     if _takes_dual(kind, q, f):
         return _dual_value(kind, q, WorkCtx(f))
-    return compute(q, WorkCtx(f))
+    return _SERIES[kind][0](q, WorkCtx(f))
 
 
 def phi(q, ctx: PrecCtx) -> Ball:
     """phi(q) = sum q^(n^2) by its series (oracle: (-q; q^2)^2 (q^2; q^2))."""
-    return _theta_cached("phi", q, ctx, phi_series)
+    return _theta("phi", q, ctx)
 
 
 def phi_series(q, ctx: PrecCtx) -> Ball:
     """Series route 1 + 2 sum_{n>=1} q^(n^2), the wing (q, q^3, q^2)."""
-    qb = _series_nome(q, ctx)
+    qb = as_q_ball(q, ctx.work().bits)
     q2 = qb * qb
     return _theta_sum([(qb, q2 * qb, q2)], ctx, 2)
 
@@ -460,24 +455,24 @@ def _phi_direct(q, ctx: PrecCtx) -> Ball:
 
 def psi(q, ctx: PrecCtx) -> Ball:
     """psi(q) = sum_{n>=0} q^(n(n+1)/2) by its series (oracle: (q^2; q^2)/(q; q^2))."""
-    return _theta_cached("psi", q, ctx, psi_series)
+    return _theta("psi", q, ctx)
 
 
 def psi_series(q, ctx: PrecCtx) -> Ball:
     """Series route 1 + sum_{n>=1} q^(n(n+1)/2), the wing (q, q^2, q)."""
-    qb = _series_nome(q, ctx)
+    qb = as_q_ball(q, ctx.work().bits)
     return _theta_sum([(qb, qb * qb, qb)], ctx)
 
 
 def f_neg(q, ctx: PrecCtx) -> Ball:
     """f(-q) by the pentagonal series (oracle: (q; q)_inf)."""
-    return _theta_cached("f_neg", q, ctx, f_neg_series)
+    return _theta("f_neg", q, ctx)
 
 
 def f_neg_series(q, ctx: PrecCtx) -> Ball:
     """Pentagonal-number series sum (-1)^n q^(n(3n-1)/2) = f(-q, -q^2), whose
     `theta_f` wings are (-q, -q^4, q^3) and (-q^2, -q^5, q^3)."""
-    qb = _series_nome(q, ctx)
+    qb = as_q_ball(q, ctx.work().bits)
     return theta_f(-qb, -(qb * qb), ctx)
 
 
@@ -489,7 +484,7 @@ def _chi_series(q, ctx: PrecCtx) -> Ball:
 
 def chi(q, ctx: PrecCtx) -> Ball:
     """chi(q) = phi(q)/f(q) by the series (oracle: (-q; q^2)_inf)."""
-    return _theta_cached("chi", q, ctx, _chi_series)
+    return _theta("chi", q, ctx)
 
 
 def class_invariant(n, ctx: PrecCtx) -> Ball:
@@ -537,19 +532,21 @@ _DUAL_ROWS = {
     ),
 }
 
-# The direct series needs about sqrt(f ln 2 / (pi w sqrt r)) terms, w = 1,
-# 1/2, 3/2 and 1 for phi, psi, f(-q) and chi.  A QPoint nome with r < 1
-# takes its row once that count reaches T, i.e. once
-# r <= (f ln 2 / (pi w T^2))^2 = _DUAL_BELOW[kind] f^2.  A row costs the exp
+# Each kind's route: kind -> (series, w, T).  The direct series needs about
+# sqrt(f ln 2 / (pi w sqrt r)) terms, w = 1, 1/2, 3/2 and 1 for phi, psi,
+# f(-q) and chi.  A QPoint nome with r < 1 takes its row once that count
+# reaches T, i.e. once r <= (f ln 2 / (pi w T^2))^2.  A row costs the exp
 # of B, all but phi's rows one more exp, and a few products; a direct term
 # costs two products (f(-q): two wings).  Timed cold at 512-4096 bits, the
 # row is faster from about 28-38 terms for phi, 62-80 for psi, 35-50 for
 # f(-q) and 30-44 for chi, so T is 28, 64, 40 and 32.  At 512 bits phi
 # reduces for r <= 0.021 and the others for r <= 0.013; at 2048 bits phi at
 # r = 1/1000 sums 4 terms instead of about 120.
-_DUAL_BELOW = {
-    kind: (math.log(2) / (math.pi * w * t * t)) ** 2
-    for kind, w, t in (("phi", 1, 28), ("psi", 0.5, 64), ("f_neg", 1.5, 40), ("chi", 1, 32))
+_SERIES = {
+    "phi": (phi_series, 1, 28),
+    "psi": (psi_series, 0.5, 64),
+    "f_neg": (f_neg_series, 1.5, 40),
+    "chi": (_chi_series, 1, 32),
 }
 
 

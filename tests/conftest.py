@@ -18,7 +18,6 @@ def value_caches() -> list:
         precision._pi_units,
         precision._gamma_unit,
         precision._gamma_agm,
-        qseries._nome_exp,
         qseries._nome_base,
         qseries._theta_exact,
         exact._eval_raw,

@@ -480,6 +480,8 @@ PARSE_ERRORS = [
     ("(" * 101 + "1" + ")" * 101, "expression nested deeper than 100 levels", 100),  # _TOO_DEEP
     ("-" * 101 + "1", "expression nested deeper than 100 levels", 100),
     ("2^pi", "exponent must be a rational constant", 2),  # _Parser.unary
+    ("2^(-pi)", "exponent must be a rational constant", 2),  # _const_value's Neg
+    ("2^(pi^2)", "exponent must be a rational constant", 2),  # and PowRat of a non-constant
     ("1 +", "expected a value", 3),
     ("2 +* 3", "expected a value", 3),
     ("", "expected a value", 0),
@@ -528,6 +530,10 @@ DEPTH_LIMITS = {
     "exponents": ("1" + "^1" * 99, "1" + "^1" * 100, 200),
     "calls": ("phi(" * 99 + "1" + ")" * 99, "phi(" * 100 + "1" + ")" * 100, 400),
     "a + chain": ("1" + "+1" * 99, "1" + "+1" * 100, 199),
+    # a chain of 100 levels one level deeper: negated, raised and as an argument
+    "a negated chain": ("-(1" + "+1" * 98 + ")", "-(1" + "+1" * 99 + ")", 0),
+    "a raised chain": ("(1" + "+1" * 98 + ")^2", "(1" + "+1" * 99 + ")^2", 201),
+    "a chain in a call": ("phi(1" + "+1" * 98 + ")", "phi(1" + "+1" * 99 + ")", 0),
 }
 
 

@@ -135,6 +135,15 @@ class TestQuadratic:
         with pytest.raises(BothRootsMatch):
             solve_ratio4(p, F(3, 10), CTX)
 
+    def test_coincident_roots_of_a_wide_p_give_their_hull(self, monkeypatch):
+        # disc is about 32p near p = 0: for p in [2^-136, 2^-127] it stays
+        # positive, and the roots 1 + 5p/2 +- sqrt(disc)/2 overlap each other
+        p = Ball(1 << 128, (1 << 128) - (1 << 120), 256)
+        mid = (p * 5 + 2).half()
+        monkeypatch.setattr(lostnotebook, "ratio4_series_oracle", lambda q, ctx: mid)
+        root, branch = solve_ratio4(p, F(3, 10), CTX)
+        assert branch == "double" and root.encloses(mid) and root.rad > F(1, 2**64)
+
     def test_an_oracle_on_the_minus_root_picks_the_minus_branch(self, monkeypatch):
         # the roots of x^2 - (2+5p)x + (1-p)^3 sum to 2 + 5p
         p = compute_p(F(3, 10), CTX)
@@ -244,6 +253,14 @@ class TestCubic:
         monkeypatch.setattr(lostnotebook, "_float_cubic_roots", lambda c2, c1, c0: [-1.7, 1.0, 1.7])
         with pytest.raises(RootsNotSeparable):
             cubic_roots(replace(state, cubic=(zero, three, zero)), CTX)
+
+    def test_two_seeds_of_one_root_are_not_separable(self, monkeypatch):
+        state = build_septic_state(F(3, 10), CTX)
+        low, _, high = sorted(lostnotebook._float_cubic_roots(*(c.to_float() for c in state.cubic)))
+        seeds = [low, low * (1 + 1e-9), high]
+        monkeypatch.setattr(lostnotebook, "_float_cubic_roots", lambda c2, c1, c0: seeds)
+        with pytest.raises(RootsNotSeparable, match="certified root enclosures overlap"):
+            cubic_roots(state, CTX)
 
 
 class TestAssignment:

@@ -922,10 +922,67 @@ class TestNomeHelpers:
         require_positive_nome(q, "this")
 
 
+class TestConvergence:
+    """One |q| < 1 rule for every series: the kernel's ratio test.  Each
+    wing's ratio is q^2, q, q^3 or ab, and a rounded Ball product of factors
+    with sup >= 1 has sup >= 1, so the kernel refuses each such nome."""
+
+    KERNEL = "theta series ratio must lie strictly below 1"
+
+    @pytest.mark.parametrize("as_ball", [False, True], ids=["exact", "ball"])
+    @pytest.mark.parametrize("kind, q", [("phi", F(3, 2)), ("psi", F(1)), ("f_neg", F(-1)), ("chi", F(2))], ids=str)
+    def test_a_nome_outside_the_unit_disc_is_refused_by_the_kernel(self, kind, q, as_ball):
+        with pytest.raises(NotConvergent, match=self.KERNEL):
+            getattr(qseries, kind)(bf(q) if as_ball else q, CTX)
+
+    def test_theta_f_outside_the_unit_disc_is_refused_by_the_kernel(self):
+        with pytest.raises(NotConvergent, match=self.KERNEL):
+            theta_f(bf(2), bf(F(3, 5)), CTX)
+
+    @given(
+        excess=st.integers(0, 3 << 64),
+        r=st.integers(0, 4 << 64),
+        sign=st.sampled_from([1, -1]),
+        series=st.sampled_from(["phi", "psi", "f_neg", "chi", "theta_f"]),
+    )
+    # sup|q| exactly 1, from inside and from outside, and a ball about 0
+    @example(excess=0, r=1, sign=1, series="phi")
+    @example(excess=1, r=0, sign=-1, series="psi")
+    @example(excess=0, r=1 << 64, sign=1, series="f_neg")
+    @settings(max_examples=60, deadline=None)
+    def test_every_series_refuses_a_ball_reaching_the_unit_circle(self, excess, r, sign, series):
+        sup = (1 << 64) + excess
+        q = Ball(sign * (sup - min(r, sup)), min(r, sup), 64)
+        with pytest.raises(NotConvergent, match=self.KERNEL):
+            if series == "theta_f":
+                theta_f(q, Ball.one(64), CTX)
+            else:
+                getattr(qseries, series)(q, CTX)
+
+    def test_the_product_oracle_keeps_its_own_test(self):
+        with pytest.raises(NotConvergent, match=r"\|q\| enclosure must lie strictly below 1"):
+            pochhammer_inf(bf(F(1, 2)), bf(1), CTX)
+
+
 class TestCaches:
     def test_every_table_is_bounded_by_the_one_constant(self, cold_caches):
         for table in cold_caches:
             assert table.cache_parameters()["maxsize"] == CACHE_ENTRIES
+
+    def test_cold_caches_holds_every_memo_table_of_the_package(self, cold_caches):
+        # the argument parser is cached for speed, not a value, so no test clears it
+        import importlib
+        import pkgutil
+
+        import thetaval
+        from thetaval import cli
+
+        found = set()
+        for info in pkgutil.iter_modules(thetaval.__path__):
+            module = importlib.import_module(f"thetaval.{info.name}")
+            found |= {x for x in vars(module).values() if hasattr(x, "cache_info")}
+        assert found - {cli.build_arg_parser} == set(cold_caches)
+        assert len(cold_caches) == len(set(cold_caches))
 
     def test_a_loop_over_more_nomes_than_entries_stays_bounded(self, cold_caches):
         ctx = PrecCtx(64)
@@ -934,7 +991,6 @@ class TestCaches:
         for table in cold_caches:
             assert table.cache_info().currsize <= CACHE_ENTRIES
         assert qseries._theta_exact.cache_info().currsize == CACHE_ENTRIES
-        assert qseries._nome_exp.cache_info().currsize == CACHE_ENTRIES
 
     def test_a_loop_over_more_trees_than_entries_stays_bounded(self):
         ctx = PrecCtx(64)
