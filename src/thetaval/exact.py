@@ -181,6 +181,13 @@ class GammaRat(Function):
 _EXACT_COSPI = {(0, 1): Fraction(1), (1, 3): Fraction(1, 2), (1, 2): Fraction(0)}
 
 
+@memo
+def _unit_cos(d: int, g: int) -> Ball:
+    """cos(pi/d) at the scale g, the one cosine that every cospi(n/d) reads,
+    with pi/d taken from the pi that cos reads."""
+    return cos(_pi_ball(g + TRIG_PI_GUARD).div_int(d).rescale(g))
+
+
 class CosPiRat(Function):
     __slots__ = ("arg",)  # cos(arg * pi)
     name, rational = "cospi", True
@@ -193,10 +200,23 @@ class CosPiRat(Function):
         n = min(n, d - n)  # cos(t pi) = -cos((1 - t) pi): t in [0, 1/2]
         if (n, d) in _EXACT_COSPI:
             return Ball.from_fraction(sign * _EXACT_COSPI[n, d], bits)
-        s = min(2 * n, d - 2 * n)  # cos(t pi) = sin((1/2 - t) pi): s/2d in [0, 1/4]
-        pi = _pi_ball(bits + TRIG_PI_GUARD)  # the pi that cos and sin read for |x| < 1
-        x = Ball(pi.m * s, pi.r * s, pi.f).div_int(2 * d)
-        return sign * (cos if s == 2 * n else sin)(x.rescale(bits))
+        # from n = 8 one cos of its own: the ladder below grows with the bits
+        # of n (10^4 steps for n near 10^3000), and its cosine is shared only
+        # by the n of one d
+        if n >= 8:
+            s = min(2 * n, d - 2 * n)  # cos(t pi) = sin((1/2 - t) pi): s/2d in [0, 1/4]
+            pi = _pi_ball(bits + TRIG_PI_GUARD)  # the pi that cos and sin read for |x| < 1
+            x = Ball(pi.m * s, pi.r * s, pi.f).div_int(2 * d)
+            return sign * (cos if s == 2 * n else sin)(x.rescale(bits))
+        # T_n(c) for c = cos(pi/d), whose slope of at most n^2 < 2^6 scales c's
+        # few units: (T_m, T_m+1) over the bits of n, from m = 1, by
+        # T_2m = 2 T_m^2 - 1 and T_2m+1 = 2 T_m T_m+1 - c
+        c = _unit_cos(d, bits + 20)
+        t, u = c, 2 * c * c - 1
+        for bit in bin(n)[3:]:
+            odd = 2 * t * u - c
+            t, u = (odd, 2 * u * u - 1) if bit == "1" else (2 * t * t - 1, odd)
+        return sign * t.rescale(bits)
 
 
 class Agm(Function):

@@ -414,9 +414,13 @@ class Ball:
                 raise DomainError("division by zero")
             raise DivisorStraddlesZero("divisor enclosure contains zero")
         q, err = _round_div(a.m << f, b.m)
-        num = a.r * abs_b + abs(a.m) * b.r
-        den = (abs_b - b.r) * abs_b
-        return Ball(q, _ceil_div(num << f, den) + err, f)
+        # the radius (r_a |b| + |a| r_b) / ((|b| - r_b) |b|) over the product of the
+        # leading p bits of the divisor's two factors, at least (1 - 2^(2-p)) times
+        # theirs: the radius grows by a relative 2^(3-p), below a unit as p passes its bits by 64
+        num, lo = a.r * abs_b + abs(a.m) * b.r, abs_b - b.r
+        p = 64 + max(0, num.bit_length() + f - lo.bit_length() - abs_b.bit_length() + 2)
+        s, t = max(0, lo.bit_length() - p), max(0, abs_b.bit_length() - p)
+        return Ball(q, _ceil_div(_ceil_shift(num, s + t - f), (lo >> s) * (abs_b >> t)) + err, f)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -458,12 +462,10 @@ def check_power_size(exponent, log2_base: float, f: int) -> None:
 
 def ipow(x: Ball, k: int, bits: int | None = None) -> Ball:
     """x**k, refused past the power limit of `bits` (default: the scale of x)."""
-    if k < 0:
-        # 1/x^k, or (1/x)^k when x is resolved but x^k falls below the scale
-        xk = ipow(x, -k, bits)
-        if xk.contains_zero() and not x.contains_zero():
+    if k < 0:  # (1/x)^k below 1, where x^k would keep few bits at the scale; else 1/x^k
+        if x.mag_lt_one():
             return ipow(Ball.one(x.f) / x, -k, bits)
-        return Ball.one(x.f) / xk
+        return Ball.one(x.f) / ipow(x, -k, bits)
     mag = x.sup_units()
     if mag >> x.f:  # |x| may reach 1, so x**k may grow
         check_power_size(k, math.log2(mag) - x.f, x.f if bits is None else bits)
@@ -563,34 +565,47 @@ def _chud_bsplit(lo: int, hi: int) -> tuple[int, int, int]:
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
+# pi is summed once per bucket of PI_BUCKET_BITS, at the bucket's top scale, and
+# rounded down from there: pi at f then never depends on which scale came first
+PI_BUCKET_BITS = 256
+
+
 @memo
-def _pi_units(f: int) -> tuple[int, int]:
-    """pi * 2^f as (units, error units), cached per scale, by Chudnovsky's
+def _pi_bucket(g: int) -> tuple[int, int]:
+    """pi * 2^g as (units, error units), by Chudnovsky's
 
         pi = 426880 sqrt(10005) / S,  S = sum_{k>=0} t_k,
         t_k = (-1)^k (6k)! (A + B k) / ((3k)! k!^3 C^(3k)),
 
     A = 13591409, B = 545140134, C = 640320 (Chudnovsky & Chudnovsky 1988).
-    The terms k < n are summed exactly by binary splitting, at g = f + 8 bits.
+    The terms k < n are summed exactly by binary splitting, at h = g + 8 bits.
     Three errors of under a unit each, as S > A > 426880 and pi < 4:
 
     * tail: the hypergeometric part of t_(k+1)/t_k is 24 p(k+1)/((k+1)^3 C^3)
       < 1728/C^3 < 2^-47, and (A + B(k+1))/(A + Bk) < 2 for k >= 1, so the
       term ratio is below 2^-46 and the omitted terms sum to at most
       2|t_n| < 2 (A + Bn) (1728/C^3)^n; n is the first count >= 2 with that
-      below 2^-g;
-    * `math.isqrt` floors sqrt(10005) 2^g, one unit off, times 426880/S < 1;
+      below 2^-h;
+    * `math.isqrt` floors sqrt(10005) 2^h, one unit off, times 426880/S < 1;
     * the final floored division is one more unit.
 
-    Rounding the 3-unit ball to f costs nothing past one unit (`rescale`).
+    Rounding the 3-unit ball to g costs nothing past one unit (`rescale`).
     """
-    g = f + 8
-    n, bound, c3n = 2, 1728**2 << (g + 1), _CHUD_C3**2
+    h = g + 8
+    n, bound, c3n = 2, 1728**2 << (h + 1), _CHUD_C3**2
     while (_CHUD_A + _CHUD_B * n) * bound >= c3n:
         n, bound, c3n = n + 1, bound * 1728, c3n * _CHUD_C3
     _, q, t = _chud_bsplit(1, n)
-    units = 426880 * math.isqrt(10005 << 2 * g) * q // (_CHUD_A * q + t)
-    pi = Ball(units, 3, g).rescale(f)
+    units = 426880 * math.isqrt(10005 << 2 * h) * q // (_CHUD_A * q + t)
+    pi = Ball(units, 3, h).rescale(g)
+    return pi.m, pi.r
+
+
+def _pi_units(f: int) -> tuple[int, int]:
+    """pi * 2^f as (units, error units): `_pi_bucket` at the top of the bucket
+    of f, rounded to f, still within one unit."""
+    g = -(-f // PI_BUCKET_BITS) * PI_BUCKET_BITS
+    pi = Ball(*_pi_bucket(g), g).rescale(f)
     return pi.m, pi.r
 
 

@@ -132,6 +132,7 @@ def _nome_base(t: Fraction, sign: int, fw: int) -> Ball:
     return exp(_pi_ball(fw) * root * sign)
 
 
+@memo
 def _nome_exp(r: Fraction, f: int) -> Ball:
     """exp(-pi sqrt(r)) at scale f: x^a for the class base x = exp(-pi sqrt(r0))
     at fw = f + GUARD_BITS, r = a^2 r0 (`_nome_class`); for a = 1 that is x.
@@ -153,9 +154,9 @@ def _nome_exp(r: Fraction, f: int) -> Ball:
 
 
 def _qpoint_ball(sign: int, r: Fraction, f: int) -> Ball:
-    """sign exp(-pi sqrt(r)): `_nome_exp`, negated for sign -1, so the nomes
-    of a class and the QPoints of `nome_pow` share one cached exp of their
-    class base."""
+    """sign exp(-pi sqrt(r)): the cached `_nome_exp`, negated for sign -1, so
+    the nomes of a class and the QPoints of `nome_pow` share one exp of their
+    class base, and q and -q one power of it."""
     ball = _nome_exp(r, f)
     return -ball if sign == -1 else ball
 
@@ -487,20 +488,36 @@ def chi(q, ctx: PrecCtx) -> Ball:
     return _theta("chi", q, ctx)
 
 
+@memo
+def _two_to_minus_quarter(fw: int) -> Ball:
+    """2^(-1/4) at the working scale fw."""
+    return pow_rational(Ball.from_fraction(2, fw), Fraction(-1, 4))
+
+
 def class_invariant(n, ctx: PrecCtx) -> Ball:
     """G_n = 2^(-1/4) q^(-1/24) chi(q) at q = e^(-pi sqrt(n)).
 
-    q^(-1/24) = exp(pi sqrt(n/576)) is taken from the exact exponent by
-    `_nome_base`, not from a root of the tiny nome enclosure, and refused
-    there past the power limit.
+    q^(-1/24) is taken from the exact exponent, never from a root of the tiny
+    nome enclosure, and refused first past the power limit.  With n = a^2 r0
+    (`_nome_class`) it is (1/x)^(a/24) for the class base x = e^(-pi sqrt(r0))
+    that chi's nome reads at fw = w + GUARD_BITS: x's error of a few units is
+    a relative one 1/x times as large, the power takes a/24 of it and the
+    value q^(-1/24) times that, so log2(1/x) + log2(q^(-1/24)) + log2(a/24)
+    bits are lost at most; the route is taken while they fit GUARD_BITS - 8,
+    and past that exp(pi sqrt(n/576)) comes from `_nome_base`.
     """
     n = as_fraction(n)
     if n <= 0:
         raise DomainError("class invariant index must be positive")
     w = ctx.work()
-    q_pow = _nome_base(n / 576, 1, w.bits)
-    two_qtr = pow_rational(Ball.from_fraction(2, w.bits), Fraction(-1, 4))
-    return (two_qtr * q_pow * chi(QPoint(1, n), w)).rescale(ctx.bits)
+    lg = _exp_pi_sqrt_log2(n / 576, w.requested)  # log2 q^(-1/24)
+    a, r0 = _nome_class(n)
+    if lg * 24 / a + lg + math.log2(a / 24) <= GUARD_BITS - 8:
+        x = _nome_base(r0, -1, w.bits + GUARD_BITS)
+        q_pow = pow_rational(Ball.one(x.f) / x, Fraction(a, 24))
+    else:
+        q_pow = _nome_base(n / 576, 1, w.bits)
+    return (_two_to_minus_quarter(w.bits) * q_pow * chi(QPoint(1, n), w)).rescale(ctx.bits)
 
 
 # ---------------------------------------------------------------------------

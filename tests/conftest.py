@@ -15,11 +15,14 @@ def value_caches() -> list:
     from thetaval import exact, precision, qseries
 
     return [
-        precision._pi_units,
+        precision._pi_bucket,
         precision._gamma_unit,
         precision._gamma_agm,
         qseries._nome_base,
+        qseries._nome_exp,
+        qseries._two_to_minus_quarter,
         qseries._theta_exact,
+        exact._unit_cos,
         exact._eval_raw,
     ]
 

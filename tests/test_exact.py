@@ -84,10 +84,49 @@ class TestEvalExpr:
         ref = F(mp.nstr(ref, 170, strip_zeros=False))
         assert abs(val.mid - ref) <= val.rad + F(1, 10**160) and val.rad <= F(2) ** (1 - CTX.bits)
 
-    def test_cospi_reads_pi_at_one_scale(self, cold_caches):
-        # s pi is built from the pi that cos and sin read, so a cold cospi takes one
-        eval_expr(CosPiRat(F(1, 7)), PrecCtx(512))
-        assert precision._pi_units.cache_info().misses == 1
+    # pi/d and s pi are built from the pi that cos and sin read, so a cold cospi
+    # takes one, also where the working scale nears the top of a 256-bit bucket
+    @pytest.mark.parametrize("bits", [512, 4248])
+    @pytest.mark.parametrize("t", [F(1, 7), F(100, 201)])
+    def test_cospi_reads_pi_at_one_scale(self, t, bits, cold_caches):
+        eval_expr(CosPiRat(t), PrecCtx(bits))
+        assert precision._pi_bucket.cache_info().misses == 1
+
+    # n up to d/2 after the reduction: T_n(cos(pi/d)) below n = 8, one cos from there
+    @pytest.mark.parametrize("bits", [512, 4096])
+    @pytest.mark.parametrize("d", [*range(3, 14), 1000, 10**6])
+    def test_cospi_against_mpmath_within_two_units(self, d, bits):
+        import mpmath as mp
+
+        if d < 14:
+            ns = range(1 - 2 * d, 2 * d)
+        else:
+            ns = [1 - 2 * d, -d - 1, -d + 1, -d // 2 - 1, -3, -1, 1, 2, d // 3, d // 2 - 1, d // 2 + 1, d - 7, 2 * d - 1]
+        ctx, scale = PrecCtx(bits), 2 ** (bits + 72)
+        for n in ns:
+            val = eval_expr(CosPiRat(F(n, d)), ctx)
+            with mp.workprec(bits + 96):
+                ref = F(int(mp.nint(mp.cos(mp.pi * n / d) * scale)), scale)
+            assert abs(val.mid - ref) <= val.rad + F(1, 2 ** (bits + 70)), (n, d)
+            assert val.f == bits and val.r <= 2, (n, d, val.r)
+
+    def test_cospi_of_ln7_reads_one_cosine(self, cold_caches):
+        # cos(k pi/7), k = 1, 2, 3, all at 20 guard bits: one cos(pi/7)
+        for k in (1, 2, 3):
+            eval_expr(CosPiRat(F(k, 7)), PrecCtx(4096))
+        assert exact._unit_cos.cache_info().misses == 1
+
+    def test_cospi_of_a_long_numerator_takes_one_cos_without_the_ladder(self, cold_caches):
+        # n = 5 10^39 after the reduction: the ladder would take 132 steps
+        import mpmath as mp
+
+        t = F(10**40 + 1, 2 * 10**40 + 3)
+        val = eval_expr(CosPiRat(t), PrecCtx(512))
+        with mp.workprec(700):
+            ref = mp.cos(mp.pi * t.numerator / t.denominator)
+            ref = F(int(ref.man)) * F(2) ** int(ref.exp)
+        assert val.contains(ref) and val.f == 512 and val.r <= 2
+        assert exact._unit_cos.cache_info().misses == 0
 
     def test_g9_sixth_power_difference(self):
         g9 = CATALOG.get("g9").rhs

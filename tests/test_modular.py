@@ -225,6 +225,31 @@ class TestClassInvariants:
         rhs = pow_rational(a * (Ball.one(256) - a) * 4, F(-1, 24))
         assert class_invariant(n, CTX).overlaps(rhs)
 
+    # G_9 to G_169 take the root of the class base that chi reads; G_37, G_10^4 and
+    # G_10^6 lose more bits than the guard leaves that way and take exp(pi sqrt(n)/24)
+    @pytest.mark.parametrize("bits", [512, 4096])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 9, 13, 25, 37, 169, 10**4, 10**6, F(1, 4)], ids=str)
+    def test_against_mpmath_on_both_routes(self, n, bits, monkeypatch, cold_caches):
+        import math
+
+        import mpmath as mp
+
+        bases = []
+        real_base = qseries._nome_base
+        monkeypatch.setattr(
+            qseries, "_nome_base", lambda t, sign, fw: bases.append((t, sign)) or real_base(t, sign, fw)
+        )
+        n = F(n)
+        val = class_invariant(n, PrecCtx(bits))
+        assert ((n / 576, 1) in bases) == (n in (37, 10**4, 10**6))
+        lg = math.pi * math.sqrt(n) / 24 / math.log(2)  # log2 q^(-1/24)
+        with mp.workprec(bits + 64 + int(lg)):
+            q = mp.exp(-mp.pi * mp.sqrt(mp.mpf(n.numerator) / n.denominator))
+            ref = mp.mpf(2) ** (-mp.mpf(1) / 4) * q ** (-mp.mpf(1) / 24) * mp.qp(-q, q * q)
+            ref = F(int(ref.man)) * F(2) ** int(ref.exp)
+        assert val.f == bits and val.contains(ref)
+        assert val.rad <= F(2) ** (4 - bits) * max(1, ref)
+
     def test_g9_from_degree3_beta(self):
         # beta of degree 3 over alpha at q = e^-pi gives G_9
         beta = modulus_from_q(QPoint(1, F(9)), CTX)

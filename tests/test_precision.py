@@ -48,7 +48,7 @@ from thetaval.precision import (
     sin,
     sqrt,
 )
-from thetaval.precision import _gamma_agm, _gamma_unit, _pi_units
+from thetaval.precision import _gamma_agm, _gamma_unit, _pi_bucket
 
 CTX = PrecCtx(256)
 PI_50 = "3.1415926535897932384626433832795028841971693993751"
@@ -1174,10 +1174,11 @@ def test_a_cold_catalog_pass_decides_every_long_root_by_the_chain(monkeypatch, c
     for entry_id in sorted(catalog.ids()):  # each entry cold: no root read from another's
         _eval_raw.cache_clear()
         verify_identity(catalog.get(entry_id), PrecCtx(4096))
-    # the 41 roots of 4129 to 4170 bits: 18 cube, 15 fourth, 2 sixth, 3 seventh,
-    # 2 eighth and one 24th root; a fourth root this long takes Newton, and
-    # exp's short cube roots compare exact powers
-    assert verdicts == [True] * 41
+    # the 42 roots of 4129 to 4202 bits: 18 cube, 14 fourth, 2 sixth, 3 seventh,
+    # 3 eighth and two 24th roots (G_9's q^(-1/24) an eighth root, G_169's a 24th);
+    # a fourth root this long takes Newton, and exp's short cube roots compare
+    # exact powers
+    assert verdicts == [True] * 42
 
 
 @given(
@@ -1357,6 +1358,65 @@ def test_negative_power_of_a_base_whose_power_falls_below_the_scale():
         ipow(Ball(1, 1, 64), -2)
 
 
+# x^-k for sup|x| < 1 is (1/x)^k: x^k would keep few of its bits at the scale
+@pytest.mark.parametrize(
+    "text, mp_value",
+    [
+        ("(qpoint(+1, 1))^(-100)", lambda mp: mp.exp(100 * mp.pi)),
+        ("(1/3)^(-200)", lambda mp: mp.mpf(3) ** 200),
+        ("(pi/10)^(-300)", lambda mp: (10 / mp.pi) ** 300),
+    ],
+    ids=["qpoint", "third", "pi_tenth"],
+)
+def test_a_negative_power_of_a_base_below_one_keeps_its_bits(text, mp_value):
+    import mpmath as mp
+
+    from thetaval.exact import eval_expr, parse_expr
+
+    val = eval_expr(parse_expr(text), PrecCtx(512))
+    with mp.workprec(1024):
+        ref = mp_value(mp)
+        ref = F(int(ref.man)) * F(2) ** int(ref.exp)
+    assert val.contains(ref) and val.rad <= ref * F(2) ** -500
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pi_at_f_is_its_bucket_value_rounded_whatever_the_call_order(seed, cold_caches):
+    import mpmath as mp
+
+    scales = [64, 255, 256, 257, 544, 576, 4128, 4160, 4256, 4352, 4353]
+    random.Random(seed).shuffle(scales)
+    got = {f: const_pi(PrecCtx(f)) for f in scales}
+    with mp.workprec(4500):
+        ref = F(int(mp.pi.man)) * F(2) ** int(mp.pi.exp)
+    for f, pi in got.items():
+        g = -(-f // precision.PI_BUCKET_BITS) * precision.PI_BUCKET_BITS
+        again = Ball(*_pi_bucket(g), g).rescale(f)
+        assert (pi.m, pi.r, pi.f) == (again.m, again.r, f) and pi.r == 1 and pi.contains(ref)
+    assert _pi_bucket.cache_info().misses == len({-(-f // 256) for f in scales})
+
+
+_QUOTIENT_PART = st.integers(-(2**600), 2**600)
+
+
+@given(
+    a=_QUOTIENT_PART, ra=st.integers(0, 2**400), b=_QUOTIENT_PART, rb=st.integers(0, 2**600),
+    fa=st.integers(0, 700), fb=st.integers(0, 700),
+)
+@settings(max_examples=400, deadline=None)
+def test_a_quotient_radius_is_its_exact_ceiling_or_one_unit_above(a, ra, b, rb, fa, fb):
+    # the divisor product (|b| - r_b) |b| is bounded below by its factors' leading bits
+    x, y = Ball(a, ra, fa), Ball(b, rb, fb)
+    f = max(fa, fb)
+    x, y = x.rescale(f), y.rescale(f)
+    if abs(y.m) <= y.r:
+        return
+    _, err = precision._round_div(x.m << f, y.m)
+    num = x.r * abs(y.m) + abs(x.m) * y.r
+    exact_ceiling = precision._ceil_div(num << f, (abs(y.m) - y.r) * abs(y.m)) + err
+    assert exact_ceiling <= (x / y).r <= exact_ceiling + 1
+
+
 def test_rad_shortfall_is_the_bits_missing_below_the_target():
     f = 512
     below = Ball(0, (1 << f) // 10**100, f)  # radius just under 1e-100
@@ -1422,7 +1482,7 @@ def test_certify_returns_a_wide_result_at_the_cap():
 @pytest.mark.parametrize(
     "table, call",
     [
-        (_pi_units, lambda: const_pi(PrecCtx(333))),
+        (_pi_bucket, lambda: const_pi(PrecCtx(333))),
         (_gamma_unit, lambda: gamma_rational(F(2, 9), PrecCtx(333))),
         (_gamma_agm, lambda: gamma_rational(F(7, 8), PrecCtx(333))),
     ],

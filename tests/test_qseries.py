@@ -859,15 +859,21 @@ class TestNomeClass:
         q = QPoint(1, r).to_ball(PrecCtx(bits))
         assert q.f == bits and q.contains(ref) and q.r <= 2
 
-    def test_a_cold_catalog_pass_makes_one_exp_per_class(self, nome_exps):
+    def test_a_cold_catalog_pass_makes_one_exp_per_class(self, nome_exps, monkeypatch):
         # the 20 catalog nomes fall into 8 classes: r = 1, 4, 9, 25, 36, 49,
         # 81, 169, 729, 2025 and 3969; 3 and 27; 7 and 343; then 2, 15,
-        # 5/3, 4/5 and 20 alone; the two more exps, of positive argument, are
-        # the q^(-1/24) of G_9 and G_169, which `_nome_base` forms too
-        calls = nome_exps
+        # 5/3, 4/5 and 20 alone.  G_9 and G_169 read the power 1/8 and 13/24
+        # of 1/x for the base x = q_1 that chi reads, so they add no exp; pi
+        # is summed once, and ln7's cos(k pi/7) read the one cosine of pi/7
+        from thetaval import precision
+
+        trig = []
+        real_cos_sin = precision._cos_sin
+        monkeypatch.setattr(precision, "_cos_sin", lambda x, f: trig.append(x) or real_cos_sin(x, f))
         for entry_id in sorted(CATALOG.ids()):
             verify_identity(CATALOG.get(entry_id), PrecCtx(4096))
-        assert sorted(x.m > 0 for x, *_ in calls) == [False] * 8 + [True] * 2
+        assert [x.m > 0 for x, *_ in nome_exps] == [False] * 8
+        assert precision._pi_bucket.cache_info().misses == 1 and len(trig) == 1
 
 
 class TestNomeHelpers:
@@ -991,6 +997,7 @@ class TestCaches:
         for table in cold_caches:
             assert table.cache_info().currsize <= CACHE_ENTRIES
         assert qseries._theta_exact.cache_info().currsize == CACHE_ENTRIES
+        assert qseries._nome_exp.cache_info().currsize == CACHE_ENTRIES
 
     def test_a_loop_over_more_trees_than_entries_stays_bounded(self):
         ctx = PrecCtx(64)
