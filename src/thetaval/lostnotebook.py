@@ -36,7 +36,7 @@ from .exact import (
 )
 from .precision import Ball, PrecCtx, Record, _ceil_div, _refuse_nonpositive, certify, ipow, sqrt
 from .qseries import QPoint, as_q_ball, chi, nome_pow, phi, q_power_ball, theta_f
-from .qseries import _phi_direct, require_positive_nome
+from .qseries import require_positive_nome
 
 __all__ = [
     "SepticState",
@@ -80,18 +80,15 @@ class CompletionResult(Record):
     __slots__ = ("identity", "report", "state", "roots", "assignment", "cos_pairs")
 
 
-def _uvw(q, wctx: PrecCtx) -> tuple[tuple[Ball, Ball, Ball], Ball]:
-    """(u, v, w) and q^(1/7) at the working context wctx: the q^(k/7) of a QPoint
-    by exact bookkeeping, of any other nome from r = q^(1/7) as r^4 and q r^2."""
+def _uvw(q, wctx: PrecCtx) -> tuple[tuple[Ball, Ball, Ball], tuple[Ball, Ball, Ball]]:
+    """(u, v, w) and their powers q^(1/7), q^(4/7), q^(9/7) at the working context
+    wctx, the powers of every nome from one r = q^(1/7) as r, r^4 and q r^2."""
     f = wctx.bits
-    if isinstance(q, QPoint):
-        roots = [q_power_ball(q, Fraction(k, 7), f) for k in (1, 4, 9)]
-    else:
-        r = q_power_ball(q, Fraction(1, 7), f)
-        roots = [r, ipow(r, 4), as_q_ball(q, f) * (r * r)]
+    r = q_power_ball(q, Fraction(1, 7), f)
+    roots = (r, ipow(r, 4), as_q_ball(q, f) * (r * r))
     den, ab = phi(nome_pow(q, 7), wctx), ((5, 9), (3, 11), (1, 13))  # 2 q^(k/7) f(q^a, q^b) / den
     parts = [theta_f(q_power_ball(q, a, f), q_power_ball(q, b, f), wctx) for a, b in ab]
-    return tuple((x * 2) * t / den for x, t in zip(roots, parts)), roots[0]
+    return tuple((x * 2) * t / den for x, t in zip(roots, parts)), roots
 
 
 def compute_uvw(q, ctx: PrecCtx) -> tuple[Ball, Ball, Ball]:
@@ -110,15 +107,14 @@ def compute_p(q, ctx: PrecCtx) -> Ball:
 
 
 def ratio4_series_oracle(q, ctx: PrecCtx) -> Ball:
-    """phi^4(q)/phi^4(q^7) evaluated purely by the series route."""
+    """phi^4(q)/phi^4(q^7) from the theta values themselves, phi(q) and phi(q^7)
+    each by its route and memo, independent of the quadratic it checks."""
     w = ctx.work()
-    num = _phi_direct(q, w)
-    den = _phi_direct(nome_pow(q, 7), w)
-    return ipow(num / den, 4).rescale(ctx.bits)
+    return ipow(phi(q, w) / phi(nome_pow(q, 7), w), 4).rescale(ctx.bits)
 
 
 def verify_quartic_relation(q, ctx: PrecCtx) -> Ball:
-    """Residual of R^2 - (2+5p) R + (1-p)^3 with R from the series route."""
+    """Residual of R^2 - (2+5p) R + (1-p)^3 with R from `ratio4_series_oracle`."""
     return septic_residuals(q, ctx)[2]
 
 
@@ -127,10 +123,10 @@ def septic_residuals(q, ctx: PrecCtx) -> tuple[Ball, Ball, Ball]:
     quartic relation at q, with p and q^(1/7) computed once, at the working scale."""
     require_positive_nome(q, "the septic system")
     work = ctx.work()
-    uvw, root = _uvw(q, work)
+    uvw, roots = _uvw(q, work)
     u, v, w = (x.rescale(ctx.bits) for x in uvw)
     p, ratio = compute_p(q, work), ratio4_series_oracle(q, work)
-    quot = phi(root, work) / phi(nome_pow(q, 7), work)
+    quot = phi(roots[0], work) / phi(nome_pow(q, 7), work)
     quartic = ipow(ratio, 2) - (p * 5 + 2) * ratio + ipow(Ball.one(work.bits) - p, 3)
     return (
         p.rescale(ctx.bits) - u * v * w,

@@ -445,15 +445,6 @@ def phi_series(q, ctx: PrecCtx) -> Ball:
     return _theta_sum([(qb, q2 * qb, q2)], ctx, 2)
 
 
-def _phi_direct(q, ctx: PrecCtx) -> Ball:
-    """`phi_series`, read through phi's memo wherever the series is phi's own
-    route (every nome but a QPoint that phi takes to its dual nome), so a
-    composite and a direct call share one sum."""
-    if _takes_dual("phi", q, ctx.work().bits):
-        return phi_series(q, ctx)
-    return phi(q, ctx)
-
-
 def psi(q, ctx: PrecCtx) -> Ball:
     """psi(q) = sum_{n>=0} q^(n(n+1)/2) by its series (oracle: (q^2; q^2)/(q; q^2))."""
     return _theta("psi", q, ctx)
@@ -478,9 +469,10 @@ def f_neg_series(q, ctx: PrecCtx) -> Ball:
 
 
 def _chi_series(q, ctx: PrecCtx) -> Ball:
-    # phi(q) = (-q; q^2)^2 (q^2; q^2) and f(q) = (-q; -q) = (-q; q^2)(q^2; q^2)
+    # phi(q) = (-q; q^2)^2 (q^2; q^2) and f(q) = (-q; -q) = (-q; q^2)(q^2; q^2);
+    # chi shares phi's crossover, so phi(q) here is phi's own memoised series
     w = ctx.work()
-    return (_phi_direct(q, w) / f_neg_series(nome_neg(q), w)).rescale(ctx.bits)
+    return (phi(q, w) / f_neg_series(nome_neg(q), w)).rescale(ctx.bits)
 
 
 def chi(q, ctx: PrecCtx) -> Ball:
@@ -512,7 +504,7 @@ def class_invariant(n, ctx: PrecCtx) -> Ball:
     w = ctx.work()
     lg = _exp_pi_sqrt_log2(n / 576, w.requested)  # log2 q^(-1/24)
     a, r0 = _nome_class(n)
-    if lg * 24 / a + lg + math.log2(a / 24) <= GUARD_BITS - 8:
+    if lg * (24 / a) + lg + math.log2(a) - math.log2(24) <= GUARD_BITS - 8:
         x = _nome_base(r0, -1, w.bits + GUARD_BITS)
         q_pow = pow_rational(Ball.one(x.f) / x, Fraction(a, 24))
     else:
@@ -555,15 +547,17 @@ _DUAL_ROWS = {
 # reaches T, i.e. once r <= (f ln 2 / (pi w T^2))^2.  A row costs the exp
 # of B, all but phi's rows one more exp, and a few products; a direct term
 # costs two products (f(-q): two wings).  Timed cold at 512-4096 bits, the
-# row is faster from about 28-38 terms for phi, 62-80 for psi, 35-50 for
-# f(-q) and 30-44 for chi, so T is 28, 64, 40 and 32.  At 512 bits phi
-# reduces for r <= 0.021 and the others for r <= 0.013; at 2048 bits phi at
-# r = 1/1000 sums 4 terms instead of about 120.
+# row is faster from about 28-38 terms for phi, 62-80 for psi and 35-50 for
+# f(-q), so T is 28, 64 and 40.  chi takes phi's (1, 28), so it sums its
+# series only where phi sums its own, and reads that phi from the memo;
+# between 28 and 32 terms its row cost 0.93-1.30 times its series.  At 512
+# bits phi and chi reduce for r <= 0.021, psi for r <= 0.003 and f(-q) for
+# r <= 0.002; at 2048 bits phi at r = 1/1000 sums 4 terms instead of about 120.
 _SERIES = {
     "phi": (phi_series, 1, 28),
     "psi": (psi_series, 0.5, 64),
     "f_neg": (f_neg_series, 1.5, 40),
-    "chi": (_chi_series, 1, 32),
+    "chi": (_chi_series, 1, 28),
 }
 
 

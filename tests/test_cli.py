@@ -308,6 +308,15 @@ class TestEval:
         code, _, err = run(capsys, "eval", "chi(qpoint(+1, 1/1000000000000))")
         assert code == 2 and "passes the limit of 2^" in err
 
+    def test_a_class_invariant_whose_square_part_passes_a_float_evaluates(self, capsys):
+        code, out, err = run(capsys, "eval", "classinv((1 - 1/10^20)^100)")
+        assert code == 0 and err == ""
+        assert out == (
+            "value  = 1.000000000000000000000000000000000000049888207807214678351083896470744054681259"
+            "309019756974111196095914625141404484046695663302458048145938739004279357650\n"
+            "radius <= 1e-154\n"
+        )
+
     @pytest.mark.parametrize("n", ["10^16", "10^40", "10^12"])
     def test_a_class_invariant_past_the_power_limit_is_refused_at_once(self, n):
         # q^(-1/24) = e^(pi sqrt(n)/24) is about 2^(2^17.5) at n = 10^12, past the limit
@@ -697,6 +706,7 @@ OUTCOME_CASES = [
     (["eval", "agm(pi - pi, 1)", "--prec", "64"], 1, "undecided at 512 bits: "),
     (["eval", "hyp(1 + (pi - pi))", "--prec", "64"], 1, "undecided at 512 bits: "),
     (["eval", "classinv(1/10^200)"], 2, "size error: "),
+    (["eval", "classinv(2^3000/3^2000)"], 2, "size error: a power of magnitude up to 2^(2^82.6) passes the limit"),
     (["eval", "phi(1.5)"], 2, "domain error: "),
     (["eval", "(pi - 4)^(1/2)"], 2, "domain error: "),
     (["eval", "(2 - pi)^(1/3)"], 2, "domain error: "),

@@ -336,6 +336,18 @@ def test_seventh_powers_pick_the_ordering_of_the_seventh_roots(q, bits):
     assert _orderings_by_seventh_roots(state, roots) == [assignment.permutation_index]
 
 
+@pytest.mark.parametrize("bits", [512, 2048])
+@pytest.mark.parametrize("q", [Q7, QPoint(1, F(1, 100)), QPoint(1, F(3, 2)), QPoint(1, F(49))], ids=str)
+def test_the_septic_powers_of_a_qpoint_are_its_seventh_root_r_as_r_r4_and_q_r2(q, bits):
+    # one route for every nome: the three powers overlap the exact bookkeeping on r,
+    # at most 8 units wide at the working scale
+    wctx = PrecCtx(bits).work()
+    _, roots = lostnotebook._uvw(q, wctx)
+    for k, x in zip((1, 4, 9), roots):
+        ref = q_power_ball(q, F(k, 7), wctx.bits)
+        assert x.f == ref.f and x.overlaps(ref) and x.r <= 8, (k, x.r)
+
+
 class TestCompletion:
     def test_complete_evaluation(self):
         result = complete_evaluation(PrecCtx(512))

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from thetaval import modular, qseries
-from thetaval.errors import DomainError, EnclosureReachesBoundary, PreconditionViolated, Undecided
+from thetaval.errors import DomainError, EnclosureReachesBoundary, PowerTooLarge, PreconditionViolated, Undecided
 from thetaval.precision import Ball, PrecCtx, decimal_str, ipow, pow_rational, sqrt
 from thetaval.modular import (
     DEGREE3_PRIMARY,
@@ -249,6 +249,31 @@ class TestClassInvariants:
             ref = F(int(ref.man)) * F(2) ** int(ref.exp)
         assert val.f == bits and val.contains(ref)
         assert val.rad <= F(2) ** (4 - bits) * max(1, ref)
+
+    def test_an_index_with_a_huge_square_part_decides_its_route_on_integers(self, monkeypatch):
+        # n = (1 - 10^-20)^100 has a = (10^20 - 1)^50 in n = a^2 r0, past a float:
+        # q^(-1/24) is taken by exp, and the value is mpmath's
+        import mpmath as mp
+
+        bases = []
+        real_base = qseries._nome_base
+        monkeypatch.setattr(
+            qseries, "_nome_base", lambda t, sign, fw: bases.append((t, sign)) or real_base(t, sign, fw)
+        )
+        n = (1 - F(1, 10**20)) ** 100
+        assert qseries._nome_class(n)[0] == (10**20 - 1) ** 50
+        val = class_invariant(n, PrecCtx(512))
+        assert (n / 576, 1) in bases
+        with mp.workprec(640):
+            q = mp.exp(-mp.pi * mp.sqrt(mp.mpf(n.numerator) / n.denominator))
+            ref = mp.mpf(2) ** (-mp.mpf(1) / 4) * q ** (-mp.mpf(1) / 24) * mp.qp(-q, q * q)
+            ref = F(int(ref.man)) * F(2) ** int(ref.exp)
+        assert val.f == 512 and val.contains(ref) and val.rad <= F(2) ** (4 - 512)
+
+    def test_a_tiny_index_with_a_huge_square_part_is_a_size_error(self):
+        # n = 2^3000 / 3^2000, a = 2^1500: chi's factor near q = 1 passes the power limit
+        with pytest.raises(PowerTooLarge, match=r"2\^\(2\^82\.6\) passes the limit of 2\^32768 at 512 bits"):
+            class_invariant(F(2**3000, 3**2000), PrecCtx(512))
 
     def test_g9_from_degree3_beta(self):
         # beta of degree 3 over alpha at q = e^-pi gives G_9

@@ -161,7 +161,13 @@ def test_dual_rows_agree_with_product_oracle(r, sign, name):
     assert val.rad <= F(2) ** (16 - 2048)
 
 
-DIRECT = {"phi": phi_series, "psi": psi_series, "f_neg": f_neg_series, "chi": qseries._chi_series}
+def _chi_composite(q, ctx):
+    """phi(q)/f(q) from the two series at ctx's working scale, rounded once."""
+    w = ctx.work()
+    return (phi_series(q, w) / f_neg_series(nome_neg(q), w)).rescale(ctx.bits)
+
+
+DIRECT = {"phi": phi_series, "psi": psi_series, "f_neg": f_neg_series, "chi": _chi_composite}
 DUAL_SERIES_RS = (
     F(1, 10**6), F(1, 10**4), F(1, 1000), F(1, 100), F(1, 20), F(3, 10), F(7, 10), F(999, 1000)
 )
@@ -1030,18 +1036,40 @@ class TestCaches:
         lostnotebook.septic_residuals(F(3, 10), PrecCtx(512))
         assert len(calls) == 8
 
-    def test_phi_direct_is_the_series_through_the_memo_where_that_is_phis_route(self):
-        # a QPoint that phi takes to its dual nome, r = 1/60 at 512 bits, where
-        # chi still sums its series, keeps the series value and its own sum
+    @pytest.mark.parametrize("bits", [64, 512, 2048, 4096])
+    def test_chi_takes_its_dual_row_exactly_where_phi_does(self, bits):
+        # a grid across phi's crossover at each scale: r <= 3e-4 at 64 bits, 1.3 at 4096
+        f = PrecCtx(bits).work().bits
+        rs = [F(1, 2**k) for k in range(48)] + [F(k, 97) for k in range(1, 200, 3)]
+        routes = set()
+        for r in rs:
+            for sign in (1, -1):
+                q = QPoint(sign, r)
+                routes.add(qseries._takes_dual("phi", q, f))
+                assert qseries._takes_dual("chi", q, f) == qseries._takes_dual("phi", q, f), (r, sign)
+        assert routes == {True, False}
+
+    CHI_SERIES_QS = (F(3, 10), F(-1, 20), QPoint(1, 2), QPoint(-1, F(1, 40)), QPoint(1, F(1, 40)))
+
+    @pytest.mark.parametrize("q", CHI_SERIES_QS, ids=str)
+    def test_chi_by_its_series_leaves_one_phi_entry_that_phi_then_hits(self, q):
         ctx = PrecCtx(512)
-        for q in (F(3, 10), QPoint(1, 2), QPoint(-1, F(1, 40)), QPoint(1, F(1, 60))):
-            qseries._theta_exact.cache_clear()
-            a, b = qseries._phi_direct(q, ctx), qseries.phi_series(q, ctx)
-            assert (a.m, a.r, a.f) == (b.m, b.r, b.f)
-            dual = qseries._takes_dual("phi", q, ctx.work().bits)
-            assert dual == (q == QPoint(1, F(1, 60)))
-            assert qseries._theta_exact.cache_info().currsize == (0 if dual else 1)
-        assert not qseries._takes_dual("chi", QPoint(1, F(1, 60)), ctx.work().bits)
+        assert not qseries._takes_dual("chi", q, ctx.work().bits)
+        qseries._theta_exact.cache_clear()
+        chi(q, ctx)
+        assert qseries._theta_exact.cache_info().currsize == 2  # chi(q) and phi(q)
+        hits = qseries._theta_exact.cache_info().hits
+        val, ref = phi(q, ctx), phi_series(q, ctx)
+        assert qseries._theta_exact.cache_info().hits == hits + 1
+        assert qseries._theta_exact.cache_info().currsize == 2
+        assert (val.m, val.r, val.f) == (ref.m, ref.r, ref.f)
+
+    @pytest.mark.parametrize("q", CHI_SERIES_QS + (bf(F(3, 10), 600),), ids=str)
+    def test_chi_by_its_series_is_the_composite_of_the_two_series_rounded_once(self, q):
+        ctx = PrecCtx(512)
+        qseries._theta_exact.cache_clear()
+        val, ref = chi(q, ctx), _chi_composite(q, ctx)
+        assert (val.m, val.r, val.f) == (ref.m, ref.r, ref.f)
 
     def test_a_ball_nome_is_computed_every_time(self):
         qseries._theta_exact.cache_clear()
