@@ -47,7 +47,7 @@ from .precision import (
     sin,
 )
 from .precision import GUARD_BITS, TRIG_PI_GUARD, _pi_ball
-from .qseries import QPoint, chi, class_invariant, f_neg, phi, psi, theta_f
+from .qseries import QPoint, chi, class_invariant, f_neg, phi, psi, theta_f  # kernels by name
 
 __all__ = [
     # nodes: closed forms, function leaves and theta leaves
@@ -149,16 +149,23 @@ _FUNCTIONS: dict[str, type] = {}  # grammar name -> node class
 
 class Function(Expr):
     """A node written name(argument, ...); the arguments of a `rational`
-    one fold to exact rationals while parsing."""
+    one fold to exact rationals while parsing.  Its enclosure is `kernel`,
+    the name of a function of this module looked up at each call, of its
+    fields (an `Expr` read through `_eval_raw`, any other as it is: a
+    `QPoint` nome keys the theta cache exactly) and `WorkCtx(bits)`."""
 
     __slots__ = ()
-    name = ""
+    name = kernel = ""
     rational = False
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         if "name" in vars(cls):
             _FUNCTIONS[cls.name] = cls
+
+    def _ball(self, bits):
+        args = [_eval_raw(x, bits) if isinstance(x, Expr) else x for x in self._values()]
+        return globals()[self.kernel](*args, WorkCtx(bits))
 
 
 class Nome(Function):
@@ -171,10 +178,7 @@ class Nome(Function):
 
 class GammaRat(Function):
     __slots__ = ("arg",)
-    name, rational = "gamma", True
-
-    def _ball(self, bits):
-        return gamma_rational(self.arg, WorkCtx(bits))
+    name, rational, kernel = "gamma", True, "gamma_rational"
 
 
 # cos(t pi) at the t = n/d in [0, 1/2] where it is rational (Niven), by (n, d)
@@ -221,10 +225,7 @@ class CosPiRat(Function):
 
 class Agm(Function):
     __slots__ = ("a", "b")
-    name = "agm"
-
-    def _ball(self, bits):
-        return agm(_eval_raw(self.a, bits), _eval_raw(self.b, bits), WorkCtx(bits))
+    name = kernel = "agm"
 
 
 class Hyp(Function):
@@ -248,48 +249,30 @@ class _NomeTheta(ThetaExpr):
 
     __slots__ = ("q",)
 
-    def _q(self, bits):
-        return self.q if isinstance(self.q, QPoint) else _eval_raw(self.q, bits)
-
 
 class Phi(_NomeTheta):
     __slots__ = ()
-    name = "phi"
-
-    def _ball(self, bits):
-        return phi(self._q(bits), WorkCtx(bits))
+    name = kernel = "phi"
 
 
 class Psi(_NomeTheta):
     __slots__ = ()
-    name = "psi"
-
-    def _ball(self, bits):
-        return psi(self._q(bits), WorkCtx(bits))
+    name = kernel = "psi"
 
 
 class FNeg(_NomeTheta):
     __slots__ = ()
-    name = "fneg"
-
-    def _ball(self, bits):
-        return f_neg(self._q(bits), WorkCtx(bits))
+    name, kernel = "fneg", "f_neg"
 
 
 class Chi(_NomeTheta):
     __slots__ = ()
-    name = "chi"
-
-    def _ball(self, bits):
-        return chi(self._q(bits), WorkCtx(bits))
+    name = kernel = "chi"
 
 
 class ThetaF(ThetaExpr):
     __slots__ = ("a", "b")  # Ramanujan's general theta function f(a, b)
-    name = "f"
-
-    def _ball(self, bits):
-        return theta_f(_eval_raw(self.a, bits), _eval_raw(self.b, bits), WorkCtx(bits))
+    name, kernel = "f", "theta_f"
 
 
 class YiH(ThetaExpr):
@@ -309,10 +292,7 @@ class YiHPrime(YiH):
 
 class ClassInv(ThetaExpr):
     __slots__ = ("n",)
-    name, rational = "classinv", True
-
-    def _ball(self, bits):
-        return class_invariant(self.n, WorkCtx(bits))
+    name, rational, kernel = "classinv", True, "class_invariant"
 
 
 @memo

@@ -917,7 +917,10 @@ def gamma_rational(p, ctx: PrecCtx) -> Ball:
     term ratio is at most 1/2) and the upper incomplete gamma bound
     0 <= Gamma(p, N) <= e^-N in the radius (see `_gamma_series`).
     Arguments in (1, 2) go through Gamma(p) = (p-1) Gamma(p-1), so a value
-    never depends on the order of calls.
+    never depends on the order of calls.  For z = p or p - 1 below 2^-fw,
+    Gamma convex with Gamma(1) = 1, Gamma'(1) = -euler > -0.58 and Gamma <= 1
+    on [1, 2] (DLMF 5.4) put Gamma(1 + z) in [1 - 0.58 z, 1] and Gamma(z) in
+    [1/z - 0.58, 1/z]: a ball of exact rationals, with no series.
     """
     p = as_fraction(p)
     if not 0 < p <= 2:
@@ -926,6 +929,10 @@ def gamma_rational(p, ctx: PrecCtx) -> Ball:
         return Ball.one(ctx.bits)
     z = p - 1 if p > 1 else p
     fw = ctx.work().bits
+    if z.numerator << fw < z.denominator:
+        top, width = (Fraction(1), z) if p > 1 else (1 / z, 1)
+        ends = (top - Fraction(58, 100) * width, top)
+        return Ball.hull(*(Ball.from_fraction(x, ctx.bits) for x in ends))
     if 8 % z.denominator == 0:
         g = _gamma_agm(fw)[int(8 * z) - 1]
     else:

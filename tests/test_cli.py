@@ -1,9 +1,11 @@
 """CLI tests: subcommands, exit codes, report stability, parallel runs."""
 
 import hashlib
+import itertools
 import json
 import pickle
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -453,6 +455,42 @@ _SOUP = st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join)
 @settings(max_examples=150, deadline=None)
 def test_eval_fuzz_exit_codes(text, bits):
     assert main(["eval", "--prec", str(bits), "--", text]) in (0, 1, 2)
+
+
+# arguments at the edges of the grammar functions' domains: a tiny value, one
+# near 1, a huge one, one near -1, an irrational one and a negative rational
+EDGE_ARGS = ["1/2^2000", "1 - 1/10^20", "10^30", "-0.999", "0.5", "(2)^(1/24)", "1/10^400", "-(3/7)"]
+
+
+class _OverTime(BaseException):
+    """Raised by the alarm; `main` maps no BaseException to an exit code."""
+
+
+@pytest.mark.parametrize("bits", ["64", "512"])
+@pytest.mark.parametrize("name", sorted(exact._FUNCTIONS))
+def test_every_function_at_edge_arguments_exits_cleanly_within_a_second(capsys, name, bits):
+    def over_time(*_):
+        raise _OverTime
+
+    labels = {code: [] for code in (1, 2)}
+    for _, code, label in cli._OUTCOMES:
+        labels[code].append(label.format(cap=cli.CAP_FACTOR * int(bits)))
+    previous = signal.signal(signal.SIGALRM, over_time)
+    try:
+        for args in itertools.product(EDGE_ARGS, repeat=exact._ARITY[name]):
+            text = f"{name}({', '.join(args)})"
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            try:
+                code = main(["eval", "--prec", bits, "--", text])
+            except _OverTime:
+                pytest.fail(f"{text} at {bits} bits ran past 1 s")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), text
+            assert err == "" if code == 0 else err.startswith(tuple(labels[code])), (text, err)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSweep:

@@ -458,6 +458,53 @@ def test_each_node_kind_renders_to_its_pinned_text(tree, text):
         assert exact.render_theta(tree) == text
 
 
+# the function leaves that `Function._ball` evaluates, by a text and its kernel
+GENERIC_LEAVES = {
+    "gamma(1/3)": "gamma_rational",
+    "agm(1, 2^(1/2))": "agm",
+    "phi(qpoint(+1, 2))": "phi",
+    "psi(0.1)": "psi",
+    "fneg((-0.3))": "f_neg",
+    "chi(qpoint(-1, 2))": "chi",
+    "f(0.2, 0.3)": "theta_f",
+    "classinv(169)": "class_invariant",
+}
+
+
+def test_each_function_names_a_kernel_of_this_module_or_defines_its_own_ball():
+    generic = set()
+    for name, node in exact._FUNCTIONS.items():
+        if node._ball is exact.Function._ball:
+            assert callable(getattr(exact, node.kernel, None)), name
+            generic.add(name)
+        else:
+            assert node.kernel == "", name
+    assert generic == {parse_expr(text).name for text in GENERIC_LEAVES}
+
+
+@pytest.mark.parametrize("text, kernel", GENERIC_LEAVES.items(), ids=list(GENERIC_LEAVES))
+def test_a_leaf_reaches_its_kernel_by_name_once_at_the_working_bits(monkeypatch, cold_caches, text, kernel):
+    calls, real = [], getattr(exact, kernel)
+    monkeypatch.setattr(exact, kernel, lambda *args: calls.append(args) or real(*args))
+    tree, ctx = parse_expr(text), PrecCtx(512)
+    eval_expr(tree, ctx)
+    assert len(calls) == 1 and calls[0][-1] == ctx.work()
+    for field, arg in zip(tree._values(), calls[0]):  # an Expr as its ball, any other as it is
+        assert arg is field if not isinstance(field, exact.Expr) else isinstance(arg, Ball)
+
+
+def test_a_qpoint_nome_keys_the_theta_cache_exactly(cold_caches):
+    from thetaval import qseries
+
+    ctx = PrecCtx(512)
+    val = eval_expr(parse_expr("phi(qpoint(+1, 2))"), ctx)
+    info = qseries._theta_exact.cache_info()
+    assert info.currsize == 1
+    again = qseries.phi(QPoint(1, F(2)), ctx.work())
+    assert qseries._theta_exact.cache_info().hits == info.hits + 1
+    assert again.rescale(ctx.bits).overlaps(val)
+
+
 def test_a_failed_call_caches_no_entry_for_the_failing_node():
     tree = Div(Add(Int(1), Int(2)), Sub(Pi(), Pi()))
     with pytest.raises(DivisorStraddlesZero):

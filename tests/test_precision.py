@@ -976,6 +976,38 @@ def test_gamma_at_a_tiny_argument_against_mpmath(p):
     assert abs(gamma_rational(p, PrecCtx(512)).mid - ref) <= ref / 10**150
 
 
+TINY_Z = [F(1, 10**400), F(1, 2**2000), F(1, 10**4000), F(3, 2**700 + 1)]
+
+
+# Below 2^-fw, Gamma(z) = 1/z - euler + O(z) and Gamma(1 + z) = 1 - euler z +
+# O(z^2): mpmath's own gamma would need log2(1/z) + bits of precision to tell.
+@pytest.mark.parametrize("bits", [64, 512])
+@pytest.mark.parametrize("z", TINY_Z, ids=["1/10^400", "1/2^2000", "1/10^4000", "3/(2^700+1)"])
+def test_gamma_below_the_working_scale_is_a_ball_of_rationals(z, bits):
+    import mpmath as mp
+
+    ctx = PrecCtx(bits)
+    assert z < F(1, 2 ** ctx.work().bits)
+    with mp.workprec(bits + 64):
+        euler = +mp.euler
+    euler = F(int(euler.man)) * F(2) ** int(euler.exp)
+    series = _gamma_unit.cache_info().misses
+    small, near_one = gamma_rational(z, ctx), gamma_rational(1 + z, ctx)
+    assert _gamma_unit.cache_info().misses == series  # no series summed
+    assert small.f == near_one.f == bits
+    assert small.contains(1 / z - euler) and small.rad <= F(3, 10) + F(2, 2**bits)
+    assert near_one.contains(1 - euler * z) and near_one.r <= 2
+
+
+def test_gamma_at_the_working_scale_still_sums_its_series():
+    ctx = PrecCtx(64)
+    z = F(1, 2 ** ctx.work().bits)
+    series = _gamma_unit.cache_info().misses
+    val = gamma_rational(z, ctx)
+    assert _gamma_unit.cache_info().misses == series + 1
+    assert val.contains(mp_gamma_exact(z, 64 + ctx.work().bits))
+
+
 def test_gamma_domain():
     for bad in (F(0), F(5, 2), F(-1)):
         with pytest.raises(UnsupportedGammaArgument):
