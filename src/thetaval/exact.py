@@ -51,7 +51,7 @@ from .qseries import QPoint, chi, class_invariant, f_neg, phi, psi, theta_f  # k
 
 __all__ = [
     # nodes: closed forms, function leaves and theta leaves
-    "Expr", "Int", "Rat", "Pi", "Infix", "Add", "Sub", "Mul", "Div", "PowRat", "Neg",
+    "Expr", "Rat", "Pi", "Infix", "Add", "Sub", "Mul", "Div", "PowRat", "Neg",
     "Function", "Nome", "GammaRat", "CosPiRat", "Agm", "Hyp",
     "ThetaExpr", "Phi", "Psi", "FNeg", "Chi", "ThetaF", "YiH", "YiHPrime", "ClassInv",
     # the tree both ways, and the catalog
@@ -80,15 +80,8 @@ class Expr(Record):
     __slots__ = ()
 
 
-class Int(Expr):
-    __slots__ = ("value",)
-
-    def _ball(self, bits):
-        return Ball.exact_int(self.value).rescale(bits)
-
-
 class Rat(Expr):
-    __slots__ = ("value",)
+    __slots__ = ("value",)  # an int, or a Fraction
 
     def _ball(self, bits):
         return Ball.from_fraction(self.value, bits)
@@ -321,8 +314,6 @@ def eval_theta(t: ThetaExpr, ctx: PrecCtx) -> Ball:
 
 def render_expr(e: Expr) -> str:
     """Fixed text grammar: prefix functions, parenthesized infix, ^ powers."""
-    if isinstance(e, Int):
-        return str(e.value)
     if isinstance(e, Rat):
         return _render_rat(e.value)
     if isinstance(e, Pi):
@@ -331,7 +322,8 @@ def render_expr(e: Expr) -> str:
         return f"({render_expr(e.left)} {e.sym} {render_expr(e.right)})"
     if isinstance(e, PowRat):
         base, exp = render_expr(e.base), e.exponent
-        if not isinstance(e.base, (Pi, GammaRat, CosPiRat, Int)) or base[0] == "-":
+        integer = isinstance(e.base, Rat) and e.base.value.denominator == 1
+        if not (integer or isinstance(e.base, (Pi, GammaRat, CosPiRat))) or base[0] == "-":
             base = f"({base})"
         return f"{base}^({exp})" if exp.denominator != 1 or exp < 0 else f"{base}^{exp}"
     if isinstance(e, Neg):
@@ -370,17 +362,15 @@ def mutate_first_leaf(e: Expr, delta: Fraction = Fraction(1, 10**6)) -> Expr:
     """Copy of the tree with its first rational leaf shifted by `delta`.
 
     The fields are walked in order, so an exponent comes after its base.  A
-    rational leaf is an `Int` (it turns into a `Rat`) or a `Fraction` field:
-    of a `Rat`, gamma, cospi, h, hprime or classinv, or a power's exponent."""
+    rational leaf is an `int` or a `Fraction` field: of a `Rat`, gamma, cospi,
+    h, hprime or classinv, or a power's exponent."""
 
     def walk(node: Expr) -> tuple[Expr, bool]:
-        if isinstance(node, Int):
-            return Rat(node.value + delta), True
         fields = node._values()
         for i, x in enumerate(fields):
             if isinstance(x, Expr):
                 x, done = walk(x)
-            elif done := isinstance(x, Fraction):
+            elif done := isinstance(x, (int, Fraction)):
                 x += delta
             if done:
                 return type(node)(*fields[:i], x, *fields[i + 1 :]), True
@@ -416,14 +406,14 @@ def _literal(text: str) -> Expr:
     """The node of a decimal literal; int() refuses one past its digit limit."""
     whole, _, frac = text.partition(".")
     v = Fraction(int(whole + frac), 10 ** len(frac))
-    return Int(v.numerator) if v.denominator == 1 else Rat(v)
+    return Rat(v.numerator if v.denominator == 1 else v)
 
 
 def _const_value(e: Expr, bits: int) -> int | Fraction | None:
     """Exact value of a subtree of rationals, or None if it has other leaves:
     an int, or a Fraction where a division or a negative power makes one.  A
     power is refused by `check_power_size` at `bits` before it is formed."""
-    if isinstance(e, (Int, Rat)):
+    if isinstance(e, Rat):
         return e.value
     if isinstance(e, Neg):
         v = _const_value(e.arg, bits)
@@ -508,7 +498,7 @@ class _Parser:
             return node, levels
         if number:
             try:
-                node, levels = Int(int(number)) if "." not in number else _literal(number), 1
+                node, levels = Rat(int(number)) if "." not in number else _literal(number), 1
             except ValueError:  # more digits than int() takes from a string
                 limit = sys.get_int_max_str_digits()
                 raise self.error(f"number has more than {limit} digits", i) from None

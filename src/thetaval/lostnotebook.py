@@ -25,9 +25,9 @@ from .errors import (
 )
 from .exact import (
     Identity,
-    Int,
     Mul,
     PowRat,
+    Rat,
     catalog_entry,
     eval_expr,
     ln7_rhs_from_terms,
@@ -120,19 +120,15 @@ def verify_quartic_relation(q, ctx: PrecCtx) -> Ball:
 
 def septic_residuals(q, ctx: PrecCtx) -> tuple[Ball, Ball, Ball]:
     """The residuals p - uvw, 1 + u + v + w - phi(q^(1/7))/phi(q^7) and the
-    quartic relation at q, with p and q^(1/7) computed once, at the working scale."""
+    quartic relation at q, with p and q^(1/7) computed once, each residual
+    formed at the working scale and rounded once."""
     require_positive_nome(q, "the septic system")
     work = ctx.work()
-    uvw, roots = _uvw(q, work)
-    u, v, w = (x.rescale(ctx.bits) for x in uvw)
-    p, ratio = compute_p(q, work), ratio4_series_oracle(q, work)
+    (u, v, w), roots = _uvw(q, work)
+    p, ratio, one = compute_p(q, work), ratio4_series_oracle(q, work), Ball.one(work.bits)
     quot = phi(roots[0], work) / phi(nome_pow(q, 7), work)
-    quartic = ipow(ratio, 2) - (p * 5 + 2) * ratio + ipow(Ball.one(work.bits) - p, 3)
-    return (
-        p.rescale(ctx.bits) - u * v * w,
-        (Ball.one(ctx.bits) + u + v + w) - quot,
-        quartic.rescale(ctx.bits),
-    )
+    quartic = ipow(ratio, 2) - (p * 5 + 2) * ratio + ipow(one - p, 3)
+    return tuple(x.rescale(ctx.bits) for x in (p - u * v * w, (one + u + v + w) - quot, quartic))
 
 
 def solve_ratio4(p: Ball, q, ctx: PrecCtx) -> tuple[Ball, str]:
@@ -322,8 +318,8 @@ def misprint_variant(identity: Identity) -> Identity:
     if not (
         isinstance(rhs, Mul)
         and isinstance(rhs.left, PowRat)
-        and rhs.left.base == Int(7)
+        and rhs.left.base == Rat(7)
     ):
         raise ValueError("identity does not carry the expected prefactor")
-    flipped = Mul(PowRat(Int(7), -rhs.left.exponent), rhs.right)
+    flipped = Mul(PowRat(Rat(7), -rhs.left.exponent), rhs.right)
     return Identity(identity.id + "_misprint", identity.lhs, flipped, identity.provenance)

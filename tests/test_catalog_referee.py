@@ -18,7 +18,6 @@ from thetaval.exact import (
     Div,
     FNeg,
     GammaRat,
-    Int,
     Mul,
     Neg,
     Phi,
@@ -41,8 +40,6 @@ CTX = PrecCtx(256)
 
 
 def mp_expr(e):
-    if isinstance(e, Int):
-        return mp.mpf(e.value)
     if isinstance(e, Rat):
         return mp.mpf(e.value.numerator) / e.value.denominator
     if isinstance(e, Pi):

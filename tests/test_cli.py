@@ -1,6 +1,8 @@
 """CLI tests: subcommands, exit codes, report stability, parallel runs."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import pickle
@@ -9,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +20,7 @@ from thetaval import cli, errors, exact
 from thetaval.cli import main
 from thetaval.errors import EvaluationError, ParseError, ThetavalError
 from thetaval.exact import Catalog, Identity, mutate_first_leaf, parse_expr
+from thetaval.qseries import QPoint
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -493,6 +497,71 @@ def test_every_function_at_edge_arguments_exits_cleanly_within_a_second(capsys, 
         signal.signal(signal.SIGALRM, previous)
 
 
+# Random trees of depth up to 3 over every grammar function, the infix
+# symbols, ^ and unary minus, with the edge arguments above and qpoint(+-1, r)
+# as leaves, written out by `render_expr`.  A rational function's argument is
+# an edge rational or a tree, which the parser folds or refuses.  2048 bits is
+# left out: the same texts take about 5 s more there.
+_EDGE_RATIONALS = [F(1, 2**2000), 1 - F(1, 10**20), F(10**30), F(-999, 1000), F(1, 2), F(1, 10**400), F(-3, 7)]
+_FUZZ_EXPONENTS = [F(2), F(-1), F(1, 2), F(-3, 7), F(1, 24), F(0), F(100), F(-100)]
+_qpoint_leaf = st.builds(
+    lambda s, r: exact.Nome(QPoint(s, r)), st.sampled_from([1, -1]), st.sampled_from([r for r in _EDGE_RATIONALS if r > 0])
+)
+_edge_leaf = st.one_of(st.sampled_from([parse_expr(t) for t in EDGE_ARGS]), _qpoint_leaf)
+
+
+def _call(node, inner):
+    if node is exact.Nome:
+        return _qpoint_leaf
+    arg = st.one_of(st.sampled_from(_EDGE_RATIONALS), inner) if node.rational else inner
+    return st.tuples(*[arg] * exact._ARITY[node.name]).map(lambda args: node(*args))
+
+
+def _grammar_trees(depth: int):
+    if depth == 0:
+        return _edge_leaf
+    inner = _grammar_trees(depth - 1)
+    return st.one_of(
+        inner,
+        st.builds(lambda node, a, b: node(a, b), st.sampled_from(list(exact._BINARY.values())), inner, inner),
+        st.builds(exact.Neg, inner),
+        st.builds(exact.PowRat, inner, st.sampled_from(_FUZZ_EXPONENTS)),
+        *[_call(node, inner) for node in exact._FUNCTIONS.values()],
+    )
+
+
+@given(tree=_grammar_trees(3))
+# escalates to 2048 bits, where Gamma(2^-2000) took 13 s by binary splitting
+@example(tree=parse_expr("agm(1/2^2000, gamma(1/2^2000))"))
+# class invariants whose index has a huge square part: once a traceback
+@example(tree=parse_expr("classinv((1 - 1/10^20)^100)"))
+@example(tree=parse_expr("classinv(2^3000/3^2000)"))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_random_grammar_trees_exit_cleanly_within_a_second(tree):
+    def over_time(*_):
+        raise _OverTime
+
+    text = exact.render_expr(tree)
+    previous = signal.signal(signal.SIGALRM, over_time)
+    try:
+        for bits in ("64", "512"):
+            stderr = io.StringIO()
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                    code = main(["eval", "--prec", bits, "--", text])
+            except _OverTime:
+                pytest.fail(f"{text} at {bits} bits ran past 1 s")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            err = stderr.getvalue()
+            labels = [label.format(cap=cli.CAP_FACTOR * int(bits)) for _, c, label in cli._OUTCOMES if c == code]
+            assert code in (0, 1, 2), text
+            assert err == "" if code == 0 else err.startswith(tuple(labels)), (text, bits, err)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestSweep:
     def test_deg3_grid(self, capsys):
         code, out, _ = run(
@@ -930,7 +999,7 @@ SWEEP_REPORTS = {
     "deg3": "2ca7f867d39321761ad12ffaf6645414279a5145c19528d45f794539f7ee0085",
     "deg15": "f48beb266267f1a211f701e55d7e389503a0b4f61024998d3997131f2de9c33e",
     "jims": "4e7c464637b45cf3c019262d31039662da0fa4414951cdd90a2680acc4950bd0",
-    "septic": "b002af22cc7d4b6411cb99e5461b1a432cc077d5edb515659325bfcc25c65011",
+    "septic": "23a60076089ae118c56b34e258c34a80014a43f5fbc77b7ab630f20eafe358b4",
     "yi_product": "1de9ae2236fc7e27823abfc750fd8b7202e1bdcf5b1b84b7922db5276bfa60ca",
 }
 
@@ -947,3 +1016,20 @@ def test_a_sweep_in_a_fresh_process_loads_its_layer_and_keeps_its_bytes(argv):
     layer = "lostnotebook" if argv[1] == "septic" else "modular"
     assert code == 0 and layers == ([] if "--jobs" in argv else [f"thetaval.{layer}"])
     assert hashlib.sha256(out).hexdigest() == SWEEP_REPORTS[argv[1]]
+
+
+# sha256 of the reports of the other commands, so that a change meant to move
+# no output is seen to move none
+COMMAND_REPORTS = {
+    ("verify", "--all", "--prec", "512"): "4f1a573c6a3306c8990c442ba1501ac437fb06084d773fafb4bc396c81503c49",
+    ("verify", "--all", "--prec", "2048"): "0fd6d9a16a1d0f2f654ee81b9d8c4294414c670ee74bfdf003c8d144217b9e87",
+    ("complete", "--prec", "64"): "e06393d9ddddbcc3ff46d4e2a3875af8ab2276714347ccdd8db80485a2fe7eff",
+    ("complete", "--prec", "512"): "4bec20e7e5055cd46c93f6b70d23a0d3b63a2ba601d31b5589b8a676de7171b2",
+    ("catalog",): "3d1e655b8c841b73e2a934b8522ad8240ae27c00239ec3a41a260faf21d04514",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(COMMAND_REPORTS), ids=" ".join)
+def test_a_command_in_a_fresh_process_keeps_its_bytes(argv):
+    code, out, _ = _fresh(*argv)
+    assert code == 0 and hashlib.sha256(out).hexdigest() == COMMAND_REPORTS[argv]

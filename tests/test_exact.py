@@ -28,7 +28,6 @@ from thetaval.exact import (
     Div,
     GammaRat,
     Identity,
-    Int,
     Mul,
     Neg,
     Pi,
@@ -137,24 +136,24 @@ class TestEvalExpr:
     def test_operator_sugar(self):
         # the infix operators of the text grammar
         e = parse_expr("(1 + 2) * 3 / 9 - 1")
-        assert e == Sub(Div(Mul(Add(Int(1), Int(2)), Int(3)), Int(9)), Int(1))
+        assert e == Sub(Div(Mul(Add(Rat(1), Rat(2)), Rat(3)), Rat(9)), Rat(1))
         assert eval_expr(e, CTX).contains(0)
         assert eval_expr(parse_expr("-5"), CTX).contains(-5)
-        assert parse_expr("2^(-1/2)") == PowRat(Int(2), F(-1, 2))
+        assert parse_expr("2^(-1/2)") == PowRat(Rat(2), F(-1, 2))
         assert eval_expr(parse_expr("2^(-1/2)"), CTX).overlaps(1 / sqrt(bf(2)))
 
     def test_division_by_zero_enclosure(self):
         # an exact zero is refused at once; a ball straddling zero is undecided
         with pytest.raises(DomainError) as exc:
-            eval_expr(Div(Int(1), Sub(Int(1), Int(1))), CTX)
+            eval_expr(Div(Rat(1), Sub(Rat(1), Rat(1))), CTX)
         assert not isinstance(exc.value, Undecided)
         with pytest.raises(DivisorStraddlesZero):
-            eval_expr(Div(Int(1), Sub(Pi(), Pi())), CTX)
+            eval_expr(Div(Rat(1), Sub(Pi(), Pi())), CTX)
 
     def test_negative_even_root(self):
         # an exact base <= 0, or one strictly below 0, is refused at once; an
         # inexact one that reaches 0 is undecided
-        for base in (Sub(Int(1), Int(3)), Int(0), Sub(Pi(), Int(4))):
+        for base in (Sub(Rat(1), Rat(3)), Rat(0), Sub(Pi(), Rat(4))):
             with pytest.raises(DomainError) as exc:
                 eval_expr(PowRat(base, F(1, 2)), CTX)
             assert not isinstance(exc.value, Undecided)
@@ -234,7 +233,7 @@ class TestCatalog:
     def test_left_sides_use_the_shared_nodes(self):
         yi_33 = CATALOG.get("yi_33").lhs
         assert yi_33 == Div(
-            Phi(QPoint(1, F(3))), Mul(PowRat(Int(3), F(1, 4)), Phi(QPoint(1, F(27))))
+            Phi(QPoint(1, F(3))), Mul(PowRat(Rat(3), F(1, 4)), Phi(QPoint(1, F(27))))
         )
         r7 = CATALOG.get("r7").lhs
         assert r7 == PowRat(Div(Phi(QPoint(1, F(49))), Phi(QPoint(1, F(1)))), F(2))
@@ -261,7 +260,7 @@ class TestVerify:
         assert rep.status == "unverified" and rep.agreement_digits < 5
 
     def test_disjoint_identity_fails_without_escalation(self):
-        bogus = Identity("bogus", Phi(QPoint(1, F(1))), Int(2), "test")
+        bogus = Identity("bogus", Phi(QPoint(1, F(1))), Rat(2), "test")
         rep = verify_identity(bogus, PrecCtx(256))
         assert rep.status == "unverified" and rep.prec_bits_used == 256
 
@@ -429,11 +428,11 @@ def test_a_value_after_an_undecided_attempt_is_that_of_a_fresh_process(text):
 
 # one tree of each node kind and the text it prints as
 RENDERED = [
-    (PowRat(Int(2), F(3)), "2^3"),
+    (PowRat(Rat(2), F(3)), "2^3"),
     (PowRat(Pi(), F(-1, 2)), "pi^(-1/2)"),
-    (PowRat(Add(Int(1), Int(2)), F(1, 3)), "((1 + 2))^(1/3)"),
-    (PowRat(Int(-2), F(3)), "(-2)^3"),
-    (Sub(Mul(Int(1), Rat(F(1, 4))), Div(Int(3), Neg(Int(4)))), "((1 * 0.25) - (3 / (-4)))"),
+    (PowRat(Add(Rat(1), Rat(2)), F(1, 3)), "((1 + 2))^(1/3)"),
+    (PowRat(Rat(-2), F(3)), "(-2)^3"),
+    (Sub(Mul(Rat(1), Rat(F(1, 4))), Div(Rat(3), Neg(Rat(4)))), "((1 * 0.25) - (3 / (-4)))"),
     (Add(GammaRat(F(1, 4)), CosPiRat(F(-2, 7))), "(gamma(1/4) + cospi(-2/7))"),
     (exact.Nome(QPoint(1, F(5, 3))), "qpoint(+1, 5/3)"),
     (exact.Nome(QPoint(-1, F(36))), "qpoint(-1, 36)"),
@@ -446,7 +445,7 @@ RENDERED = [
     (exact.YiH(F(3), F(9)), "h(3, 9)"),
     (exact.YiHPrime(F(2), F(3, 2)), "hprime(2, 3/2)"),
     (ClassInv(F(169)), "classinv(169)"),
-    (exact.Agm(Int(1), PowRat(Int(2), F(1, 2))), "agm(1, 2^(1/2))"),
+    (exact.Agm(Rat(1), PowRat(Rat(2), F(1, 2))), "agm(1, 2^(1/2))"),
     (exact.Hyp(Rat(F(7, 3))), "hyp((7/3))"),
 ]
 
@@ -506,7 +505,7 @@ def test_a_qpoint_nome_keys_the_theta_cache_exactly(cold_caches):
 
 
 def test_a_failed_call_caches_no_entry_for_the_failing_node():
-    tree = Div(Add(Int(1), Int(2)), Sub(Pi(), Pi()))
+    tree = Div(Add(Rat(1), Rat(2)), Sub(Pi(), Pi()))
     with pytest.raises(DivisorStraddlesZero):
         eval_expr(tree, CTX)
     before = exact._eval_raw.cache_info()
@@ -534,15 +533,15 @@ def test_a_failed_call_caches_no_entry_for_the_failing_node():
 def test_a_record_field_cannot_be_assigned(record, field):
     before = getattr(record, field)
     with pytest.raises(AttributeError):
-        setattr(record, field, Int(0))
+        setattr(record, field, Rat(0))
     with pytest.raises(AttributeError):
         delattr(record, field)
     assert getattr(record, field) is before
 
 
 def test_a_record_takes_each_field_once_by_position_or_name():
-    assert Add(Int(1), right=Int(2)) == Add(left=Int(1), right=Int(2)) == Add(Int(1), Int(2))
-    for args, named in [((Int(1),), {}), ((Int(1),) * 3, {}), ((Int(1),), {"rihgt": Int(2)})]:
+    assert Add(Rat(1), right=Rat(2)) == Add(left=Rat(1), right=Rat(2)) == Add(Rat(1), Rat(2))
+    for args, named in [((Rat(1),), {}), ((Rat(1),) * 3, {}), ((Rat(1),), {"rihgt": Rat(2)})]:
         with pytest.raises(TypeError):
             Add(*args, **named)
 
@@ -634,21 +633,21 @@ def test_each_nesting_kind_stops_at_max_depth(deepest, refused, pos):
 # how the grammar binds and groups, which no rendered text shows, since
 # `render_expr` parenthesizes every infix node: (text, tree)
 PRECEDENCE = [
-    ("1 - 2 - 3", Sub(Sub(Int(1), Int(2)), Int(3))),
-    ("8 / 4 / 2", Div(Div(Int(8), Int(4)), Int(2))),
-    ("1 + 2 * 3", Add(Int(1), Mul(Int(2), Int(3)))),
-    ("1 * 2 - 3 / 4 + 5", Add(Sub(Mul(Int(1), Int(2)), Div(Int(3), Int(4))), Int(5))),
-    ("(1 + 2) * 3", Mul(Add(Int(1), Int(2)), Int(3))),
-    ("2^3^2", PowRat(Int(2), F(9))),
-    ("2^(1/2)^2", PowRat(Int(2), F(1, 4))),
-    ("-2^2", Neg(PowRat(Int(2), F(2)))),
-    ("2^-1", PowRat(Int(2), F(-1))),
-    ("- -1", Neg(Neg(Int(1)))),
-    ("+1", Int(1)),
-    ("+-+1", Neg(Int(1))),
-    ("2 * -3", Mul(Int(2), Neg(Int(3)))),
-    ("-pi * 2", Mul(Neg(Pi()), Int(2))),
-    ("2.50 + .5 - 3.", Sub(Add(Rat(F(5, 2)), Rat(F(1, 2))), Int(3))),
+    ("1 - 2 - 3", Sub(Sub(Rat(1), Rat(2)), Rat(3))),
+    ("8 / 4 / 2", Div(Div(Rat(8), Rat(4)), Rat(2))),
+    ("1 + 2 * 3", Add(Rat(1), Mul(Rat(2), Rat(3)))),
+    ("1 * 2 - 3 / 4 + 5", Add(Sub(Mul(Rat(1), Rat(2)), Div(Rat(3), Rat(4))), Rat(5))),
+    ("(1 + 2) * 3", Mul(Add(Rat(1), Rat(2)), Rat(3))),
+    ("2^3^2", PowRat(Rat(2), F(9))),
+    ("2^(1/2)^2", PowRat(Rat(2), F(1, 4))),
+    ("-2^2", Neg(PowRat(Rat(2), F(2)))),
+    ("2^-1", PowRat(Rat(2), F(-1))),
+    ("- -1", Neg(Neg(Rat(1)))),
+    ("+1", Rat(1)),
+    ("+-+1", Neg(Rat(1))),
+    ("2 * -3", Mul(Rat(2), Neg(Rat(3)))),
+    ("-pi * 2", Mul(Neg(Pi()), Rat(2))),
+    ("2.50 + .5 - 3.", Sub(Add(Rat(F(5, 2)), Rat(F(1, 2))), Rat(3))),
 ]
 
 
@@ -692,16 +691,16 @@ def test_int_texts_fold_to_the_value_python_gives_them(text):
 # the TypeErrors of a record built with a missing field, an extra value or
 # an unknown keyword: (class, values, keywords, message)
 RECORD_ERRORS = [
-    (Add, (Int(1),), {}, "Add takes exactly the fields ('left', 'right')"),
-    (Add, (Int(1),) * 3, {}, "Add takes exactly the fields ('left', 'right')"),
+    (Add, (Rat(1),), {}, "Add takes exactly the fields ('left', 'right')"),
+    (Add, (Rat(1),) * 3, {}, "Add takes exactly the fields ('left', 'right')"),
     (Add, (), {}, "Add takes exactly the fields ('left', 'right')"),
-    (Add, (Int(1),), {"rihgt": Int(2)}, "Add needs the field 'right'"),
-    (Add, (Int(1),), {"left": Int(2)}, "Add needs the field 'right'"),
-    (Add, (Int(1), Int(2)), {"rihgt": 3}, "Add takes exactly the fields ('left', 'right')"),
-    (Add, (), {"left": Int(1), "right": Int(2), "x": 1}, "Add takes exactly the fields ('left', 'right')"),
+    (Add, (Rat(1),), {"rihgt": Rat(2)}, "Add needs the field 'right'"),
+    (Add, (Rat(1),), {"left": Rat(2)}, "Add needs the field 'right'"),
+    (Add, (Rat(1), Rat(2)), {"rihgt": 3}, "Add takes exactly the fields ('left', 'right')"),
+    (Add, (), {"left": Rat(1), "right": Rat(2), "x": 1}, "Add takes exactly the fields ('left', 'right')"),
     (Pi, (1,), {}, "Pi takes exactly the fields ()"),
     (Pi, (), {"x": 1}, "Pi takes exactly the fields ()"),
-    (Identity, ("a", Int(1), Int(2)), {}, "Identity takes exactly the fields ('id', 'lhs', 'rhs', 'provenance')"),
+    (Identity, ("a", Rat(1), Rat(2)), {}, "Identity takes exactly the fields ('id', 'lhs', 'rhs', 'provenance')"),
     (exact.YiH, (F(1),), {}, "YiH takes exactly the fields ('k', 'n')"),
     (Catalog, (), {}, "Catalog.__init__() missing 1 required positional argument: 'entries'"),
     (PrecCtx, (64, 65), {}, "PrecCtx.__init__() takes from 1 to 2 positional arguments but 3 were given"),
@@ -745,7 +744,7 @@ def test_a_leaf_is_hashed_once_however_often_its_tree_keys_the_memo():
             hashes.append(self)
             return super().__hash__()
 
-    tree = Div(Add(Rat(CountedFraction(1, 3)), Pi()), Mul(Int(7), Pi()))
+    tree = Div(Add(Rat(CountedFraction(1, 3)), Pi()), Mul(Rat(7), Pi()))
     for bits in (128, 256, 256):
         eval_expr(tree, PrecCtx(bits))
     verify_identity(Identity("counted", tree, tree, "test"), CTX)
@@ -794,7 +793,7 @@ class TestCrossForm:
 
     def test_scalar_and_theta_nodes(self):
         t = parse_expr("2 * (phi(qpoint(+1, 1)) / phi(qpoint(+1, 1)))")
-        assert t == Mul(Int(2), Div(Phi(QPoint(1, F(1))), Phi(QPoint(1, F(1)))))
+        assert t == Mul(Rat(2), Div(Phi(QPoint(1, F(1))), Phi(QPoint(1, F(1)))))
         assert eval_expr(t, CTX).contains(2)
         assert parse_expr("classinv(1)") == ClassInv(F(1))
         assert eval_expr(parse_expr("classinv(1)"), CTX).contains(1)

@@ -17,10 +17,10 @@ from thetaval.errors import (
     RootsNotSeparable,
     Undecided,
 )
-from thetaval.exact import Add, CosPiRat, Div, Int, Mul, PowRat, build_catalog, eval_expr, verify_identity
+from thetaval.exact import Add, CosPiRat, Div, Mul, PowRat, Rat, build_catalog, eval_expr, verify_identity
 from thetaval.exact import ln7_cos_term, ln7_rhs_from_terms
 from thetaval.precision import GUARD_BITS, Ball, PrecCtx, ipow, pow_rational
-from thetaval.qseries import QPoint, phi, q_power_ball
+from thetaval.qseries import QPoint, nome_pow, phi, q_power_ball
 from thetaval import lostnotebook
 from thetaval.lostnotebook import (
     assign_roots,
@@ -32,6 +32,7 @@ from thetaval.lostnotebook import (
     misprint_variant,
     ratio4_series_oracle,
     septic_pipeline,
+    septic_residuals,
     solve_ratio4,
     verify_quartic_relation,
 )
@@ -47,7 +48,7 @@ def replace(record, **changes):
 
 
 def cos_root(k: int, ctx=CTX) -> Ball:
-    return eval_expr(PowRat(Mul(Int(2), CosPiRat(F(k, 7))), F(-2)), ctx)
+    return eval_expr(PowRat(Mul(Rat(2), CosPiRat(F(k, 7))), F(-2)), ctx)
 
 
 class TestRelations:
@@ -72,6 +73,20 @@ class TestRelations:
     def test_quartic_relation(self, q):
         assert verify_quartic_relation(q, CTX).contains_zero()
 
+    @pytest.mark.parametrize("bits", [64, 512])
+    @pytest.mark.parametrize("q", GRID + [Q7])
+    def test_each_residual_is_formed_at_the_working_scale_and_rounded_once(self, q, bits):
+        # the one guard rule: p - uvw, 1 + u + v + w - phi(q^(1/7))/phi(q^7)
+        # and the quartic each at ctx.work(), rounded once to ctx.bits
+        work = PrecCtx(bits).work()
+        (u, v, w), roots = lostnotebook._uvw(q, work)
+        p, ratio, one = compute_p(q, work), ratio4_series_oracle(q, work), Ball.one(work.bits)
+        quot = phi(roots[0], work) / phi(nome_pow(q, 7), work)
+        quartic = ipow(ratio, 2) - (p * 5 + 2) * ratio + ipow(one - p, 3)
+        expected = [x.rescale(bits) for x in (p - u * v * w, (one + u + v + w) - quot, quartic)]
+        got = septic_residuals(q, PrecCtx(bits))
+        assert [(x.m, x.r, x.f) for x in got] == [(x.m, x.r, x.f) for x in expected]
+
     def test_negative_nome_rejected(self):
         with pytest.raises(DomainError):
             compute_uvw(QPoint(-1, F(4)), CTX)
@@ -80,7 +95,7 @@ class TestRelations:
         u, _, _ = compute_uvw(Q7, CTX)
         expr = PowRat(
             Mul(
-                Int(2),
+                Rat(2),
                 PowRat(CosPiRat(F(3, 7)), F(2)),
             ),
             F(-1),
@@ -381,7 +396,7 @@ class TestCompletion:
 def _ln7_term_tree(a: int, b: int) -> PowRat:
     """(cos(a pi/7) / (2 cos^2(b pi/7)))^(2/7), written out in constructors."""
     cos_b_squared = PowRat(CosPiRat(F(b, 7)), F(2))
-    return PowRat(Div(CosPiRat(F(a, 7)), Mul(Int(2), cos_b_squared)), F(2, 7))
+    return PowRat(Div(CosPiRat(F(a, 7)), Mul(Rat(2), cos_b_squared)), F(2, 7))
 
 
 def test_the_ln7_templates_read_the_trees_written_out_in_constructors():
@@ -390,9 +405,9 @@ def test_the_ln7_templates_read_the_trees_written_out_in_constructors():
             assert ln7_cos_term(a, b) == _ln7_term_tree(a, b)
     for pairs in (((1, 2), (2, 3), (3, 1)), ((3, 1), (1, 2), (2, 3))):
         t1, t2, t3 = (_ln7_term_tree(a, b) for a, b in pairs)
-        tree = Mul(PowRat(Int(7), F(-3, 4)), Add(Int(1), Add(t1, Add(t2, t3))))
+        tree = Mul(PowRat(Rat(7), F(-3, 4)), Add(Rat(1), Add(t1, Add(t2, t3))))
         assert ln7_rhs_from_terms(pairs) == tree
     t1, t2, t3 = (_ln7_term_tree(a, b) for a, b in ((1, 2), (2, 3), (3, 1)))
-    assert build_catalog().get("ln7").rhs == Mul(PowRat(Int(7), F(-3, 4)), Add(Int(1), Add(t1, Add(t2, t3))))
+    assert build_catalog().get("ln7").rhs == Mul(PowRat(Rat(7), F(-3, 4)), Add(Rat(1), Add(t1, Add(t2, t3))))
     for k in (1, 2, 3):  # 1 / (2 cos(k pi/7))^2
-        assert lostnotebook._cos_root_expr(k) == PowRat(Mul(Int(2), CosPiRat(F(k, 7))), F(-2))
+        assert lostnotebook._cos_root_expr(k) == PowRat(Mul(Rat(2), CosPiRat(F(k, 7))), F(-2))

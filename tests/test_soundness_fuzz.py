@@ -26,7 +26,6 @@ from thetaval.exact import (
     FNeg,
     GammaRat,
     Hyp,
-    Int,
     Mul,
     Neg,
     Nome,
@@ -72,7 +71,7 @@ def _random_expr(rng: random.Random, depth: int, transcendental: bool):
     if depth == 0:
         kind = rng.choice(leafs)
         if kind == "int":
-            return Int(rng.randint(-9, 9))
+            return Rat(rng.randint(-9, 9))
         if kind == "rat":
             return Rat(F(rng.randint(-50, 50), rng.randint(1, 50)))
         if kind == "pi":
@@ -91,10 +90,8 @@ def _random_expr(rng: random.Random, depth: int, transcendental: bool):
 
 
 def _exact_value(e) -> F:
-    if isinstance(e, Int):
-        return F(e.value)
     if isinstance(e, Rat):
-        return e.value
+        return F(e.value)
     if isinstance(e, Add):
         return _exact_value(e.left) + _exact_value(e.right)
     if isinstance(e, Sub):
@@ -138,11 +135,11 @@ _rat = st.builds(F, st.integers(1, 40), st.integers(1, 12))
 _unit = st.builds(F, st.integers(1, 90), st.just(100))  # in (0, 1)
 _qpoint = st.builds(QPoint, st.sampled_from([1, -1]), _rat)
 _closed = st.one_of(
-    st.builds(Int, st.integers(1, 9)),
+    st.builds(Rat, st.integers(1, 9)),
     st.builds(Rat, _rat),
     st.just(Pi()),
     st.builds(GammaRat, st.builds(F, st.integers(1, 16), st.just(8))),
-    st.builds(lambda p: Add(CosPiRat(p), Int(2)), st.builds(F, st.integers(-12, 12), st.integers(1, 7))),
+    st.builds(lambda p: Add(CosPiRat(p), Rat(2)), st.builds(F, st.integers(-12, 12), st.integers(1, 7))),
 )
 _ball_nome = st.one_of(
     st.builds(Rat, _unit),
@@ -192,9 +189,9 @@ def _read_back(e):
     back as a quotient of integers, and the nome of phi/psi/fneg/chi written
     qpoint(...) stays the QPoint instead of a Nome node."""
     if isinstance(e, Rat) and e.value.denominator == 1:
-        return Int(e.value.numerator)
+        return Rat(e.value.numerator)
     if isinstance(e, Rat) and 10**64 % e.value.denominator:
-        return Div(Int(e.value.numerator), Int(e.value.denominator))  # e.value > 0 here
+        return Div(Rat(e.value.numerator), Rat(e.value.denominator))  # e.value > 0 here
     fields = [_read_back(x) if isinstance(x, Expr) else x for x in e._values()]
     if isinstance(e, (Phi, Psi, FNeg, Chi)) and isinstance(e.q, Nome):
         fields = [e.q.q]
@@ -208,8 +205,6 @@ def test_rendered_trees_parse_back_to_the_same_tree(e):
 
 
 def _mp_value(e):
-    if isinstance(e, Int):
-        return mp.mpf(e.value)
     if isinstance(e, Rat):
         return mp.mpf(e.value.numerator) / e.value.denominator
     if isinstance(e, Pi):
